@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 every check provably passed, 1 some check failed,
-2 only probabilistic or inconclusive verdicts, 3 input error.
+2 only probabilistic or inconclusive verdicts (or an analysis that could
+not be decided), 3 input error.  Exits 2 and 3 without a report print one
+line on stderr.
 JSON reports are byte-identical for identical inputs and seed (they carry
 no timing); the text format prints wall time.
 """
@@ -28,6 +30,7 @@ from .fileio import (
 )
 from .hamsys import (
     DegenerateCandidateError,
+    HamsysError,
     classify_operator_shape,
     commutativity_residual,
     dispersion,
@@ -36,12 +39,14 @@ from .hamsys import (
 )
 from .integrability import (
     DegenerateLagrangianError,
+    IntegrabilityError,
     LagrangianDensity,
     euler_lagrange_fluxes,
     fkt_residual,
     legendre,
 )
 from .operators import (
+    OperatorError,
     check_hamiltonian,
     generic_rank,
     is_degenerate,
@@ -50,6 +55,7 @@ from .operators import (
     pencil_determinant,
 )
 from .parser import ParseError, parse
+from .ratform import NormalizeError
 from .symbols import SymbolError, Workspace
 from .zerotest import InconclusiveError, Verdict, ZeroTestPolicy, is_zero
 
@@ -247,9 +253,13 @@ def main(argv=None) -> int:
     try:
         return handler(args, policy)
     except (FileFormatError, ParseError, SymbolError, catalog.CatalogError,
+            NormalizeError, OperatorError, HamsysError, IntegrabilityError,
             ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except InconclusiveError as e:
+        print(f"inconclusive: {e}", file=sys.stderr)
+        return EXIT_UNDECIDED
 
 
 def _cmd_check(args, policy) -> int:

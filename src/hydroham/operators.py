@@ -5,6 +5,8 @@ of P^{ij} = sum_alpha g^{ij alpha} d/dx^alpha + b^{ij alpha}_k u^k_{x^alpha}.
 The seven relations a1..a7 are necessary and sufficient for skew-symmetry
 plus the Jacobi identity; they are checked exactly on rational normal
 forms, with all free indices enumerated and cyclic sums written out.
+Derivatives are taken in the polynomial ring, when a relation first needs
+them.
 """
 
 from __future__ import annotations
@@ -12,14 +14,18 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import expr as ex
 from .calculus import differentiate
 from .ratform import (
+    Derivation,
     build_context,
     coefficients_in,
+    derivation_context,
     ratform_to_expr,
     to_rational_form,
+    zero_form,
 )
 from .symbols import Symbol, Workspace
 from .zerotest import (
@@ -184,42 +190,40 @@ class ConditionReport:
 # -- the checker ----------------------------------------------------------------
 
 class MokhovChecker:
-    """Precomputes g, b and their derivative tables as rational forms, then
-    assembles each relation's residuals by ring arithmetic."""
+    """Converts g and b to rational forms once, then assembles each
+    relation's residuals by ring arithmetic.  DG[a][i][j][k] = d_k g^{ij a},
+    DB[a][i][j][k][l] = d_l b^{ij a}_k, the a5 brackets and their
+    derivatives are built on first use by the ring derivations d/du^k, so a
+    check that stops at a2 never differentiates b."""
 
     def __init__(self, op: HydroOperator):
         self.op = op
         self.ws = op.ws
-        d, n = op.d, op.n
-        vars_ = op.variables
-        diff = differentiate
-
-        g = op.g
-        b = op.b
-        dg = [[[[diff(g[a][i][j], vars_[k]) for k in range(n)]
-                for j in range(n)] for i in range(n)] for a in range(d)]
-        db = [[[[[diff(b[a][i][j][k], vars_[l]) for l in range(n)]
-                 for k in range(n)] for j in range(n)] for i in range(n)]
-              for a in range(d)]
-        d2b = [[[[[[diff(db[a][i][j][k][l], vars_[m]) for m in range(n)]
-                   for l in range(n)] for k in range(n)] for j in range(n)]
-                for i in range(n)] for a in range(d)]
-
-        exprs = []
-        for tab in (g, dg):
-            exprs.extend(_flatten(tab))
-        for tab in (b, db, d2b):
-            exprs.extend(_flatten(tab))
-        self.ctx = build_context(self.ws, exprs)
+        self.d, self.n = op.d, op.n
         cache: dict = {}
+        # a7 differentiates the a5 brackets, which hold g and d b
+        self.ctx = derivation_context(
+            self.ws, op.variables,
+            [(list(_flatten(op.g)), 1), (list(_flatten(op.b)), 2)], cache,
+        )
         conv = lambda e: to_rational_form(e, self.ctx, cache)
-        self.G = _map_nested(g, conv)
-        self.DG = _map_nested(dg, conv)
-        self.B = _map_nested(b, conv)
-        self.DB = _map_nested(db, conv)
-        self.D2B = _map_nested(d2b, conv)
-        self.d, self.n = d, n
-        self._zero = to_rational_form(ex.ZERO, self.ctx, cache)
+        self.G = _map_nested(op.g, conv)
+        self.B = _map_nested(op.b, conv)
+        self._deriv = [Derivation(self.ctx, v, cache) for v in op.variables]
+        self._zero = zero_form(self.ctx)
+        self._brackets: dict = {}
+        self._a7_halves: dict = {}
+
+    def _gradient(self, rf) -> list:
+        return [d(rf) for d in self._deriv]
+
+    @cached_property
+    def DG(self) -> list:
+        return _map_nested(self.G, self._gradient)
+
+    @cached_property
+    def DB(self) -> list:
+        return _map_nested(self.B, self._gradient)
 
     # each generator yields (relation, indices, RationalForm)
 
@@ -232,14 +236,14 @@ class MokhovChecker:
                         G[a][i][j] - G[a][j][i]
 
     def residuals_a2(self):
-        G, DG, B = self.G, self.DG, self.B
+        DG, B = self.DG, self.B
         rng = range(self.n)
         for a in range(self.d):
             for i in rng:
                 for j in rng:
                     for k in rng:
                         yield "a2", (ALPHA_LABELS[a], i + 1, j + 1, k + 1), \
-                            self.DG[a][i][j][k] - B[a][i][j][k] - B[a][j][i][k]
+                            DG[a][i][j][k] - B[a][i][j][k] - B[a][j][i][k]
 
     def residuals_a3(self):
         G, B = self.G, self.B
@@ -279,13 +283,18 @@ class MokhovChecker:
 
     def _a5_bracket(self, al, be, i, j, r, q):
         """sum_s g^{si al}(d_q b^{jr be}_s - d_s b^{jr be}_q)
-        + b^{ij al}_s b^{sr be}_q - b^{ir al}_s b^{sj be}_q."""
-        G, B, DB = self.G, self.B, self.DB
-        acc = self._zero
-        for s in range(self.n):
-            acc = acc + G[al][s][i] * (DB[be][j][r][s][q] - DB[be][j][r][q][s])
-            acc = acc + B[al][i][j][s] * B[be][s][r][q]
-            acc = acc - B[al][i][r][s] * B[be][s][j][q]
+        + b^{ij al}_s b^{sr be}_q - b^{ir al}_s b^{sj be}_q, built once."""
+        key = (al, be, i, j, r, q)
+        acc = self._brackets.get(key)
+        if acc is None:
+            G, B, DB = self.G, self.B, self.DB
+            acc = self._zero
+            for s in range(self.n):
+                acc = acc + G[al][s][i] * (DB[be][j][r][s][q]
+                                           - DB[be][j][r][q][s])
+                acc = acc + B[al][i][j][s] * B[be][s][r][q]
+                acc = acc - B[al][i][r][s] * B[be][s][j][q]
+            self._brackets[key] = acc
         return acc
 
     def residuals_a5(self):
@@ -319,33 +328,21 @@ class MokhovChecker:
                         i + 1, j + 1, r + 1, q + 1,
                     ), acc
 
-    def _a5_bracket_deriv(self, al, be, i, j, r, q, k):
-        """d/du^k of the a5 bracket, expanded by the product rule."""
-        G, B, DB, DG, D2B = self.G, self.B, self.DB, self.DG, self.D2B
-        acc = self._zero
-        for s in range(self.n):
-            acc = acc + DG[al][s][i][k] * (
-                DB[be][j][r][s][q] - DB[be][j][r][q][s]
-            )
-            acc = acc + G[al][s][i] * (
-                D2B[be][j][r][s][q][k] - D2B[be][j][r][q][s][k]
-            )
-            acc = acc + DB[al][i][j][s][k] * B[be][s][r][q]
-            acc = acc + B[al][i][j][s] * DB[be][s][r][q][k]
-            acc = acc - DB[al][i][r][s][k] * B[be][s][j][q]
-            acc = acc - B[al][i][r][s] * DB[be][s][j][q][k]
-        return acc
-
-    def _a7_cyclic(self, al, be, i, j, r, q, k):
-        """sum over cyclic (i,j,r) of
-        b^{si be}_q (d_s b^{jr al}_k - d_k b^{jr al}_s)."""
-        B, DB = self.B, self.DB
-        acc = self._zero
-        for ii, jj, rr in ((i, j, r), (j, r, i), (r, i, j)):
-            for s in range(self.n):
-                acc = acc + B[be][s][ii][q] * (
-                    DB[al][jj][rr][k][s] - DB[al][jj][rr][s][k]
-                )
+    def _a7_half(self, al, be, i, j, r, q, k):
+        """d_k of the a5 bracket (al, be, i, j, r, q) plus the sum over
+        cyclic (i,j,r) of b^{si be}_q (d_s b^{jr al}_k - d_k b^{jr al}_s).
+        Each half enters two a7 residuals, so it is built once."""
+        key = (al, be, i, j, r, q, k)
+        acc = self._a7_halves.get(key)
+        if acc is None:
+            B, DB = self.B, self.DB
+            acc = self._deriv[k](self._a5_bracket(al, be, i, j, r, q))
+            for ii, jj, rr in ((i, j, r), (j, r, i), (r, i, j)):
+                for s in range(self.n):
+                    acc = acc + B[be][s][ii][q] * (
+                        DB[al][jj][rr][k][s] - DB[al][jj][rr][s][k]
+                    )
+            self._a7_halves[key] = acc
         return acc
 
     def residuals_a7(self):
@@ -354,14 +351,11 @@ class MokhovChecker:
             for be in range(self.d):
                 for i, j, r in itertools.product(rng, repeat=3):
                     for k, q in itertools.product(rng, repeat=2):
-                        acc = self._a5_bracket_deriv(a, be, i, j, r, q, k)
-                        acc = acc + self._a7_cyclic(a, be, i, j, r, q, k)
-                        acc = acc + self._a5_bracket_deriv(be, a, i, j, r, k, q)
-                        acc = acc + self._a7_cyclic(be, a, i, j, r, k, q)
                         yield "a7", (
                             ALPHA_LABELS[a], ALPHA_LABELS[be],
                             i + 1, j + 1, r + 1, k + 1, q + 1,
-                        ), acc
+                        ), (self._a7_half(a, be, i, j, r, q, k)
+                            + self._a7_half(be, a, i, j, r, k, q))
 
     def residuals(self, relations):
         gens = {
@@ -386,7 +380,7 @@ def _flatten(nested):
 
 
 def _map_nested(nested, fn):
-    if isinstance(nested, ex.Expr):
+    if not isinstance(nested, list):
         return fn(nested)
     return [_map_nested(item, fn) for item in nested]
 

@@ -9,6 +9,7 @@ Polynomial arithmetic is delegated to sympy's polynomial rings over QQ.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 from sympy.polys.domains import QQ
@@ -16,7 +17,8 @@ from sympy.polys.orderings import grevlex
 from sympy.polys.rings import ring as _sympy_ring
 
 from . import expr as ex
-from .symbols import Workspace
+from .calculus import differentiate
+from .symbols import Symbol, Workspace
 
 
 class NormalizeError(Exception):
@@ -109,7 +111,17 @@ class RationalForm:
         )
 
     def __sub__(self, other):
-        return self + (-other)
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return -other
+        if self.den == other.den:
+            return RationalForm(self.num - other.num, self.den, self.ctx)
+        return RationalForm(
+            self.num * other.den - other.num * self.den,
+            self.den * other.den,
+            self.ctx,
+        )
 
     def __neg__(self):
         return RationalForm(-self.num, self.den, self.ctx, reduced=True)
@@ -216,6 +228,43 @@ def build_context(ws: Workspace, exprs, _cache=None) -> PolyContext:
     return PolyContext(ws, list(entries.items()))
 
 
+def derivation_context(ws: Workspace, variables, parts,
+                       _cache=None) -> PolyContext:
+    """A context whose atoms are closed under partial derivatives.
+
+    ``parts`` is a list of (exprs, order): the atoms of the exprs and of
+    their partial derivatives in ``variables`` up to that order all get a
+    generator.  The derivatives are found by differentiating the atoms
+    themselves, one representative per signature, which is the atom
+    ``Derivation`` differentiates later.
+    """
+    if _cache is None:
+        _cache = {}
+    reps: dict[str, ex.Expr] = {}
+    done: dict[str, int] = {}   # signature -> derivative order covered
+    todo: deque = deque()
+
+    def visit(exprs, order):
+        for e in exprs:
+            for atom in ex.atoms(e):
+                sig = atom_signature(atom, ws, _cache)
+                reps.setdefault(sig, atom)
+                todo.append((sig, order))
+
+    for exprs, order in parts:
+        visit(exprs, order)
+        while todo:
+            sig, k = todo.popleft()
+            if done.get(sig, -1) >= k:
+                continue
+            done[sig] = k
+            if k:
+                visit([differentiate(reps[sig], v) for v in variables], k - 1)
+    # atoms come outermost first, so each representative is also the first
+    # atom of its signature that build_context meets
+    return build_context(ws, list(reps.values()), _cache)
+
+
 def to_rational_form(e: ex.Expr, ctx: PolyContext, _cache=None) -> RationalForm:
     ring = ctx.ring
     if isinstance(e, ex.Rat):
@@ -269,6 +318,72 @@ def normalize(e: ex.Expr, ws: Workspace) -> RationalForm:
     """Canonical form; equal rational functions of the extended variable
     set map to the identical (num, den) pair."""
     return _normalize_cached(e, ws, {})
+
+
+# -- the derivation d/dv on rational forms -----------------------------------
+
+class Derivation:
+    """The partial derivative d/dv on the rational forms of one context.
+
+    A generator's derivative is worked out on first use and cached: 1 or 0
+    for a variable or constant, and the normal form of the differentiated
+    atom for an atom generator (the next abstract-derivative atom times the
+    chain factor, exp(a)*a', a'/a or a'/(2*sqrt(a))).  The context must hold
+    the atoms of those derivatives; ``derivation_context`` builds one that
+    does.  Polynomials follow the chain rule over generators, quotients the
+    quotient rule.
+    """
+
+    def __init__(self, ctx: PolyContext, v: Symbol, _cache=None):
+        self.ctx = ctx
+        self.v = v
+        self._cache = {} if _cache is None else _cache
+        self._gens: dict[int, RationalForm] = {}
+
+    def generator(self, index: int) -> RationalForm:
+        hit = self._gens.get(index)
+        if hit is None:
+            ctx = self.ctx
+            if index < ctx.n_vars:
+                hit = (one_form(ctx) if ctx.var_names[index] == self.v.name
+                       else zero_form(ctx))
+            else:
+                hit = to_rational_form(
+                    differentiate(ctx.gen_expr(index), self.v), ctx,
+                    self._cache,
+                )
+            self._gens[index] = hit
+        return hit
+
+    def poly(self, p) -> RationalForm:
+        """d/dv of a polynomial: sum over its generators x of
+        (dp/dx) * dx/dv.  Polynomial generator derivatives accumulate in one
+        polynomial; only those with a denominator take fraction arithmetic."""
+        ctx = self.ctx
+        ring = ctx.ring
+        acc = ring.zero
+        frac = zero_form(ctx)
+        for index, degree in enumerate(p.degrees()):
+            if degree <= 0:
+                continue
+            dx = self.generator(index)
+            if dx.is_zero:
+                continue
+            dp = p.diff(ring.gens[index])
+            if dx.den == ring.one:
+                acc = acc + dp * dx.num
+            else:
+                frac = frac + RationalForm(dp, ring.one, ctx, reduced=True) * dx
+        return RationalForm(acc, ring.one, ctx, reduced=True) + frac
+
+    def __call__(self, rf: RationalForm) -> RationalForm:
+        dnum = self.poly(rf.num)
+        ring = self.ctx.ring
+        if rf.den == ring.one:
+            return dnum
+        # (N/D)' = (N' - (N/D) D') / D
+        return (dnum - rf * self.poly(rf.den)) / RationalForm(
+            rf.den, ring.one, self.ctx, reduced=True)
 
 
 # -- back-conversion and parameter extraction --------------------------------

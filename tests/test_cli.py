@@ -148,3 +148,28 @@ def test_input_errors_exit_3(tmp_path, capsys):
     with pytest.raises(SystemExit) as err2:
         main(["--bogus-flag", "check", "x.json"])
     assert err2.value.code == 3
+
+
+def test_zero_denominator_exits_3(tmp_path, capsys):
+    doc = {
+        "dimension": 1, "components": 2, "variables": ["u1", "u2"],
+        "metrics": {"x": [["1/(u1-u1)", "0"], ["0", "1"]]},
+        "b": {"x": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]},
+    }
+    path = tmp_path / "zero_den.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_undecided_analysis_exits_2(capsys):
+    # exp(u2) in the pencil makes its minors' verdicts only probabilistic
+    code = main(["catalog", "verify", "T2.6/rank1_P_2/1",
+                 "--set", "f=exp(u2)", "--set", "h=u2*u3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("inconclusive: ")
+    assert len(err.splitlines()) == 1
