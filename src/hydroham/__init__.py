@@ -26,9 +26,6 @@ from .operators import (
     ConditionReport,
     HydroOperator,
     check_hamiltonian,
-    check_jacobi,
-    check_skew,
-    check_symmetry,
     generic_rank,
     is_degenerate,
     is_trivial_pair,

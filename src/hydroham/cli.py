@@ -29,7 +29,6 @@ from .fileio import (
     read_json,
 )
 from .hamsys import (
-    DegenerateCandidateError,
     HamsysError,
     classify_operator_shape,
     commutativity_residual,
@@ -51,12 +50,14 @@ from .operators import (
     generic_rank,
     is_degenerate,
     is_trivial_pair,
+    overall_result,
     pencil_compatibility,
     pencil_determinant,
 )
 from .parser import ParseError, parse
 from .ratform import NormalizeError
 from .symbols import SymbolError, Workspace
+from .transform import InvalidChangeError, pushforward, verify_invariance
 from .zerotest import InconclusiveError, Verdict, ZeroTestPolicy, is_zero
 
 EXIT_PASS = 0
@@ -88,6 +89,9 @@ class Report:
         self.max_chars = args.max_residual_chars
         self.inputs = {p: _digest(p) for p in inputs}
         self.checks = []
+        self.kinds = []
+        # records verified but, to keep the report short, not listed
+        self.unlisted_passes = 0
         self.lines = []
         self.t0 = time.perf_counter()
 
@@ -101,6 +105,7 @@ class Report:
         if residual is not None and not verdict.is_zero_verdict:
             entry["residual"] = self._trim(ex.print_expr(residual))
         self.checks.append(entry)
+        self.kinds.append(verdict.kind)
 
     def note(self, key: str, value):
         self.lines.append((key, value))
@@ -113,16 +118,7 @@ class Report:
 
     @property
     def overall(self) -> str:
-        worst = "proven_pass"
-        for c in self.checks:
-            v = c["verdict"]
-            if v.startswith("ProvenNonzero") or v.startswith("ProbablyNonzero"):
-                return "fail"
-            if v == "Inconclusive":
-                worst = "inconclusive"
-            elif v.startswith("ProbablyZero") and worst == "proven_pass":
-                worst = "probably_pass"
-        return worst
+        return overall_result(self.kinds)
 
     def finish(self) -> int:
         overall = self.overall
@@ -151,8 +147,9 @@ class Report:
                     if shown >= 20:
                         print("... further failures suppressed")
                         break
-            n_ok = sum(1 for c in self.checks if c["ok"])
-            print(f"checks: {n_ok}/{len(self.checks)} passed")
+            n_ok = self.unlisted_passes + sum(c["ok"] for c in self.checks)
+            n = self.unlisted_passes + len(self.checks)
+            print(f"checks: {n_ok}/{n} passed")
             print(f"overall: {overall}")
             print(f"wall time: {time.perf_counter() - self.t0:.3f}s")
         return _OVERALL_EXIT[overall]
@@ -254,7 +251,7 @@ def main(argv=None) -> int:
         return handler(args, policy)
     except (FileFormatError, ParseError, SymbolError, catalog.CatalogError,
             NormalizeError, OperatorError, HamsysError, IntegrabilityError,
-            ValueError) as e:
+            InvalidChangeError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except InconclusiveError as e:
@@ -294,8 +291,6 @@ def _cmd_pencil(args, policy) -> int:
 
 
 def _cmd_transform(args, policy) -> int:
-    from .transform import pushforward, verify_invariance
-
     report = Report(args, [args.operator, args.change])
     op = load_operator(read_json(args.operator))
     change = load_change(read_json(args.change), op.ws, policy)
@@ -363,7 +358,9 @@ def _cmd_catalog(args, policy) -> int:
             summary += f"; trivial={v.trivial}"
         report.note(entry.id, summary)
         for rec in v.report.records:
-            if not rec.verdict.is_zero_verdict:
+            if rec.verdict.is_zero_verdict:
+                report.unlisted_passes += 1
+            else:
                 report.add_check(f"{entry.id}:{rec.relation}", rec.indices,
                                  rec.verdict, rec.residual)
         if not v.ok:
@@ -413,13 +410,9 @@ def _cmd_reduction(args, policy) -> int:
             shown = ratform_to_expr(normalize(residual, cand.ws))
         report.add_check(name, idx, verdict, shown)
 
-    try:
-        if cand.m >= 2:
-            for idx, residual in commutativity_residual(cand, policy):
-                checked("commutativity", idx, residual)
-    except DegenerateCandidateError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    if cand.m >= 2:
+        for idx, residual in commutativity_residual(cand, policy):
+            checked("commutativity", idx, residual)
     for idx, residual in reduction_residual(cand, sys_):
         checked("reduction", idx, residual)
     if cand.v is not None:
@@ -457,7 +450,7 @@ def _cmd_fkt(args, policy) -> int:
     report.note("hessian determinant", ex.print_expr(result.hessian))
     for m in sorted(result.verdicts, reverse=True):
         report.add_check("fkt-coefficient", m, result.verdicts[m],
-                         result.residual.coefficients[m])
+                         result.residual[m])
     first = result.first_failure()
     if first is not None:
         m, coeff = first

@@ -343,16 +343,6 @@ def atoms(e: Expr) -> list[Expr]:
     return out
 
 
-def contains_transcendental(e: Expr) -> bool:
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Call):
-            return True
-        stack.extend(children(node))
-    return False
-
-
 # -- printing ----------------------------------------------------------------
 
 _PREC_SUM = 1

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 
 from . import expr as ex
-from .hamsys import HamiltonianDensity, ReductionCandidate, _clone_with_function
+from .hamsys import HamiltonianDensity, ReductionCandidate
 from .operators import ALPHA_LABELS, HydroOperator
 from .parser import parse
 from .symbols import Workspace
@@ -109,14 +109,7 @@ def load_change(data: dict, src_ws: Workspace,
     inverse = _require(data, "inverse", dict)
     if set(forward) != {s.name for s in src_ws.variables}:
         raise FileFormatError("forward keys must be the operator variables")
-    dst_ws = Workspace()
-    dst_ws.add_variables(*inverse.keys())
-    if src_ws.constants:
-        dst_ws.add_constants(*(s.name for s in src_ws.constants))
-    for fn in src_ws.functions.values():
-        dst_ws.functions[fn.name] = fn
-        dst_ws._by_name[fn.name] = fn
-    dst_ws.freeze()
+    dst_ws = src_ws.derive(variables=list(inverse))
     fwd = {name: parse(text, dst_ws) for name, text in forward.items()}
     inv = {name: parse(text, src_ws) for name, text in inverse.items()}
     return coordinate_change(src_ws, fwd, inv, dst_ws, policy)
@@ -128,7 +121,7 @@ def load_density(data: dict, op: HydroOperator) -> HamiltonianDensity:
     for fn in data.get("functions", []):
         name = _require(fn, "name", str)
         if ws.lookup(name) is None:
-            ws = _clone_with_function(ws, name, _require(fn, "args", list))
+            ws = ws.derive(functions=[(name, _require(fn, "args", list))])
     return HamiltonianDensity(parse(text, ws), ws)
 
 

@@ -13,7 +13,12 @@ from fractions import Fraction
 
 from . import expr as ex
 from .calculus import differentiate, substitute
-from .operators import HydroOperator, _det
+from .operators import (
+    HydroOperator,
+    _det,
+    is_trivial_pair,
+    pencil_determinant,
+)
 from .ratform import (
     build_context,
     coefficients_in,
@@ -47,24 +52,9 @@ class HamiltonianDensity:
         while ws.lookup(fresh) is not None:
             k += 1
             fresh = f"{name}{k}"
-        ws2 = _clone_with_function(ws, fresh, arg_names)
+        ws2 = ws.derive(functions=[(fresh, arg_names)])
         atom = ex.func_atom(ws2.functions[fresh])
         return cls(atom, ws2)
-
-
-def _clone_with_function(ws: Workspace, name: str, arg_names) -> Workspace:
-    ws2 = Workspace()
-    ws2.add_variables(*(s.name for s in ws.variables))
-    if ws.constants:
-        ws2.add_constants(*(s.name for s in ws.constants))
-    for fn in ws.functions.values():
-        # carried over as objects: declared arguments may name symbols that
-        # are no longer registered (frozen components)
-        ws2.functions[fn.name] = fn
-        ws2._by_name[fn.name] = fn
-    if name not in ws2.functions:
-        ws2.add_function(name, list(arg_names))
-    return ws2.freeze()
 
 
 @dataclass
@@ -75,9 +65,6 @@ class QuasilinearSystem:
     B: list
     operator: HydroOperator | None = None
     density: ex.Expr | None = None
-
-    def row_entries(self, i: int):
-        return list(self.A[i]) + list(self.B[i])
 
 
 def generate_system(op: HydroOperator, h: HamiltonianDensity | ex.Expr,
@@ -339,18 +326,10 @@ def classify_operator_shape(op: HydroOperator,
 def _freezable_row(sys: QuasilinearSystem, policy) -> int | None:
     """First row i with A^i_k = B^i_k = 0 for every k != i (so the row reads
     u^i_t + phi u^i_x + psi u^i_y = 0)."""
+    zero = lambda e: is_zero(e, sys.ws, policy).is_zero_verdict
     for i in range(sys.n):
-        ok = True
-        for k in range(sys.n):
-            if k == i:
-                continue
-            if not is_zero(sys.A[i][k], sys.ws, policy).is_zero_verdict:
-                ok = False
-                break
-            if not is_zero(sys.B[i][k], sys.ws, policy).is_zero_verdict:
-                ok = False
-                break
-        if ok:
+        if all(zero(m[i][k]) for k in range(sys.n) if k != i
+               for m in (sys.A, sys.B)):
             return i
     return None
 
@@ -366,14 +345,11 @@ def _freeze_component(op: HydroOperator, index: int):
     frozen_sym = old_ws.variables[index]
     const_name = f"{_FROZEN_PREFIX}{frozen_sym.name}"
 
-    ws = Workspace()
-    ws.add_variables(*(old_ws.variables[i].name for i in keep),
-                     *(s.name for s in old_ws.variables[op.n:]))
-    ws.add_constants(*(s.name for s in old_ws.constants), const_name)
-    for fn in old_ws.functions.values():
-        ws.functions[fn.name] = fn
-        ws._by_name[fn.name] = fn
-    ws.freeze()
+    ws = old_ws.derive(
+        variables=[old_ws.variables[i].name for i in keep]
+        + [s.name for s in old_ws.variables[op.n:]],
+        constants=[s.name for s in old_ws.constants] + [const_name],
+    )
 
     binding = {frozen_sym: ex.Var(ws.require_symbol(const_name))}
     sub = lambda e: substitute(e, binding)
@@ -389,43 +365,18 @@ def _decoupled_form(op: HydroOperator, policy):
     non-constant metrics -> Mokhov form 3; else the pencil-determinant
     discriminant separates diag(d_x, d_y) (two roots) from the triangular
     form (double root)."""
-    from .operators import is_trivial_pair
-
     if is_trivial_pair(op, policy).trivial:
         return "1d"
-    vars_ = op.variables
-    constant_metrics = True
-    for a in range(op.d):
-        for i in range(op.n):
-            for j in range(op.n):
-                for v in vars_:
-                    d = differentiate(op.g[a][i][j], v)
-                    if not is_zero(d, op.ws, policy).is_zero_verdict:
-                        constant_metrics = False
-                        break
-    if not constant_metrics:
+    if any(not is_zero(differentiate(e, v), op.ws, policy).is_zero_verdict
+           for g in op.g for row in g for e in row for v in op.variables):
         return 3
-    disc = _pencil_discriminant(op)
+    # det(lam1 g_x + lam2 g_y) = c20 lam1^2 + c11 lam1 lam2 + c02 lam2^2
+    coeffs = pencil_determinant(op)
+    c20, c11, c02 = (coeffs.get(m, ex.ZERO) for m in ((2, 0), (1, 1), (0, 2)))
+    disc = ex.add(ex.pow_(c11, 2), ex.neg(ex.mul(ex.Rat(4), c20, c02)))
     if is_zero(disc, op.ws, policy).is_zero_verdict:
         return 2
     return 1
-
-
-def _pencil_discriminant(op: HydroOperator) -> ex.Expr:
-    """Discriminant of det(lam g_x + mu g_y) as a binary quadratic."""
-    gx, gy = op.g[0], op.g[1]
-
-    def det2(m):
-        return ex.add(ex.mul(m[0][0], m[1][1]),
-                      ex.neg(ex.mul(m[0][1], m[1][0])))
-
-    a = det2(gx)                      # lam^2 coefficient
-    c = det2(gy)                      # mu^2 coefficient
-    mixed = ex.add(                   # lam*mu coefficient
-        ex.mul(gx[0][0], gy[1][1]), ex.mul(gy[0][0], gx[1][1]),
-        ex.neg(ex.mul(gx[0][1], gy[1][0])), ex.neg(ex.mul(gy[0][1], gx[1][0])),
-    )
-    return ex.add(ex.pow_(mixed, 2), ex.neg(ex.mul(ex.Rat(4), a, c)))
 
 
 def _is_euler_lagrange(op: HydroOperator, policy) -> bool:
@@ -441,30 +392,19 @@ def _is_euler_lagrange(op: HydroOperator, policy) -> bool:
         ex.func_atom(h, deriv=tuple(1 if t == s else 0 for t in range(3)))
         for s in range(3)
     )
-    dd = lambda e, v: differentiate(e, v)
     # target flux rows: (x-flux, y-flux) per row
     targets = [(h2, h3), (h1, None), (None, h1)]
-    ok = True
     for row in range(3):
         fx, fy = targets[row]
-        dA = [ex.add(sys.A[row][k],
-                     ex.neg(dd(fx, vars_[k])) if fx is not None else ex.ZERO)
+        dA = [ex.add(sys.A[row][k], ex.neg(differentiate(fx, vars_[k]))
+                     if fx is not None else ex.ZERO)
               for k in range(3)]
-        dB = [ex.add(sys.B[row][k],
-                     ex.neg(dd(fy, vars_[k])) if fy is not None else ex.ZERO)
+        dB = [ex.add(sys.B[row][k], ex.neg(differentiate(fy, vars_[k]))
+                     if fy is not None else ex.ZERO)
               for k in range(3)]
         # residual row must be c(u) * (u2_y - u3_x): only dA[2] and dB[1]
         # may survive, with dB[1] = -dA[2]
-        if not is_zero(dA[0], ws, policy).is_zero_verdict:
-            ok = False
-        if not is_zero(dA[1], ws, policy).is_zero_verdict:
-            ok = False
-        if not is_zero(dB[0], ws, policy).is_zero_verdict:
-            ok = False
-        if not is_zero(dB[2], ws, policy).is_zero_verdict:
-            ok = False
-        if not is_zero(ex.add(dB[1], dA[2]), ws, policy).is_zero_verdict:
-            ok = False
-        if not ok:
+        survivors = (dA[0], dA[1], dB[0], dB[2], ex.add(dB[1], dA[2]))
+        if not all(is_zero(e, ws, policy).is_zero_verdict for e in survivors):
             return False
     return True

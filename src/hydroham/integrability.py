@@ -4,22 +4,22 @@ Hamiltonian densities.
 
 The test is run in denominator-cleared form H*d4f - d3f*dH - 3*det(dM),
 a homogeneous quartic in the differentials (da, db, dc); the density is
-integrable iff all 15 coefficients vanish.  The clearing by H is valid off
-the H = 0 locus; densities with identically vanishing Hessian determinant
-are rejected as inapplicable.
+integrable iff all 15 coefficients vanish.  The differentials are formal
+constants of an extended workspace, so each form is one expression that is
+normalized once and split by `coefficients_in`.  The clearing by H is valid
+off the H = 0 locus; densities with identically vanishing Hessian
+determinant are rejected as inapplicable.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
 
 from . import expr as ex
 from .calculus import differentiate, substitute
 from .operators import _det
 from .parser import parse
+from .ratform import coefficients_in, normalize, ratform_to_expr
 from .symbols import Symbol, Workspace
 from .zerotest import DEFAULT_POLICY, ZeroTestPolicy, is_zero
 
@@ -33,6 +33,8 @@ class DegenerateLagrangianError(IntegrabilityError):
 
 
 LAGRANGIAN_VARS = ("a", "b", "c")
+# formal constants for the differentials; D = da*d/da + db*d/db + dc*d/dc
+DIFFERENTIALS = ("da", "db", "dc")
 
 
 def lagrangian_workspace(functions=()) -> Workspace:
@@ -72,45 +74,6 @@ def _multi_indices(order: int):
             yield (i, j, order - i - j)
 
 
-@dataclass
-class HomogeneousForm:
-    """Coefficients of a homogeneous form in (da, db, dc)."""
-
-    order: int
-    coefficients: dict  # (i, j, k) with i+j+k = order -> Expr
-
-    def __mul__(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        out: dict = {}
-        for m1, c1 in self.coefficients.items():
-            if c1 == ex.ZERO:
-                continue
-            for m2, c2 in other.coefficients.items():
-                if c2 == ex.ZERO:
-                    continue
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                out[m] = ex.add(out.get(m, ex.ZERO), ex.mul(c1, c2))
-        order = self.order + other.order
-        return HomogeneousForm(
-            order,
-            {m: out.get(m, ex.ZERO) for m in _multi_indices(order)},
-        )
-
-    def scaled(self, factor) -> "HomogeneousForm":
-        return HomogeneousForm(self.order, {
-            m: ex.mul(ex.as_expr(factor), c)
-            for m, c in self.coefficients.items()
-        })
-
-    def minus(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        return HomogeneousForm(self.order, {
-            m: ex.add(self.coefficients[m], ex.neg(other.coefficients[m]))
-            for m in self.coefficients
-        })
-
-
-QuarticForm = HomogeneousForm
-
-
 def _partial(f: ex.Expr, vars_, counts) -> ex.Expr:
     out = f
     for v, c in zip(vars_, counts):
@@ -119,25 +82,44 @@ def _partial(f: ex.Expr, vars_, counts) -> ex.Expr:
     return out
 
 
-def sym_diff(density: LagrangianDensity, order: int) -> HomogeneousForm:
-    """The symmetric differential d^r f: coefficient of da^i db^j dc^k is
-    (r! / i!j!k!) * the matching partial derivative."""
+def _differential_workspace(density: LagrangianDensity):
+    """The density's workspace extended by the formal constants (da, db, dc),
+    and those constants."""
+    ws = density.ws.extended(list(DIFFERENTIALS))
+    return ws, ws.constants[-3:]
+
+
+def _D(e: ex.Expr, density: LagrangianDensity, dvars,
+       times: int = 1) -> ex.Expr:
+    """The differential D e = da*e_a + db*e_b + dc*e_c, applied `times`
+    times."""
+    for _ in range(times):
+        e = ex.add(*(ex.mul(ex.Var(dv), differentiate(e, v))
+                     for dv, v in zip(dvars, density.vars())))
+    return e
+
+
+def _split(e: ex.Expr, ws: Workspace, dvars, order: int) -> dict:
+    """{(i, j, k): coefficient of da^i db^j dc^k} of a form homogeneous of
+    the given order, normalized once and split by the formal constants;
+    every multi-index is present."""
+    coeffs = coefficients_in(normalize(e, ws), [dv.name for dv in dvars])
+    return {m: ratform_to_expr(coeffs[m]) if m in coeffs else ex.ZERO
+            for m in _multi_indices(order)}
+
+
+def sym_diff(density: LagrangianDensity, order: int) -> dict:
+    """The symmetric differential d^r f as {(i, j, k): coefficient of
+    da^i db^j dc^k}, the coefficient being (r! / i!j!k!) * the matching
+    partial derivative."""
     if order not in (1, 2, 3, 4):
         raise IntegrabilityError("symmetric differentials of order 1..4 only")
-    vars_ = density.vars()
-    coeffs = {}
-    for m in _multi_indices(order):
-        mult = Fraction(factorial(order),
-                        factorial(m[0]) * factorial(m[1]) * factorial(m[2]))
-        coeffs[m] = ex.mul(ex.Rat(mult), _partial(density.f, vars_, m))
-    return HomogeneousForm(order, coeffs)
+    ws, dvars = _differential_workspace(density)
+    return _split(_D(density.f, density, dvars, order), ws, dvars, order)
 
 
 def hessian_determinant(density: LagrangianDensity) -> ex.Expr:
-    vars_ = density.vars()
-    m = [[_partial(density.f, vars_, _unit2(i, j)) for j in range(3)]
-         for i in range(3)]
-    return _det(m, 3)
+    return _det([row[1:] for row in bordered_matrix(density)[1:]], 3)
 
 
 def _unit2(i, j):
@@ -172,41 +154,24 @@ def bordered_matrix_derivatives(density: LagrangianDensity) -> list:
     return out
 
 
-def det_dM(density: LagrangianDensity) -> QuarticForm:
-    """det(M_a da + M_b db + M_c dc) expanded as a quartic form."""
+def _det_dM_expr(density: LagrangianDensity, dvars) -> ex.Expr:
     mats = bordered_matrix_derivatives(density)
-    coeffs = {m: ex.ZERO for m in _multi_indices(4)}
-    for perm in itertools.permutations(range(4)):
-        sign = _perm_sign(perm)
-        # each factor row picks one of the three matrices; expand the product
-        for choice in itertools.product(range(3), repeat=4):
-            entries = [mats[choice[r]][r][perm[r]] for r in range(4)]
-            if any(e == ex.ZERO for e in entries):
-                continue
-            m = (choice.count(0), choice.count(1), choice.count(2))
-            coeffs[m] = ex.add(coeffs[m], ex.mul(ex.Rat(sign), *entries))
-    return HomogeneousForm(4, coeffs)
+    return _det([
+        [ex.add(*(ex.mul(ex.Var(dv), m[i][j]) for dv, m in zip(dvars, mats)))
+         for j in range(4)]
+        for i in range(4)
+    ], 4)
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        i, length = start, 0
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def det_dM(density: LagrangianDensity) -> dict:
+    """det(M_a da + M_b db + M_c dc) as {(i, j, k): coefficient}."""
+    ws, dvars = _differential_workspace(density)
+    return _split(_det_dM_expr(density, dvars), ws, dvars, 4)
 
 
 @dataclass
 class FktResult:
-    residual: QuarticForm
+    residual: dict              # multi-index -> Expr
     verdicts: dict              # multi-index -> Verdict
     hessian: ex.Expr
 
@@ -222,7 +187,7 @@ class FktResult:
         for m in _multi_indices(4):
             v = self.verdicts[m]
             if not v.is_zero_verdict:
-                return m, self.residual.coefficients[m]
+                return m, self.residual[m]
         return None
 
 
@@ -237,22 +202,15 @@ def fkt_residual(density: LagrangianDensity,
             "the Hessian determinant vanishes identically; the fourth-order "
             "test is inapplicable"
         )
-    d4 = sym_diff(density, 4).scaled(H)
-    dH = HomogeneousForm(1, {
-        m: _partial(H, density.vars(), m) for m in _multi_indices(1)
-    })
-    d3_dH = sym_diff(density, 3) * dH
-    residual = d4.minus(d3_dH).minus(det_dM(density).scaled(3))
-    from .ratform import normalize, ratform_to_expr
-
-    residual = HomogeneousForm(4, {
-        m: ratform_to_expr(normalize(c, density.ws))
-        for m, c in residual.coefficients.items()
-    })
-    verdicts = {
-        m: is_zero(c, density.ws, policy)
-        for m, c in residual.coefficients.items()
-    }
+    ws, dvars = _differential_workspace(density)
+    d3 = _D(density.f, density, dvars, 3)
+    residual = _split(ex.add(
+        ex.mul(H, _D(d3, density, dvars)),
+        ex.neg(ex.mul(d3, _D(H, density, dvars))),
+        ex.neg(ex.mul(ex.Rat(3), _det_dM_expr(density, dvars))),
+    ), ws, dvars, 4)
+    verdicts = {m: is_zero(c, density.ws, policy)
+                for m, c in residual.items()}
     return FktResult(residual, verdicts, H)
 
 
@@ -308,8 +266,6 @@ def legendre(h: ex.Expr, ws: Workspace, inverse: ex.Expr,
     )
     a, b, c = (lag_ws.require_symbol(n) for n in LAGRANGIAN_VARS)
     f = substitute(h_tilde, {u: ex.Var(a), v: ex.Var(b), rhot: ex.Var(c)})
-    from .ratform import normalize, ratform_to_expr
-
     f = ratform_to_expr(normalize(f, lag_ws))
     return LegendreResult(LagrangianDensity(f, lag_ws), h_tilde,
                           [(lbl, r) for lbl, r in residuals])

@@ -31,6 +31,9 @@ from .symbols import Symbol, Workspace
 from .zerotest import (
     DEFAULT_POLICY,
     INCONCLUSIVE,
+    PROBABLY_NONZERO,
+    PROBABLY_ZERO,
+    PROVEN_NONZERO,
     InconclusiveError,
     Verdict,
     ZeroTestPolicy,
@@ -103,14 +106,6 @@ class HydroOperator:
              for a in range(self.d)]
         return HydroOperator(self.ws, self.d, self.n, g, b)
 
-    def restricted(self, keep: list[int], ws: Workspace) -> "HydroOperator":
-        """Sub-operator on a subset of component indices (0-based)."""
-        g = [[[self.g[a][i][j] for j in keep] for i in keep]
-             for a in range(self.d)]
-        b = [[[[self.b[a][i][j][k] for k in keep] for j in keep]
-              for i in keep] for a in range(self.d)]
-        return HydroOperator(ws, self.d, len(keep), g, b)
-
 
 def _check_shape(arr, shape, what):
     if len(arr) != shape[0]:
@@ -151,6 +146,21 @@ class ResidualRecord:
     verdict: Verdict
 
 
+def overall_result(kinds) -> str:
+    """The overall result of a set of verdict kinds: fail on any nonzero
+    verdict, else the weakest of proven pass, probable pass and
+    inconclusive."""
+    worst = PROVEN_PASS
+    for k in kinds:
+        if k in (PROVEN_NONZERO, PROBABLY_NONZERO):
+            return FAIL
+        if k == INCONCLUSIVE:
+            worst = INCONCLUSIVE_PASS
+        elif k == PROBABLY_ZERO and worst == PROVEN_PASS:
+            worst = PROBABLY_PASS
+    return worst
+
+
 @dataclass
 class ConditionReport:
     records: list[ResidualRecord] = field(default_factory=list)
@@ -158,16 +168,7 @@ class ConditionReport:
 
     @property
     def overall(self) -> str:
-        worst = PROVEN_PASS
-        for rec in self.records:
-            k = rec.verdict.kind
-            if k in ("proven_nonzero", "probably_nonzero"):
-                return FAIL
-            if k == INCONCLUSIVE:
-                worst = INCONCLUSIVE_PASS
-            elif k == "probably_zero" and worst == PROVEN_PASS:
-                worst = PROBABLY_PASS
-        return worst
+        return overall_result(r.verdict.kind for r in self.records)
 
     @property
     def passed(self) -> bool:
@@ -176,15 +177,8 @@ class ConditionReport:
     def failures(self) -> list[ResidualRecord]:
         return [
             r for r in self.records
-            if r.verdict.kind in ("proven_nonzero", "probably_nonzero")
+            if r.verdict.kind in (PROVEN_NONZERO, PROBABLY_NONZERO)
         ]
-
-    def merged(self, *others: "ConditionReport") -> "ConditionReport":
-        out = ConditionReport(list(self.records), self.wall_time)
-        for o in others:
-            out.records.extend(o.records)
-            out.wall_time += o.wall_time
-        return out
 
 
 # -- the checker ----------------------------------------------------------------
@@ -358,17 +352,8 @@ class MokhovChecker:
                             + self._a7_half(be, a, i, j, r, k, q))
 
     def residuals(self, relations):
-        gens = {
-            "a1": self.residuals_a1,
-            "a2": self.residuals_a2,
-            "a3": self.residuals_a3,
-            "a4": self.residuals_a4,
-            "a5": self.residuals_a5,
-            "a6": self.residuals_a6,
-            "a7": self.residuals_a7,
-        }
         for rel in relations:
-            yield from gens[rel]()
+            yield from getattr(self, f"residuals_{rel}")()
 
 
 def _flatten(nested):
@@ -385,41 +370,28 @@ def _map_nested(nested, fn):
     return [_map_nested(item, fn) for item in nested]
 
 
-def _records_from(checker: MokhovChecker, relations,
-                  policy: ZeroTestPolicy) -> ConditionReport:
-    t0 = time.perf_counter()
-    records = []
-    for rel, idx, rf in checker.residuals(relations):
-        try:
-            verdict = verdict_for_ratform(rf, checker.ws, policy)
-        except InconclusiveError:
-            verdict = Verdict(INCONCLUSIVE)
-        residual = ex.ZERO if rf.is_zero else ratform_to_expr(rf)
-        records.append(ResidualRecord(rel, idx, residual, verdict))
-    return ConditionReport(records, time.perf_counter() - t0)
+ALL_RELATIONS = ("a1", "a2", "a3", "a4", "a5", "a6", "a7")
 
 
-def check_symmetry(op: HydroOperator,
-                   policy: ZeroTestPolicy = DEFAULT_POLICY) -> ConditionReport:
-    return _records_from(MokhovChecker(op), ("a1",), policy)
-
-
-def check_skew(op: HydroOperator,
-               policy: ZeroTestPolicy = DEFAULT_POLICY) -> ConditionReport:
-    return _records_from(MokhovChecker(op), ("a2",), policy)
-
-
-def check_jacobi(op: HydroOperator,
-                 policy: ZeroTestPolicy = DEFAULT_POLICY) -> ConditionReport:
-    return _records_from(MokhovChecker(op), ("a3", "a4", "a5", "a6", "a7"),
-                         policy)
+def _record(rel: str, idx: tuple, rf, ws: Workspace,
+            policy: ZeroTestPolicy) -> ResidualRecord:
+    try:
+        verdict = verdict_for_ratform(rf, ws, policy)
+    except InconclusiveError:
+        verdict = Verdict(INCONCLUSIVE)
+    residual = ex.ZERO if rf.is_zero else ratform_to_expr(rf)
+    return ResidualRecord(rel, idx, residual, verdict)
 
 
 def check_hamiltonian(op: HydroOperator,
                       policy: ZeroTestPolicy = DEFAULT_POLICY) -> ConditionReport:
-    return _records_from(
-        MokhovChecker(op), ("a1", "a2", "a3", "a4", "a5", "a6", "a7"), policy
-    )
+    """One record per residual of a1..a7; for a subset of the relations,
+    use ``MokhovChecker(op).residuals(relations)``."""
+    checker = MokhovChecker(op)
+    t0 = time.perf_counter()
+    records = [_record(rel, idx, rf, op.ws, policy)
+               for rel, idx, rf in checker.residuals(ALL_RELATIONS)]
+    return ConditionReport(records, time.perf_counter() - t0)
 
 
 # -- metric pencil analysis ----------------------------------------------------
@@ -559,8 +531,8 @@ def is_trivial_pair(op: HydroOperator,
     if op.d != 2:
         raise OperatorError("triviality is defined for d = 2 operators")
     ws = op.ws
-    x_entries = list(_part_entries(op, 0))
-    y_entries = list(_part_entries(op, 1))
+    x_entries = list(op.part(0).entries())
+    y_entries = list(op.part(1).entries())
 
     ref = None
     for xe, ye in zip(x_entries, y_entries):
@@ -591,15 +563,6 @@ def is_trivial_pair(op: HydroOperator,
     return TrivialityResult(True, xi)
 
 
-def _part_entries(op: HydroOperator, alpha: int):
-    n = op.n
-    for i in range(n):
-        for j in range(n):
-            yield op.g[alpha][i][j]
-            for k in range(n):
-                yield op.b[alpha][i][j][k]
-
-
 # -- pencil compatibility --------------------------------------------------------
 
 def pencil_compatibility(opx: HydroOperator, opy: HydroOperator,
@@ -622,23 +585,10 @@ def pencil_compatibility(opx: HydroOperator, opy: HydroOperator,
     pencil_op = HydroOperator(ws, 1, n, g, b)
 
     t0 = time.perf_counter()
-    checker = MokhovChecker(pencil_op)
     records = []
-    for rel, idx, rf in checker.residuals(
-        ("a1", "a2", "a3", "a4", "a5", "a6", "a7")
-    ):
-        if rf.is_zero:
-            records.append(ResidualRecord(rel, idx + ("lam^0",),
-                                          ex.ZERO, Verdict("proven_zero")))
-            continue
-        for exps, coeff in coefficients_in(rf, [lam.name]).items():
-            try:
-                verdict = verdict_for_ratform(coeff, ws, policy)
-            except InconclusiveError:
-                verdict = Verdict(INCONCLUSIVE)
-            residual = ex.ZERO if coeff.is_zero else ratform_to_expr(coeff)
+    for rel, idx, rf in MokhovChecker(pencil_op).residuals(ALL_RELATIONS):
+        parts = {(0,): rf} if rf.is_zero else coefficients_in(rf, [lam.name])
+        for (power,), coeff in parts.items():
             records.append(
-                ResidualRecord(rel, idx + (f"lam^{exps[0]}",), residual,
-                               verdict)
-            )
+                _record(rel, idx + (f"lam^{power}",), coeff, ws, policy))
     return ConditionReport(records, time.perf_counter() - t0)

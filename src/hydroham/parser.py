@@ -81,12 +81,25 @@ def tokenize(text: str) -> list[Token]:
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
+_BINARY = {
+    "+": ex.add,
+    "-": lambda a, b: ex.add(a, ex.neg(b)),
+    "*": ex.mul,
+    "/": ex.div,
+    "^": ex.pow_,
+}
+
+# bound on nested parentheses, calls and unary minus: deeper input is
+# rejected before it can exhaust the interpreter's stack here or in the
+# recursive passes over the expression tree
+MAX_DEPTH = 100
 
 
 class _Parser:
     def __init__(self, tokens: list[Token], workspace: Workspace):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.ws = workspace
 
     def peek(self) -> Token:
@@ -109,34 +122,39 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.offset)
         return e
 
+    def nest(self):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} "
+                             "levels", self.peek().offset)
+
     def expression(self, min_prec: int) -> ex.Expr:
+        self.nest()
         lhs = self.atom()
         while True:
             tok = self.peek()
             if tok.kind != "op" or tok.text not in _PREC:
-                return lhs
+                break
             prec = _PREC[tok.text]
             if prec < min_prec:
-                return lhs
+                break
             self.advance()
-            if tok.text == "^":
-                lhs = ex.pow_(lhs, self.exponent())
-                continue
-            rhs = self.expression(prec + 1)
-            if tok.text == "+":
-                lhs = ex.add(lhs, rhs)
-            elif tok.text == "-":
-                lhs = ex.add(lhs, ex.neg(rhs))
-            elif tok.text == "*":
-                lhs = ex.mul(lhs, rhs)
-            elif tok.text == "/":
-                lhs = ex.div(lhs, rhs)
+            rhs = (self.exponent() if tok.text == "^"
+                   else self.expression(prec + 1))
+            try:
+                lhs = _BINARY[tok.text](lhs, rhs)
+            except ZeroDivisionError as e:
+                raise ParseError(str(e), tok.offset) from None
+        self.depth -= 1
+        return lhs
 
     def exponent(self) -> int:
         tok = self.advance()
         if tok.kind == "op" and tok.text == "(":
+            self.nest()
             inner = self.exponent()
             self.expect(")")
+            self.depth -= 1
             return inner
         if tok.kind == "op" and tok.text == "-":
             follow = self.advance()

@@ -56,8 +56,8 @@ class PolyContext:
             f"@a{i}" for i in range(len(self.atom_sigs))
         )
         self.ring, *gens = _get_ring(names)
-        self.gen_by_name = dict(zip(self.var_names, gens))
-        self.gen_by_sig = dict(zip(self.atom_sigs, gens[len(self.var_names):]))
+        self.gen_of_name = dict(zip(self.var_names, gens))
+        self.gen_of_sig = dict(zip(self.atom_sigs, gens[len(self.var_names):]))
         self.n_vars = len(self.var_names)
 
     def gen_expr(self, index: int) -> ex.Expr:
@@ -274,7 +274,7 @@ def to_rational_form(e: ex.Expr, ctx: PolyContext, _cache=None) -> RationalForm:
             reduced=True,
         )
     if isinstance(e, ex.Var):
-        gen = ctx.gen_by_name.get(e.symbol.name)
+        gen = ctx.gen_of_name.get(e.symbol.name)
         if gen is None:
             raise NormalizeError(f"symbol {e.symbol.name!r} not in context")
         return RationalForm(gen, ring.one, ctx, reduced=True)
@@ -302,7 +302,7 @@ def to_rational_form(e: ex.Expr, ctx: PolyContext, _cache=None) -> RationalForm:
         return num / den
     if isinstance(e, (ex.Call, ex.FuncAtom)):
         sig = atom_signature(e, ctx.ws, _cache if _cache is not None else {})
-        gen = ctx.gen_by_sig.get(sig)
+        gen = ctx.gen_of_sig.get(sig)
         if gen is None:
             raise NormalizeError(f"atom {e} not in context")
         return RationalForm(gen, ring.one, ctx, reduced=True)
@@ -421,7 +421,7 @@ def coefficients_in(rf: RationalForm, param_names: list[str]):
     ctx = rf.ctx
     idx = []
     for name in param_names:
-        gen = ctx.gen_by_name.get(name)
+        gen = ctx.gen_of_name.get(name)
         if gen is None:
             raise NormalizeError(f"parameter {name!r} not in context")
         idx.append(ctx.var_names.index(name))

@@ -119,24 +119,40 @@ class Workspace:
             s.name for s in self.constants
         ] + list(self.functions)
 
-    def extended(self, extra_constants: list[str]) -> "Workspace":
-        """A copy with additional constants (for formal pencil parameters).
+    def derive(self, variables=None, constants=None,
+               functions=()) -> "Workspace":
+        """A new frozen workspace built from this one.
 
-        The original workspace is untouched, so extension is allowed even
-        after freezing.
+        ``variables`` and ``constants`` are name lists that replace this
+        workspace's (None keeps them, in order); ``functions`` lists extra
+        (name, argument names) declarations.  Abstract functions carry over
+        as objects: their declared arguments may name symbols the new
+        workspace lacks (a frozen component).  This workspace is untouched,
+        so deriving is allowed after freezing.
         """
         ws = Workspace()
-        ws.variables = list(self.variables)
-        ws.constants = list(self.constants)
-        ws.functions = dict(self.functions)
-        ws._by_name = dict(self._by_name)
+        ws.add_variables(*(
+            [s.name for s in self.variables] if variables is None
+            else variables))
+        ws.add_constants(*(
+            [s.name for s in self.constants] if constants is None
+            else constants))
+        for fn in self.functions.values():
+            ws._register(fn.name)
+            ws.functions[fn.name] = fn
+            ws._by_name[fn.name] = fn
+        for name, args in functions:
+            ws.add_function(name, list(args))
+        return ws.freeze()
+
+    def extended(self, extra_constants: list[str]) -> "Workspace":
+        """A derived workspace with additional constants (formal
+        parameters); a name already in use gets a numeric suffix."""
+        names = [s.name for s in self.constants]
         for name in extra_constants:
             base, n = name, 0
-            while name in ws._by_name:
+            while self.lookup(name) is not None or name in names:
                 n += 1
                 name = f"{base}{n}"
-            sym = Symbol(name, CONSTANT)
-            ws.constants.append(sym)
-            ws._by_name[name] = sym
-        ws.frozen = self.frozen
-        return ws
+            names.append(name)
+        return self.derive(constants=names)

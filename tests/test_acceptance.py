@@ -232,12 +232,8 @@ def test_criterion_7_transform_invariance():
     bad = []
     for eid, params, fwd, inv in TRANSFORM_FIXTURES:
         op, src = catalog.instantiate(eid, params)
-        dst = Workspace()
-        dst.add_variables(*(f"v{i}" for i in range(1, op.n + 1)))
-        for fn in src.functions.values():
-            dst.functions[fn.name] = fn
-            dst._by_name[fn.name] = fn
-        dst.freeze()
+        dst = src.derive(variables=[f"v{i}" for i in range(1, op.n + 1)],
+                         constants=[])
         change = coordinate_change(
             src, {k: parse(v, dst) for k, v in fwd.items()},
             {k: parse(v, src) for k, v in inv.items()}, dst)

@@ -173,3 +173,56 @@ def test_undecided_analysis_exits_2(capsys):
     err = capsys.readouterr().err
     assert err.startswith("inconclusive: ")
     assert len(err.splitlines()) == 1
+
+
+def _op_1d2(cell):
+    zero = [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
+    return {"dimension": 1, "components": 2, "variables": ["u1", "u2"],
+            "metrics": {"x": [[cell, "0"], ["0", "1"]]}, "b": {"x": zero}}
+
+
+def _assert_input_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert len(captured.err.splitlines()) == 1
+    return captured.err
+
+
+def test_literal_division_by_zero_exits_3(tmp_path, capsys):
+    path = tmp_path / "div0.json"
+    path.write_text(json.dumps(_op_1d2("1/0")))
+    assert main(["check", str(path)]) == 3
+    assert "division by zero" in _assert_input_error(capsys)
+
+
+def test_deep_nesting_exits_3(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(_op_1d2("(" * 3000 + "u1" + ")" * 3000)))
+    assert main(["check", str(path)]) == 3
+    assert "nested deeper" in _assert_input_error(capsys)
+
+
+def test_invalid_change_exits_3(tmp_path, gas_file, capsys):
+    change = tmp_path / "change.json"
+    change.write_text(json.dumps({
+        "forward": {"u1": "v1", "u2": "v1", "u3": "v3"},
+        "inverse": {"v1": "u1", "v2": "u2", "v3": "u3"},
+    }))
+    assert main(["transform", gas_file, str(change)]) == 3
+    assert "not the identity" in _assert_input_error(capsys)
+
+
+def test_catalog_verify_counts_every_record(capsys):
+    from hydroham.operators import check_hamiltonian
+
+    op, _ws = catalog.instantiate("T2.2/1")
+    n = len(check_hamiltonian(op).records)
+    assert main(["catalog", "verify", "T2.2/1"]) == 0
+    assert f"checks: {n}/{n} passed" in capsys.readouterr().out.splitlines()
+
+
+def test_catalog_verify_json_lists_failures_only(capsys):
+    assert main(["--format", "json", "catalog", "verify", "T2.2/1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["checks"] == [] and doc["overall"] == "proven_pass"

@@ -39,8 +39,23 @@ def test_power_zero_and_one(ws3):
 
 
 def test_zero_denominator_rejected(ws3):
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ParseError) as err:
         parse("1/0", ws3)
+    assert err.value.offset == 1
+    with pytest.raises(ParseError):
+        parse("u1 + 0^(-1)", ws3)
+
+
+def test_nesting_depth_bounded(ws3):
+    from hydroham.parser import MAX_DEPTH
+
+    inner = MAX_DEPTH - 1
+    assert parse("(" * inner + "u1" + ")" * inner, ws3) == parse("u1", ws3)
+    for text in ("(" * 3000 + "u1" + ")" * 3000,
+                 "-" * 3000 + "u1",
+                 "u1^" + "(" * 3000 + "2" + ")" * 3000):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse(text, ws3)
 
 
 def test_parse_quotient(ws3):
@@ -148,6 +163,22 @@ def test_registry_uniqueness_and_freeze():
     ws.freeze()
     with pytest.raises(SymbolError):
         ws.add_variables("u9")
+
+
+def test_derive_keeps_order_and_functions(ws3):
+    ws = ws3.extended(["lam", "lam"])
+    assert [s.name for s in ws.constants] == ["lam", "lam1"]
+    assert ws.registered_names() == [
+        "u1", "u2", "u3", "lam", "lam1", "f", "q"]
+    assert ws.frozen and ws3.lookup("lam") is None
+    # a frozen component: f keeps its declared argument u2
+    ws = ws3.derive(variables=["u1", "u3"], constants=["cu2"],
+                    functions=[("h", ["u1", "u3"])])
+    assert ws.registered_names() == ["u1", "u3", "cu2", "f", "q", "h"]
+    assert ws.functions["f"] is ws3.functions["f"]
+    assert parse("f_2 + h(u1, u3)", ws) is not None
+    with pytest.raises(SymbolError):
+        ws3.derive(variables=["f"])
 
 
 def test_free_symbols(ws3):

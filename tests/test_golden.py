@@ -1,0 +1,144 @@
+"""Golden CLI outputs: `--format json` stdout bytes and exit codes.
+
+Each case runs the CLI in a fresh directory on input files named by
+relative paths, so the reports do not depend on where the test runs.  The
+table pins the exit code, the length and the SHA-256 of stdout (and of a
+file the command writes).  To print a new table after an intended output
+change, run `PYTHONPATH=src python tests/test_golden.py`.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
+
+from hydroham import catalog, mutation
+from hydroham.cli import main
+from hydroham.fileio import dump_operator
+
+GAS_DENSITY = {"h": "1/2*u1*(u2^2 + u3^2) + k(u1)",
+               "functions": [{"name": "k", "args": ["u1"]}]}
+SHEAR = {"forward": {"u1": "v1", "u2": "v2", "u3": "v3 + v1"},
+         "inverse": {"v1": "u1", "v2": "u2", "v3": "u3 - u1"}}
+LEGENDRE = {"h": "1/2*rho*(u^2 + v^2) + 1/2*rho^2",
+            "inverse": "rhot - 1/2*(u^2 + v^2)"}
+CHECK_ENTRY = "T2.7/rank2_P_1/1"
+
+# name -> argv after `--format json`; "pushed.json" is an emitted file
+CASES = {
+    "check-export": ["check", "export.json"],
+    "check-flip-mutant": ["check", "mutant.json"],
+    "pencil-compatibility": ["pencil", "gas.json", "--compatibility"],
+    "pencil-exp-witness": ["pencil", "rank1_exp.json"],
+    "system-classify": ["system", "gas.json", "h.json", "--classify"],
+    "dispersion": ["dispersion", "gas.json", "h.json"],
+    "transform-emit": ["transform", "gas.json", "shear.json",
+                       "--emit", "pushed.json"],
+    "fkt-quartic": ["fkt", "fkt_quartic.json"],
+    "fkt-nondiagonal": ["fkt", "fkt_nondiagonal.json"],
+    "legendre": ["legendre", "legendre.json"],
+    "catalog-verify": ["catalog", "verify", CHECK_ENTRY],
+}
+
+# name -> (exit code, stdout length, stdout sha256[, emitted file sha256])
+GOLDEN = {
+    "catalog-verify": (0, 239,
+        "5c7dc5ed4bcb7e8b0e1f85e0a865d2aff1113fdff0d207265ba42b42b9a5e77e"),
+    "check-export": (0, 344518,
+        "c5ca2ec22dbcbe52c893aac250c188545279d74282c78fe22ca02ac96dad2bf4"),
+    "check-flip-mutant": (1, 345095,
+        "3015d0f1763ea2be046a52e15e0cbe29cf314bdad8c56acb075b5937837b6c20"),
+    "dispersion": (0, 1015,
+        "33009fd7d294e97dff19aeae9ff29ddcd8dae80fa1aa7f356e45d37d3431730d"),
+    "fkt-nondiagonal": (1, 2951,
+        "6dd9c51037fc46c784989b0b6ed97cf46c57936e56b4ba78ebbf29c953d26006"),
+    "fkt-quartic": (1, 2824,
+        "2545d35636759c00490c72f31029d646f3c23001fd6af535477b0c4a62f4b0d6"),
+    "legendre": (0, 791,
+        "09a95d747aed308fabc60407605fe30a42af1789a6100b7957fa0300109da8dc"),
+    "pencil-compatibility": (0, 97155,
+        "06f568e571c73b2dfe602af1c803fa65cdaf1096761d3311c545884434ed1643"),
+    "pencil-exp-witness": (2, 707,
+        "2361f0d495447be76fe20d9aeaffe96c57dd4bbd29742aa3283007cb195041f3"),
+    "system-classify": (0, 774,
+        "95b17441b9c374608ece8fe2df264b4a2d827562076a0e143da914fd9b0a371d"),
+    "transform-emit": (0, 357042,
+        "c3e8fc3d8e493db270928d51de22a9461a8bc06c64de945fe4131552e5444867",
+        "476d97d6cebce424ab42af6470587c3de874ef0a5fb48b7f0295779dd85201ea"),
+}
+
+
+def _write(name, doc):
+    with open(name, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+
+
+def _cli(argv):
+    """Exit code and stdout bytes of one CLI call."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue().encode()
+
+
+def _make_inputs():
+    for argv in ([CHECK_ENTRY, "-o", "export.json"],
+                 ["T2.6/rank1_P_2/1", "--set", "f=exp(u2)", "--set", "h=u2*u3",
+                  "-o", "rank1_exp.json"]):
+        assert _cli(["catalog", "export"] + argv)[0] == 0
+    op, _ws = catalog.instantiate(CHECK_ENTRY)
+    flip = next(mut for m, mut in mutation.mutants(op) if m.kind == "flip")
+    _write("mutant.json", dump_operator(flip))
+    _write("gas.json", dump_operator(catalog.instantiate("P_gas")[0]))
+    _write("h.json", GAS_DENSITY)
+    _write("shear.json", SHEAR)
+    _write("fkt_quartic.json", {"f": "a^4 + b^2 + c^2"})
+    _write("fkt_nondiagonal.json", {"f": "a*b*c + a^3"})
+    _write("legendre.json", LEGENDRE)
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(name):
+    code, out = _cli(["--format", "json"] + CASES[name])
+    row = (code, len(out), _digest(out))
+    if "pushed.json" in CASES[name]:
+        with open("pushed.json", "rb") as fh:
+            row += (_digest(fh.read()),)
+    return row
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden")
+    cwd = os.getcwd()
+    os.chdir(path)
+    try:
+        _make_inputs()
+    finally:
+        os.chdir(cwd)
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_json(name, workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    assert _run(name) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        _make_inputs()
+        rows = {case: _run(case) for case in sorted(CASES)}
+    print("GOLDEN = {")
+    for case, (code, size, *digests) in rows.items():
+        print(f'    "{case}": ({code}, {size},')
+        print(",\n".join(f'        "{d}"' for d in digests) + "),")
+    print("}")
