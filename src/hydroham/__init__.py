@@ -37,9 +37,9 @@ from .hamsys import (
     HamiltonianDensity,
     QuasilinearSystem,
     ReductionCandidate,
+    classify_operator_shape,
     dispersion,
     generate_system,
-    shape_classify,
 )
 from .integrability import LagrangianDensity, fkt_residual, legendre
 from . import catalog

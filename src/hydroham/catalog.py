@@ -458,10 +458,6 @@ def verify_entry(entry_id: str, params: dict | None = None,
                              entry.rank_label, trivial)
 
 
-def verify_all(policy: ZeroTestPolicy = DEFAULT_POLICY,
-               params_by_id: dict | None = None) -> list[EntryVerification]:
-    out = []
-    for entry in ENTRIES:
-        params = (params_by_id or {}).get(entry.id)
-        out.append(verify_entry(entry.id, params, policy))
-    return out
+def verify_all(
+        policy: ZeroTestPolicy = DEFAULT_POLICY) -> list[EntryVerification]:
+    return [verify_entry(entry.id, None, policy) for entry in ENTRIES]

@@ -34,11 +34,13 @@ from .hamsys import (
     commutativity_residual,
     dispersion,
     generate_system,
+    hodograph_residual,
     reduction_residual,
 )
 from .integrability import (
     DegenerateLagrangianError,
     IntegrabilityError,
+    LEGENDRE_VARS,
     LagrangianDensity,
     euler_lagrange_fluxes,
     fkt_residual,
@@ -55,10 +57,16 @@ from .operators import (
     pencil_determinant,
 )
 from .parser import ParseError, parse
-from .ratform import NormalizeError
+from .ratform import NormalizeError, normalize, ratform_to_expr
 from .symbols import SymbolError, Workspace
 from .transform import InvalidChangeError, pushforward, verify_invariance
-from .zerotest import InconclusiveError, Verdict, ZeroTestPolicy, is_zero
+from .zerotest import (
+    InconclusiveError,
+    Verdict,
+    ZeroTestPolicy,
+    is_zero,
+    verdict_for_ratform,
+)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -395,8 +403,6 @@ def _cmd_dispersion(args, policy) -> int:
 
 
 def _cmd_reduction(args, policy) -> int:
-    from .ratform import normalize, ratform_to_expr
-
     report = Report(args, [args.operator, args.density, args.candidate])
     op = load_operator(read_json(args.operator))
     density = load_density(read_json(args.density), op)
@@ -404,11 +410,9 @@ def _cmd_reduction(args, policy) -> int:
     sys_ = generate_system(op, density)
 
     def checked(name, idx, residual):
-        verdict = is_zero(residual, cand.ws, policy)
-        shown = residual
-        if not verdict.is_zero_verdict:
-            shown = ratform_to_expr(normalize(residual, cand.ws))
-        report.add_check(name, idx, verdict, shown)
+        rf = normalize(residual, cand.ws)
+        report.add_check(name, idx, verdict_for_ratform(rf, cand.ws, policy),
+                         ratform_to_expr(rf))
 
     if cand.m >= 2:
         for idx, residual in commutativity_residual(cand, policy):
@@ -416,8 +420,6 @@ def _cmd_reduction(args, policy) -> int:
     for idx, residual in reduction_residual(cand, sys_):
         checked("reduction", idx, residual)
     if cand.v is not None:
-        from .hamsys import hodograph_residual
-
         coords = {"t": 0, "x": 0, "y": 0}
         if args.at:
             for item in args.at.split(","):
@@ -466,7 +468,7 @@ def _cmd_legendre(args, policy) -> int:
     report = Report(args, [args.density])
     data = read_json(args.density)
     ws = Workspace()
-    ws.add_variables("rho", "u", "v", "rhot")
+    ws.add_variables(*LEGENDRE_VARS)
     for fn in data.get("functions", []):
         ws.add_function(fn["name"], fn["args"])
     ws.freeze()

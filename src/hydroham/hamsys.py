@@ -16,18 +16,21 @@ from .calculus import differentiate, substitute
 from .operators import (
     HydroOperator,
     _det,
+    _flatten,
+    _map_nested,
     is_trivial_pair,
     pencil_determinant,
 )
 from .ratform import (
-    build_context,
-    coefficients_in,
-    normalize,
+    Derivation,
+    derivation_context,
+    parameter_coefficients,
     ratform_to_expr,
     to_rational_form,
+    zero_form,
 )
 from .symbols import Symbol, Workspace
-from .zerotest import DEFAULT_POLICY, ZeroTestPolicy, is_zero
+from .zerotest import DEFAULT_POLICY, Point, ZeroTestPolicy, evaluate, is_zero
 
 
 class HamsysError(Exception):
@@ -63,14 +66,13 @@ class QuasilinearSystem:
     n: int
     A: list  # n x n Exprs
     B: list
-    operator: HydroOperator | None = None
-    density: ex.Expr | None = None
 
 
-def generate_system(op: HydroOperator, h: HamiltonianDensity | ex.Expr,
-                    simplify: bool = True) -> QuasilinearSystem:
+def generate_system(op: HydroOperator,
+                    h: HamiltonianDensity | ex.Expr) -> QuasilinearSystem:
     """A^i_k = sum_j (g^{ij,x} h_{u^j u^k} + b^{ij,x}_k h_{u^j}); B from the
-    y part.  d = 1 operators get B = 0."""
+    y part.  d = 1 operators get B = 0.  The derivatives of h and the
+    products are taken in one ring holding h and the operator entries."""
     if op.d > 2:
         raise HamsysError("system generation supports d <= 2")
     if isinstance(h, HamiltonianDensity):
@@ -84,30 +86,26 @@ def generate_system(op: HydroOperator, h: HamiltonianDensity | ex.Expr,
         raise HamsysError(
             f"density uses unregistered symbols {sorted(s.name for s in bad)}"
         )
-    dh = [differentiate(h_expr, v) for v in vars_]
-    d2h = [[differentiate(dh[j], v) for v in vars_] for j in range(n)]
+    cache: dict = {}
+    ctx = derivation_context(ws, vars_, [
+        ([h_expr], 2), (list(_flatten([op.g, op.b])), 0),
+    ], cache)
+    conv = lambda e: to_rational_form(e, ctx, cache)
+    G, B = _map_nested(op.g, conv), _map_nested(op.b, conv)
+    deriv = [Derivation(ctx, v, cache) for v in vars_]
+    H = conv(h_expr)
+    dh = [d(H) for d in deriv]
+    d2h = [[d(dh_j) for d in deriv] for dh_j in dh]
+    zero = zero_form(ctx)
 
     def matrix(alpha: int):
         if alpha >= op.d:
             return [[ex.ZERO] * n for _ in range(n)]
-        out = []
-        for i in range(n):
-            row = []
-            for k in range(n):
-                terms = []
-                for j in range(n):
-                    if op.g[alpha][i][j] != ex.ZERO:
-                        terms.append(ex.mul(op.g[alpha][i][j], d2h[j][k]))
-                    if op.b[alpha][i][j][k] != ex.ZERO:
-                        terms.append(ex.mul(op.b[alpha][i][j][k], dh[j]))
-                e = ex.add(*terms)
-                if simplify and terms:
-                    e = ratform_to_expr(normalize(e, ws))
-                row.append(e)
-            out.append(row)
-        return out
+        return [[ratform_to_expr(sum(
+            (G[alpha][i][j] * d2h[j][k] + B[alpha][i][j][k] * dh[j]
+             for j in range(n)), zero)) for k in range(n)] for i in range(n)]
 
-    return QuasilinearSystem(ws, n, matrix(0), matrix(1), op, h_expr)
+    return QuasilinearSystem(ws, n, matrix(0), matrix(1))
 
 
 DISPERSION_PARAMS = ("lam", "mu")
@@ -139,13 +137,7 @@ def dispersion(sys: QuasilinearSystem) -> DispersionRelation:
         for i in range(n)
     ]
     det = _det(m, n)
-    ctx = build_context(ws, [det])
-    rf = to_rational_form(det, ctx)
-    coeffs = {
-        exps: ratform_to_expr(c)
-        for exps, c in coefficients_in(rf, [lam.name, mu.name]).items()
-        if not c.is_zero
-    }
+    coeffs = parameter_coefficients(det, ws, [lam.name, mu.name])
     return DispersionRelation(ws, [lam, mu], det, coeffs)
 
 
@@ -182,20 +174,17 @@ def commutativity_residual(c: ReductionCandidate,
                 raise DegenerateCandidateError(
                     f"speeds {i + 1} and {j + 1} coincide"
                 )
-    out = []
-    R = c.r_vars
-    for i in range(c.m):
-        for j in range(c.m):
-            if i == j:
-                continue
-            residual = ex.add(
-                ex.mul(differentiate(c.lam[i], R[j]),
-                       ex.add(c.mu[j], ex.neg(c.mu[i]))),
-                ex.neg(ex.mul(differentiate(c.mu[i], R[j]),
-                              ex.add(c.lam[j], ex.neg(c.lam[i])))),
-            )
-            out.append(((i + 1, j + 1), residual))
-    return out
+    return [((i + 1, j + 1), _cleared_commutator(c.lam, c.mu, c.r_vars, i, j))
+            for i in range(c.m) for j in range(c.m) if i != j]
+
+
+def _cleared_commutator(X, Y, R, i: int, j: int) -> ex.Expr:
+    """d_j X^i (Y^j - Y^i) - d_j Y^i (X^j - X^i): the flows of speeds X and
+    Y commute iff it vanishes for all i != j."""
+    return ex.add(
+        ex.mul(differentiate(X[i], R[j]), ex.add(Y[j], ex.neg(Y[i]))),
+        ex.neg(ex.mul(differentiate(Y[i], R[j]), ex.add(X[j], ex.neg(X[i])))),
+    )
 
 
 def reduction_residual(c: ReductionCandidate, sys: QuasilinearSystem):
@@ -229,23 +218,13 @@ def hodograph_residual(c: ReductionCandidate, point: dict, t, x, y,
     if c.v is None:
         raise HamsysError("candidate carries no commuting-flow speeds v")
     R = c.r_vars
-    symbolic = []
-    for i in range(c.m):
-        for j in range(c.m):
-            if i == j:
-                continue
-            # d_j v^i (lam^j - lam^i) = d_j lam^i (v^j - v^i), and the same
-            # against the mu family
-            for fam_name, fam in (("lam", c.lam), ("mu", c.mu)):
-                residual = ex.add(
-                    ex.mul(differentiate(c.v[i], R[j]),
-                           ex.add(fam[j], ex.neg(fam[i]))),
-                    ex.neg(ex.mul(differentiate(fam[i], R[j]),
-                                  ex.add(c.v[j], ex.neg(c.v[i])))),
-                )
-                symbolic.append(((i + 1, j + 1, fam_name), residual))
-    from .zerotest import Point, evaluate
-
+    # d_j v^i (lam^j - lam^i) = d_j lam^i (v^j - v^i), and the same against
+    # the mu family
+    symbolic = [
+        ((i + 1, j + 1, fam_name), _cleared_commutator(c.v, fam, R, i, j))
+        for i in range(c.m) for j in range(c.m) if i != j
+        for fam_name, fam in (("lam", c.lam), ("mu", c.mu))
+    ]
     pt = Point(values={R[i]: Fraction(point[R[i].name])
                        for i in range(c.m)})
     numeric = []
@@ -281,17 +260,11 @@ class ShapeResult:
         return tag
 
 
-def shape_classify(sys: QuasilinearSystem,
-                   policy: ZeroTestPolicy = DEFAULT_POLICY) -> ShapeResult:
-    """Classify the reduced shape of a system generated with an abstract
-    density, by the freezing cascade and coordinate-change invariants."""
-    if sys.operator is None:
-        raise HamsysError("shape classification needs the source operator")
-    return classify_operator_shape(sys.operator, policy)
-
-
 def classify_operator_shape(op: HydroOperator,
                             policy: ZeroTestPolicy = DEFAULT_POLICY) -> ShapeResult:
+    """Classify the reduced shape of the system the operator generates with
+    an abstract density, by the freezing cascade and coordinate-change
+    invariants."""
     frozen_names: list[str] = []
     current = op
     while True:

@@ -6,8 +6,8 @@ The test is run in denominator-cleared form H*d4f - d3f*dH - 3*det(dM),
 a homogeneous quartic in the differentials (da, db, dc); the density is
 integrable iff all 15 coefficients vanish.  The differentials are formal
 constants of an extended workspace, so each form is one expression that is
-normalized once and split by `coefficients_in`.  The clearing by H is valid
-off the H = 0 locus; densities with identically vanishing Hessian
+normalized once and split by `parameter_coefficients`.  The clearing by H
+is valid off the H = 0 locus; densities with identically vanishing Hessian
 determinant are rejected as inapplicable.
 """
 
@@ -19,7 +19,7 @@ from . import expr as ex
 from .calculus import differentiate, substitute
 from .operators import _det
 from .parser import parse
-from .ratform import coefficients_in, normalize, ratform_to_expr
+from .ratform import normalize, parameter_coefficients, ratform_to_expr
 from .symbols import Symbol, Workspace
 from .zerotest import DEFAULT_POLICY, ZeroTestPolicy, is_zero
 
@@ -33,6 +33,8 @@ class DegenerateLagrangianError(IntegrabilityError):
 
 
 LAGRANGIAN_VARS = ("a", "b", "c")
+# the variables of a Hamiltonian density h(rho, u, v) and rho_t = h_rho
+LEGENDRE_VARS = ("rho", "u", "v", "rhot")
 # formal constants for the differentials; D = da*d/da + db*d/db + dc*d/dc
 DIFFERENTIALS = ("da", "db", "dc")
 
@@ -103,9 +105,8 @@ def _split(e: ex.Expr, ws: Workspace, dvars, order: int) -> dict:
     """{(i, j, k): coefficient of da^i db^j dc^k} of a form homogeneous of
     the given order, normalized once and split by the formal constants;
     every multi-index is present."""
-    coeffs = coefficients_in(normalize(e, ws), [dv.name for dv in dvars])
-    return {m: ratform_to_expr(coeffs[m]) if m in coeffs else ex.ZERO
-            for m in _multi_indices(order)}
+    coeffs = parameter_coefficients(e, ws, [dv.name for dv in dvars])
+    return {m: coeffs.get(m, ex.ZERO) for m in _multi_indices(order)}
 
 
 def sym_diff(density: LagrangianDensity, order: int) -> dict:
@@ -230,8 +231,7 @@ class LegendreResult:
 
 
 def legendre(h: ex.Expr, ws: Workspace, inverse: ex.Expr,
-             policy: ZeroTestPolicy = DEFAULT_POLICY,
-             names=("rho", "u", "v", "rhot")) -> LegendreResult:
+             policy: ZeroTestPolicy = DEFAULT_POLICY) -> LegendreResult:
     """Partial Legendre transform rho_t = h_rho, h~ = h - rho h_rho.
 
     `h` is an expression in (rho, u, v); `inverse` expresses rho through
@@ -240,7 +240,7 @@ def legendre(h: ex.Expr, ws: Workspace, inverse: ex.Expr,
     (a, b, c), together with the verified derivative identities
     h~_rhot = -rho, h~_u = h_u, h~_v = h_v.
     """
-    rho, u, v, rhot = (ws.require_symbol(n) for n in names)
+    rho, u, v, rhot = (ws.require_symbol(n) for n in LEGENDRE_VARS)
     h_rho = differentiate(h, rho)
     sub_inv = {rho: inverse}
     check = substitute(h_rho, sub_inv) - ex.Var(rhot)

@@ -13,7 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import expr as ex
-from .operators import ALPHA_LABELS, HydroOperator, check_hamiltonian
+from .operators import (
+    ALPHA_LABELS,
+    HydroOperator,
+    MokhovChecker,
+    check_hamiltonian,
+)
+from .ratform import uses_transcendental
 from .zerotest import DEFAULT_POLICY, ZeroTestPolicy, is_zero
 
 
@@ -73,10 +79,6 @@ class MutationScan:
     caught: int
     survivors: list  # (Mutation, ConditionReport)
 
-    @property
-    def catch_rate(self) -> float:
-        return self.caught / self.total if self.total else 1.0
-
 
 # (a2) kills most sign/scale mutants instantly; cheap relations first
 _SCAN_ORDER = ("a2", "a1", "a3", "a4", "a5", "a6", "a7")
@@ -88,9 +90,6 @@ def first_proven_failure(op: HydroOperator):
     Only valid as a proof for transcendental-free operators (the catalog);
     a nonzero normal form with exp/ln/sqrt atoms is skipped.
     """
-    from .operators import MokhovChecker
-    from .ratform import uses_transcendental
-
     checker = MokhovChecker(op)
     for rel, idx, rf in checker.residuals(_SCAN_ORDER):
         if rf.is_zero or uses_transcendental(rf):

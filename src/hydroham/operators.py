@@ -20,9 +20,9 @@ from . import expr as ex
 from .calculus import differentiate
 from .ratform import (
     Derivation,
-    build_context,
     coefficients_in,
     derivation_context,
+    parameter_coefficients,
     ratform_to_expr,
     to_rational_form,
     zero_form,
@@ -37,6 +37,7 @@ from .zerotest import (
     InconclusiveError,
     Verdict,
     ZeroTestPolicy,
+    is_zero,
     verdict_for_ratform,
 )
 
@@ -97,14 +98,6 @@ class HydroOperator:
         return HydroOperator(
             self.ws, 1, self.n, [self.g[alpha]], [self.b[alpha]]
         )
-
-    def map_entries(self, fn) -> "HydroOperator":
-        g = [[[fn(self.g[a][i][j]) for j in range(self.n)]
-              for i in range(self.n)] for a in range(self.d)]
-        b = [[[[fn(self.b[a][i][j][k]) for k in range(self.n)]
-               for j in range(self.n)] for i in range(self.n)]
-             for a in range(self.d)]
-        return HydroOperator(self.ws, self.d, self.n, g, b)
 
 
 def _check_shape(arr, shape, what):
@@ -456,11 +449,9 @@ def pencil_determinant(op: HydroOperator) -> dict[tuple, ex.Expr]:
     """det(sum_alpha lam_alpha g^alpha) expanded by lambda exponents."""
     pencil = MetricPencil.of(op)
     det = _det(pencil.matrix, op.n)
-    ctx = build_context(pencil.ws, [det])
-    rf = to_rational_form(det, ctx)
-    coeffs = coefficients_in(rf, [p.name for p in pencil.params])
-    return {exps: ratform_to_expr(c) for exps, c in coeffs.items()
-            if not c.is_zero} or {(0,) * op.d: ex.ZERO}
+    return parameter_coefficients(
+        det, pencil.ws, [p.name for p in pencil.params]
+    ) or {(0,) * op.d: ex.ZERO}
 
 
 @dataclass
@@ -488,8 +479,6 @@ def is_degenerate(op: HydroOperator,
 
 def _proven_verdict(e: ex.Expr, ws: Workspace,
                     policy: ZeroTestPolicy) -> Verdict:
-    from .zerotest import is_zero
-
     verdict = is_zero(e, ws, policy)
     if not verdict.proven:
         raise InconclusiveError(
@@ -565,9 +554,9 @@ def is_trivial_pair(op: HydroOperator,
 
 # -- pencil compatibility --------------------------------------------------------
 
-def pencil_compatibility(opx: HydroOperator, opy: HydroOperator,
-                         policy: ZeroTestPolicy = DEFAULT_POLICY,
-                         lam_name: str = "lam") -> ConditionReport:
+def pencil_compatibility(
+        opx: HydroOperator, opy: HydroOperator,
+        policy: ZeroTestPolicy = DEFAULT_POLICY) -> ConditionReport:
     """Forms the 1D operator g_x + lam g_y, b_x + lam b_y with a formal
     constant lam and checks a1..a7 identically in lam; one record per
     lambda power of each residual."""
@@ -575,7 +564,7 @@ def pencil_compatibility(opx: HydroOperator, opy: HydroOperator,
         raise OperatorError("compatibility expects two 1D operators")
     if opx.n != opy.n or opx.ws is not opy.ws:
         raise OperatorError("operators must share components and workspace")
-    ws = opx.ws.extended([lam_name])
+    ws = opx.ws.extended(["lam"])
     lam = ws.constants[-1]
     n = opx.n
     g = [[[ex.add(opx.g[0][i][j], ex.mul(ex.Var(lam), opy.g[0][i][j]))

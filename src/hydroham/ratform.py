@@ -9,6 +9,7 @@ Polynomial arithmetic is delegated to sympy's polynomial rings over QQ.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from fractions import Fraction
 
@@ -30,6 +31,8 @@ class ZeroDenominatorError(NormalizeError):
 
 
 _RING_CACHE: dict[tuple[str, ...], tuple] = {}
+# ring name of the i-th atom generator of a context
+_GEN_NAME = re.compile(r"@a(\d+)")
 
 
 def _get_ring(names: tuple[str, ...]):
@@ -133,13 +136,11 @@ class RationalForm:
         if self.den == one and other.den == one:
             return RationalForm(self.num * other.num, one, self.ctx,
                                 reduced=True)
-        g1 = self.num.gcd(other.den)
-        g2 = other.num.gcd(self.den)
-        return RationalForm(
-            self.num.quo(g1) * other.num.quo(g2),
-            self.den.quo(g2) * other.den.quo(g1),
-            self.ctx,
-        )
+        # cross-cancelled factors of two reduced forms give a reduced
+        # product with a monic denominator
+        num1, den2 = _cancel(self.num, other.den)
+        num2, den1 = _cancel(other.num, self.den)
+        return RationalForm(num1 * num2, den1 * den2, self.ctx, reduced=True)
 
     def __truediv__(self, other):
         if other.is_zero:
@@ -164,6 +165,8 @@ class RationalForm:
 def _cancel(num, den):
     if not num:
         return num, den.ring.one
+    if den == den.ring.one:
+        return num, den
     g = num.gcd(den)
     if g != g.ring.one:
         num, den = num.quo(g), den.quo(g)
@@ -213,8 +216,11 @@ def atom_signature(atom: ex.Expr, ws: Workspace, _cache=None) -> str:
 
 
 def _canonical_string(e: ex.Expr, ws: Workspace, cache) -> str:
+    """The normal form of e, its atom generators named by their signatures,
+    so the string does not depend on the context it was built in."""
     rf = _normalize_cached(e, ws, cache)
-    return str(rf)
+    sigs = rf.ctx.atom_sigs
+    return _GEN_NAME.sub(lambda m: sigs[int(m.group(1))], str(rf))
 
 
 def build_context(ws: Workspace, exprs, _cache=None) -> PolyContext:
@@ -441,6 +447,14 @@ def coefficients_in(rf: RationalForm, param_names: list[str]):
         exps: RationalForm(num, rf.den, ctx)
         for exps, num in sorted(buckets.items())
     }
+
+
+def parameter_coefficients(e: ex.Expr, ws: Workspace, param_names) -> dict:
+    """{exponent tuple: Expr}: e normalized once and split by the exponents
+    of the formal parameters, as ``coefficients_in`` does; zero
+    coefficients are absent."""
+    coeffs = coefficients_in(normalize(e, ws), list(param_names))
+    return {exps: ratform_to_expr(c) for exps, c in coeffs.items()}
 
 
 def uses_transcendental(rf: RationalForm) -> bool:

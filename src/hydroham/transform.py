@@ -14,13 +14,22 @@ from dataclasses import dataclass
 from . import expr as ex
 from .calculus import differentiate, substitute
 from .operators import (
+    ALPHA_LABELS,
     ConditionReport,
     HydroOperator,
     ResidualRecord,
     _det,
+    _flatten,
+    _map_nested,
     check_hamiltonian,
 )
-from .ratform import normalize, ratform_to_expr
+from .ratform import (
+    Derivation,
+    derivation_context,
+    ratform_to_expr,
+    to_rational_form,
+    zero_form,
+)
 from .symbols import Symbol, Workspace
 from .zerotest import (
     DEFAULT_POLICY,
@@ -105,99 +114,66 @@ class CoordinateChange:
         return self
 
 
-def coordinate_change(src_ws: Workspace, forward: dict[str, ex.Expr],
-                      inverse: dict[str, ex.Expr], dst_ws: Workspace,
-                      policy: ZeroTestPolicy = DEFAULT_POLICY,
-                      validate: bool = True) -> CoordinateChange:
+def coordinate_change(
+        src_ws: Workspace, forward: dict[str, ex.Expr],
+        inverse: dict[str, ex.Expr], dst_ws: Workspace,
+        policy: ZeroTestPolicy = DEFAULT_POLICY) -> CoordinateChange:
     """Build a change from name-keyed maps (u name -> forward expr over the
     v side, v name -> inverse expr over the u side)."""
     u_names = [s.name for s in src_ws.variables]
     v_names = [s.name for s in dst_ws.variables]
     fwd = [forward[name] for name in u_names[: len(forward)]]
     inv = [inverse[name] for name in v_names[: len(inverse)]]
-    change = CoordinateChange(src_ws, dst_ws, fwd, inv)
-    if validate:
-        change.validate(policy)
-    return change
+    return CoordinateChange(src_ws, dst_ws, fwd, inv).validate(policy)
 
 
-def pushforward(op: HydroOperator, change: CoordinateChange,
-                simplify: bool = True) -> HydroOperator:
-    """The transformed operator on the v side.
+def pushforward(op: HydroOperator, change: CoordinateChange) -> HydroOperator:
+    """The transformed operator on the v side, with K = d(phi^{-1})/du o phi:
 
     ghat^{ij a} = K^i_p K^j_q g^{pq a} o phi,
-    bhat^{ij a}_k = [K^i_p K^j_q b^{pq a}_r
-                     + K^i_p g^{pq a} d^2(phi^{-1})^j/du^q du^r] o phi * J^r_k.
-    """
+    bhat^{ij a}_k = K^i_p K^j_q (b^{pq a}_r o phi) J^r_k
+                    + K^i_p (g^{pq a} o phi) d_k K^j_q,
+
+    where d_k K^j_q = (d_r d(phi^{-1})^j/du^q o phi) J^r_k by the chain
+    rule.  The entries are built in one ring over the v side, which
+    differentiates K; contractions run one index at a time."""
     n = op.n
     if change.n != n:
         raise InvalidChangeError("change arity does not match the operator")
-    K = change.inverse_jacobian()
-    dK = [
-        [
-            [differentiate(K[j][q], u) for u in change.u_vars]
-            for q in range(n)
-        ]
-        for j in range(n)
-    ]
-    J = change.jacobian()
     to_v = change.to_v
-
-    Kv = [[to_v(K[i][p]) for p in range(n)] for i in range(n)]
-    gv = [[[to_v(op.g[a][p][q]) for q in range(n)] for p in range(n)]
-          for a in range(op.d)]
-    bv = [[[[to_v(op.b[a][p][q][r]) for r in range(n)] for q in range(n)]
-           for p in range(n)] for a in range(op.d)]
-    dKv = [[[to_v(dK[j][q][r]) for r in range(n)] for q in range(n)]
-           for j in range(n)]
-
+    K = _map_nested(change.inverse_jacobian(), to_v)
+    J = change.jacobian()
+    gv = [_map_nested(g, to_v) for g in op.g]
+    bv = [_map_nested(b, to_v) for b in op.b]
+    ws = change.dst_ws
+    cache: dict = {}
+    ctx = derivation_context(ws, change.v_vars, [
+        (list(_flatten(K)), 1),
+        (list(_flatten([gv, bv, J])), 0),
+    ], cache)
+    conv = lambda e: to_rational_form(e, ctx, cache)
+    K, J, gv, bv = (_map_nested(t, conv) for t in (K, J, gv, bv))
+    # DK[k][j][q] = d_k K^j_q
+    DK = [_map_nested(K, Derivation(ctx, v, cache)) for v in change.v_vars]
+    zero = zero_form(ctx)
+    rng = range(n)
     g_all, b_all = [], []
-    for a in range(op.d):
-        g_a = [
-            [
-                ex.add(*(
-                    ex.mul(Kv[i][p], Kv[j][q], gv[a][p][q])
-                    for p in range(n) for q in range(n)
-                    if gv[a][p][q] != ex.ZERO
-                ))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        b_a = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                col = []
-                for k in range(n):
-                    terms = []
-                    for r in range(n):
-                        if J[r][k] == ex.ZERO:
-                            continue
-                        for p in range(n):
-                            for q in range(n):
-                                if bv[a][p][q][r] != ex.ZERO:
-                                    terms.append(ex.mul(
-                                        Kv[i][p], Kv[j][q], bv[a][p][q][r],
-                                        J[r][k],
-                                    ))
-                                if gv[a][p][q] != ex.ZERO and \
-                                        dKv[j][q][r] != ex.ZERO:
-                                    terms.append(ex.mul(
-                                        Kv[i][p], gv[a][p][q], dKv[j][q][r],
-                                        J[r][k],
-                                    ))
-                    col.append(ex.add(*terms))
-                row.append(col)
-            b_a.append(row)
-        g_all.append(g_a)
-        b_all.append(b_a)
-
-    out = HydroOperator(change.dst_ws, op.d, n, g_all, b_all)
-    if simplify:
-        ws = change.dst_ws
-        out = out.map_entries(lambda e: ratform_to_expr(normalize(e, ws)))
-    return out
+    for g, b in zip(gv, bv):
+        # Kg[i][q] = K^i_p g^{pq}, KbJ[i][q][k] = K^i_p b^{pq}_r J^r_k
+        Kg = [[sum((K[i][p] * g[p][q] for p in rng), zero) for q in rng]
+              for i in rng]
+        bJ = [[[sum((b[p][q][r] * J[r][k] for r in rng), zero) for k in rng]
+               for q in rng] for p in rng]
+        KbJ = [[[sum((K[i][p] * bJ[p][q][k] for p in rng), zero)
+                 for k in rng] for q in rng] for i in rng]
+        g_all.append([[sum((Kg[i][q] * K[j][q] for q in rng), zero)
+                       for j in rng] for i in rng])
+        b_all.append([[[
+            sum((KbJ[i][q][k] * K[j][q] + Kg[i][q] * DK[k][j][q]
+                 for q in rng), zero)
+            for k in rng] for j in rng] for i in rng])
+    return HydroOperator(ws, op.d, n, _map_nested(g_all, ratform_to_expr),
+                         _map_nested(b_all, ratform_to_expr))
 
 
 def operator_difference_records(op1: HydroOperator, op2: HydroOperator,
@@ -208,8 +184,6 @@ def operator_difference_records(op1: HydroOperator, op2: HydroOperator,
         raise InvalidChangeError("operator shapes differ")
     rename = dict(zip(op2.variables, (ex.Var(v) for v in op1.variables)))
     records = []
-    from .operators import ALPHA_LABELS
-
     for a in range(op1.d):
         for i in range(op1.n):
             for j in range(op1.n):

@@ -29,6 +29,11 @@ class EvaluationError(Exception):
     pass
 
 
+# exp of a larger argument is not evaluated: an exp tower grows past memory
+# within a few levels, so such a point is rejected like a singular one
+MAX_EXP_ARG = 10**6
+
+
 class SingularPointError(EvaluationError):
     """A denominator vanished at the evaluation point."""
 
@@ -135,6 +140,8 @@ def _eval(e: ex.Expr, point: Point, precision: int, ws: Workspace | None):
         if isinstance(arg, Fraction):
             arg = mpmath.mpf(arg.numerator) / arg.denominator
         if e.fn == "exp":
+            if arg > MAX_EXP_ARG:
+                raise EvaluationError(f"exp argument above {MAX_EXP_ARG}")
             return mpmath.exp(arg)
         if arg < 0 or (e.fn == "ln" and arg == 0):
             raise SingularPointError(f"{e.fn} outside the real domain")

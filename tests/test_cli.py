@@ -1,9 +1,14 @@
 """CLI dispatch, exit codes, deterministic JSON reports."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import hydroham
 from hydroham import catalog
 from hydroham.cli import main
 from hydroham.fileio import dump_operator
@@ -226,3 +231,30 @@ def test_catalog_verify_json_lists_failures_only(capsys):
     assert main(["--format", "json", "catalog", "verify", "T2.2/1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["checks"] == [] and doc["overall"] == "proven_pass"
+
+
+def test_exp_tower_exits_without_traceback(tmp_path):
+    # six nested exp outgrow memory at most sample points; the CLI runs in
+    # a child process whose address space is capped at 1.5 GB
+    tower = "u1"
+    for _ in range(6):
+        tower = f"exp({tower})"
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(_op_1d2(tower)))
+    limit = 1500 * 2**20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(hydroham.__path__[0])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hydroham.cli", "--format", "json", "check",
+         str(path)],
+        capture_output=True, text=True, env=env, preexec_fn=cap_memory,
+        timeout=300,
+    )
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -39,15 +39,14 @@ def make_ws():
 WS = make_ws()
 VARS = [WS.require_symbol(n) for n in ("u1", "u2", "u3")]
 
-# Atoms with default arguments, non-default arguments and nested atoms.
-# Two distinct atoms whose arguments differ only in which inner atom they
-# hold get one generator today (nested atoms are named by their place in a
-# local context), so each nesting pattern below occurs once.
+# Atoms with default arguments, non-default arguments and nested atoms,
+# including atoms that differ only in which inner atom they hold.
 ATOM_TEXTS = (
     "f", "f_2", "f_3", "f_23", "q", "q'", "q''",
     "f(u1, u2^2)", "q(u1*u2)", "q(1/(u1 - u3))", "f_2(u3, c1*u1)",
     "exp(u1)", "ln(u2)", "sqrt(u3)", "exp(u1*u2 + c1)",
-    "f(u2*exp(u1), u3)", "q(ln(u2))", "exp(q)", "sqrt(u1 + f)",
+    "f(u2*exp(u1), u3)", "q(ln(u2))", "q(ln(u3))", "exp(q)",
+    "sqrt(u1 + f)", "sqrt(u1 + f_2)",
 )
 ATOMS = [parse(t, WS) for t in ATOM_TEXTS]
 

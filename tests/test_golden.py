@@ -24,11 +24,14 @@ GAS_DENSITY = {"h": "1/2*u1*(u2^2 + u3^2) + k(u1)",
                "functions": [{"name": "k", "args": ["u1"]}]}
 SHEAR = {"forward": {"u1": "v1", "u2": "v2", "u3": "v3 + v1"},
          "inverse": {"v1": "u1", "v2": "u2", "v3": "u3 - u1"}}
+MOBIUS = {"forward": {"u1": "v1", "u2": "v2/(1 + v2)"},
+          "inverse": {"v1": "u1", "v2": "u2/(1 - u2)"}}
+EXP_DENSITY = {"h": "u1*u2*u3 + exp(u2)"}
 LEGENDRE = {"h": "1/2*rho*(u^2 + v^2) + 1/2*rho^2",
             "inverse": "rhot - 1/2*(u^2 + v^2)"}
 CHECK_ENTRY = "T2.7/rank2_P_1/1"
 
-# name -> argv after `--format json`; "pushed.json" is an emitted file
+# name -> argv after `--format json`; the file after `--emit` is emitted
 CASES = {
     "check-export": ["check", "export.json"],
     "check-flip-mutant": ["check", "mutant.json"],
@@ -38,6 +41,12 @@ CASES = {
     "dispersion": ["dispersion", "gas.json", "h.json"],
     "transform-emit": ["transform", "gas.json", "shear.json",
                        "--emit", "pushed.json"],
+    "transform-mobius-emit": ["transform", "t24.json", "mobius.json",
+                              "--emit", "pushed_t24.json"],
+    "transform-abstract-emit": ["transform", "rank1_f.json", "shear.json",
+                                "--emit", "pushed_rank1_f.json"],
+    "system-abstract-exp": ["system", "rank1_f.json", "h_exp.json"],
+    "dispersion-abstract-exp": ["dispersion", "rank1_f.json", "h_exp.json"],
     "fkt-quartic": ["fkt", "fkt_quartic.json"],
     "fkt-nondiagonal": ["fkt", "fkt_nondiagonal.json"],
     "legendre": ["legendre", "legendre.json"],
@@ -54,6 +63,8 @@ GOLDEN = {
         "3015d0f1763ea2be046a52e15e0cbe29cf314bdad8c56acb075b5937837b6c20"),
     "dispersion": (0, 1015,
         "33009fd7d294e97dff19aeae9ff29ddcd8dae80fa1aa7f356e45d37d3431730d"),
+    "dispersion-abstract-exp": (0, 524,
+        "b99dc2abb343aa792423892f3cc7944e1e89ce712e04e29a73aea4ca719adbf5"),
     "fkt-nondiagonal": (1, 2951,
         "6dd9c51037fc46c784989b0b6ed97cf46c57936e56b4ba78ebbf29c953d26006"),
     "fkt-quartic": (1, 2824,
@@ -64,11 +75,19 @@ GOLDEN = {
         "06f568e571c73b2dfe602af1c803fa65cdaf1096761d3311c545884434ed1643"),
     "pencil-exp-witness": (2, 707,
         "2361f0d495447be76fe20d9aeaffe96c57dd4bbd29742aa3283007cb195041f3"),
+    "system-abstract-exp": (0, 760,
+        "f4d8306ba203cf90362ed7f52b20d811823aa871da8afdd8e9b053ed3f9644f9"),
     "system-classify": (0, 774,
         "95b17441b9c374608ece8fe2df264b4a2d827562076a0e143da914fd9b0a371d"),
+    "transform-abstract-emit": (0, 357058,
+        "62ec5425d96c8e725222b9fd1879aeb36777d14913da7ce287a6ad03d8c62039",
+        "61910f537b4479b7237018c367b0274dcf8c6591e24eaaf5e32a91f278f63e3e"),
     "transform-emit": (0, 357042,
         "c3e8fc3d8e493db270928d51de22a9461a8bc06c64de945fe4131552e5444867",
         "476d97d6cebce424ab42af6470587c3de874ef0a5fb48b7f0295779dd85201ea"),
+    "transform-mobius-emit": (0, 64922,
+        "d421d40fe3e88fc3b20da961b72f0bfd8433c7651aaef87d37c5d02962111a10",
+        "c209f1ba6d92876544f737b77223d42db2b9c84fb58e8f3430a3cba65a205b50"),
 }
 
 
@@ -88,7 +107,9 @@ def _cli(argv):
 def _make_inputs():
     for argv in ([CHECK_ENTRY, "-o", "export.json"],
                  ["T2.6/rank1_P_2/1", "--set", "f=exp(u2)", "--set", "h=u2*u3",
-                  "-o", "rank1_exp.json"]):
+                  "-o", "rank1_exp.json"],
+                 ["T2.4", "-o", "t24.json"],
+                 ["T2.6/rank1_P_1/2", "-o", "rank1_f.json"]):
         assert _cli(["catalog", "export"] + argv)[0] == 0
     op, _ws = catalog.instantiate(CHECK_ENTRY)
     flip = next(mut for m, mut in mutation.mutants(op) if m.kind == "flip")
@@ -96,6 +117,8 @@ def _make_inputs():
     _write("gas.json", dump_operator(catalog.instantiate("P_gas")[0]))
     _write("h.json", GAS_DENSITY)
     _write("shear.json", SHEAR)
+    _write("mobius.json", MOBIUS)
+    _write("h_exp.json", EXP_DENSITY)
     _write("fkt_quartic.json", {"f": "a^4 + b^2 + c^2"})
     _write("fkt_nondiagonal.json", {"f": "a*b*c + a^3"})
     _write("legendre.json", LEGENDRE)
@@ -106,10 +129,11 @@ def _digest(data: bytes) -> str:
 
 
 def _run(name):
-    code, out = _cli(["--format", "json"] + CASES[name])
+    argv = CASES[name]
+    code, out = _cli(["--format", "json"] + argv)
     row = (code, len(out), _digest(out))
-    if "pushed.json" in CASES[name]:
-        with open("pushed.json", "rb") as fh:
+    if "--emit" in argv:
+        with open(argv[argv.index("--emit") + 1], "rb") as fh:
             row += (_digest(fh.read()),)
     return row
 

@@ -7,6 +7,7 @@ import pytest
 from hydroham import (
     InconclusiveError,
     Point,
+    Workspace,
     ZeroDenominatorError,
     ZeroTestPolicy,
     evaluate,
@@ -17,7 +18,8 @@ from hydroham import (
     ratform_to_expr,
 )
 from hydroham import expr as ex
-from hydroham.zerotest import SingularPointError
+from hydroham.ratform import coefficients_in, parameter_coefficients
+from hydroham.zerotest import MAX_EXP_ARG, EvaluationError, SingularPointError
 
 
 def test_factor_cancellation(ws3):
@@ -110,3 +112,42 @@ def test_sampling_singularity_exhaustion(ws3):
     e = parse("exp(u1)/(sqrt(u1)^2 - u1)", ws3)
     with pytest.raises((InconclusiveError, ZeroDenominatorError)):
         is_zero(e, ws3, ZeroTestPolicy(samples=3, max_retries=5))
+
+
+@pytest.fixture
+def ws_f1():
+    ws = Workspace()
+    ws.add_variables("u1", "u2")
+    ws.add_function("f", ["u1"])
+    return ws.freeze()
+
+
+@pytest.mark.parametrize("text, kind", [
+    ("exp(exp(u1)) - exp(exp(u2))", "probably_nonzero"),
+    ("f(exp(u1)) - f(exp(u2))", "proven_nonzero"),
+    ("f(f(u1)) - f(f(u2))", "proven_nonzero"),
+    ("exp(exp(u1)) - exp(exp(u1))", "proven_zero"),
+    ("exp(u2 + exp(u1)) - exp(exp(u1) + u2)", "proven_zero"),
+])
+def test_nested_atoms_keep_their_signatures(ws_f1, text, kind):
+    # atoms that differ only in an inner atom are distinct generators
+    assert is_zero(parse(text, ws_f1), ws_f1).kind == kind
+
+
+def test_exp_argument_bound(ws3):
+    u1 = ws3.require_symbol("u1")
+    e = parse("exp(u1)", ws3)
+    assert evaluate(e, Point({u1: Fraction(MAX_EXP_ARG)})) > 0
+    with pytest.raises(EvaluationError):
+        evaluate(e, Point({u1: Fraction(10**7)}))
+
+
+def test_parameter_coefficients(ws3):
+    ws = ws3.extended(["lam", "mu"])
+    e = parse("(lam*u1 - mu*f)^2/u2 + lam*mu*f*u1/u2 - lam^2*u1^2/u2 + 1", ws)
+    coeffs = parameter_coefficients(e, ws, ["lam", "mu"])
+    assert {m: print_expr(c) for m, c in coeffs.items()} == {
+        (0, 0): "1", (0, 2): "f^2/u2", (1, 1): "(-u1*f)/u2",
+    }
+    raw = coefficients_in(normalize(e, ws), ["lam", "mu"])
+    assert coeffs == {m: ratform_to_expr(c) for m, c in raw.items()}
