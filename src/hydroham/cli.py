@@ -3,7 +3,8 @@
 Exit codes: 0 every check provably passed, 1 some check failed,
 2 only probabilistic or inconclusive verdicts (or an analysis that could
 not be decided), 3 input error.  Exits 2 and 3 without a report print one
-line on stderr.
+line on stderr.  A report whose reader closes stdout early (a pipe into
+``head``) ends the call with exit 2 and nothing more.
 JSON reports are byte-identical for identical inputs and seed (they carry
 no timing); the text format prints wall time.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -57,6 +59,7 @@ from .operators import (
     pencil_determinant,
 )
 from .parser import ParseError, parse
+from .poly import HeuristicGCDFailed
 from .ratform import NormalizeError, normalize, ratform_to_expr
 from .symbols import SymbolError, Workspace
 from .transform import InvalidChangeError, pushforward, verify_invariance
@@ -262,8 +265,12 @@ def main(argv=None) -> int:
             InvalidChangeError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except InconclusiveError as e:
+    except (InconclusiveError, HeuristicGCDFailed) as e:
         print(f"inconclusive: {e}", file=sys.stderr)
+        return EXIT_UNDECIDED
+    except BrokenPipeError:
+        # the flush at exit would meet the closed pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_UNDECIDED
 
 

@@ -4,7 +4,7 @@ The extended variable set is the workspace's variables and constants in
 registration order, followed by one opaque generator per distinct atom
 (abstract-function derivative atoms and exp/ln/sqrt applications), ordered
 by a canonical signature.  Monomial order is graded reverse lexicographic.
-Polynomial arithmetic is delegated to sympy's polynomial rings over QQ.
+Polynomial arithmetic is done in the sparse rings over QQ of ``poly``.
 """
 
 from __future__ import annotations
@@ -13,12 +13,9 @@ import re
 from collections import deque
 from fractions import Fraction
 
-from sympy.polys.domains import QQ
-from sympy.polys.orderings import grevlex
-from sympy.polys.rings import ring as _sympy_ring
-
 from . import expr as ex
 from .calculus import differentiate
+from .poly import PolyRing
 from .symbols import Symbol, Workspace
 
 
@@ -30,7 +27,7 @@ class ZeroDenominatorError(NormalizeError):
     """The denominator is identically zero as a rational function."""
 
 
-_RING_CACHE: dict[tuple[str, ...], tuple] = {}
+_RING_CACHE: dict[tuple[str, ...], PolyRing] = {}
 # ring name of the i-th atom generator of a context
 _GEN_NAME = re.compile(r"@a(\d+)")
 
@@ -38,8 +35,7 @@ _GEN_NAME = re.compile(r"@a(\d+)")
 def _get_ring(names: tuple[str, ...]):
     hit = _RING_CACHE.get(names)
     if hit is None:
-        hit = _sympy_ring(list(names), QQ, grevlex)
-        _RING_CACHE[names] = hit
+        hit = _RING_CACHE[names] = PolyRing(names)
     return hit
 
 
@@ -58,7 +54,8 @@ class PolyContext:
         names = self.var_names + tuple(
             f"@a{i}" for i in range(len(self.atom_sigs))
         )
-        self.ring, *gens = _get_ring(names)
+        self.ring = _get_ring(names)
+        gens = self.ring.gens
         self.gen_of_name = dict(zip(self.var_names, gens))
         self.gen_of_sig = dict(zip(self.atom_sigs, gens[len(self.var_names):]))
         self.n_vars = len(self.var_names)
@@ -276,8 +273,8 @@ def to_rational_form(e: ex.Expr, ctx: PolyContext, _cache=None) -> RationalForm:
     if isinstance(e, ex.Rat):
         v = e.value
         return RationalForm(
-            ring.ground_new(QQ(v.numerator, v.denominator)), ring.one, ctx,
-            reduced=True,
+            ring.ground_new(v.numerator if v.denominator == 1 else v),
+            ring.one, ctx, reduced=True,
         )
     if isinstance(e, ex.Var):
         gen = ctx.gen_of_name.get(e.symbol.name)
@@ -375,7 +372,7 @@ class Derivation:
             dx = self.generator(index)
             if dx.is_zero:
                 continue
-            dp = p.diff(ring.gens[index])
+            dp = p.diff(index)
             if dx.den == ring.one:
                 acc = acc + dp * dx.num
             else:
@@ -404,10 +401,8 @@ def _monom_expr(ctx: PolyContext, monom) -> ex.Expr:
 
 def poly_to_expr(p, ctx: PolyContext) -> ex.Expr:
     terms = []
-    for monom, coeff in sorted(p.terms(), key=lambda t: ctx.ring.order(t[0]),
-                               reverse=True):
-        c = Fraction(int(coeff.numerator), int(coeff.denominator))
-        terms.append(ex.mul(ex.Rat(c), _monom_expr(ctx, monom)))
+    for monom, coeff in p.terms():
+        terms.append(ex.mul(ex.Rat(Fraction(coeff)), _monom_expr(ctx, monom)))
     return ex.add(*terms)
 
 

@@ -199,7 +199,7 @@ def _eval_poly(p, gen_values):
     total = 0
     scale = 0
     for monom, coeff in p.terms():
-        term = Fraction(int(coeff.numerator), int(coeff.denominator))
+        term = Fraction(coeff)
         for i, power in enumerate(monom):
             if power:
                 term = term * gen_values[i] ** power

@@ -246,15 +246,65 @@ def test_exp_tower_exits_without_traceback(tmp_path):
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
+    proc = subprocess.run(
+        [sys.executable, "-m", "hydroham.cli", "--format", "json", "check",
+         str(path)],
+        capture_output=True, text=True, env=_child_env(),
+        preexec_fn=cap_memory, timeout=300,
+    )
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _child_env():
+    """The environment of a child interpreter that imports this hydroham."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(hydroham.__path__[0])]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run(
+    return env
+
+
+def test_gcd_failure_exits_2(tmp_path, capsys, monkeypatch):
+    from hydroham import poly
+
+    # with no evaluation points GCDHEU gives up on the first gcd of two
+    # polynomials of more than one term
+    monkeypatch.setattr(poly, "HEU_GCD_MAX", 0)
+    path = tmp_path / "quot.json"
+    path.write_text(json.dumps(_op_1d2("(u1^2 - u2^2)/(u1 + u2)")))
+    assert main(["--format", "json", "check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("inconclusive: heuristic gcd")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_closed_pipe_exits_without_traceback(tmp_path, capsys):
+    # the JSON report of this entry is about 344 KB, far more than a pipe
+    # holds, so the child is still writing when the reader closes
+    path = tmp_path / "ham.json"
+    assert main(["catalog", "export", "T2.7/rank2_P_1/1", "-o",
+                 str(path)]) == 0
+    capsys.readouterr()
+    proc = subprocess.Popen(
         [sys.executable, "-m", "hydroham.cli", "--format", "json", "check",
          str(path)],
-        capture_output=True, text=True, env=env, preexec_fn=cap_memory,
-        timeout=300,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
     )
-    assert proc.returncode in (0, 1, 2), proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 2, err
+    assert err == ""
+
+
+def test_import_leaves_sympy_out():
+    code = ("import sys, hydroham.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+            "'sympy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

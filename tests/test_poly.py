@@ -1,0 +1,173 @@
+"""The in-package polynomial ring against sympy's ring over QQ in grevlex
+order, which serves as the oracle: arithmetic, term order, printing,
+derivatives, the monic gcd and exact quotients."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.domains import QQ
+from sympy.polys.orderings import grevlex
+from sympy.polys.rings import ring as sympy_ring
+
+from hydroham import poly
+from hydroham.poly import HeuristicGCDFailed, PolyRing
+
+# ring names as ratform gives them: variables, constants, then atoms
+NAMES = ("u1", "u2", "c1", "@a0", "@a1")
+
+
+def rings(n):
+    names = NAMES[:n]
+    return PolyRing(names), sympy_ring(list(names), QQ, grevlex)[0]
+
+
+def build(terms, n):
+    ours, theirs = rings(n)
+    p, q = ours.zero, theirs.zero
+    for monom, c in terms:
+        p = p + ours.term_new(monom, c)
+        q = q + theirs.term_new(monom, QQ(c.numerator, c.denominator))
+    return p, q
+
+
+def as_dict(p):
+    """Coefficients as Fractions, for either ring's elements."""
+    return {m: Fraction(int(c.numerator), int(c.denominator))
+            for m, c in p.items()}
+
+
+def same(p, q):
+    return as_dict(p) == as_dict(q) and str(p) == str(q)
+
+
+def coefficients(big):
+    limit = 10 ** 30 if big else 20
+    return st.builds(
+        Fraction,
+        st.integers(-limit, limit).filter(bool),
+        st.integers(1, 10 ** 12 if big else 6),
+    )
+
+
+@st.composite
+def poly_terms(draw, n, big=False, max_terms=5):
+    monoms = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n),
+                           max_size=max_terms, unique=True))
+    return [(m, draw(coefficients(big))) for m in monoms]
+
+
+@st.composite
+def poly_pairs(draw, count=2, big=False):
+    n = draw(st.integers(1, 5))
+    return n, [draw(poly_terms(n, big)) for _ in range(count)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_pairs())
+def test_arithmetic_matches_sympy(case):
+    n, (ta, tb) = case
+    (a, sa), (b, sb) = build(ta, n), build(tb, n)
+    assert same(a, sa) and same(b, sb)
+    assert same(a + b, sa + sb)
+    assert same(a - b, sa - sb)
+    assert same(a * b, sa * sb)
+    assert same(-a, -sa)
+    for k in range(0 if sa else 1, 4):    # sympy refuses 0**0
+        assert same(a ** k, sa ** k)
+    assert (a == b) == (sa == sb)
+    assert a + b - b == a and hash(a + b - b) == hash(a)
+    assert bool(a) == bool(sa)
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_pairs(count=1))
+def test_order_and_accessors_match_sympy(case):
+    n, (ta,) = case
+    a, sa = build(ta, n)
+    assert [m for m, _ in a.terms()] == [m for m, _ in sa.terms()]
+    assert [Fraction(c) for _, c in a.terms()] == [
+        Fraction(int(c.numerator), int(c.denominator)) for _, c in sa.terms()]
+    assert Fraction(a.LC) == Fraction(int(sa.LC.numerator),
+                                      int(sa.LC.denominator))
+    if a:
+        assert a.degrees() == sa.degrees()
+    for i in range(n):
+        assert same(a.diff(i), sa.diff(sa.ring.gens[i]))
+    assert str(a) == str(sa)
+
+
+def check_gcd(ta, tb, tc, n):
+    """gcd(a c, b c) and the quotients by it, against sympy."""
+    (a, sa), (b, sb), (c, sc) = build(ta, n), build(tb, n), build(tc, n)
+    f, g, sf, sg = a * c, b * c, sa * sc, sb * sc
+    h, sh = f.gcd(g), sf.gcd(sg)
+    if sh:
+        sh = sh.monic()
+    assert same(h, sh)
+    if h:
+        assert h.LC == 1
+        assert same(f.quo(h), sf.quo(sh))
+        assert same(g.quo(h), sg.quo(sh))
+        # the cofactors are coprime
+        assert f.quo(h).gcd(g.quo(h)) == h.ring.one
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_pairs(count=3))
+def test_gcd_and_quotients_match_sympy(case):
+    n, (ta, tb, tc) = case
+    check_gcd(ta, tb, tc, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_pairs(count=3, big=True))
+def test_gcd_with_large_coefficients(case):
+    n, (ta, tb, tc) = case
+    check_gcd(ta, tb, tc, n)
+
+
+def test_gcd_needs_a_second_evaluation_point(monkeypatch):
+    """A large constant in the common factor defeats the first evaluation
+    point: with one point per level GCDHEU gives up, with the default
+    number it finds the gcd."""
+    one = Fraction(1)
+    common = [((1, 0), one), ((0, 0), Fraction(76954519))]     # x + 76954519
+    ta = [((0, 1), one), ((0, 0), Fraction(3))]                # y + 3
+    tb = [((1, 1), one), ((0, 0), Fraction(-4))]               # x*y - 4
+    check_gcd(ta, tb, common, 2)
+    (a, _), (b, _), (c, _) = build(ta, 2), build(tb, 2), build(common, 2)
+    monkeypatch.setattr(poly, "HEU_GCD_MAX", 1)
+    with pytest.raises(HeuristicGCDFailed):
+        (a * c).gcd(b * c)
+
+
+def test_gcd_of_deflatable_exponents():
+    """Exponents that are all multiples of 2 in x and of 4 in y, which
+    sympy deflates before its gcd."""
+    one = Fraction(1)
+    common = [((2, 0), one), ((0, 4), Fraction(-3, 2))]        # x^2 - 3/2 y^4
+    ta = [((2, 4), one), ((0, 0), Fraction(5))]
+    tb = [((4, 0), Fraction(2, 7)), ((0, 8), one)]
+    check_gcd(ta, tb, common, 2)
+
+
+def test_gcd_skips_a_zero_image(monkeypatch):
+    """g vanishes at the first evaluation point (x = 31), so that point is
+    skipped: it is the only point when there is one per level."""
+    one = Fraction(1)
+    common = [((1,), one), ((0,), one)]                        # x + 1
+    ta, tb = [((1,), one)], [((1,), one), ((0,), Fraction(-31))]
+    check_gcd(ta, tb, common, 1)
+    (a, _), (b, _), (c, _) = build(ta, 1), build(tb, 1), build(common, 1)
+    monkeypatch.setattr(poly, "HEU_GCD_MAX", 1)
+    with pytest.raises(HeuristicGCDFailed):
+        (a * c).gcd(b * c)
+
+
+def test_printing_matches_sympy():
+    terms = [((2, 0, 0, 1, 0), Fraction(-3, 2)), ((0,) * 5, Fraction(1))]
+    p, sp = build(terms, 5)
+    assert str(p) == str(sp) == "-3/2*u1**2*@a0 + 1"
+    assert str(PolyRing(NAMES).zero) == "0"
