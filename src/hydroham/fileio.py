@@ -22,7 +22,9 @@ def _require(data: dict, key: str, kind=None):
     if key not in data:
         raise FileFormatError(f"missing required key {key!r}")
     value = data[key]
-    if kind is not None and not isinstance(value, kind):
+    # JSON true/false load as bool, a subclass of int
+    if kind is not None and (not isinstance(value, kind)
+                             or kind is int and isinstance(value, bool)):
         raise FileFormatError(f"key {key!r} has the wrong type")
     return value
 
@@ -39,6 +41,9 @@ def workspace_from_json(data: dict) -> Workspace:
 
 def load_operator(data: dict) -> HydroOperator:
     d = _require(data, "dimension", int)
+    if not 1 <= d <= len(ALPHA_LABELS):
+        raise FileFormatError(
+            f"dimension must be between 1 and {len(ALPHA_LABELS)}, got {d}")
     n = _require(data, "components", int)
     ws = workspace_from_json(data)
     if len(ws.variables) != n:

@@ -34,6 +34,7 @@ from .zerotest import (
     PROBABLY_NONZERO,
     PROBABLY_ZERO,
     PROVEN_NONZERO,
+    PROVEN_ZERO,
     InconclusiveError,
     Verdict,
     ZeroTestPolicy,
@@ -178,10 +179,20 @@ class ConditionReport:
 
 class MokhovChecker:
     """Converts g and b to rational forms once, then assembles each
-    relation's residuals by ring arithmetic.  DG[a][i][j][k] = d_k g^{ij a},
-    DB[a][i][j][k][l] = d_l b^{ij a}_k, the a5 brackets and their
-    derivatives are built on first use by the ring derivations d/du^k, so a
-    check that stops at a2 never differentiates b."""
+    relation's residuals by ring arithmetic over nonzero entries only.
+
+    G[a][i][j] = g^{ij a} and B[a][i][j][k] = b^{ij a}_k are the dense
+    tables; DG[a][i][j][k] = d_k g^{ij a} and DB[a][i][j][k][l] =
+    d_l b^{ij a}_k are built by the ring derivations d/du^k.  The sums over
+    the contracted index s run over lists of nonzero entries: GS[a][i]
+    holds the (s, g^{si a}), BS[a][i][j] the (s, b^{ij a}_s) and
+    BT[a][i][q] the (s, b^{si a}_q).  C[a][j][r][s][q] =
+    d_q b^{jr a}_s - d_s b^{jr a}_q is the difference that both the a5
+    brackets and the a7 halves contract.  A product is formed only when
+    both factors are nonzero; rational forms are canonical, so the sums
+    equal the dense ones.  Every table, the a5 brackets and the a7 halves
+    are built on first use, so a check that stops at a2 never
+    differentiates b."""
 
     def __init__(self, op: HydroOperator):
         self.op = op
@@ -202,6 +213,8 @@ class MokhovChecker:
         self._a7_halves: dict = {}
 
     def _gradient(self, rf) -> list:
+        if rf.is_zero:
+            return [rf] * self.n
         return [d(rf) for d in self._deriv]
 
     @cached_property
@@ -211,6 +224,30 @@ class MokhovChecker:
     @cached_property
     def DB(self) -> list:
         return _map_nested(self.B, self._gradient)
+
+    @cached_property
+    def GS(self) -> list:
+        rng = range(self.n)
+        return [[_nonzero((s, G[s][i]) for s in rng) for i in rng]
+                for G in self.G]
+
+    @cached_property
+    def BS(self) -> list:
+        rng = range(self.n)
+        return [[[_nonzero(enumerate(B[i][j])) for j in rng] for i in rng]
+                for B in self.B]
+
+    @cached_property
+    def BT(self) -> list:
+        rng = range(self.n)
+        return [[[_nonzero((s, B[s][i][q]) for s in rng) for q in rng]
+                 for i in rng] for B in self.B]
+
+    @cached_property
+    def C(self) -> list:
+        rng = range(self.n)
+        return [[[[[D[j][r][s][q] - D[j][r][q][s] for q in rng] for s in rng]
+                  for r in rng] for j in rng] for D in self.DB]
 
     # each generator yields (relation, indices, RationalForm)
 
@@ -232,55 +269,60 @@ class MokhovChecker:
                         yield "a2", (ALPHA_LABELS[a], i + 1, j + 1, k + 1), \
                             DG[a][i][j][k] - B[a][i][j][k] - B[a][j][i][k]
 
+    def _dot(self, pairs, factor):
+        """sum over (s, x) in pairs of x * factor(s); a zero factor adds
+        nothing and is not multiplied."""
+        acc = self._zero
+        for s, x in pairs:
+            y = factor(s)
+            if not y.is_zero:
+                acc = acc + x * y
+        return acc
+
+    def _gb_terms(self, al, be, i, j, r):
+        """sum_s g^{si al} b^{jr be}_s - g^{sj be} b^{ir al}_s, the term
+        that a3 and a4 add up over index pairs and cyclic shifts."""
+        B = self.B
+        return (self._dot(self.GS[al][i], B[be][j][r].__getitem__)
+                - self._dot(self.GS[be][j], B[al][i][r].__getitem__))
+
     def residuals_a3(self):
-        G, B = self.G, self.B
         rng = range(self.n)
         for a in range(self.d):
             for bB in range(self.d):
                 for i in rng:
                     for j in rng:
                         for r in rng:
-                            acc = self._zero
-                            for al, be in ((a, bB), (bB, a)):
-                                for s in rng:
-                                    acc = acc + G[al][s][i] * B[be][j][r][s]
-                                    acc = acc - G[be][s][j] * B[al][i][r][s]
                             yield "a3", (
                                 ALPHA_LABELS[a], ALPHA_LABELS[bB],
                                 i + 1, j + 1, r + 1,
-                            ), acc
+                            ), (self._gb_terms(a, bB, i, j, r)
+                                + self._gb_terms(bB, a, i, j, r))
 
     def residuals_a4(self):
-        G, B = self.G, self.B
         rng = range(self.n)
         for a in range(self.d):
             for be in range(self.d):
                 for i in rng:
                     for j in rng:
                         for r in rng:
-                            acc = self._zero
-                            for ii, jj, rr in ((i, j, r), (j, r, i), (r, i, j)):
-                                for s in rng:
-                                    acc = acc + G[a][s][ii] * B[be][jj][rr][s]
-                                    acc = acc - G[be][s][jj] * B[a][ii][rr][s]
                             yield "a4", (
                                 ALPHA_LABELS[a], ALPHA_LABELS[be],
                                 i + 1, j + 1, r + 1,
-                            ), acc
+                            ), (self._gb_terms(a, be, i, j, r)
+                                + self._gb_terms(a, be, j, r, i)
+                                + self._gb_terms(a, be, r, i, j))
 
     def _a5_bracket(self, al, be, i, j, r, q):
-        """sum_s g^{si al}(d_q b^{jr be}_s - d_s b^{jr be}_q)
+        """sum_s g^{si al} C^{jr be}_{sq}
         + b^{ij al}_s b^{sr be}_q - b^{ir al}_s b^{sj be}_q, built once."""
         key = (al, be, i, j, r, q)
         acc = self._brackets.get(key)
         if acc is None:
-            G, B, DB = self.G, self.B, self.DB
-            acc = self._zero
-            for s in range(self.n):
-                acc = acc + G[al][s][i] * (DB[be][j][r][s][q]
-                                           - DB[be][j][r][q][s])
-                acc = acc + B[al][i][j][s] * B[be][s][r][q]
-                acc = acc - B[al][i][r][s] * B[be][s][j][q]
+            B, C, BS = self.B[be], self.C[be][j][r], self.BS[al][i]
+            acc = (self._dot(self.GS[al][i], lambda s: C[s][q])
+                   + self._dot(BS[j], lambda s: B[s][r][q])
+                   - self._dot(BS[r], lambda s: B[s][j][q]))
             self._brackets[key] = acc
         return acc
 
@@ -297,19 +339,18 @@ class MokhovChecker:
                     ), acc
 
     def residuals_a6(self):
-        G, B, DB = self.G, self.B, self.DB
+        B, DB, GS, BS = self.B, self.DB, self.GS, self.BS
+        dot = self._dot
         rng = range(self.n)
         for a in range(self.d):
             for be in range(self.d):
                 for i, j, r, q in itertools.product(rng, repeat=4):
-                    acc = self._zero
-                    for s in rng:
-                        acc = acc + G[be][s][i] * DB[a][j][r][q][s]
-                        acc = acc - B[be][i][j][s] * B[a][s][r][q]
-                        acc = acc - B[be][i][r][s] * B[a][j][s][q]
-                        acc = acc - G[a][s][j] * DB[be][i][r][q][s]
-                        acc = acc + B[a][j][i][s] * B[be][s][r][q]
-                        acc = acc + B[be][i][s][q] * B[a][j][r][s]
+                    acc = (dot(GS[be][i], DB[a][j][r][q].__getitem__)
+                           - dot(BS[be][i][j], lambda s: B[a][s][r][q])
+                           - dot(BS[be][i][r], lambda s: B[a][j][s][q])
+                           - dot(GS[a][j], DB[be][i][r][q].__getitem__)
+                           + dot(BS[a][j][i], lambda s: B[be][s][r][q])
+                           + dot(BS[a][j][r], lambda s: B[be][i][s][q]))
                     yield "a6", (
                         ALPHA_LABELS[a], ALPHA_LABELS[be],
                         i + 1, j + 1, r + 1, q + 1,
@@ -317,18 +358,18 @@ class MokhovChecker:
 
     def _a7_half(self, al, be, i, j, r, q, k):
         """d_k of the a5 bracket (al, be, i, j, r, q) plus the sum over
-        cyclic (i,j,r) of b^{si be}_q (d_s b^{jr al}_k - d_k b^{jr al}_s).
-        Each half enters two a7 residuals, so it is built once."""
+        cyclic (i,j,r) of b^{si be}_q C^{jr al}_{ks}.  Each half enters two
+        a7 residuals, so it is built once."""
         key = (al, be, i, j, r, q, k)
         acc = self._a7_halves.get(key)
         if acc is None:
-            B, DB = self.B, self.DB
-            acc = self._deriv[k](self._a5_bracket(al, be, i, j, r, q))
+            bracket = self._a5_bracket(al, be, i, j, r, q)
+            acc = bracket if bracket.is_zero else self._deriv[k](bracket)
+            C, BT = self.C[al], self.BT[be]
             for ii, jj, rr in ((i, j, r), (j, r, i), (r, i, j)):
-                for s in range(self.n):
-                    acc = acc + B[be][s][ii][q] * (
-                        DB[al][jj][rr][k][s] - DB[al][jj][rr][s][k]
-                    )
+                pairs = BT[ii][q]
+                if pairs:
+                    acc = acc + self._dot(pairs, C[jj][rr][k].__getitem__)
             self._a7_halves[key] = acc
         return acc
 
@@ -349,6 +390,11 @@ class MokhovChecker:
             yield from getattr(self, f"residuals_{rel}")()
 
 
+def _nonzero(pairs) -> list:
+    """The (s, x) pairs whose rational form x is nonzero."""
+    return [(s, x) for s, x in pairs if not x.is_zero]
+
+
 def _flatten(nested):
     if isinstance(nested, ex.Expr):
         yield nested
@@ -366,14 +412,18 @@ def _map_nested(nested, fn):
 ALL_RELATIONS = ("a1", "a2", "a3", "a4", "a5", "a6", "a7")
 
 
+_PROVEN_ZERO = Verdict(PROVEN_ZERO)
+
+
 def _record(rel: str, idx: tuple, rf, ws: Workspace,
             policy: ZeroTestPolicy) -> ResidualRecord:
+    if rf.is_zero:
+        return ResidualRecord(rel, idx, ex.ZERO, _PROVEN_ZERO)
     try:
         verdict = verdict_for_ratform(rf, ws, policy)
     except InconclusiveError:
         verdict = Verdict(INCONCLUSIVE)
-    residual = ex.ZERO if rf.is_zero else ratform_to_expr(rf)
-    return ResidualRecord(rel, idx, residual, verdict)
+    return ResidualRecord(rel, idx, ratform_to_expr(rf), verdict)
 
 
 def check_hamiltonian(op: HydroOperator,

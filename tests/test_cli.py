@@ -170,6 +170,25 @@ def test_zero_denominator_exits_3(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("dimension", True, "key 'dimension' has the wrong type"),
+    ("components", True, "key 'components' has the wrong type"),
+    ("dimension", 5, "dimension must be between 1 and 4, got 5"),
+])
+def test_bad_counts_exit_3(tmp_path, capsys, key, value, message):
+    doc = {
+        "dimension": 1, "components": 1, "variables": ["u1"],
+        "metrics": {"x": [["1"]]}, "b": {"x": [[["0"]]]},
+    }
+    doc[key] = value
+    path = tmp_path / "bad_count.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
 def test_undecided_analysis_exits_2(capsys):
     # exp(u2) in the pencil makes its minors' verdicts only probabilistic
     code = main(["catalog", "verify", "T2.6/rank1_P_2/1",

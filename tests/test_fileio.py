@@ -72,6 +72,23 @@ def test_y_keys_rejected_for_1d():
         load_operator(bad)
 
 
+@pytest.mark.parametrize("key", ["dimension", "components"])
+def test_boolean_counts_rejected(key):
+    bad = json.loads(json.dumps(GAS))
+    bad[key] = True
+    with pytest.raises(FileFormatError, match=f"key '{key}' has the wrong type"):
+        load_operator(bad)
+
+
+@pytest.mark.parametrize("d", [0, -1, 5, 100])
+def test_dimension_out_of_range(d):
+    bad = json.loads(json.dumps(GAS))
+    bad["dimension"] = d
+    with pytest.raises(FileFormatError,
+                       match=f"dimension must be between 1 and 4, got {d}"):
+        load_operator(bad)
+
+
 def test_load_change_and_density():
     op = load_operator(GAS)
     change = load_change(
@@ -100,3 +117,6 @@ def test_load_candidate():
     assert cand.m == 2 and cand.v is None
     with pytest.raises(FileFormatError):
         load_candidate({"m": 2, "u": [], "lambda": ["R1"], "mu": []})
+    with pytest.raises(FileFormatError, match="key 'm' has the wrong type"):
+        load_candidate({"m": True, "u": ["R1"], "lambda": ["R1"],
+                        "mu": ["R1^2"]})

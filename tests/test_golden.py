@@ -35,7 +35,10 @@ CHECK_ENTRY = "T2.7/rank2_P_1/1"
 CASES = {
     "check-export": ["check", "export.json"],
     "check-flip-mutant": ["check", "mutant.json"],
+    "check-gas-flip-mutant": ["check", "gas_flip.json"],
     "pencil-compatibility": ["pencil", "gas.json", "--compatibility"],
+    "pencil-gas-flip-compatibility": ["pencil", "gas_flip.json",
+                                      "--compatibility"],
     "pencil-exp-witness": ["pencil", "rank1_exp.json"],
     "system-classify": ["system", "gas.json", "h.json", "--classify"],
     "dispersion": ["dispersion", "gas.json", "h.json"],
@@ -61,6 +64,8 @@ GOLDEN = {
         "c5ca2ec22dbcbe52c893aac250c188545279d74282c78fe22ca02ac96dad2bf4"),
     "check-flip-mutant": (1, 345095,
         "3015d0f1763ea2be046a52e15e0cbe29cf314bdad8c56acb075b5937837b6c20"),
+    "check-gas-flip-mutant": (1, 345933,
+        "ff9f377023feda7ae3f4aa6e43ef623eaf332518dca67857aae22f0fc20c9908"),
     "dispersion": (0, 1015,
         "33009fd7d294e97dff19aeae9ff29ddcd8dae80fa1aa7f356e45d37d3431730d"),
     "dispersion-abstract-exp": (0, 524,
@@ -75,6 +80,8 @@ GOLDEN = {
         "06f568e571c73b2dfe602af1c803fa65cdaf1096761d3311c545884434ed1643"),
     "pencil-exp-witness": (2, 707,
         "2361f0d495447be76fe20d9aeaffe96c57dd4bbd29742aa3283007cb195041f3"),
+    "pencil-gas-flip-compatibility": (1, 98280,
+        "c537d2b31d6430f65617db81672a6cbea07942f8d48ee15f8a3270ec1ea1746b"),
     "system-abstract-exp": (0, 760,
         "f4d8306ba203cf90362ed7f52b20d811823aa871da8afdd8e9b053ed3f9644f9"),
     "system-classify": (0, 774,
@@ -114,7 +121,12 @@ def _make_inputs():
     op, _ws = catalog.instantiate(CHECK_ENTRY)
     flip = next(mut for m, mut in mutation.mutants(op) if m.kind == "flip")
     _write("mutant.json", dump_operator(flip))
-    _write("gas.json", dump_operator(catalog.instantiate("P_gas")[0]))
+    gas = catalog.instantiate("P_gas")[0]
+    _write("gas.json", dump_operator(gas))
+    # flips b^{23,x}_3: nonzero residuals in every relation a2..a7
+    gas_flip = next(mut for m, mut in mutation.mutants(gas)
+                    if m.kind == "flip" and m.index == (0, 2, 3, 3))
+    _write("gas_flip.json", dump_operator(gas_flip))
     _write("h.json", GAS_DENSITY)
     _write("shear.json", SHEAR)
     _write("mobius.json", MOBIUS)

@@ -2,11 +2,17 @@
 
 Each suite runs at least 1000 cases: differentiation linearity and the
 Leibniz rule, commuting mixed partials, normalize idempotence, parser
-round-trip, and evaluation consistency.
+round-trip, and evaluation consistency.  A hypothesis suite checks the
+sparse Mokhov residual assembly against a dense reference.
 """
 
+import functools
+import itertools
 import random
 from fractions import Fraction
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hydroham import (
     Point,
@@ -18,7 +24,19 @@ from hydroham import (
     print_expr,
 )
 from hydroham import expr as ex
-from hydroham.ratform import ZeroDenominatorError, build_context, to_rational_form
+from hydroham.operators import (
+    ALL_RELATIONS,
+    ALPHA_LABELS,
+    MokhovChecker,
+    operator_from_entries,
+)
+from hydroham.ratform import (
+    Derivation,
+    ZeroDenominatorError,
+    build_context,
+    to_rational_form,
+    zero_form,
+)
 from hydroham.zerotest import EvaluationError, SingularPointError
 
 N_CASES = 1000
@@ -146,3 +164,131 @@ def test_evaluation_consistency():
         via_nf = evaluate(nf, point)
         assert direct == via_nf, (case, e, point.values)
         done += 1
+
+
+# -- sparse residual assembly against a dense reference ------------------------
+
+def dense_residuals(checker):
+    """(relation, indices, form) of a1..a7 in the checker's order, written
+    from the formulas with every sum taken over all s.  The tables are
+    converted afresh from the operator's Exprs; derivatives of the
+    entries come from calculus.differentiate."""
+    op, ctx = checker.op, checker.ctx
+    d, n = op.d, op.n
+    rng = range(n)
+    us = op.variables
+    conv = lambda e: to_rational_form(e, ctx)
+    G = [[[conv(op.g[a][i][j]) for j in rng] for i in rng] for a in range(d)]
+    B = [[[[conv(op.b[a][i][j][k]) for k in rng] for j in rng] for i in rng]
+         for a in range(d)]
+    DG = [[[[conv(differentiate(op.g[a][i][j], us[k])) for k in rng]
+            for j in rng] for i in rng] for a in range(d)]
+    DB = [[[[[conv(differentiate(op.b[a][i][j][k], us[m])) for m in rng]
+             for k in rng] for j in rng] for i in rng] for a in range(d)]
+    deriv = [Derivation(ctx, u) for u in us]
+    zero = zero_form(ctx)
+    L = ALPHA_LABELS
+    alphas = list(itertools.product(range(d), repeat=2))
+
+    @functools.cache
+    def bracket(al, be, i, j, r, q):
+        acc = zero
+        for s in rng:
+            acc = acc + G[al][s][i] * (DB[be][j][r][s][q] - DB[be][j][r][q][s])
+            acc = acc + B[al][i][j][s] * B[be][s][r][q]
+            acc = acc - B[al][i][r][s] * B[be][s][j][q]
+        return acc
+
+    def half(al, be, i, j, r, q, k):
+        acc = deriv[k](bracket(al, be, i, j, r, q))
+        for ii, jj, rr in ((i, j, r), (j, r, i), (r, i, j)):
+            for s in rng:
+                acc = acc + B[be][s][ii][q] * (DB[al][jj][rr][k][s]
+                                               - DB[al][jj][rr][s][k])
+        return acc
+
+    for a in range(d):
+        for i in rng:
+            for j in range(i + 1, n):
+                yield "a1", (L[a], i + 1, j + 1), G[a][i][j] - G[a][j][i]
+    for a in range(d):
+        for i, j, k in itertools.product(rng, repeat=3):
+            yield "a2", (L[a], i + 1, j + 1, k + 1), \
+                DG[a][i][j][k] - B[a][i][j][k] - B[a][j][i][k]
+    for a, be in alphas:
+        for i, j, r in itertools.product(rng, repeat=3):
+            acc = zero
+            for al, bt in ((a, be), (be, a)):
+                for s in rng:
+                    acc = acc + G[al][s][i] * B[bt][j][r][s]
+                    acc = acc - G[bt][s][j] * B[al][i][r][s]
+            yield "a3", (L[a], L[be], i + 1, j + 1, r + 1), acc
+    for a, be in alphas:
+        for i, j, r in itertools.product(rng, repeat=3):
+            acc = zero
+            for ii, jj, rr in ((i, j, r), (j, r, i), (r, i, j)):
+                for s in rng:
+                    acc = acc + G[a][s][ii] * B[be][jj][rr][s]
+                    acc = acc - G[be][s][jj] * B[a][ii][rr][s]
+            yield "a4", (L[a], L[be], i + 1, j + 1, r + 1), acc
+    for a, be in alphas:
+        for i, j, r, q in itertools.product(rng, repeat=4):
+            yield "a5", (L[a], L[be], i + 1, j + 1, r + 1, q + 1), \
+                bracket(a, be, i, j, r, q) + bracket(be, a, i, j, r, q)
+    for a, be in alphas:
+        for i, j, r, q in itertools.product(rng, repeat=4):
+            acc = zero
+            for s in rng:
+                acc = acc + G[be][s][i] * DB[a][j][r][q][s]
+                acc = acc - B[be][i][j][s] * B[a][s][r][q]
+                acc = acc - B[be][i][r][s] * B[a][j][s][q]
+                acc = acc - G[a][s][j] * DB[be][i][r][q][s]
+                acc = acc + B[a][j][i][s] * B[be][s][r][q]
+                acc = acc + B[be][i][s][q] * B[a][j][r][s]
+            yield "a6", (L[a], L[be], i + 1, j + 1, r + 1, q + 1), acc
+    for a, be in alphas:
+        for i, j, r, k, q in itertools.product(rng, repeat=5):
+            yield "a7", (L[a], L[be], i + 1, j + 1, r + 1, k + 1, q + 1), \
+                half(a, be, i, j, r, q, k) + half(be, a, i, j, r, k, q)
+
+
+def _entry_text(draw, n):
+    """0 three times in four, else a constant, a low-degree monomial sum in u
+    or a constant over one u."""
+    kind = draw(st.sampled_from(["0"] * 12 + ["const", "poly", "poly", "inv"]))
+    if kind == "0":
+        return "0"
+    c = draw(st.sampled_from(["1", "-1", "2", "-3", "1/2"]))
+    u = lambda: f"u{draw(st.integers(1, n))}"
+    if kind == "const":
+        return c
+    if kind == "inv":
+        return f"{c}/{u()}"
+    terms = [c + "".join(f"*{u()}" for _ in range(draw(st.integers(0, 2))))
+             for _ in range(draw(st.integers(1, 2)))]
+    return " + ".join(terms)
+
+
+@st.composite
+def sparse_operators(draw):
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 3))
+    ws = Workspace()
+    ws.add_variables(*(f"u{i}" for i in range(1, n + 1)))
+    ws.freeze()
+    cells = lambda k: itertools.product(range(d), *[range(1, n + 1)] * k)
+    g = {key: parse(_entry_text(draw, n), ws) for key in cells(2)}
+    b = {key: parse(_entry_text(draw, n), ws) for key in cells(3)}
+    return operator_from_entries(ws, d, n, g, b)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sparse_operators())
+def test_sparse_residuals_match_dense_reference(op):
+    checker = MokhovChecker(op)
+    got = [(rel, idx, rf.num, rf.den)
+           for rel, idx, rf in checker.residuals(ALL_RELATIONS)]
+    want = [(rel, idx, rf.num, rf.den)
+            for rel, idx, rf in dense_residuals(checker)]
+    assert got == want
