@@ -27,6 +27,8 @@ from .fileio import (
     load_candidate,
     load_change,
     load_density,
+    load_lagrangian,
+    load_legendre,
     load_operator,
     read_json,
 )
@@ -42,8 +44,6 @@ from .hamsys import (
 from .integrability import (
     DegenerateLagrangianError,
     IntegrabilityError,
-    LEGENDRE_VARS,
-    LagrangianDensity,
     euler_lagrange_fluxes,
     fkt_residual,
     legendre,
@@ -58,10 +58,10 @@ from .operators import (
     pencil_compatibility,
     pencil_determinant,
 )
-from .parser import ParseError, parse
+from .parser import ParseError
 from .poly import HeuristicGCDFailed
 from .ratform import NormalizeError, normalize, ratform_to_expr
-from .symbols import SymbolError, Workspace
+from .symbols import SymbolError
 from .transform import InvalidChangeError, pushforward, verify_invariance
 from .zerotest import (
     InconclusiveError,
@@ -445,11 +445,7 @@ def _cmd_reduction(args, policy) -> int:
 
 def _cmd_fkt(args, policy) -> int:
     report = Report(args, [args.density])
-    data = read_json(args.density)
-    if "f" not in data:
-        raise FileFormatError("density file needs an 'f' entry")
-    functions = [(fn["name"], fn["args"]) for fn in data.get("functions", [])]
-    density = LagrangianDensity.from_text(data["f"], functions)
+    density = load_lagrangian(read_json(args.density))
     try:
         result = fkt_residual(density, policy)
     except DegenerateLagrangianError as e:
@@ -473,14 +469,7 @@ def _cmd_fkt(args, policy) -> int:
 
 def _cmd_legendre(args, policy) -> int:
     report = Report(args, [args.density])
-    data = read_json(args.density)
-    ws = Workspace()
-    ws.add_variables(*LEGENDRE_VARS)
-    for fn in data.get("functions", []):
-        ws.add_function(fn["name"], fn["args"])
-    ws.freeze()
-    h = parse(data["h"], ws)
-    inverse = parse(data["inverse"], ws)
+    h, ws, inverse = load_legendre(read_json(args.density))
     result = legendre(h, ws, inverse, policy)
     report.note("f(a, b, c)", ex.print_expr(result.density.f))
     for label, residual in result.identity_residuals:

@@ -1,5 +1,6 @@
 """JSON file formats: operators, coordinate changes, densities, reduction
-candidates.  All expression fields are strings in the expression grammar."""
+candidates, Lagrangian densities and Legendre inputs.  All expression fields
+are strings in the expression grammar."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import json
 
 from . import expr as ex
 from .hamsys import HamiltonianDensity, ReductionCandidate
+from .integrability import LEGENDRE_VARS, LagrangianDensity
 from .operators import ALPHA_LABELS, HydroOperator
 from .parser import parse
 from .symbols import Workspace
@@ -19,6 +21,8 @@ class FileFormatError(Exception):
 
 
 def _require(data: dict, key: str, kind=None):
+    if not isinstance(data, dict):
+        raise FileFormatError(f"expected an object with key {key!r}")
     if key not in data:
         raise FileFormatError(f"missing required key {key!r}")
     value = data[key]
@@ -29,13 +33,19 @@ def _require(data: dict, key: str, kind=None):
     return value
 
 
-def workspace_from_json(data: dict) -> Workspace:
+def _functions(data: dict) -> list:
+    """The (name, args) of the optional "functions" declarations."""
+    return [(_require(fn, "name", str), _require(fn, "args", list))
+            for fn in data.get("functions", [])]
+
+
+def _workspace(data: dict, variables, constants=()) -> Workspace:
+    """A workspace of the given symbols and the file's functions."""
     ws = Workspace()
-    ws.add_variables(*_require(data, "variables", list))
-    for c in data.get("constants", []):
-        ws.add_constants(c)
-    for fn in data.get("functions", []):
-        ws.add_function(_require(fn, "name", str), _require(fn, "args", list))
+    ws.add_variables(*variables)
+    ws.add_constants(*constants)
+    for name, args in _functions(data):
+        ws.add_function(name, args)
     return ws.freeze()
 
 
@@ -45,7 +55,8 @@ def load_operator(data: dict) -> HydroOperator:
         raise FileFormatError(
             f"dimension must be between 1 and {len(ALPHA_LABELS)}, got {d}")
     n = _require(data, "components", int)
-    ws = workspace_from_json(data)
+    ws = _workspace(data, _require(data, "variables", list),
+                    data.get("constants", []))
     if len(ws.variables) != n:
         raise FileFormatError("variables list must have `components` entries")
     metrics = _require(data, "metrics", dict)
@@ -64,16 +75,20 @@ def load_operator(data: dict) -> HydroOperator:
         bm = bs.get(label)
         if gm is None or bm is None:
             raise FileFormatError(f"missing {label!r} block")
-        if len(gm) != n or any(len(row) != n for row in gm):
+        if not _is_nest(gm, 2, n):
             raise FileFormatError(f"metrics[{label!r}] must be {n}x{n}")
-        if len(bm) != n or any(
-            len(row) != n or any(len(col) != n for col in row) for row in bm
-        ):
+        if not _is_nest(bm, 3, n):
             raise FileFormatError(f"b[{label!r}] must be {n}x{n}x{n}")
         g.append([[parse(cell, ws) for cell in row] for row in gm])
         b.append([[[parse(cell, ws) for cell in col] for col in row]
                   for row in bm])
     return HydroOperator(ws, d, n, g, b)
+
+
+def _is_nest(value, depth: int, n: int) -> bool:
+    """Is value a list of n entries, `depth` levels deep?"""
+    return depth == 0 or (isinstance(value, list) and len(value) == n
+                          and all(_is_nest(v, depth - 1, n) for v in value))
 
 
 def dump_operator(op: HydroOperator) -> dict:
@@ -123,10 +138,9 @@ def load_change(data: dict, src_ws: Workspace,
 def load_density(data: dict, op: HydroOperator) -> HamiltonianDensity:
     text = _require(data, "h", str)
     ws = op.ws
-    for fn in data.get("functions", []):
-        name = _require(fn, "name", str)
+    for name, args in _functions(data):
         if ws.lookup(name) is None:
-            ws = ws.derive(functions=[(name, _require(fn, "args", list))])
+            ws = ws.derive(functions=[(name, args)])
     return HamiltonianDensity(parse(text, ws), ws)
 
 
@@ -134,11 +148,7 @@ def load_candidate(data: dict) -> ReductionCandidate:
     m = _require(data, "m", int)
     if m < 1:
         raise FileFormatError("m must be >= 1")
-    ws = Workspace()
-    ws.add_variables(*(f"R{i}" for i in range(1, m + 1)))
-    for fn in data.get("functions", []):
-        ws.add_function(_require(fn, "name", str), _require(fn, "args", list))
-    ws.freeze()
+    ws = _workspace(data, [f"R{i}" for i in range(1, m + 1)])
     u = [parse(t, ws) for t in _require(data, "u", list)]
     lam = [parse(t, ws) for t in _require(data, "lambda", list)]
     mu = [parse(t, ws) for t in _require(data, "mu", list)]
@@ -152,11 +162,27 @@ def load_candidate(data: dict) -> ReductionCandidate:
     return ReductionCandidate(ws, m, u, lam, mu, v)
 
 
+def load_lagrangian(data: dict) -> LagrangianDensity:
+    """The density f(a, b, c) of the fourth-order test."""
+    return LagrangianDensity.from_text(_require(data, "f", str),
+                                       _functions(data))
+
+
+def load_legendre(data: dict):
+    """(h, its workspace over rho, u, v, rhot, inverse) for `legendre`."""
+    ws = _workspace(data, LEGENDRE_VARS)
+    return (parse(_require(data, "h", str), ws), ws,
+            parse(_require(data, "inverse", str), ws))
+
+
 def read_json(path: str) -> dict:
     try:
         with open(path, "rb") as fh:
-            return json.loads(fh.read().decode("utf-8"))
+            data = json.loads(fh.read().decode("utf-8"))
     except OSError as e:
         raise FileFormatError(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
         raise FileFormatError(f"{path} is not valid JSON: {e}")
+    if not isinstance(data, dict):
+        raise FileFormatError(f"{path} must hold a JSON object")
+    return data

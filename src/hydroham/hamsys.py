@@ -15,7 +15,6 @@ from . import expr as ex
 from .calculus import differentiate, substitute
 from .operators import (
     HydroOperator,
-    _det,
     _flatten,
     _map_nested,
     is_trivial_pair,
@@ -23,8 +22,10 @@ from .operators import (
 )
 from .ratform import (
     Derivation,
+    coefficients_in,
     derivation_context,
-    parameter_coefficients,
+    det,
+    matrix_forms,
     ratform_to_expr,
     to_rational_form,
     zero_form,
@@ -124,21 +125,14 @@ def dispersion(sys: QuasilinearSystem) -> DispersionRelation:
     constants lam, mu."""
     ws = sys.ws.extended(list(DISPERSION_PARAMS))
     lam, mu = ws.constants[-2:]
-    n = sys.n
-    m = [
-        [
-            ex.add(
-                ex.ONE if i == k else ex.ZERO,
-                ex.mul(ex.Var(lam), sys.A[i][k]),
-                ex.mul(ex.Var(mu), sys.B[i][k]),
-            )
-            for k in range(n)
-        ]
-        for i in range(n)
-    ]
-    det = _det(m, n)
-    coeffs = parameter_coefficients(det, ws, [lam.name, mu.name])
-    return DispersionRelation(ws, [lam, mu], det, coeffs)
+    rng = range(sys.n)
+    d = det(matrix_forms(ws, [[ex.add(
+        ex.ONE if i == k else ex.ZERO, ex.mul(ex.Var(lam), sys.A[i][k]),
+        ex.mul(ex.Var(mu), sys.B[i][k])) for k in rng] for i in rng]))
+    coeffs = coefficients_in(d, [lam.name, mu.name])
+    return DispersionRelation(
+        ws, [lam, mu], ratform_to_expr(d),
+        {exps: ratform_to_expr(c) for exps, c in coeffs.items()})
 
 
 # -- hydrodynamic reduction candidates ----------------------------------------

@@ -5,21 +5,32 @@ Hamiltonian densities.
 The test is run in denominator-cleared form H*d4f - d3f*dH - 3*det(dM),
 a homogeneous quartic in the differentials (da, db, dc); the density is
 integrable iff all 15 coefficients vanish.  The differentials are formal
-constants of an extended workspace, so each form is one expression that is
-normalized once and split by `parameter_coefficients`.  The clearing by H
-is valid off the H = 0 locus; densities with identically vanishing Hessian
-determinant are rejected as inapplicable.
+constants of an extended workspace, and the calculus is done in one ring
+over it: the partials are ring derivations, D = da*d/da + db*d/db + dc*d/dc
+is a ring map, the determinants come from `ratform.det`, and each form is
+split by `coefficients_in`.  The clearing by H is valid off the H = 0
+locus; densities with identically vanishing Hessian determinant are
+rejected as inapplicable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import expr as ex
 from .calculus import differentiate, substitute
-from .operators import _det
 from .parser import parse
-from .ratform import normalize, parameter_coefficients, ratform_to_expr
+from .ratform import (
+    Derivation,
+    coefficients_in,
+    derivation_context,
+    det,
+    normalize,
+    ratform_to_expr,
+    to_rational_form,
+    zero_form,
+)
 from .symbols import Symbol, Workspace
 from .zerotest import DEFAULT_POLICY, ZeroTestPolicy, is_zero
 
@@ -76,37 +87,53 @@ def _multi_indices(order: int):
             yield (i, j, order - i - j)
 
 
-def _partial(f: ex.Expr, vars_, counts) -> ex.Expr:
-    out = f
-    for v, c in zip(vars_, counts):
-        for _ in range(c):
-            out = differentiate(out, v)
-    return out
+class _Ring:
+    """The density's workspace extended by the formal constants
+    (da, db, dc), in one ring whose atoms are closed under partial
+    derivatives of f up to the given order."""
 
+    def __init__(self, density: LagrangianDensity, order: int):
+        ws = density.ws.extended(list(DIFFERENTIALS))
+        self.names = [c.name for c in ws.constants[-3:]]
+        cache: dict = {}
+        self.ctx = derivation_context(ws, density.vars(),
+                                      [([density.f], order)], cache)
+        self.partials = [Derivation(self.ctx, v, cache)
+                         for v in density.vars()]
+        self.dvars = [to_rational_form(ex.Var(c), self.ctx)
+                      for c in ws.constants[-3:]]
+        self.f = to_rational_form(density.f, self.ctx, cache)
 
-def _differential_workspace(density: LagrangianDensity):
-    """The density's workspace extended by the formal constants (da, db, dc),
-    and those constants."""
-    ws = density.ws.extended(list(DIFFERENTIALS))
-    return ws, ws.constants[-3:]
+    def gradient(self, rf) -> list:
+        return [d(rf) for d in self.partials]
 
+    def D(self, rf, times: int = 1):
+        """D rf = da*rf_a + db*rf_b + dc*rf_c, applied `times` times."""
+        for _ in range(times):
+            rf = sum((dv * x for dv, x in zip(self.dvars, self.gradient(rf))
+                      if not x.is_zero), zero_form(self.ctx))
+        return rf
 
-def _D(e: ex.Expr, density: LagrangianDensity, dvars,
-       times: int = 1) -> ex.Expr:
-    """The differential D e = da*e_a + db*e_b + dc*e_c, applied `times`
-    times."""
-    for _ in range(times):
-        e = ex.add(*(ex.mul(ex.Var(dv), differentiate(e, v))
-                     for dv, v in zip(dvars, density.vars())))
-    return e
+    @cached_property
+    def M(self) -> list:
+        """The bordered matrix [[0, f_a, f_b, f_c], [f_a, Hessian row], ...]."""
+        grad = self.gradient(self.f)
+        return [[zero_form(self.ctx)] + grad] + [
+            [g] + self.gradient(g) for g in grad]
 
+    def hessian(self):
+        return det([row[1:] for row in self.M[1:]])
 
-def _split(e: ex.Expr, ws: Workspace, dvars, order: int) -> dict:
-    """{(i, j, k): coefficient of da^i db^j dc^k} of a form homogeneous of
-    the given order, normalized once and split by the formal constants;
-    every multi-index is present."""
-    coeffs = parameter_coefficients(e, ws, [dv.name for dv in dvars])
-    return {m: coeffs.get(m, ex.ZERO) for m in _multi_indices(order)}
+    def det_dM(self):
+        """det(M_a da + M_b db + M_c dc): D applied to each entry of M."""
+        return det([[self.D(x) for x in row] for row in self.M])
+
+    def split(self, rf, order: int) -> dict:
+        """{(i, j, k): coefficient of da^i db^j dc^k} of a form homogeneous
+        of the given order; every multi-index is present."""
+        coeffs = coefficients_in(rf, self.names)
+        return {m: ratform_to_expr(coeffs[m]) if m in coeffs else ex.ZERO
+                for m in _multi_indices(order)}
 
 
 def sym_diff(density: LagrangianDensity, order: int) -> dict:
@@ -115,59 +142,30 @@ def sym_diff(density: LagrangianDensity, order: int) -> dict:
     partial derivative."""
     if order not in (1, 2, 3, 4):
         raise IntegrabilityError("symmetric differentials of order 1..4 only")
-    ws, dvars = _differential_workspace(density)
-    return _split(_D(density.f, density, dvars, order), ws, dvars, order)
+    ring = _Ring(density, order)
+    return ring.split(ring.D(ring.f, order), order)
 
 
 def hessian_determinant(density: LagrangianDensity) -> ex.Expr:
-    return _det([row[1:] for row in bordered_matrix(density)[1:]], 3)
-
-
-def _unit2(i, j):
-    counts = [0, 0, 0]
-    counts[i] += 1
-    counts[j] += 1
-    return counts
+    return ratform_to_expr(_Ring(density, 2).hessian())
 
 
 def bordered_matrix(density: LagrangianDensity) -> list:
     """The 4x4 matrix M = [[0, f_a, f_b, f_c], [f_a, Hessian row], ...]."""
-    vars_ = density.vars()
-    first = [ex.ZERO] + [differentiate(density.f, v) for v in vars_]
-    rows = [first]
-    for i in range(3):
-        row = [first[i + 1]]
-        for j in range(3):
-            row.append(_partial(density.f, vars_, _unit2(i, j)))
-        rows.append(row)
-    return rows
+    return [[ratform_to_expr(x) for x in row] for row in _Ring(density, 2).M]
 
 
 def bordered_matrix_derivatives(density: LagrangianDensity) -> list:
     """M_a, M_b, M_c: entrywise derivatives of M with the (1,1) corner 0."""
-    vars_ = density.vars()
-    m = bordered_matrix(density)
-    out = []
-    for v in vars_:
-        out.append([
-            [differentiate(m[i][j], v) for j in range(4)] for i in range(4)
-        ])
-    return out
-
-
-def _det_dM_expr(density: LagrangianDensity, dvars) -> ex.Expr:
-    mats = bordered_matrix_derivatives(density)
-    return _det([
-        [ex.add(*(ex.mul(ex.Var(dv), m[i][j]) for dv, m in zip(dvars, mats)))
-         for j in range(4)]
-        for i in range(4)
-    ], 4)
+    ring = _Ring(density, 3)
+    return [[[ratform_to_expr(d(x)) for x in row] for row in ring.M]
+            for d in ring.partials]
 
 
 def det_dM(density: LagrangianDensity) -> dict:
     """det(M_a da + M_b db + M_c dc) as {(i, j, k): coefficient}."""
-    ws, dvars = _differential_workspace(density)
-    return _split(_det_dM_expr(density, dvars), ws, dvars, 4)
+    ring = _Ring(density, 3)
+    return ring.split(ring.det_dM(), 4)
 
 
 @dataclass
@@ -197,28 +195,27 @@ def fkt_residual(density: LagrangianDensity,
     """The cleared-denominator fourth-order integrability residual
     H*d4f - d3f*dH - 3*det(dM); integrable iff all 15 coefficients are
     zero."""
-    H = hessian_determinant(density)
-    if is_zero(H, density.ws, policy).is_zero_verdict:
+    ring = _Ring(density, 4)
+    H = ring.hessian()
+    hessian = ratform_to_expr(H)
+    if is_zero(hessian, density.ws, policy).is_zero_verdict:
         raise DegenerateLagrangianError(
             "the Hessian determinant vanishes identically; the fourth-order "
             "test is inapplicable"
         )
-    ws, dvars = _differential_workspace(density)
-    d3 = _D(density.f, density, dvars, 3)
-    residual = _split(ex.add(
-        ex.mul(H, _D(d3, density, dvars)),
-        ex.neg(ex.mul(d3, _D(H, density, dvars))),
-        ex.neg(ex.mul(ex.Rat(3), _det_dM_expr(density, dvars))),
-    ), ws, dvars, 4)
+    d3 = ring.D(ring.f, 3)
+    dm = ring.det_dM()
+    residual = ring.split(H * ring.D(d3) - d3 * ring.D(H) - (dm + dm + dm), 4)
     verdicts = {m: is_zero(c, density.ws, policy)
                 for m, c in residual.items()}
-    return FktResult(residual, verdicts, H)
+    return FktResult(residual, verdicts, hessian)
 
 
 def euler_lagrange_fluxes(density: LagrangianDensity):
     """(f_a, f_b, f_c): the fluxes whose x, y, t divergence is the
     Euler-Lagrange equation of the density."""
-    return tuple(differentiate(density.f, v) for v in density.vars())
+    ring = _Ring(density, 1)
+    return tuple(ratform_to_expr(x) for x in ring.gradient(ring.f))
 
 
 # -- partial Legendre transform -------------------------------------------------

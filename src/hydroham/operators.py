@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import expr as ex
-from .calculus import differentiate
 from .ratform import (
     Derivation,
+    build_context,
     coefficients_in,
     derivation_context,
-    parameter_coefficients,
+    det,
     ratform_to_expr,
     to_rational_form,
     zero_form,
@@ -38,7 +38,6 @@ from .zerotest import (
     InconclusiveError,
     Verdict,
     ZeroTestPolicy,
-    is_zero,
     verdict_for_ratform,
 )
 
@@ -444,64 +443,35 @@ PENCIL_PARAMS = ("lam1", "lam2", "lam3", "lam4")
 
 @dataclass
 class MetricPencil:
-    op: HydroOperator
     ws: Workspace               # extended with the formal lambda constants
     params: list[Symbol]
-    matrix: list                # n x n Exprs, polynomial in the lambdas
+    matrix: list                # n x n RationalForms, linear in the lambdas
 
     @classmethod
     def of(cls, op: HydroOperator) -> "MetricPencil":
         ws = op.ws.extended(list(PENCIL_PARAMS[: op.d]))
         params = ws.constants[len(op.ws.constants):]
-        n = op.n
-        matrix = [
-            [
-                ex.add(*(ex.mul(ex.Var(params[a]), op.g[a][i][j])
-                         for a in range(op.d)))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return cls(op, ws, params, matrix)
+        cache: dict = {}
+        ctx = build_context(ws, _flatten(op.g), cache)
+        lams = [to_rational_form(ex.Var(p), ctx) for p in params]
+        rng = range(op.n)
+        matrix = [[sum((lam * to_rational_form(g[i][j], ctx, cache)
+                        for lam, g in zip(lams, op.g) if g[i][j] != ex.ZERO),
+                       zero_form(ctx)) for j in rng] for i in rng]
+        return cls(ws, params, matrix)
 
-
-def _det(matrix, size) -> ex.Expr:
-    if size == 1:
-        return matrix[0][0]
-    terms = []
-    for perm in itertools.permutations(range(size)):
-        sign = _perm_sign(perm)
-        factors = [matrix[i][perm[i]] for i in range(size)]
-        if any(f == ex.ZERO for f in factors):
-            continue
-        terms.append(ex.mul(ex.Rat(sign), *factors))
-    return ex.add(*terms)
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    def det_coefficients(self) -> dict:
+        """{lambda exponents: RationalForm} of the nonzero coefficients of
+        det(sum_alpha lam_alpha g^alpha)."""
+        return coefficients_in(det(self.matrix),
+                               [p.name for p in self.params])
 
 
 def pencil_determinant(op: HydroOperator) -> dict[tuple, ex.Expr]:
     """det(sum_alpha lam_alpha g^alpha) expanded by lambda exponents."""
-    pencil = MetricPencil.of(op)
-    det = _det(pencil.matrix, op.n)
-    return parameter_coefficients(
-        det, pencil.ws, [p.name for p in pencil.params]
-    ) or {(0,) * op.d: ex.ZERO}
+    coeffs = MetricPencil.of(op).det_coefficients()
+    return {exps: ratform_to_expr(c) for exps, c in coeffs.items()} \
+        or {(0,) * op.d: ex.ZERO}
 
 
 @dataclass
@@ -516,25 +486,27 @@ def is_degenerate(op: HydroOperator,
     provably zero.  Probabilistic coefficient verdicts raise
     InconclusiveError."""
     pencil = MetricPencil.of(op)
-    for exps, coeff in pencil_determinant(op).items():
-        verdict = _proven_verdict(coeff, pencil.ws, policy)
-        if verdict.kind == "proven_nonzero":
+    for exps, coeff in pencil.det_coefficients().items():
+        if _proven_nonzero(coeff, pencil.ws, policy):
             monom = ex.mul(*(
                 ex.pow_(ex.Var(pencil.params[a]), e)
                 for a, e in enumerate(exps) if e
             ))
-            return DegeneracyResult(False, ex.mul(coeff, monom))
+            return DegeneracyResult(False, ex.mul(ratform_to_expr(coeff),
+                                                  monom))
     return DegeneracyResult(True, None)
 
 
-def _proven_verdict(e: ex.Expr, ws: Workspace,
-                    policy: ZeroTestPolicy) -> Verdict:
-    verdict = is_zero(e, ws, policy)
+def _proven_nonzero(rf, ws: Workspace, policy: ZeroTestPolicy) -> bool:
+    """Is rf provably nonzero?  A probabilistic verdict raises
+    InconclusiveError."""
+    verdict = verdict_for_ratform(rf, ws, policy)
     if not verdict.proven:
         raise InconclusiveError(
-            f"verdict for {e} is only probabilistic: {verdict}"
+            f"verdict for {ratform_to_expr(rf)} is only probabilistic: "
+            f"{verdict}"
         )
-    return verdict
+    return verdict.kind == PROVEN_NONZERO
 
 
 def generic_rank(op: HydroOperator,
@@ -546,12 +518,9 @@ def generic_rank(op: HydroOperator,
     for r in range(n, 0, -1):
         for rows in itertools.combinations(range(n), r):
             for cols in itertools.combinations(range(n), r):
-                sub = [[pencil.matrix[i][j] for j in cols] for i in rows]
-                minor = _det(sub, r)
-                if minor == ex.ZERO:
-                    continue
-                verdict = _proven_verdict(minor, pencil.ws, policy)
-                if verdict.kind == "proven_nonzero":
+                minor = det([[pencil.matrix[i][j] for j in cols]
+                             for i in rows])
+                if _proven_nonzero(minor, pencil.ws, policy):
                     return r
     return 0
 
@@ -566,40 +535,45 @@ class TrivialityResult:
 def is_trivial_pair(op: HydroOperator,
                     policy: ZeroTestPolicy = DEFAULT_POLICY) -> TrivialityResult:
     """Is the 2D operator identically zero, or its y-part a constant
-    multiple of its x-part (g~ = xi g, b~ = xi b)?"""
+    multiple of its x-part (g~ = xi g, b~ = xi b)?  The entries, xi and
+    d xi/du are rational forms of one derivation context; pairs of zero
+    entries are skipped, and entries are converted when first needed."""
     if op.d != 2:
         raise OperatorError("triviality is defined for d = 2 operators")
     ws = op.ws
-    x_entries = list(op.part(0).entries())
-    y_entries = list(op.part(1).entries())
+    entries = list(op.entries())    # the x-part's, then the y-part's
+    half = len(entries) // 2
+    pairs = [(x, y) for x, y in zip(entries[:half], entries[half:])
+             if x != ex.ZERO or y != ex.ZERO]
+    cache: dict = {}
+    ctx = derivation_context(ws, ws.variables, [(list(_flatten(pairs)), 1)],
+                             cache)
+    conv = lambda e: to_rational_form(e, ctx, cache)
+    nonzero = lambda rf: _proven_nonzero(rf, ws, policy)
 
-    ref = None
-    for xe, ye in zip(x_entries, y_entries):
-        if _proven_verdict(xe, ws, policy).kind == "proven_nonzero":
-            ref = (xe, ye)
-            break
+    def product(a, b):
+        """a*b, not formed when a factor is zero"""
+        return zero_form(ctx) if a.is_zero or b.is_zero else a * b
+
+    ref = next((pair for pair in pairs if nonzero(conv(pair[0]))), None)
     if ref is None:
         # x-part vanishes identically: trivial only if y does as well
-        for ye in y_entries:
-            if _proven_verdict(ye, ws, policy).kind == "proven_nonzero":
-                return TrivialityResult(False, None,
-                                        "x-part zero but y-part nonzero")
+        if any(nonzero(conv(y)) for _, y in pairs):
+            return TrivialityResult(False, None,
+                                    "x-part zero but y-part nonzero")
         return TrivialityResult(True, ex.ZERO, "identically zero operator")
 
-    x_ref, y_ref = ref
-    xi = ex.div(y_ref, x_ref)
-    for v in op.ws.variables:
-        dxi = differentiate(xi, v)
-        if _proven_verdict(dxi, ws, policy).kind == "proven_nonzero":
-            return TrivialityResult(
-                False, None,
-                f"proportionality factor {xi} is not constant",
-            )
-    for xe, ye in zip(x_entries, y_entries):
-        residual = ex.add(ex.mul(ye, x_ref), ex.neg(ex.mul(xe, y_ref)))
-        if _proven_verdict(residual, ws, policy).kind == "proven_nonzero":
-            return TrivialityResult(False, None, "not proportional")
-    return TrivialityResult(True, xi)
+    x_ref, y_ref = map(conv, ref)
+    xi = y_ref / x_ref
+    if any(nonzero(Derivation(ctx, v, cache)(xi)) for v in ws.variables):
+        return TrivialityResult(
+            False, None,
+            f"proportionality factor {ratform_to_expr(xi)} is not constant",
+        )
+    if any(nonzero(product(conv(y), x_ref) - product(conv(x), y_ref))
+           for x, y in pairs):
+        return TrivialityResult(False, None, "not proportional")
+    return TrivialityResult(True, ratform_to_expr(xi))
 
 
 # -- pencil compatibility --------------------------------------------------------

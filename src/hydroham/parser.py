@@ -258,4 +258,7 @@ def _digit_position(fn: FunctionSymbol, digit: str):
 def parse(text: str, workspace: Workspace) -> ex.Expr:
     """Parse ``text`` over the workspace's symbols; parse-print-parse is a
     fixed point."""
+    if not isinstance(text, str):
+        raise ParseError("expected an expression string, got "
+                         f"{type(text).__name__}", 0)
     return _Parser(tokenize(text), workspace).parse()

@@ -142,6 +142,8 @@ class RationalForm:
     def __truediv__(self, other):
         if other.is_zero:
             raise ZeroDenominatorError("division by an identically zero form")
+        if self.is_zero:
+            return self
         return self * RationalForm(other.den, other.num, other.ctx)
 
     def __pow__(self, k: int):
@@ -312,6 +314,14 @@ def to_rational_form(e: ex.Expr, ctx: PolyContext, _cache=None) -> RationalForm:
     raise NormalizeError(f"cannot normalize {type(e)}")
 
 
+def matrix_forms(ws: Workspace, rows) -> list:
+    """A matrix of Exprs as rational forms of one context, built from its
+    entries."""
+    cache: dict = {}
+    ctx = build_context(ws, [e for row in rows for e in row], cache)
+    return [[to_rational_form(e, ctx, cache) for e in row] for row in rows]
+
+
 def _normalize_cached(e: ex.Expr, ws: Workspace, cache) -> RationalForm:
     ctx = build_context(ws, [e], cache)
     return to_rational_form(e, ctx, cache)
@@ -384,9 +394,31 @@ class Derivation:
         ring = self.ctx.ring
         if rf.den == ring.one:
             return dnum
-        # (N/D)' = (N' - (N/D) D') / D
-        return (dnum - rf * self.poly(rf.den)) / RationalForm(
-            rf.den, ring.one, self.ctx, reduced=True)
+        # (N/D)' = (N' - (N/D) D') / D; no product with a zero D' or N'
+        dden = self.poly(rf.den)
+        top = dnum if dden.is_zero else dnum - rf * dden
+        return top / RationalForm(rf.den, ring.one, self.ctx, reduced=True)
+
+
+def det(rows) -> RationalForm:
+    """The determinant of a square matrix of rational forms of one context,
+    expanded by cofactors along the first row.  Zero entries and zero
+    minors are skipped, so only the nonzero terms of the Leibniz sum are
+    formed.  It never divides, so it takes no gcd."""
+
+    def expand(i, cols):
+        if len(cols) == 1:
+            return rows[i][cols[0]]
+        acc = zero_form(rows[0][0].ctx)
+        for pos, j in enumerate(cols):
+            if not rows[i][j].is_zero:
+                minor = expand(i + 1, cols[:pos] + cols[pos + 1:])
+                if not minor.is_zero:
+                    term = rows[i][j] * minor
+                    acc = acc - term if pos % 2 else acc + term
+        return acc
+
+    return expand(0, tuple(range(len(rows))))
 
 
 # -- back-conversion and parameter extraction --------------------------------
@@ -422,8 +454,7 @@ def coefficients_in(rf: RationalForm, param_names: list[str]):
     ctx = rf.ctx
     idx = []
     for name in param_names:
-        gen = ctx.gen_of_name.get(name)
-        if gen is None:
+        if name not in ctx.gen_of_name:
             raise NormalizeError(f"parameter {name!r} not in context")
         idx.append(ctx.var_names.index(name))
     for monom, _ in rf.den.terms():
@@ -442,14 +473,6 @@ def coefficients_in(rf: RationalForm, param_names: list[str]):
         exps: RationalForm(num, rf.den, ctx)
         for exps, num in sorted(buckets.items())
     }
-
-
-def parameter_coefficients(e: ex.Expr, ws: Workspace, param_names) -> dict:
-    """{exponent tuple: Expr}: e normalized once and split by the exponents
-    of the formal parameters, as ``coefficients_in`` does; zero
-    coefficients are absent."""
-    coeffs = coefficients_in(normalize(e, ws), list(param_names))
-    return {exps: ratform_to_expr(c) for exps, c in coeffs.items()}
 
 
 def uses_transcendental(rf: RationalForm) -> bool:

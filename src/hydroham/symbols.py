@@ -46,9 +46,8 @@ class FunctionSymbol:
 
 
 def _check_identifier(name: str):
-    if not name or not name[0].isalpha() or not all(
-        c.isalnum() or c == "_" for c in name
-    ):
+    if not (isinstance(name, str) and name[:1].isalpha()
+            and all(c.isalnum() or c == "_" for c in name)):
         raise SymbolError(f"invalid identifier {name!r}")
     if name in RESERVED_NAMES:
         raise SymbolError(f"{name!r} is a reserved operator symbol")

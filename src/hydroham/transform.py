@@ -18,7 +18,6 @@ from .operators import (
     ConditionReport,
     HydroOperator,
     ResidualRecord,
-    _det,
     _flatten,
     _map_nested,
     check_hamiltonian,
@@ -26,6 +25,8 @@ from .operators import (
 from .ratform import (
     Derivation,
     derivation_context,
+    det,
+    matrix_forms,
     ratform_to_expr,
     to_rational_form,
     zero_form,
@@ -38,6 +39,7 @@ from .zerotest import (
     Verdict,
     ZeroTestPolicy,
     is_zero,
+    verdict_for_ratform,
 )
 
 
@@ -79,10 +81,7 @@ class CoordinateChange:
 
     def inverse_jacobian(self) -> list[list[ex.Expr]]:
         """K^i_p = d (phi^{-1})^i / d u^p, over the u side."""
-        return [
-            [differentiate(self.inverse[i], u) for u in self.u_vars]
-            for i in range(self.n)
-        ]
+        return self.inverted().jacobian()
 
     def to_v(self, e: ex.Expr) -> ex.Expr:
         """Express a u-side expression in v coordinates."""
@@ -94,22 +93,16 @@ class CoordinateChange:
 
     def validate(self, policy: ZeroTestPolicy = DEFAULT_POLICY):
         """Checks phi(phi^{-1}(u)) = u, phi^{-1}(phi(v)) = v and det J != 0."""
-        back = dict(zip(self.v_vars, self.inverse))
-        for i, u in enumerate(self.u_vars):
-            residual = substitute(self.forward[i], back) - ex.Var(u)
-            if not is_zero(residual, self.src_ws, policy).is_zero_verdict:
-                raise InvalidChangeError(
-                    f"forward o inverse is not the identity on {u.name}"
-                )
-        fwd = dict(zip(self.u_vars, self.forward))
-        for i, v in enumerate(self.v_vars):
-            residual = substitute(self.inverse[i], fwd) - ex.Var(v)
-            if not is_zero(residual, self.dst_ws, policy).is_zero_verdict:
-                raise InvalidChangeError(
-                    f"inverse o forward is not the identity on {v.name}"
-                )
-        det = _det(self.jacobian(), self.n)
-        if is_zero(det, self.dst_ws, policy).is_zero_verdict:
+        for change, label in ((self, "forward o inverse"),
+                              (self.inverted(), "inverse o forward")):
+            back = dict(zip(change.v_vars, change.inverse))
+            for phi, u in zip(change.forward, change.u_vars):
+                residual = substitute(phi, back) - ex.Var(u)
+                if not is_zero(residual, change.src_ws, policy).is_zero_verdict:
+                    raise InvalidChangeError(
+                        f"{label} is not the identity on {u.name}")
+        jac = det(matrix_forms(self.dst_ws, self.jacobian()))
+        if verdict_for_ratform(jac, self.dst_ws, policy).is_zero_verdict:
             raise InvalidChangeError("Jacobian determinant vanishes identically")
         return self
 

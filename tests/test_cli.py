@@ -327,3 +327,42 @@ def test_import_leaves_sympy_out():
                           text=True, env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+OP_1D = {
+    "dimension": 1, "components": 2, "variables": ["u1", "u2"],
+    "metrics": {"x": [["1", "0"], ["0", "1"]]},
+    "b": {"x": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]},
+}
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["check", "op.json"],
+     {"op.json": dict(OP_1D, metrics={"x": [[1, 0], [0, 1]]})}),
+    (["check", "op.json"], {"op.json": dict(OP_1D, metrics={"x": 5})}),
+    (["check", "op.json"], {"op.json": dict(OP_1D, variables=[1, 2])}),
+    (["check", "op.json"], {"op.json": ["dimension"]}),
+    (["check", "op.json"], {"op.json": dict(OP_1D, functions=[5])}),
+    (["transform", "op.json", "change.json"],
+     {"op.json": OP_1D,
+      "change.json": {"forward": {"u1": 3, "u2": "v2"},
+                      "inverse": {"v1": "u1", "v2": "u2"}}}),
+    (["fkt", "f.json"], {"f.json": {"f": 5}}),
+    (["fkt", "f.json"], {"f.json": ["f"]}),
+    (["fkt", "f.json"],
+     {"f.json": {"f": "k(a)", "functions": [{"name": "k"}]}}),
+    (["legendre", "h.json"], {"h.json": {"h": "1/2*rho*u^2"}}),
+], ids=["numeric-cells", "numeric-block", "numeric-variables",
+        "top-level-array", "function-not-object",
+        "numeric-change", "numeric-density", "fkt-top-level-array",
+        "function-without-args", "legendre-without-inverse"])
+def test_malformed_input_exits_3(tmp_path, capsys, monkeypatch, argv, files):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err

@@ -8,8 +8,11 @@ count should tighten the bound; one that raises it must say why.
 from hydroham import catalog
 from hydroham.ratform import RationalForm
 
-# RationalForm.__mul__ calls in one catalog.verify_all() pass
-MUL_CALLS = 5084
+# RationalForm.__mul__ calls in one catalog.verify_all() pass.  Down from
+# 5,084: the quotient rule no longer forms its 259 products with a zero
+# factor, while the pencil analysis, now done in the ring, forms 262
+# (it formed 117 when its determinants were Expr trees).
+MUL_CALLS = 4970
 
 
 def test_verify_all_multiplications(monkeypatch):
@@ -26,4 +29,4 @@ def test_verify_all_multiplications(monkeypatch):
     results = catalog.verify_all()
     assert all(r.ok for r in results)
     assert calls <= 1.1 * MUL_CALLS, calls
-    assert zero_operand < 0.1 * calls, (zero_operand, calls)
+    assert zero_operand == 0, (zero_operand, calls)

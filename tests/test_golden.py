@@ -1,10 +1,13 @@
 """Golden CLI outputs: `--format json` stdout bytes and exit codes.
 
 Each case runs the CLI in a fresh directory on input files named by
-relative paths, so the reports do not depend on where the test runs.  The
-table pins the exit code, the length and the SHA-256 of stdout (and of a
-file the command writes).  To print a new table after an intended output
-change, run `PYTHONPATH=src python tests/test_golden.py`.
+relative paths, so the reports do not depend on where the test runs.
+`GOLDEN` pins the exit code, the length and the SHA-256 of stdout (and of
+a file the command writes).  `VERDICTS` pins what a change of printed
+expressions must keep: the exit code, the note keys, and the name,
+indices and verdict of every check (their count and SHA-256).  To print
+new tables after an intended output change, run
+`PYTHONPATH=src python tests/test_golden.py`.
 """
 
 import contextlib
@@ -70,8 +73,8 @@ GOLDEN = {
         "33009fd7d294e97dff19aeae9ff29ddcd8dae80fa1aa7f356e45d37d3431730d"),
     "dispersion-abstract-exp": (0, 524,
         "b99dc2abb343aa792423892f3cc7944e1e89ce712e04e29a73aea4ca719adbf5"),
-    "fkt-nondiagonal": (1, 2951,
-        "6dd9c51037fc46c784989b0b6ed97cf46c57936e56b4ba78ebbf29c953d26006"),
+    "fkt-nondiagonal": (1, 2943,
+        "9f71b38b54020ece1c2cf4b01edce6dd91514fa099f0b7dcc1d0d9304a7d1e4e"),
     "fkt-quartic": (1, 2824,
         "2545d35636759c00490c72f31029d646f3c23001fd6af535477b0c4a62f4b0d6"),
     "legendre": (0, 791,
@@ -79,7 +82,7 @@ GOLDEN = {
     "pencil-compatibility": (0, 97155,
         "06f568e571c73b2dfe602af1c803fa65cdaf1096761d3311c545884434ed1643"),
     "pencil-exp-witness": (2, 707,
-        "2361f0d495447be76fe20d9aeaffe96c57dd4bbd29742aa3283007cb195041f3"),
+        "a3cc4c3cc7727d8f32870726779758b9d52aa2cc254a246c913498b6a15433ed"),
     "pencil-gas-flip-compatibility": (1, 98280,
         "c537d2b31d6430f65617db81672a6cbea07942f8d48ee15f8a3270ec1ea1746b"),
     "system-abstract-exp": (0, 760,
@@ -95,6 +98,106 @@ GOLDEN = {
     "transform-mobius-emit": (0, 64922,
         "d421d40fe3e88fc3b20da961b72f0bfd8433c7651aaef87d37c5d02962111a10",
         "c209f1ba6d92876544f737b77223d42db2b9c84fb58e8f3430a3cba65a205b50"),
+}
+
+# name -> (exit code, note keys, check count, checks sha256)
+VERDICTS = {
+    "catalog-verify": (0, (
+        "T2.7/rank2_P_1/1",
+    ), 0,
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "check-export": (0, (), 1896,
+        "3162e8ea363e4b6e878a976b48a2aac0f3f32c3bbc4b7476ec6f1b22f6fd2a07"),
+    "check-flip-mutant": (1, (), 1896,
+        "7d303f8c4bd6f77fdd35e2c27a017c6e782409768bf26493ecd4f04173cc91d3"),
+    "check-gas-flip-mutant": (1, (), 1896,
+        "561768ce10725a625ab2727a262116b49fa97ab0c39da1540e997370e0c364d9"),
+    "dispersion": (0, (
+        "lam^0 mu^0",
+        "lam^0 mu^1",
+        "lam^0 mu^2",
+        "lam^0 mu^3",
+        "lam^1 mu^0",
+        "lam^1 mu^1",
+        "lam^1 mu^2",
+        "lam^2 mu^0",
+        "lam^2 mu^1",
+        "lam^3 mu^0",
+    ), 0,
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "dispersion-abstract-exp": (0, (
+        "lam^0 mu^0",
+        "lam^0 mu^1",
+        "lam^1 mu^0",
+    ), 0,
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "fkt-nondiagonal": (1, (
+        "hessian determinant",
+        "first failing coefficient da^4 db^0 dc^0",
+        "euler-lagrange fluxes",
+    ), 15,
+        "e77a193b303e4a31df5b8de1eb5f52cc1af1650d53c76ac92d9111df331b0338"),
+    "fkt-quartic": (1, (
+        "hessian determinant",
+        "first failing coefficient da^4 db^0 dc^0",
+        "euler-lagrange fluxes",
+    ), 15,
+        "7dcad53966a7b26b692a0709ba249b54186b1b20350b4e6d24b169892ddce4ed"),
+    "legendre": (0, (
+        "f(a, b, c)",
+    ), 3,
+        "23141b288cdbc667c8708997da6a160a32551e39b667dd7768f9b3f18d2d294a"),
+    "pencil-compatibility": (0, (
+        "det coefficient lam^(0, 0)",
+        "degenerate",
+        "generic rank",
+        "trivial pair",
+    ), 489,
+        "2def18237a2ca7e8e65e802cf3d45ce80fd7011f84c887e9d543dff84fe999cb"),
+    "pencil-exp-witness": (2, (
+        "det coefficient lam^(0, 0)",
+        "degenerate",
+        "inconclusive",
+    ), 1,
+        "d3998383543974fbf96c29df3bdcc9fc809d071b10a48254a0fddf11333ffcc3"),
+    "pencil-gas-flip-compatibility": (1, (
+        "det coefficient lam^(0, 0)",
+        "degenerate",
+        "generic rank",
+        "trivial pair",
+    ), 489,
+        "db89171a06462e93a4615e1701c516fe1494b6391f27ca546229e66d2bebff7c"),
+    "system-abstract-exp": (0, (
+        "A[1]",
+        "A[2]",
+        "A[3]",
+        "B[1]",
+        "B[2]",
+        "B[3]",
+    ), 0,
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "system-classify": (0, (
+        "A[1]",
+        "A[2]",
+        "A[3]",
+        "B[1]",
+        "B[2]",
+        "B[3]",
+        "reduced shape",
+    ), 0,
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "transform-abstract-emit": (0, (
+        "transformed operator written to",
+    ), 1968,
+        "c21d9b8ba36c56158a77d3e0d9a76782ef15c0847d4cbe5806d7c934edd510a1"),
+    "transform-emit": (0, (
+        "transformed operator written to",
+    ), 1968,
+        "c21d9b8ba36c56158a77d3e0d9a76782ef15c0847d4cbe5806d7c934edd510a1"),
+    "transform-mobius-emit": (0, (
+        "transformed operator written to",
+    ), 362,
+        "3cbbaba2c8098d4d951d4f472463dc708f0509c1e3febddff53839b9f0a47e41"),
 }
 
 
@@ -150,6 +253,16 @@ def _run(name):
     return row
 
 
+def _verdicts(name):
+    """Exit code, note keys, and the count and digest of the checks'
+    (name, indices, verdict)."""
+    code, out = _cli(["--format", "json"] + CASES[name])
+    doc = json.loads(out)
+    checks = [[c["name"], c["indices"], c["verdict"]] for c in doc["checks"]]
+    keys = tuple(n["key"] for n in doc["notes"])
+    return code, keys, len(checks), _digest(json.dumps(checks).encode())
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("golden")
@@ -168,13 +281,30 @@ def test_golden_json(name, workdir, monkeypatch):
     assert _run(name) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_verdicts(name, workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    assert _verdicts(name) == VERDICTS[name]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         _make_inputs()
         rows = {case: _run(case) for case in sorted(CASES)}
+        pins = {case: _verdicts(case) for case in sorted(CASES)}
     print("GOLDEN = {")
     for case, (code, size, *digests) in rows.items():
         print(f'    "{case}": ({code}, {size},')
         print(",\n".join(f'        "{d}"' for d in digests) + "),")
+    print("}")
+    print("VERDICTS = {")
+    for case, (code, keys, count, digest) in pins.items():
+        if keys:
+            print(f'    "{case}": ({code}, (')
+            print("".join(f'        "{k}",\n' for k in keys)
+                  + f"    ), {count},")
+        else:
+            print(f'    "{case}": ({code}, (), {count},')
+        print(f'        "{digest}"),')
     print("}")

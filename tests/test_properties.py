@@ -3,7 +3,8 @@
 Each suite runs at least 1000 cases: differentiation linearity and the
 Leibniz rule, commuting mixed partials, normalize idempotence, parser
 round-trip, and evaluation consistency.  A hypothesis suite checks the
-sparse Mokhov residual assembly against a dense reference.
+sparse Mokhov residual assembly against a dense reference, and one checks
+the cofactor determinant against the Leibniz sum.
 """
 
 import functools
@@ -34,6 +35,9 @@ from hydroham.ratform import (
     Derivation,
     ZeroDenominatorError,
     build_context,
+    det,
+    matrix_forms,
+    one_form,
     to_rational_form,
     zero_form,
 )
@@ -292,3 +296,62 @@ def test_sparse_residuals_match_dense_reference(op):
     want = [(rel, idx, rf.num, rf.den)
             for rel, idx, rf in dense_residuals(checker)]
     assert got == want
+
+
+# -- the cofactor determinant against the Leibniz sum --------------------------
+
+def _perm_sign(perm) -> int:
+    """(-1)^(number of even-length cycles) of a permutation."""
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        length = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            i = perm[i]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def leibniz_det(rows):
+    """sum over permutations p of sign(p) * prod_i rows[i][p(i)]."""
+    ctx = rows[0][0].ctx
+    acc = zero_form(ctx)
+    for perm in itertools.permutations(range(len(rows))):
+        term = one_form(ctx)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        acc = acc + term if _perm_sign(perm) == 1 else acc - term
+    return acc
+
+
+def _det_entry(draw):
+    """0 about half the time, else a sum of at most two monomials in
+    u1..u3, over a small polynomial denominator one time in three."""
+    if draw(st.booleans()):
+        return "0"
+    c = lambda: draw(st.sampled_from(["1", "-1", "2", "-3", "1/2", "5/3"]))
+    u = lambda: f"u{draw(st.integers(1, 3))}"
+    num = " + ".join(c() + "".join(f"*{u()}" for _ in range(draw(
+        st.integers(0, 2)))) for _ in range(draw(st.integers(1, 2))))
+    if draw(st.integers(0, 2)):
+        return num
+    return f"({num})/({u()} + {c()})"
+
+
+@st.composite
+def rational_matrices(draw):
+    n = draw(st.integers(1, 4))
+    return [[parse(_det_entry(draw), WS) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rational_matrices())
+def test_det_matches_leibniz_sum(matrix):
+    rows = matrix_forms(WS, matrix)
+    got, want = det(rows), leibniz_det(rows)
+    assert (got.num, got.den) == (want.num, want.den)
