@@ -33,10 +33,15 @@ def _require(data: dict, key: str, kind=None):
     return value
 
 
+def _optional_list(data: dict, key: str) -> list:
+    """The list under an optional key; an absent key gives []."""
+    return _require(data, key, list) if key in data else []
+
+
 def _functions(data: dict) -> list:
     """The (name, args) of the optional "functions" declarations."""
     return [(_require(fn, "name", str), _require(fn, "args", list))
-            for fn in data.get("functions", [])]
+            for fn in _optional_list(data, "functions")]
 
 
 def _workspace(data: dict, variables, constants=()) -> Workspace:
@@ -56,7 +61,7 @@ def load_operator(data: dict) -> HydroOperator:
             f"dimension must be between 1 and {len(ALPHA_LABELS)}, got {d}")
     n = _require(data, "components", int)
     ws = _workspace(data, _require(data, "variables", list),
-                    data.get("constants", []))
+                    _optional_list(data, "constants"))
     if len(ws.variables) != n:
         raise FileFormatError("variables list must have `components` entries")
     metrics = _require(data, "metrics", dict)
@@ -156,7 +161,7 @@ def load_candidate(data: dict) -> ReductionCandidate:
         raise FileFormatError("lambda and mu must each list m speeds")
     v = None
     if data.get("v") is not None:
-        v = [parse(t, ws) for t in data["v"]]
+        v = [parse(t, ws) for t in _require(data, "v", list)]
         if len(v) != m:
             raise FileFormatError("v must list m speeds")
     return ReductionCandidate(ws, m, u, lam, mu, v)

@@ -93,6 +93,13 @@ class HydroOperator:
                     for k in range(self.n):
                         yield self.b[a][i][j][k]
 
+    @cached_property
+    def pencil(self) -> "MetricPencil":
+        """The metric pencil, built when first needed and then shared by
+        the pencil analyses (the entries are not changed after
+        construction)."""
+        return MetricPencil.of(self)
+
     def part(self, alpha: int) -> "HydroOperator":
         """The 1D operator in the alpha-th independent variable."""
         return HydroOperator(
@@ -460,16 +467,22 @@ class MetricPencil:
                        zero_form(ctx)) for j in rng] for i in rng]
         return cls(ws, params, matrix)
 
+    @cached_property
+    def determinant(self):
+        """det(sum_alpha lam_alpha g^alpha) as one RationalForm."""
+        return det(self.matrix)
+
+    @cached_property
     def det_coefficients(self) -> dict:
         """{lambda exponents: RationalForm} of the nonzero coefficients of
-        det(sum_alpha lam_alpha g^alpha)."""
-        return coefficients_in(det(self.matrix),
+        the determinant."""
+        return coefficients_in(self.determinant,
                                [p.name for p in self.params])
 
 
 def pencil_determinant(op: HydroOperator) -> dict[tuple, ex.Expr]:
     """det(sum_alpha lam_alpha g^alpha) expanded by lambda exponents."""
-    coeffs = MetricPencil.of(op).det_coefficients()
+    coeffs = op.pencil.det_coefficients
     return {exps: ratform_to_expr(c) for exps, c in coeffs.items()} \
         or {(0,) * op.d: ex.ZERO}
 
@@ -485,8 +498,8 @@ def is_degenerate(op: HydroOperator,
     """True iff every lambda-coefficient of the pencil determinant is
     provably zero.  Probabilistic coefficient verdicts raise
     InconclusiveError."""
-    pencil = MetricPencil.of(op)
-    for exps, coeff in pencil.det_coefficients().items():
+    pencil = op.pencil
+    for exps, coeff in pencil.det_coefficients.items():
         if _proven_nonzero(coeff, pencil.ws, policy):
             monom = ex.mul(*(
                 ex.pow_(ex.Var(pencil.params[a]), e)
@@ -513,9 +526,11 @@ def generic_rank(op: HydroOperator,
                  policy: ZeroTestPolicy = DEFAULT_POLICY) -> int:
     """Largest r with an r x r pencil minor not identically zero in the
     lambdas and u."""
-    pencil = MetricPencil.of(op)
+    pencil = op.pencil
     n = op.n
-    for r in range(n, 0, -1):
+    if _proven_nonzero(pencil.determinant, pencil.ws, policy):
+        return n
+    for r in range(n - 1, 0, -1):
         for rows in itertools.combinations(range(n), r):
             for cols in itertools.combinations(range(n), r):
                 minor = det([[pencil.matrix[i][j] for j in cols]

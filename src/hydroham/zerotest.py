@@ -5,6 +5,9 @@ are decided exactly by the polynomial normal form: the opaque generators
 are algebraically independent by construction.  Once exp/ln/sqrt enter, a
 nonzero normal form proves nothing, so the verdict falls back to sampling
 at random points that avoid denominator zeros.
+
+mpmath is imported only where a value is computed numerically, so a call
+whose residuals are all rational never loads it.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import mpmath
 
 from . import expr as ex
 from .ratform import (
@@ -106,6 +107,7 @@ def evaluate(e: ex.Expr, point: Point, precision: int = 64,
     """Exact rational value when the expression is rational, else a real at
     the requested binary precision.  Raises SingularPointError when a
     denominator vanishes at the point."""
+    import mpmath
     with mpmath.workprec(precision + 16):
         return _eval(e, point, precision, ws)
 
@@ -136,6 +138,7 @@ def _eval(e: ex.Expr, point: Point, precision: int, ws: Workspace | None):
             raise SingularPointError(f"singular denominator {e.den}")
         return _eval(e.num, point, precision, ws) / den
     if isinstance(e, ex.Call):
+        import mpmath
         arg = _eval(e.arg, point, precision, ws)
         if isinstance(arg, Fraction):
             arg = mpmath.mpf(arg.numerator) / arg.denominator
@@ -168,6 +171,7 @@ def _random_fraction(rng: random.Random, positive=False) -> Fraction:
 def _sample_ratform(rf: RationalForm, ws: Workspace, policy: ZeroTestPolicy,
                     rng: random.Random):
     """One evaluation of num/den at a random point; raises on singularity."""
+    import mpmath
     ctx = rf.ctx
     need_positive = any(
         sig.startswith(("ln(", "sqrt(")) for sig in ctx.atom_sigs
@@ -211,6 +215,7 @@ def _eval_poly(p, gen_values):
 def _near_zero(value, scale, policy: ZeroTestPolicy) -> bool:
     if isinstance(value, Fraction):
         return value == 0
+    import mpmath
     tol = mpmath.mpf(2) ** (-(policy.precision // 2))
     return abs(value) <= tol * (1 + abs(scale))
 

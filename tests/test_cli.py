@@ -352,10 +352,18 @@ OP_1D = {
     (["fkt", "f.json"],
      {"f.json": {"f": "k(a)", "functions": [{"name": "k"}]}}),
     (["legendre", "h.json"], {"h.json": {"h": "1/2*rho*u^2"}}),
+    (["check", "op.json"], {"op.json": dict(OP_1D, constants="k")}),
+    (["check", "op.json"], {"op.json": dict(OP_1D, constants=5)}),
+    (["check", "op.json"], {"op.json": dict(OP_1D, constants=[1])}),
+    (["check", "op.json"], {"op.json": dict(OP_1D, functions=5)}),
+    (["check", "op.json"], {"op.json": dict(OP_1D, functions={})}),
+    (["fkt", "f.json"], {"f.json": {"f": "a*b*c", "functions": 5}}),
 ], ids=["numeric-cells", "numeric-block", "numeric-variables",
         "top-level-array", "function-not-object",
         "numeric-change", "numeric-density", "fkt-top-level-array",
-        "function-without-args", "legendre-without-inverse"])
+        "function-without-args", "legendre-without-inverse",
+        "string-constants", "numeric-constants", "numeric-constant-name",
+        "numeric-functions", "object-functions", "fkt-numeric-functions"])
 def test_malformed_input_exits_3(tmp_path, capsys, monkeypatch, argv, files):
     monkeypatch.chdir(tmp_path)
     for name, doc in files.items():

@@ -14,6 +14,7 @@ from hydroham.fileio import (
     load_operator,
 )
 from hydroham.operators import check_hamiltonian
+from hydroham.symbols import SymbolError
 from hydroham.transform import operator_difference_records
 
 
@@ -89,6 +90,30 @@ def test_dimension_out_of_range(d):
         load_operator(bad)
 
 
+@pytest.mark.parametrize("key", ["constants", "functions"])
+@pytest.mark.parametrize("value", ["k", 5, {"k": 1}, ""])
+def test_optional_lists_rejected_when_not_lists(key, value):
+    # a string used to be iterated character by character
+    bad = json.loads(json.dumps(GAS))
+    bad[key] = value
+    with pytest.raises(FileFormatError, match=f"key '{key}' has the wrong type"):
+        load_operator(bad)
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("constants", [1], SymbolError),
+    ("constants", ["k", None], SymbolError),
+    ("functions", ["k"], FileFormatError),
+    ("functions", [{"name": 5, "args": []}], FileFormatError),
+    ("functions", [{"name": "k", "args": [1]}], SymbolError),
+])
+def test_optional_lists_reject_non_string_names(key, value, error):
+    bad = json.loads(json.dumps(GAS))
+    bad[key] = value
+    with pytest.raises(error):
+        load_operator(bad)
+
+
 def test_load_change_and_density():
     op = load_operator(GAS)
     change = load_change(
@@ -120,3 +145,11 @@ def test_load_candidate():
     with pytest.raises(FileFormatError, match="key 'm' has the wrong type"):
         load_candidate({"m": True, "u": ["R1"], "lambda": ["R1"],
                         "mu": ["R1^2"]})
+
+
+@pytest.mark.parametrize("v", ["7", 5])
+def test_candidate_speeds_must_be_a_list(v):
+    # the string "7" used to be read as the one speed 7
+    with pytest.raises(FileFormatError, match="key 'v' has the wrong type"):
+        load_candidate({"m": 1, "u": ["R1"], "lambda": ["R1"],
+                        "mu": ["R1^2"], "v": v})

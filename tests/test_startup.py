@@ -1,0 +1,93 @@
+"""What a cold `hydroham` process loads.
+
+Each test runs the CLI in a fresh child interpreter: this process has
+already imported sympy, and mpmath through it, so an eager import (or a
+missing deferred one) would not show here.  Modules loaded before hydroham
+is imported are not counted, since `site` hooks may import third-party
+packages of their own.
+"""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+from hydroham import catalog
+from hydroham.cli import main
+from hydroham.fileio import dump_operator
+from test_cli import _child_env
+from test_golden import CHECK_ENTRY, GOLDEN
+
+# argv (a JSON list of --format json argument lists) -> one JSON line: the
+# third-party modules loaded after importing hydroham.cli, then, for each
+# command, its exit code, stdout length and SHA-256, and the third-party
+# modules loaded so far
+CHILD = """
+import contextlib, hashlib, io, json, sys
+
+start = set(sys.modules)
+
+
+def third_party():
+    return sorted(m for m in set(sys.modules) - start
+                  if m.split(".")[0] not in sys.stdlib_module_names
+                  and m.split(".")[0] != "hydroham")
+
+
+from hydroham.cli import main
+
+after_import = third_party()
+rows = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["--format", "json"] + argv)
+    out = buf.getvalue().encode()
+    rows.append([code, len(out), hashlib.sha256(out).hexdigest(),
+                 third_party()])
+print(json.dumps({"mpmath_at_start": "mpmath" in start,
+                  "after_import": after_import, "rows": rows}))
+"""
+
+
+def _cold(commands, cwd):
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps(commands)], cwd=cwd,
+        env=_child_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert not result["mpmath_at_start"]
+    return result
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    path = tmp_path_factory.mktemp("startup")
+    with open(path / "gas.json", "w") as fh:
+        json.dump(dump_operator(catalog.instantiate("P_gas")[0]), fh)
+    with open(path / "quartic.json", "w") as fh:
+        json.dump({"f": "a^4 + b^2 + c^2"}, fh)
+    assert main(["catalog", "export", "T2.6/rank1_P_2/1", "--set",
+                 "f=exp(u2)", "--set", "h=u2*u3",
+                 "-o", str(path / "rank1_exp.json")]) == 0
+    return path
+
+
+def test_rational_commands_load_no_third_party_module(inputs, capsys):
+    commands = [["check", "gas.json"], ["pencil", "gas.json"],
+                ["fkt", "quartic.json"], ["catalog", "verify", CHECK_ENTRY]]
+    result = _cold(commands, inputs)
+    assert result["after_import"] == []
+    assert [row[0] for row in result["rows"]] == [0, 0, 1, 0]
+    for argv, row in zip(commands, result["rows"]):
+        assert row[3] == [], argv
+
+
+def test_sampled_verdict_imports_mpmath_when_needed(inputs):
+    """The exp(u2) pencil is the one golden case whose verdicts sample."""
+    result = _cold([["pencil", "rank1_exp.json"]], inputs)
+    assert result["after_import"] == []
+    code, size, digest, loaded = result["rows"][0]
+    assert (code, size, digest) == GOLDEN["pencil-exp-witness"]
+    assert "mpmath" in loaded
