@@ -427,11 +427,7 @@ def _cmd_reduction(args, policy) -> int:
     for idx, residual in reduction_residual(cand, sys_):
         checked("reduction", idx, residual)
     if cand.v is not None:
-        coords = {"t": 0, "x": 0, "y": 0}
-        if args.at:
-            for item in args.at.split(","):
-                name, _, value = item.partition("=")
-                coords[name.strip()] = Fraction(value.strip())
+        coords = {"t": 0, "x": 0, "y": 0, **_parse_at(args.at, cand.m)}
         point = {f"R{i}": coords.get(f"R{i}", Fraction(i))
                  for i in range(1, cand.m + 1)}
         symbolic, numeric = hodograph_residual(
@@ -441,6 +437,23 @@ def _cmd_reduction(args, policy) -> int:
         for i, value in numeric:
             report.note(f"hodograph residual at point, i={i}", str(value))
     return report.finish()
+
+
+def _parse_at(text: str | None, m: int) -> dict:
+    """{name: Fraction} of a --at list; the names are R1..Rm, t, x and y."""
+    names = [f"R{i}" for i in range(1, m + 1)] + ["t", "x", "y"]
+    coords = {}
+    for item in text.split(",") if text else ():
+        name, _, value = (part.strip() for part in item.partition("="))
+        if name not in names:
+            raise ValueError(f"--at: unknown coordinate {name!r}, expected "
+                             f"one of {', '.join(names)}")
+        try:
+            coords[name] = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"--at: {name}={value} is not a rational "
+                             "number") from None
+    return coords
 
 
 def _cmd_fkt(args, policy) -> int:

@@ -184,21 +184,26 @@ class ConditionReport:
 # -- the checker ----------------------------------------------------------------
 
 class MokhovChecker:
-    """Converts g and b to rational forms once, then assembles each
-    relation's residuals by ring arithmetic over nonzero entries only.
+    """Converts g and b to rational forms once, then assembles a3..a7 by
+    scattering nonzero products into tables keyed by residual indices.
 
     G[a][i][j] = g^{ij a} and B[a][i][j][k] = b^{ij a}_k are the dense
     tables; DG[a][i][j][k] = d_k g^{ij a} and DB[a][i][j][k][l] =
-    d_l b^{ij a}_k are built by the ring derivations d/du^k.  The sums over
-    the contracted index s run over lists of nonzero entries: GS[a][i]
-    holds the (s, g^{si a}), BS[a][i][j] the (s, b^{ij a}_s) and
-    BT[a][i][q] the (s, b^{si a}_q).  C[a][j][r][s][q] =
-    d_q b^{jr a}_s - d_s b^{jr a}_q is the difference that both the a5
-    brackets and the a7 halves contract.  A product is formed only when
-    both factors are nonzero; rational forms are canonical, so the sums
-    equal the dense ones.  Every table, the a5 brackets and the a7 halves
-    are built on first use, so a check that stops at a2 never
-    differentiates b."""
+    d_l b^{ij a}_k are built by the ring derivations d/du^k, and
+    C[a][j][r][s][q] = d_q b^{jr a}_s - d_s b^{jr a}_q.  The nonzero
+    entries of G, B, DB and C are kept in lists grouped by the contracted
+    index s.  Each term of a sum joins two such lists on s and forms each
+    product once.  Four tables are summed from these products:
+    P[al, be, i, j, r] = sum_s g^{si al} b^{jr be}_s, which a3 and a4
+    share; the a5 brackets, which a5 and a7 share; the a6 table; and the
+    a7 halves, d_k of each nonzero bracket plus the cyclic b C terms.  A
+    relation adds each entry of its table into the two to six residuals
+    it enters, keyed by the indices as they print (alpha labels, 1-based
+    components), then walks its full index product in order and yields
+    each residual, or zero.  Tables keep only their nonzero entries, so no
+    product has a zero factor; rational forms are canonical, so the sums
+    equal the dense ones.  Every table is built on first use, so a check
+    that stops at a2 never differentiates b."""
 
     def __init__(self, op: HydroOperator):
         self.op = op
@@ -215,8 +220,6 @@ class MokhovChecker:
         self.B = _map_nested(op.b, conv)
         self._deriv = [Derivation(self.ctx, v, cache) for v in op.variables]
         self._zero = zero_form(self.ctx)
-        self._brackets: dict = {}
-        self._a7_halves: dict = {}
 
     def _gradient(self, rf) -> list:
         if rf.is_zero:
@@ -232,28 +235,76 @@ class MokhovChecker:
         return _map_nested(self.B, self._gradient)
 
     @cached_property
-    def GS(self) -> list:
-        rng = range(self.n)
-        return [[_nonzero((s, G[s][i]) for s in rng) for i in rng]
-                for G in self.G]
-
-    @cached_property
-    def BS(self) -> list:
-        rng = range(self.n)
-        return [[[_nonzero(enumerate(B[i][j])) for j in rng] for i in rng]
-                for B in self.B]
-
-    @cached_property
-    def BT(self) -> list:
-        rng = range(self.n)
-        return [[[_nonzero((s, B[s][i][q]) for s in rng) for q in rng]
-                 for i in rng] for B in self.B]
-
-    @cached_property
     def C(self) -> list:
         rng = range(self.n)
         return [[[[[D[j][r][s][q] - D[j][r][q][s] for q in rng] for s in rng]
                   for r in rng] for j in rng] for D in self.DB]
+
+    def _by_s(self, table, pos: int) -> list:
+        """The nonzero entries of a dense table, listed by the contracted
+        index s, its pos-th component index: (alpha label, the other
+        component indices 1-based, entry)."""
+        out = [[] for _ in range(self.n)]
+        for (a, *idx), x in _leaves(table):
+            if not x.is_zero:
+                s = idx.pop(pos)
+                out[s].append((ALPHA_LABELS[a], *(i + 1 for i in idx), x))
+        return out
+
+    @cached_property
+    def _g_s(self) -> list:
+        """(al, i, g^{si al}) by s"""
+        return self._by_s(self.G, 0)
+
+    @cached_property
+    def _b_last(self) -> list:
+        """(al, i, j, b^{ij al}_s) by s"""
+        return self._by_s(self.B, 2)
+
+    @cached_property
+    def _b_first(self) -> list:
+        """(be, r, q, b^{sr be}_q) by s"""
+        return self._by_s(self.B, 0)
+
+    @cached_property
+    def _c_s(self) -> list:
+        """(be, j, r, q, C^{jr be}_{sq}) by s"""
+        return self._by_s(self.C, 2)
+
+    @cached_property
+    def _bb(self) -> list:
+        """(al, i, j, be, r, q, b^{ij al}_s b^{sr be}_q) for each pair of
+        nonzero entries that share s; the a5 brackets and a6 share them."""
+        return [(al, i, j, be, r, q, x * y) for (al, i, j, x), (be, r, q, y)
+                in _join(self._b_last, self._b_first)]
+
+    @cached_property
+    def P(self) -> dict:
+        """P[al, be, i, j, r] = sum_s g^{si al} b^{jr be}_s"""
+        return _table(((al, be, i, j, r), g * b) for (al, i, g), (be, j, r, b)
+                      in _join(self._g_s, self._b_last))
+
+    @cached_property
+    def brackets(self) -> dict:
+        """The a5 brackets [al, be, i, j, r, q] = sum_s g^{si al}
+        C^{jr be}_{sq} + b^{ij al}_s b^{sr be}_q - b^{ir al}_s b^{sj be}_q."""
+        def terms():
+            for (al, i, g), (be, j, r, q, c) in _join(self._g_s, self._c_s):
+                yield (al, be, i, j, r, q), g * c
+            for al, i, j, be, r, q, t in self._bb:
+                yield (al, be, i, j, r, q), t
+                yield (al, be, i, r, j, q), -t
+        return _table(terms())
+
+    def _walk(self, rel: str, arity: int, terms):
+        """(rel, indices, residual) over the full index product in order;
+        the residual sums the terms scattered to its indices."""
+        table = _table(terms)
+        zero = self._zero
+        labels = ALPHA_LABELS[: self.d]
+        comps = range(1, self.n + 1)
+        for idx in itertools.product(labels, labels, *[comps] * arity):
+            yield rel, idx, table.get(idx, zero)
 
     # each generator yields (relation, indices, RationalForm)
 
@@ -275,130 +326,116 @@ class MokhovChecker:
                         yield "a2", (ALPHA_LABELS[a], i + 1, j + 1, k + 1), \
                             DG[a][i][j][k] - B[a][i][j][k] - B[a][j][i][k]
 
-    def _dot(self, pairs, factor):
-        """sum over (s, x) in pairs of x * factor(s); a zero factor adds
-        nothing and is not multiplied."""
-        acc = self._zero
-        for s, x in pairs:
-            y = factor(s)
-            if not y.is_zero:
-                acc = acc + x * y
-        return acc
-
-    def _gb_terms(self, al, be, i, j, r):
-        """sum_s g^{si al} b^{jr be}_s - g^{sj be} b^{ir al}_s, the term
-        that a3 and a4 add up over index pairs and cyclic shifts."""
-        B = self.B
-        return (self._dot(self.GS[al][i], B[be][j][r].__getitem__)
-                - self._dot(self.GS[be][j], B[al][i][r].__getitem__))
-
     def residuals_a3(self):
-        rng = range(self.n)
-        for a in range(self.d):
-            for bB in range(self.d):
-                for i in rng:
-                    for j in rng:
-                        for r in rng:
-                            yield "a3", (
-                                ALPHA_LABELS[a], ALPHA_LABELS[bB],
-                                i + 1, j + 1, r + 1,
-                            ), (self._gb_terms(a, bB, i, j, r)
-                                + self._gb_terms(bB, a, i, j, r))
+        yield from self._walk("a3", 3, self._a3_terms())
+
+    def _a3_terms(self):
+        """a3[a, be, i, j, r] = P[a, be, i, j, r] + P[be, a, i, j, r]
+        - P[be, a, j, i, r] - P[a, be, j, i, r]"""
+        for (al, be, i, j, r), p in self.P.items():
+            m = -p
+            yield (al, be, i, j, r), p
+            yield (be, al, i, j, r), p
+            yield (be, al, j, i, r), m
+            yield (al, be, j, i, r), m
 
     def residuals_a4(self):
-        rng = range(self.n)
-        for a in range(self.d):
-            for be in range(self.d):
-                for i in rng:
-                    for j in rng:
-                        for r in rng:
-                            yield "a4", (
-                                ALPHA_LABELS[a], ALPHA_LABELS[be],
-                                i + 1, j + 1, r + 1,
-                            ), (self._gb_terms(a, be, i, j, r)
-                                + self._gb_terms(a, be, j, r, i)
-                                + self._gb_terms(a, be, r, i, j))
+        yield from self._walk("a4", 3, self._a4_terms())
 
-    def _a5_bracket(self, al, be, i, j, r, q):
-        """sum_s g^{si al} C^{jr be}_{sq}
-        + b^{ij al}_s b^{sr be}_q - b^{ir al}_s b^{sj be}_q, built once."""
-        key = (al, be, i, j, r, q)
-        acc = self._brackets.get(key)
-        if acc is None:
-            B, C, BS = self.B[be], self.C[be][j][r], self.BS[al][i]
-            acc = (self._dot(self.GS[al][i], lambda s: C[s][q])
-                   + self._dot(BS[j], lambda s: B[s][r][q])
-                   - self._dot(BS[r], lambda s: B[s][j][q]))
-            self._brackets[key] = acc
-        return acc
+    def _a4_terms(self):
+        """a4[a, be, i, j, r] = sum over cyclic (i, j, r) of
+        P[a, be, i, j, r] - P[be, a, j, i, r]"""
+        for (al, be, i, j, r), p in self.P.items():
+            m = -p
+            for ijr in _cyclic(i, j, r):
+                yield (al, be, *ijr), p
+            for jir in _cyclic(j, i, r):
+                yield (be, al, *jir), m
 
     def residuals_a5(self):
-        rng = range(self.n)
-        for a in range(self.d):
-            for be in range(self.d):
-                for i, j, r, q in itertools.product(rng, repeat=4):
-                    acc = self._a5_bracket(a, be, i, j, r, q) + \
-                        self._a5_bracket(be, a, i, j, r, q)
-                    yield "a5", (
-                        ALPHA_LABELS[a], ALPHA_LABELS[be],
-                        i + 1, j + 1, r + 1, q + 1,
-                    ), acc
+        yield from self._walk("a5", 4, self._a5_terms())
+
+    def _a5_terms(self):
+        """a5[a, be, ...] = bracket[a, be, ...] + bracket[be, a, ...]"""
+        for (al, be, *ijrq), x in self.brackets.items():
+            yield (al, be, *ijrq), x
+            yield (be, al, *ijrq), x
 
     def residuals_a6(self):
-        B, DB, GS, BS = self.B, self.DB, self.GS, self.BS
-        dot = self._dot
-        rng = range(self.n)
-        for a in range(self.d):
-            for be in range(self.d):
-                for i, j, r, q in itertools.product(rng, repeat=4):
-                    acc = (dot(GS[be][i], DB[a][j][r][q].__getitem__)
-                           - dot(BS[be][i][j], lambda s: B[a][s][r][q])
-                           - dot(BS[be][i][r], lambda s: B[a][j][s][q])
-                           - dot(GS[a][j], DB[be][i][r][q].__getitem__)
-                           + dot(BS[a][j][i], lambda s: B[be][s][r][q])
-                           + dot(BS[a][j][r], lambda s: B[be][i][s][q]))
-                    yield "a6", (
-                        ALPHA_LABELS[a], ALPHA_LABELS[be],
-                        i + 1, j + 1, r + 1, q + 1,
-                    ), acc
+        yield from self._walk("a6", 4, self._a6_terms())
 
-    def _a7_half(self, al, be, i, j, r, q, k):
-        """d_k of the a5 bracket (al, be, i, j, r, q) plus the sum over
-        cyclic (i,j,r) of b^{si be}_q C^{jr al}_{ks}.  Each half enters two
-        a7 residuals, so it is built once."""
-        key = (al, be, i, j, r, q, k)
-        acc = self._a7_halves.get(key)
-        if acc is None:
-            bracket = self._a5_bracket(al, be, i, j, r, q)
-            acc = bracket if bracket.is_zero else self._deriv[k](bracket)
-            C, BT = self.C[al], self.BT[be]
-            for ii, jj, rr in ((i, j, r), (j, r, i), (r, i, j)):
-                pairs = BT[ii][q]
-                if pairs:
-                    acc = acc + self._dot(pairs, C[jj][rr][k].__getitem__)
-            self._a7_halves[key] = acc
-        return acc
+    def _a6_terms(self):
+        """a6[a, be, i, j, r, q] = S[a, be, i, j, r, q] - S[be, a, j, i, r, q]
+        with the a6 table S = sum_s g^{si be} d_s b^{jr a}_q
+        - b^{ij be}_s b^{sr a}_q - b^{ir be}_s b^{js a}_q."""
+        def terms():
+            for (be, i, g), (a, j, r, q, x) in _join(self._g_s,
+                                                      self._by_s(self.DB, 3)):
+                yield (a, be, i, j, r, q), g * x
+            for be, i, j, a, r, q, t in self._bb:
+                yield (a, be, i, j, r, q), -t
+            for (be, i, r, x), (a, j, q, y) in _join(self._b_last,
+                                                      self._by_s(self.B, 1)):
+                yield (a, be, i, j, r, q), -(x * y)
+        for (a, be, i, j, r, q), t in _table(terms()).items():
+            yield (a, be, i, j, r, q), t
+            yield (be, a, j, i, r, q), -t
 
     def residuals_a7(self):
-        rng = range(self.n)
-        for a in range(self.d):
-            for be in range(self.d):
-                for i, j, r in itertools.product(rng, repeat=3):
-                    for k, q in itertools.product(rng, repeat=2):
-                        yield "a7", (
-                            ALPHA_LABELS[a], ALPHA_LABELS[be],
-                            i + 1, j + 1, r + 1, k + 1, q + 1,
-                        ), (self._a7_half(a, be, i, j, r, q, k)
-                            + self._a7_half(be, a, i, j, r, k, q))
+        yield from self._walk("a7", 5, self._a7_terms())
+
+    def _a7_terms(self):
+        """a7[a, be, i, j, r, k, q] = half[a, be, i, j, r, q, k]
+        + half[be, a, i, j, r, k, q], where half[al, be, i, j, r, q, k] is
+        d_k of the bracket [al, be, i, j, r, q] plus the sum over cyclic
+        (i, j, r) of b^{si be}_q C^{jr al}_{ks}."""
+        def halves():
+            for key, x in self.brackets.items():
+                for k, deriv in enumerate(self._deriv, 1):
+                    dx = deriv(x)
+                    if not dx.is_zero:
+                        yield (*key, k), dx
+            for (be, i, q, b), (al, j, r, k, c) in _join(self._b_first,
+                                                         self._c_s):
+                t = -(b * c)        # C^{jr al}_{ks} = -C^{jr al}_{sk}
+                for ijr in _cyclic(i, j, r):
+                    yield (al, be, *ijr, q, k), t
+        for (al, be, i, j, r, q, k), h in _table(halves()).items():
+            yield (al, be, i, j, r, k, q), h
+            yield (be, al, i, j, r, q, k), h
 
     def residuals(self, relations):
         for rel in relations:
             yield from getattr(self, f"residuals_{rel}")()
 
 
-def _nonzero(pairs) -> list:
-    """The (s, x) pairs whose rational form x is nonzero."""
-    return [(s, x) for s, x in pairs if not x.is_zero]
+def _leaves(nested) -> list:
+    """(index tuple, entry) of each entry of a nested list."""
+    items = [((), nested)]
+    while isinstance(items[0][1], list):
+        items = [(idx + (i,), sub) for idx, node in items
+                 for i, sub in enumerate(node)]
+    return items
+
+
+def _join(left, right):
+    """The pairs (x, y) of entries of two lists grouped by s that share
+    s."""
+    return ((x, y) for xs, ys in zip(left, right) for x in xs for y in ys)
+
+
+def _table(terms) -> dict:
+    """{key: the sum of the x over the (key, x) in terms}, without the
+    keys whose sum cancels to zero."""
+    out: dict = {}
+    for key, x in terms:
+        old = out.get(key)
+        out[key] = x if old is None else old + x
+    return {key: x for key, x in out.items() if not x.is_zero}
+
+
+def _cyclic(i, j, r):
+    return (i, j, r), (j, r, i), (r, i, j)
 
 
 def _flatten(nested):

@@ -121,6 +121,42 @@ def test_reduction_command(tmp_path, gas_file, capsys):
     assert main(["reduction", gas_file, str(density), str(cand)]) == 0
 
 
+@pytest.fixture
+def hodograph_files(tmp_path, gas_file):
+    density = tmp_path / "h.json"
+    density.write_text(json.dumps({
+        "h": "1/2*u1*(u2^2 + u3^2) + k(u1)",
+        "functions": [{"name": "k", "args": ["u1"]}],
+    }))
+    cand = tmp_path / "cand.json"
+    cand.write_text(json.dumps({
+        "m": 1, "u": ["3", "1", "4"], "lambda": ["R1"], "mu": ["R1^2"],
+        "v": ["R1"],
+    }))
+    return [gas_file, str(density), str(cand)]
+
+
+def test_reduction_at_point(hodograph_files, capsys):
+    argv = ["reduction", *hodograph_files, "--at", "R1=2, t=1/3,x=-1"]
+    assert main(argv) == 0
+    assert "hodograph residual at point" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("at, message", [
+    ("R1=1/0", "--at: R1=1/0 is not a rational number"),
+    ("R1=abc", "--at: R1=abc is not a rational number"),
+    ("R7=1,q=2", "--at: unknown coordinate 'R7', expected one of R1, t, "
+                 "x, y"),
+    ("R1=1,q=2", "--at: unknown coordinate 'q', expected one of R1, t, "
+                 "x, y"),
+], ids=["zero-denominator", "not-a-number", "unknown-R", "unknown-name"])
+def test_reduction_bad_at_exits_3(hodograph_files, capsys, at, message):
+    assert main(["reduction", *hodograph_files, "--at", at]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
 def test_legendre_command(tmp_path, capsys):
     path = tmp_path / "h.json"
     path.write_text(json.dumps({

@@ -1,12 +1,17 @@
-"""Deterministic cost bounds: ring operation counts over one catalog pass.
+"""Deterministic cost bounds: ring operation counts over one catalog pass
+and over the mutation scan.
 
 Timings drift on a shared machine; call counts do not.  The bound is 1.1x
 the count recorded when the test was written.  A change that lowers the
 count should tighten the bound; one that raises it must say why.
 """
 
-from hydroham import catalog
-from hydroham.operators import MetricPencil
+from collections import Counter
+
+import pytest
+
+from hydroham import catalog, mutation
+from hydroham.operators import MetricPencil, check_hamiltonian
 from hydroham.ratform import RationalForm
 
 # RationalForm.__mul__ calls in one catalog.verify_all() pass.  Down from
@@ -14,25 +19,71 @@ from hydroham.ratform import RationalForm
 # factor, while the pencil analysis, now done in the ring, forms 262
 # (it formed 117 when its determinants were Expr trees).  Down from 4,970:
 # each operator builds its pencil and takes its determinant once, shared
-# by is_degenerate and generic_rank (107 products fewer).
-MUL_CALLS = 4863
+# by is_degenerate and generic_rank (107 products fewer).  Down from 4,863:
+# a3-a7 scatter each nonzero product of their sums into tables keyed by
+# residual indices, so a product that enters several residuals (or both
+# the a5 brackets and a6) is formed once.
+MUL_CALLS = 2262
+# RationalForm.__add__ calls in the same pass; 78,897 when a3-a7 summed
+# per index tuple, nearly all of them adding a zero.
+ADD_CALLS = 3201
+
+# The same counts over the mutation scan: first_proven_failure on each of
+# the 339 mutants, then check_hamiltonian on the 12 that survive it.  The
+# per-tuple sums made 9,142 products and 92,022 sums here; the tables make
+# more products because a mutant that fails a3 or a5 still builds that
+# relation's whole table before its first residual is looked at.
+SCAN_MUTANTS, SCAN_SURVIVORS = 339, 12
+SCAN_MUL_CALLS = 9485
+SCAN_ADD_CALLS = 8723
 
 
-def test_verify_all_multiplications(monkeypatch):
-    calls = zero_operand = 0
-    mul = RationalForm.__mul__
+@pytest.fixture
+def ring_ops(monkeypatch):
+    """A function that starts counting RationalForm products, sums and
+    products with a zero operand, and returns the live Counter."""
+    counts = Counter()
+    mul, add = RationalForm.__mul__, RationalForm.__add__
 
-    def counted(a, b):
-        nonlocal calls, zero_operand
-        calls += 1
-        zero_operand += a.is_zero or b.is_zero
+    def counted_mul(a, b):
+        counts["mul"] += 1
+        counts["zero_operand"] += a.is_zero or b.is_zero
         return mul(a, b)
 
-    monkeypatch.setattr(RationalForm, "__mul__", counted)
+    def counted_add(a, b):
+        counts["add"] += 1
+        return add(a, b)
+
+    def start():
+        monkeypatch.setattr(RationalForm, "__mul__", counted_mul)
+        monkeypatch.setattr(RationalForm, "__add__", counted_add)
+        return counts
+    return start
+
+
+def test_verify_all_multiplications(ring_ops):
+    counts = ring_ops()
     results = catalog.verify_all()
     assert all(r.ok for r in results)
-    assert calls <= 1.1 * MUL_CALLS, calls
-    assert zero_operand == 0, (zero_operand, calls)
+    assert counts["mul"] <= 1.1 * MUL_CALLS, counts
+    assert counts["add"] <= 1.1 * ADD_CALLS, counts
+    assert counts["zero_operand"] == 0, counts
+
+
+def test_mutation_scan_ring_operations(ring_ops):
+    mutants = [mutant for entry in catalog.ENTRIES
+               for _m, mutant in mutation.mutants(
+                   catalog.instantiate(entry.id)[0])]
+    assert len(mutants) == SCAN_MUTANTS
+    counts = ring_ops()
+    survivors = [m for m in mutants
+                 if mutation.first_proven_failure(m) is None]
+    assert len(survivors) == SCAN_SURVIVORS
+    assert all(check_hamiltonian(m).overall == "proven_pass"
+               for m in survivors)
+    assert counts["mul"] <= 1.1 * SCAN_MUL_CALLS, counts
+    assert counts["add"] <= 1.1 * SCAN_ADD_CALLS, counts
+    assert counts["zero_operand"] == 0, counts
 
 
 def test_verify_all_builds_each_pencil_once(monkeypatch):

@@ -1,8 +1,11 @@
 """Mutation sensitivity spot checks (the full catalog sweep runs in the
 acceptance suite)."""
 
-from hydroham import catalog
+from functools import cached_property
+
+from hydroham import catalog, mutation
 from hydroham.mutation import Mutation, first_proven_failure, scan
+from hydroham.operators import MokhovChecker
 
 
 def test_sign_flip_detected():
@@ -36,3 +39,23 @@ def test_first_proven_failure_none_for_valid():
 def test_mutation_description():
     m = Mutation("flip", (0, 1, 2, 2))
     assert "b^{12,x}_2" in m.describe()
+
+
+def test_failure_at_a2_builds_no_later_table(monkeypatch):
+    """A mutant that fails a2 differentiates g but builds no d b, no C and
+    none of the tables of a3-a7."""
+    checkers = []
+
+    class Recorded(MokhovChecker):
+        def __init__(self, op):
+            super().__init__(op)
+            checkers.append(self)
+
+    monkeypatch.setattr(mutation, "MokhovChecker", Recorded)
+    op, _ws = catalog.instantiate("P_gas")
+    _m, mutant = next(mutation.mutants(op))
+    assert first_proven_failure(mutant)[0] == "a2"
+    built = {name for name in vars(checkers[0])
+             if isinstance(getattr(MokhovChecker, name, None),
+                           cached_property)}
+    assert built == {"DG"}
