@@ -8,6 +8,7 @@ the structural classifier for systems generated with an abstract density.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -18,7 +19,6 @@ from .operators import (
     _flatten,
     _map_nested,
     is_trivial_pair,
-    pencil_determinant,
 )
 from .ratform import (
     Derivation,
@@ -31,7 +31,14 @@ from .ratform import (
     zero_form,
 )
 from .symbols import Symbol, Workspace
-from .zerotest import DEFAULT_POLICY, Point, ZeroTestPolicy, evaluate, is_zero
+from .zerotest import (
+    DEFAULT_POLICY,
+    Point,
+    ZeroTestPolicy,
+    evaluate,
+    is_zero,
+    verdict_for_ratform,
+)
 
 
 class HamsysError(Exception):
@@ -69,11 +76,13 @@ class QuasilinearSystem:
     B: list
 
 
-def generate_system(op: HydroOperator,
-                    h: HamiltonianDensity | ex.Expr) -> QuasilinearSystem:
-    """A^i_k = sum_j (g^{ij,x} h_{u^j u^k} + b^{ij,x}_k h_{u^j}); B from the
-    y part.  d = 1 operators get B = 0.  The derivatives of h and the
-    products are taken in one ring holding h and the operator entries."""
+# A, B, the metrics G and d2h[j][k] = d_k d_j h as rational forms of one
+# derivation context, which holds G to first order, and its derivations
+_SystemForms = namedtuple("_SystemForms", "ws A B G d2h deriv")
+
+
+def _system_forms(op: HydroOperator,
+                  h: HamiltonianDensity | ex.Expr) -> _SystemForms:
     if op.d > 2:
         raise HamsysError("system generation supports d <= 2")
     if isinstance(h, HamiltonianDensity):
@@ -89,7 +98,7 @@ def generate_system(op: HydroOperator,
         )
     cache: dict = {}
     ctx = derivation_context(ws, vars_, [
-        ([h_expr], 2), (list(_flatten([op.g, op.b])), 0),
+        ([h_expr], 2), (list(_flatten(op.g)), 1), (list(_flatten(op.b)), 0),
     ], cache)
     conv = lambda e: to_rational_form(e, ctx, cache)
     G, B = _map_nested(op.g, conv), _map_nested(op.b, conv)
@@ -98,15 +107,26 @@ def generate_system(op: HydroOperator,
     dh = [d(H) for d in deriv]
     d2h = [[d(dh_j) for d in deriv] for dh_j in dh]
     zero = zero_form(ctx)
+    rng = range(n)
 
     def matrix(alpha: int):
         if alpha >= op.d:
-            return [[ex.ZERO] * n for _ in range(n)]
-        return [[ratform_to_expr(sum(
-            (G[alpha][i][j] * d2h[j][k] + B[alpha][i][j][k] * dh[j]
-             for j in range(n)), zero)) for k in range(n)] for i in range(n)]
+            return [[zero] * n for _ in rng]
+        return [[sum((G[alpha][i][j] * d2h[j][k] + B[alpha][i][j][k] * dh[j]
+                      for j in rng), zero) for k in rng] for i in rng]
 
-    return QuasilinearSystem(ws, n, matrix(0), matrix(1))
+    return _SystemForms(ws, matrix(0), matrix(1), G, d2h, deriv)
+
+
+def generate_system(op: HydroOperator,
+                    h: HamiltonianDensity | ex.Expr) -> QuasilinearSystem:
+    """A^i_k = sum_j (g^{ij,x} h_{u^j u^k} + b^{ij,x}_k h_{u^j}); B from the
+    y part.  d = 1 operators get B = 0.  The derivatives of h and the
+    products are taken in one ring holding h and the operator entries."""
+    forms = _system_forms(op, h)
+    return QuasilinearSystem(forms.ws, op.n,
+                             _map_nested(forms.A, ratform_to_expr),
+                             _map_nested(forms.B, ratform_to_expr))
 
 
 DISPERSION_PARAMS = ("lam", "mu")
@@ -258,45 +278,44 @@ def classify_operator_shape(op: HydroOperator,
                             policy: ZeroTestPolicy = DEFAULT_POLICY) -> ShapeResult:
     """Classify the reduced shape of the system the operator generates with
     an abstract density, by the freezing cascade and coordinate-change
-    invariants."""
+    invariants.  Each step builds the system once, as rational forms, and
+    the zero tests run on those forms."""
+    zero = lambda rf: verdict_for_ratform(rf, rf.ctx.ws,
+                                          policy).is_zero_verdict
     frozen_names: list[str] = []
     current = op
     while True:
-        sys = generate_system(current, HamiltonianDensity.abstract(
+        forms = _system_forms(current, HamiltonianDensity.abstract(
             current.ws, current.n))
         if current.n == 1:
             # a zero row freezes the last component (fully trivial system);
             # a surviving transport row is the reduced outcome itself
-            diag_zero = (
-                is_zero(sys.A[0][0], sys.ws, policy).is_zero_verdict
-                and is_zero(sys.B[0][0], sys.ws, policy).is_zero_verdict
-            )
-            if diag_zero:
+            if zero(forms.A[0][0]) and zero(forms.B[0][0]):
                 frozen_names.append(current.ws.variables[0].name)
                 return ShapeResult(TRIVIAL, frozen=frozen_names)
             return ShapeResult(TRANSPORT_1D, frozen=frozen_names)
-        row = _freezable_row(sys, policy)
+        row = _freezable_row(forms, zero)
         if row is None:
             break
         frozen_names.append(current.ws.variables[row].name)
-        current, _ws = _freeze_component(current, row)
+        current = _freeze_component(current, row)
 
     n = current.n
     if n == 2:
-        form = _decoupled_form(current, policy)
+        form = _decoupled_form(current, forms, zero, policy)
         return ShapeResult(DECOUPLED_2C, form, frozen_names)
-    if n == 3 and _is_euler_lagrange(current, policy):
+    if n == 3 and _is_euler_lagrange(forms, zero):
         return ShapeResult(EULER_LAGRANGE, frozen=frozen_names)
     return ShapeResult(UNCLASSIFIED, frozen=frozen_names)
 
 
-def _freezable_row(sys: QuasilinearSystem, policy) -> int | None:
+def _freezable_row(forms: _SystemForms, zero) -> int | None:
     """First row i with A^i_k = B^i_k = 0 for every k != i (so the row reads
     u^i_t + phi u^i_x + psi u^i_y = 0)."""
-    zero = lambda e: is_zero(e, sys.ws, policy).is_zero_verdict
-    for i in range(sys.n):
-        if all(zero(m[i][k]) for k in range(sys.n) if k != i
-               for m in (sys.A, sys.B)):
+    n = len(forms.A)
+    for i in range(n):
+        if all(zero(m[i][k]) for k in range(n) if k != i
+               for m in (forms.A, forms.B)):
             return i
     return None
 
@@ -324,54 +343,44 @@ def _freeze_component(op: HydroOperator, index: int):
          for a in range(op.d)]
     b = [[[[sub(op.b[a][i][j][k]) for k in keep] for j in keep]
           for i in keep] for a in range(op.d)]
-    return HydroOperator(ws, op.d, len(keep), g, b), ws
+    return HydroOperator(ws, op.d, len(keep), g, b)
 
 
-def _decoupled_form(op: HydroOperator, policy):
-    """Invariants of the frozen 2x2 pair: proportional pair -> "1d";
+def _decoupled_form(op: HydroOperator, forms: _SystemForms, zero, policy):
+    """Invariants of the frozen 2x2 pair: proportional pair -> "1d" (a d = 1
+    operator is a pair with zero y-part, proportional with xi = 0);
     non-constant metrics -> Mokhov form 3; else the pencil-determinant
     discriminant separates diag(d_x, d_y) (two roots) from the triangular
     form (double root)."""
-    if is_trivial_pair(op, policy).trivial:
+    if op.d == 1 or is_trivial_pair(op, policy).trivial:
         return "1d"
-    if any(not is_zero(differentiate(e, v), op.ws, policy).is_zero_verdict
-           for g in op.g for row in g for e in row for v in op.variables):
+    if any(not zero(d(e)) for g in forms.G for row in g for e in row
+           for d in forms.deriv):
         return 3
     # det(lam1 g_x + lam2 g_y) = c20 lam1^2 + c11 lam1 lam2 + c02 lam2^2
-    coeffs = pencil_determinant(op)
-    c20, c11, c02 = (coeffs.get(m, ex.ZERO) for m in ((2, 0), (1, 1), (0, 2)))
-    disc = ex.add(ex.pow_(c11, 2), ex.neg(ex.mul(ex.Rat(4), c20, c02)))
-    if is_zero(disc, op.ws, policy).is_zero_verdict:
-        return 2
-    return 1
+    pencil = op.pencil
+    ctx = pencil.matrix[0][0].ctx
+    c20, c11, c02 = (pencil.det_coefficients.get(m, zero_form(ctx))
+                     for m in ((2, 0), (1, 1), (0, 2)))
+    four = to_rational_form(ex.Rat(4), ctx)
+    return 2 if zero(c11 * c11 - four * c20 * c02) else 1
 
 
-def _is_euler_lagrange(op: HydroOperator, policy) -> bool:
+def _is_euler_lagrange(forms: _SystemForms, zero) -> bool:
     """Does the abstract-h system match the potential three-component form
     u1_t + (h_2)_x + (h_3)_y, u2_t + (h_1)_x, u3_t + (h_1)_y up to row-wise
     multiples of the potentiality combination u2_y - u3_x?"""
-    density = HamiltonianDensity.abstract(op.ws, op.n)
-    sys = generate_system(op, density)
-    ws = sys.ws
-    h = density.h.func
-    vars_ = ws.variables[:3]
-    h1, h2, h3 = (
-        ex.func_atom(h, deriv=tuple(1 if t == s else 0 for t in range(3)))
-        for s in range(3)
-    )
-    # target flux rows: (x-flux, y-flux) per row
-    targets = [(h2, h3), (h1, None), (None, h1)]
-    for row in range(3):
-        fx, fy = targets[row]
-        dA = [ex.add(sys.A[row][k], ex.neg(differentiate(fx, vars_[k]))
-                     if fx is not None else ex.ZERO)
-              for k in range(3)]
-        dB = [ex.add(sys.B[row][k], ex.neg(differentiate(fy, vars_[k]))
-                     if fy is not None else ex.ZERO)
-              for k in range(3)]
+    # per row, the 0-based j of the x- and y-flux h_{j+1}, whose d_k is
+    # d2h[j][k]
+    targets = [(1, 2), (0, None), (None, 0)]
+    for row, (fx, fy) in enumerate(targets):
+        dA = [forms.A[row][k] if fx is None
+              else forms.A[row][k] - forms.d2h[fx][k] for k in range(3)]
+        dB = [forms.B[row][k] if fy is None
+              else forms.B[row][k] - forms.d2h[fy][k] for k in range(3)]
         # residual row must be c(u) * (u2_y - u3_x): only dA[2] and dB[1]
         # may survive, with dB[1] = -dA[2]
-        survivors = (dA[0], dA[1], dB[0], dB[2], ex.add(dB[1], dA[2]))
-        if not all(is_zero(e, ws, policy).is_zero_verdict for e in survivors):
+        survivors = (dA[0], dA[1], dB[0], dB[2], dB[1] + dA[2])
+        if not all(zero(e) for e in survivors):
             return False
     return True

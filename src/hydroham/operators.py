@@ -12,7 +12,6 @@ them.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -164,15 +163,10 @@ def overall_result(kinds) -> str:
 @dataclass
 class ConditionReport:
     records: list[ResidualRecord] = field(default_factory=list)
-    wall_time: float = 0.0
 
     @property
     def overall(self) -> str:
         return overall_result(r.verdict.kind for r in self.records)
-
-    @property
-    def passed(self) -> bool:
-        return self.overall in (PROVEN_PASS, PROBABLY_PASS)
 
     def failures(self) -> list[ResidualRecord]:
         return [
@@ -474,10 +468,9 @@ def check_hamiltonian(op: HydroOperator,
     """One record per residual of a1..a7; for a subset of the relations,
     use ``MokhovChecker(op).residuals(relations)``."""
     checker = MokhovChecker(op)
-    t0 = time.perf_counter()
     records = [_record(rel, idx, rf, op.ws, policy)
                for rel, idx, rf in checker.residuals(ALL_RELATIONS)]
-    return ConditionReport(records, time.perf_counter() - t0)
+    return ConditionReport(records)
 
 
 # -- metric pencil analysis ----------------------------------------------------
@@ -649,11 +642,10 @@ def pencil_compatibility(
             for k in range(n)] for j in range(n)] for i in range(n)]]
     pencil_op = HydroOperator(ws, 1, n, g, b)
 
-    t0 = time.perf_counter()
     records = []
     for rel, idx, rf in MokhovChecker(pencil_op).residuals(ALL_RELATIONS):
         parts = {(0,): rf} if rf.is_zero else coefficients_in(rf, [lam.name])
         for (power,), coeff in parts.items():
             records.append(
                 _record(rel, idx + (f"lam^{power}",), coeff, ws, policy))
-    return ConditionReport(records, time.perf_counter() - t0)
+    return ConditionReport(records)

@@ -8,11 +8,10 @@ oracle that pins the sign conventions.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from . import expr as ex
-from .calculus import differentiate, substitute
+from .calculus import substitute
 from .operators import (
     ALPHA_LABELS,
     ConditionReport,
@@ -26,7 +25,7 @@ from .ratform import (
     Derivation,
     derivation_context,
     det,
-    matrix_forms,
+    one_form,
     ratform_to_expr,
     to_rational_form,
     zero_form,
@@ -72,17 +71,6 @@ class CoordinateChange:
     def v_vars(self) -> list[Symbol]:
         return self.dst_ws.variables[: self.n]
 
-    def jacobian(self) -> list[list[ex.Expr]]:
-        """J^i_k = d phi^i / d v^k, over the v side."""
-        return [
-            [differentiate(self.forward[i], v) for v in self.v_vars]
-            for i in range(self.n)
-        ]
-
-    def inverse_jacobian(self) -> list[list[ex.Expr]]:
-        """K^i_p = d (phi^{-1})^i / d u^p, over the u side."""
-        return self.inverted().jacobian()
-
     def to_v(self, e: ex.Expr) -> ex.Expr:
         """Express a u-side expression in v coordinates."""
         return substitute(e, dict(zip(self.u_vars, self.forward)))
@@ -101,8 +89,8 @@ class CoordinateChange:
                 if not is_zero(residual, change.src_ws, policy).is_zero_verdict:
                     raise InvalidChangeError(
                         f"{label} is not the identity on {u.name}")
-        jac = det(matrix_forms(self.dst_ws, self.jacobian()))
-        if verdict_for_ratform(jac, self.dst_ws, policy).is_zero_verdict:
+        J = _jacobian(self, [])[0]
+        if verdict_for_ratform(det(J), self.dst_ws, policy).is_zero_verdict:
             raise InvalidChangeError("Jacobian determinant vanishes identically")
         return self
 
@@ -120,35 +108,55 @@ def coordinate_change(
     return CoordinateChange(src_ws, dst_ws, fwd, inv).validate(policy)
 
 
+def _jacobian(change: CoordinateChange, exprs):
+    """J^i_k = d phi^i / d v^k in one derivation context over the v side,
+    which holds phi to second order and ``exprs`` at order 0.  Returns J,
+    the conversion of an Expr into the context and the derivations d/dv^k."""
+    ws, v_vars = change.dst_ws, change.v_vars
+    cache: dict = {}
+    ctx = derivation_context(ws, v_vars, [(change.forward, 2), (exprs, 0)],
+                             cache)
+    conv = lambda e: to_rational_form(e, ctx, cache)
+    deriv = [Derivation(ctx, v, cache) for v in v_vars]
+    J = [[d(conv(phi)) for d in deriv] for phi in change.forward]
+    return J, conv, deriv
+
+
+def _inverse(J):
+    """J^{-1} = adj(J)/det J: entry (i, j) is the cofactor of J^j_i over
+    det J."""
+    rng = range(len(J))
+    jac = det(J)
+
+    def cofactor(i, j):
+        rows = [[J[r][c] for c in rng if c != j] for r in rng if r != i]
+        minor = det(rows) if rows else one_form(jac.ctx)
+        return -minor if (i + j) % 2 else minor
+
+    return [[cofactor(j, i) / jac for j in rng] for i in rng]
+
+
 def pushforward(op: HydroOperator, change: CoordinateChange) -> HydroOperator:
-    """The transformed operator on the v side, with K = d(phi^{-1})/du o phi:
+    """The transformed operator on the v side, with J = d phi/dv and
+    K = J^{-1} (which is d(phi^{-1})/du o phi):
 
     ghat^{ij a} = K^i_p K^j_q g^{pq a} o phi,
     bhat^{ij a}_k = K^i_p K^j_q (b^{pq a}_r o phi) J^r_k
-                    + K^i_p (g^{pq a} o phi) d_k K^j_q,
+                    + K^i_p (g^{pq a} o phi) d_k K^j_q.
 
-    where d_k K^j_q = (d_r d(phi^{-1})^j/du^q o phi) J^r_k by the chain
-    rule.  The entries are built in one ring over the v side, which
-    differentiates K; contractions run one index at a time."""
+    Only phi is read: J, K and d_k K are rational forms of one ring over
+    the v side, and contractions run one index at a time."""
     n = op.n
     if change.n != n:
         raise InvalidChangeError("change arity does not match the operator")
-    to_v = change.to_v
-    K = _map_nested(change.inverse_jacobian(), to_v)
-    J = change.jacobian()
-    gv = [_map_nested(g, to_v) for g in op.g]
-    bv = [_map_nested(b, to_v) for b in op.b]
-    ws = change.dst_ws
-    cache: dict = {}
-    ctx = derivation_context(ws, change.v_vars, [
-        (list(_flatten(K)), 1),
-        (list(_flatten([gv, bv, J])), 0),
-    ], cache)
-    conv = lambda e: to_rational_form(e, ctx, cache)
-    K, J, gv, bv = (_map_nested(t, conv) for t in (K, J, gv, bv))
+    gv = [_map_nested(g, change.to_v) for g in op.g]
+    bv = [_map_nested(b, change.to_v) for b in op.b]
+    J, conv, deriv = _jacobian(change, list(_flatten([gv, bv])))
+    gv, bv = _map_nested(gv, conv), _map_nested(bv, conv)
+    K = _inverse(J)
     # DK[k][j][q] = d_k K^j_q
-    DK = [_map_nested(K, Derivation(ctx, v, cache)) for v in change.v_vars]
-    zero = zero_form(ctx)
+    DK = [_map_nested(K, d) for d in deriv]
+    zero = zero_form(J[0][0].ctx)
     rng = range(n)
     g_all, b_all = [], []
     for g, b in zip(gv, bv):
@@ -165,38 +173,31 @@ def pushforward(op: HydroOperator, change: CoordinateChange) -> HydroOperator:
             sum((KbJ[i][q][k] * K[j][q] + Kg[i][q] * DK[k][j][q]
                  for q in rng), zero)
             for k in rng] for j in rng] for i in rng])
-    return HydroOperator(ws, op.d, n, _map_nested(g_all, ratform_to_expr),
+    return HydroOperator(change.dst_ws, op.d, n,
+                         _map_nested(g_all, ratform_to_expr),
                          _map_nested(b_all, ratform_to_expr))
 
 
-def operator_difference_records(op1: HydroOperator, op2: HydroOperator,
-                                policy: ZeroTestPolicy = DEFAULT_POLICY,
-                                label: str = "roundtrip") -> list[ResidualRecord]:
-    """Entrywise residuals op1 - op2 (same shape, same variable names)."""
+def operator_difference_records(
+        op1: HydroOperator, op2: HydroOperator,
+        policy: ZeroTestPolicy = DEFAULT_POLICY) -> list[ResidualRecord]:
+    """Entrywise roundtrip residuals op1 - op2 (same shape and names)."""
     if (op1.d, op1.n) != (op2.d, op2.n):
         raise InvalidChangeError("operator shapes differ")
     rename = dict(zip(op2.variables, (ex.Var(v) for v in op1.variables)))
+    rng = range(op1.n)
+    # keys in the order of HydroOperator.entries()
+    keys = [(ALPHA_LABELS[a], part, i + 1, j + 1) + k
+            for a in range(op1.d) for i in rng for j in rng
+            for part, k in [("g", ())] + [("b", (r + 1,)) for r in rng]]
     records = []
-    for a in range(op1.d):
-        for i in range(op1.n):
-            for j in range(op1.n):
-                pairs = [
-                    ((ALPHA_LABELS[a], "g", i + 1, j + 1),
-                     op1.g[a][i][j], op2.g[a][i][j]),
-                ] + [
-                    ((ALPHA_LABELS[a], "b", i + 1, j + 1, k + 1),
-                     op1.b[a][i][j][k], op2.b[a][i][j][k])
-                    for k in range(op1.n)
-                ]
-                for idx, e1, e2 in pairs:
-                    residual = e1 - substitute(e2, rename)
-                    try:
-                        verdict = is_zero(residual, op1.ws, policy)
-                    except InconclusiveError:
-                        verdict = Verdict(INCONCLUSIVE)
-                    records.append(
-                        ResidualRecord(label, idx, residual, verdict)
-                    )
+    for idx, e1, e2 in zip(keys, op1.entries(), op2.entries()):
+        residual = e1 - substitute(e2, rename)
+        try:
+            verdict = is_zero(residual, op1.ws, policy)
+        except InconclusiveError:
+            verdict = Verdict(INCONCLUSIVE)
+        records.append(ResidualRecord("roundtrip", idx, residual, verdict))
     return records
 
 
@@ -204,11 +205,8 @@ def verify_invariance(op: HydroOperator, change: CoordinateChange,
                       policy: ZeroTestPolicy = DEFAULT_POLICY) -> ConditionReport:
     """check_hamiltonian of the pushforward plus the round-trip residuals
     pushforward(pushforward(op, c), c^{-1}) - op."""
-    t0 = time.perf_counter()
     pushed = pushforward(op, change)
     report = check_hamiltonian(pushed, policy)
     back = pushforward(pushed, change.inverted())
-    records = operator_difference_records(op, back, policy)
-    out = ConditionReport(report.records + records,
-                          time.perf_counter() - t0)
-    return out
+    return ConditionReport(
+        report.records + operator_difference_records(op, back, policy))

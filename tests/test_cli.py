@@ -108,6 +108,21 @@ def test_system_and_dispersion(tmp_path, gas_file, capsys):
     assert main(["dispersion", gas_file, str(density)]) == 0
 
 
+def test_system_classify_1d_operator(tmp_path, capsys):
+    """A d = 1 operator classifies; it used to exit 3 with an input
+    error, because the triviality test required d = 2."""
+    op, _ = catalog.instantiate("T2.3/rank2_2")
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(dump_operator(op)))
+    density = tmp_path / "h.json"
+    density.write_text(json.dumps({"h": "u1*u2*u3"}))
+    assert main(["system", str(path), str(density), "--classify"]) == 0
+    captured = capsys.readouterr()
+    assert "reduced shape: decoupled-2-component(1d) [frozen: u3]" \
+        in captured.out
+    assert captured.err == ""
+
+
 def test_reduction_command(tmp_path, gas_file, capsys):
     density = tmp_path / "h.json"
     density.write_text(json.dumps({

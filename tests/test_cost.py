@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from hydroham import catalog, mutation
+from hydroham import catalog, hamsys, mutation
 from hydroham.operators import MetricPencil, check_hamiltonian
 from hydroham.ratform import RationalForm
 
@@ -100,3 +100,27 @@ def test_verify_all_builds_each_pencil_once(monkeypatch):
     results = catalog.verify_all()
     assert all(r.ok for r in results)
     assert calls == len(catalog.ENTRIES) == 31, calls
+
+
+def test_classifier_builds_one_system_per_step(monkeypatch):
+    """classify_operator_shape builds the system of each cascade step once
+    (the Euler-Lagrange and decoupled-form tests reuse the last step's
+    forms), so the component counts of the builds strictly decrease.
+    P_gas is classified from one system; it took two when the
+    Euler-Lagrange test generated the system again."""
+    sizes = []
+    build = hamsys._system_forms
+
+    def counted(op, h):
+        sizes.append(op.n)
+        return build(op, h)
+
+    monkeypatch.setattr(hamsys, "_system_forms", counted)
+    for entry in catalog.ENTRIES:
+        sizes.clear()
+        hamsys.classify_operator_shape(catalog.instantiate(entry.id)[0])
+        assert sizes == sorted(set(sizes), reverse=True), (entry.id, sizes)
+    sizes.clear()
+    shape = hamsys.classify_operator_shape(catalog.instantiate("P_gas")[0])
+    assert str(shape) == "euler-lagrange-reducible"
+    assert sizes == [3]

@@ -18,6 +18,7 @@ from hydroham.hamsys import (
     reduction_residual,
 )
 from hydroham.operators import operator_from_entries, zero_operator
+from hydroham.zerotest import InconclusiveError
 
 
 def gas_with_state_function():
@@ -346,3 +347,85 @@ def test_shape_table_agreement():
         assert res.kind == bucket, (eid, str(res))
         if form is not None:
             assert res.form == form, (eid, str(res))
+
+
+# str(classify_operator_shape) per catalog entry with its default
+# parameters, and (second key True) with every abstract function set to
+# exp of its first argument.  Recorded before the classifier moved onto
+# the system's rational forms; the three d = 1 rank-2 entries raised
+# OperatorError then, because the triviality test required d = 2.
+_EXP_WITNESS = ("raises InconclusiveError: verdict for exp(cu3) is only "
+                "probabilistic: ProbablyNonzero(witness={'u1': '1/7', "
+                "'u2': '2', ")
+SHAPES = {
+    ("T2.2/1", False): "transport-1D [frozen: u2]",
+    ("T2.2/2", False): "transport-1D [frozen: u2]",
+    ("T2.3/rank0", False): "trivial [frozen: u3, u1, u2]",
+    ("T2.3/rank1_1", False): "transport-1D [frozen: u2, u3]",
+    ("T2.3/rank1_2", False): "transport-1D [frozen: u3, u2]",
+    ("T2.3/rank1_3", False): "transport-1D [frozen: u2, u3]",
+    ("T2.3/rank1_4", False): "transport-1D [frozen: u2, u3]",
+    ("T2.3/rank2_1", False): "decoupled-2-component(1d) [frozen: u3]",
+    ("T2.3/rank2_2", False): "decoupled-2-component(1d) [frozen: u3]",
+    ("T2.3/rank2_3", False): "decoupled-2-component(1d) [frozen: u3]",
+    ("T2.4", False): "transport-1D [frozen: u2]",
+    ("T2.5/1", False): "trivial [frozen: u3, u1, u2]",
+    ("T2.5/2", False): "trivial [frozen: u3, u1, u2]",
+    ("T2.6/rank1_P_1/1", False): "transport-1D [frozen: u2, u3]",
+    ("T2.6/rank1_P_1/1", True): "transport-1D [frozen: u2, u3]",
+    ("T2.6/rank1_P_1/2", False): "transport-1D [frozen: u2, u3]",
+    ("T2.6/rank1_P_1/2", True): "transport-1D [frozen: u2, u3]",
+    ("T2.6/rank1_P_2/1", False): "transport-1D [frozen: u3, u2]",
+    ("T2.6/rank1_P_2/1", True): "transport-1D [frozen: u3, u2]",
+    ("T2.6/rank1_P_2/2", False): "transport-1D [frozen: u2, u3]",
+    ("T2.7/rank2_P_1/1", False): "decoupled-2-component(3) [frozen: u3]",
+    ("T2.7/rank2_P_1/2", False): "euler-lagrange-reducible",
+    ("T2.7/rank2_P_2/1", False): "decoupled-2-component(1) [frozen: u3]",
+    ("T2.7/rank2_P_2/1", True): _EXP_WITNESS + "'eps': '-4/5', 'cu3': '1'})",
+    ("T2.7/rank2_P_2/2", False): "decoupled-2-component(2) [frozen: u3]",
+    ("T2.7/rank2_P_3/1", False): "decoupled-2-component(2) [frozen: u3]",
+    ("P_gas", False): "euler-lagrange-reducible",
+    ("T2.7/rank2_P_4/1", False): "euler-lagrange-reducible",
+    ("T2.7/rank2_P_4/2", False): "decoupled-2-component(3) [frozen: u3]",
+    ("T2.7/rank2_P_5", False): "decoupled-2-component(1) [frozen: u3]",
+    ("T2.7/rank2_P_6", False): "decoupled-2-component(1) [frozen: u3]",
+    ("APP/rank1_sol1", False): "unclassified",
+    ("APP/rank1_sol1", True): "unclassified",
+    ("APP/rank1_sol2", False): "transport-1D [frozen: u3, u2]",
+    ("APP/rank1_sol2", True): "transport-1D [frozen: u3, u2]",
+    ("APP/rk2_2D_1", False): "decoupled-2-component(2) [frozen: u3]",
+    ("APP/rk2_2D_1", True): _EXP_WITNESS + "'cu3': '-4/5'})",
+    ("APP/rk2_2D_2", False): "unclassified",
+    ("APP/rk2_2D_2", True): "unclassified",
+}
+
+
+def shape_or_error(op) -> str:
+    try:
+        return str(classify_operator_shape(op))
+    except InconclusiveError as e:
+        return f"raises InconclusiveError: {e}"
+
+
+def test_shapes_pinned_for_every_entry():
+    got = {}
+    for entry in catalog.list_entries():
+        got[entry.id, False] = shape_or_error(catalog.instantiate(entry.id)[0])
+        if entry.func_slots:
+            params = catalog.default_params(entry)
+            params.update((name, f"exp({args[0]})")
+                          for name, args in entry.func_slots)
+            got[entry.id, True] = shape_or_error(
+                catalog.instantiate(entry.id, params)[0])
+    assert got == SHAPES
+
+
+@pytest.mark.parametrize("eid", ["T2.3/rank2_1", "T2.3/rank2_2",
+                                 "T2.3/rank2_3"])
+def test_1d_operator_reduces_to_proportional_pair(eid):
+    """A d = 1 operator is a 2D one with zero y-part; once u3 is frozen,
+    its pair is proportional with xi = 0."""
+    op, _ws = catalog.instantiate(eid)
+    res = classify_operator_shape(op)
+    assert (res.kind, res.form, res.frozen) == ("decoupled-2-component",
+                                                "1d", ["u3"])

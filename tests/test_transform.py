@@ -1,14 +1,19 @@
 """Pushforward law, invariance, round trips, functoriality."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from hydroham import Workspace, is_zero, parse
+from hydroham import Workspace, catalog, is_zero, parse
 from hydroham import expr as ex
-from hydroham.calculus import substitute
-from hydroham.operators import check_hamiltonian, operator_from_entries
+from hydroham.calculus import differentiate, substitute
+from hydroham.operators import (
+    _flatten,
+    check_hamiltonian,
+    operator_from_entries,
+)
 from hydroham.transform import (
     CoordinateChange,
     InvalidChangeError,
@@ -144,7 +149,7 @@ def test_rank0_stabilizer_change():
                     {"u1": "v1 + v3", "u2": "v2", "u3": "v3"},
                     {"v1": "u1 - u3", "v2": "u2", "v3": "u3"})
     # stabilizer constraint d1 phi1 d2 phi2 - d2 phi1 d1 phi2 = (phi3)'
-    J = c.jacobian()
+    J = [[differentiate(phi, v) for v in c.v_vars] for phi in c.forward]
     constraint = ex.add(ex.mul(J[0][0], J[1][1]),
                         ex.neg(ex.mul(J[0][1], J[1][0])), ex.neg(J[2][2]))
     assert is_zero(constraint, dst).kind == "proven_zero"
@@ -193,3 +198,75 @@ def test_functoriality_random_changes():
         oneshot = pushforward(op, compose(c1, c2))
         records = operator_difference_records(direct, oneshot)
         assert all(r.verdict.is_zero_verdict for r in records)
+
+
+def test_sqrt_inverse_is_never_composed():
+    """u1 = v1^2 with v1 = sqrt(u1): K = J^{-1} = 1/(2 v1) is rational, so
+    the pushed metric 1/(4 v1^2) is proven, not sampled.  Composing
+    d(sqrt(u1))/du1 with phi left sqrt(v1^2) atoms in every entry."""
+    src, dst = make_pair(1)
+    c = make_change(src, dst, {"u1": "v1^2"}, {"v1": "sqrt(u1)"})
+    op = operator_from_entries(src, 1, 1, {(0, 1, 1): ex.ONE}, {})
+    pushed = pushforward(op, c)
+    assert ex.print_expr(pushed.g[0][0][0]) == "1/4/v1^2"
+    assert is_zero(pushed.g[0][0][0] - parse("1/(4*v1^2)", dst),
+                   dst).kind == "proven_zero"
+    assert verify_invariance(op, c).overall == "proven_pass"
+
+
+# forward and inverse maps for n = 2 and n = 3
+REFERENCE_CHANGES = {
+    2: [({"u1": "v1", "u2": "v2 + v1"}, {"v1": "u1", "v2": "u2 - u1"}),
+        ({"u1": "v1", "u2": "v2/(1 + v2)"},
+         {"v1": "u1", "v2": "u2/(1 - u2)"})],
+    3: [({"u1": "v1", "u2": "v2", "u3": "v3 + v1"},
+         {"v1": "u1", "v2": "u2", "v3": "u3 - u1"}),
+        ({"u1": "v1", "u2": "v2/(1 + v2)", "u3": "v3"},
+         {"v1": "u1", "v2": "u2/(1 - u2)", "v3": "u3"})],
+}
+
+
+def reference_pushforward(op, c):
+    """The pushforward law on Expr trees with K = d(phi^{-1})/du o phi,
+    differentiated and composed term by term."""
+    rng = range(op.n)
+    J = [[differentiate(phi, v) for v in c.v_vars] for phi in c.forward]
+    K = [[c.to_v(differentiate(psi, u)) for u in c.u_vars]
+         for psi in c.inverse]
+    DK = [[[differentiate(K[j][q], v) for q in rng] for j in rng]
+          for v in c.v_vars]
+    g_all, b_all = [], []
+    for a in range(op.d):
+        g = [[c.to_v(e) for e in row] for row in op.g[a]]
+        b = [[[c.to_v(e) for e in row] for row in m] for m in op.b[a]]
+        g_all.append([[_sum_of_products(
+            (K[i][p], K[j][q], g[p][q]) for p in rng for q in rng)
+            for j in rng] for i in rng])
+        b_all.append([[[_sum_of_products(itertools.chain(
+            ((K[i][p], K[j][q], b[p][q][r], J[r][k])
+             for p in rng for q in rng for r in rng),
+            ((K[i][p], g[p][q], DK[k][j][q]) for p in rng for q in rng)))
+            for k in rng] for j in rng] for i in rng])
+    return [g_all, b_all]
+
+
+def _sum_of_products(factor_lists):
+    return ex.add(*(ex.mul(*fs) for fs in factor_lists
+                    if all(f != ex.ZERO for f in fs)))
+
+
+def test_pushforward_matches_composed_inverse_law():
+    """K = J^{-1} gives the same operator as the law with the derivative
+    of the inverse map composed with phi, on every catalog entry."""
+    for entry in catalog.list_entries():
+        op, src = catalog.instantiate(entry.id)
+        dst = src.derive(variables=[f"v{i}" for i in range(1, op.n + 1)])
+        for fwd, inv in REFERENCE_CHANGES[op.n]:
+            c = make_change(src, dst, fwd, inv)
+            pushed = pushforward(op, c)
+            for e1, e2 in zip(_flatten([pushed.g, pushed.b]),
+                              _flatten(reference_pushforward(op, c)),
+                              strict=True):
+                assert e1 == e2 or is_zero(
+                    e1 - e2, dst).kind == "proven_zero", \
+                    (entry.id, fwd, ex.print_expr(e1))
