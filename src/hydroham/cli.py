@@ -62,7 +62,7 @@ from .parser import ParseError
 from .poly import HeuristicGCDFailed
 from .ratform import NormalizeError, normalize, ratform_to_expr
 from .symbols import SymbolError
-from .transform import InvalidChangeError, pushforward, verify_invariance
+from .transform import InvalidChangeError, verify_invariance
 from .zerotest import (
     InconclusiveError,
     Verdict,
@@ -313,7 +313,7 @@ def _cmd_transform(args, policy) -> int:
     _add_report_records(report, result.records)
     if args.emit:
         with open(args.emit, "w") as fh:
-            json.dump(dump_operator(pushforward(op, change)), fh, indent=2,
+            json.dump(dump_operator(result.pushed), fh, indent=2,
                       sort_keys=True)
         report.note("transformed operator written to", args.emit)
     return report.finish()

@@ -20,7 +20,7 @@ from .operators import (
     check_hamiltonian,
 )
 from .ratform import uses_transcendental
-from .zerotest import DEFAULT_POLICY, ZeroTestPolicy, is_zero
+from .zerotest import DEFAULT_POLICY, ZeroTestPolicy
 
 
 @dataclass(frozen=True)
@@ -38,39 +38,42 @@ class Mutation:
         return f"{what} swapped with b^{{{j}{i},{ALPHA_LABELS[a]}}}_{k}"
 
 
-def _clone_b(op: HydroOperator):
-    return [[[list(col) for col in row] for row in plane] for plane in op.b]
+def _mutant(op: HydroOperator, edits) -> HydroOperator:
+    """op with b[dst] = c * b[src] for each (dst, src, c) in edits, its
+    forms edited from op's."""
+    b = [[[list(col) for col in row] for row in plane] for plane in op.b]
+    for (a, i, j, k), (sa, si, sj, sk), c in edits:
+        entry = op.b[sa][si][sj][sk]
+        b[a][i][j][k] = entry if c == 1 else ex.mul(ex.Rat(c), entry)
+    mutant = HydroOperator(op.ws, op.d, op.n, op.g, b)
+    mutant.forms = op.forms.edited(edits)
+    return mutant
 
 
-def mutants(op: HydroOperator, policy: ZeroTestPolicy = DEFAULT_POLICY):
+def mutants(op: HydroOperator):
     """Yield (mutation, mutated operator) over the fixed mutation set,
-    skipping identity mutations."""
-    n = op.n
+    skipping identity mutations: a zero entry is not flipped or scaled, and
+    equal entries are not swapped.  Entries are compared as the normal
+    forms of ``op.forms``.  Each mutant's forms are its parent's, with the
+    changed entries of B (and later DB) scaled or swapped, so a mutant
+    converts and differentiates nothing of its own."""
+    B = op.forms.B
+    rng = range(op.n)
     for a in range(op.d):
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    entry = op.b[a][i][j][k]
-                    nonzero = not is_zero(entry, op.ws, policy).is_zero_verdict
-                    if nonzero:
+        for i in rng:
+            for j in rng:
+                for k in rng:
+                    here = (a, i, j, k)
+                    index = (a, i + 1, j + 1, k + 1)
+                    if not B[a][i][j][k].is_zero:
                         for kind, factor in (("flip", -1), ("scale", 2)):
-                            b = _clone_b(op)
-                            b[a][i][j][k] = ex.mul(ex.Rat(factor), entry)
-                            yield (
-                                Mutation(kind, (a, i + 1, j + 1, k + 1)),
-                                HydroOperator(op.ws, op.d, n, op.g, b),
-                            )
-                    if i < j:
-                        other = op.b[a][j][i][k]
-                        diff = ex.add(entry, ex.neg(other))
-                        if is_zero(diff, op.ws, policy).is_zero_verdict:
-                            continue
-                        b = _clone_b(op)
-                        b[a][i][j][k], b[a][j][i][k] = other, entry
-                        yield (
-                            Mutation("swap", (a, i + 1, j + 1, k + 1)),
-                            HydroOperator(op.ws, op.d, n, op.g, b),
-                        )
+                            yield (Mutation(kind, index),
+                                   _mutant(op, [(here, here, factor)]))
+                    if i < j and B[a][i][j][k] != B[a][j][i][k]:
+                        there = (a, j, i, k)
+                        yield (Mutation("swap", index),
+                               _mutant(op, [(here, there, 1),
+                                            (there, here, 1)]))
 
 
 @dataclass
@@ -102,7 +105,7 @@ def scan(op: HydroOperator,
          policy: ZeroTestPolicy = DEFAULT_POLICY) -> MutationScan:
     total = caught = 0
     survivors = []
-    for mutation, mutant in mutants(op, policy):
+    for mutation, mutant in mutants(op):
         total += 1
         if first_proven_failure(mutant) is not None:
             caught += 1

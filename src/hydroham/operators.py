@@ -93,6 +93,12 @@ class HydroOperator:
                         yield self.b[a][i][j][k]
 
     @cached_property
+    def forms(self) -> "OperatorForms":
+        """g and b as rational forms of one derivation context, built when
+        first needed and then shared by every checker of this operator."""
+        return OperatorForms.of(self)
+
+    @cached_property
     def pencil(self) -> "MetricPencil":
         """The metric pencil, built when first needed and then shared by
         the pencil analyses (the entries are not changed after
@@ -177,13 +183,84 @@ class ConditionReport:
 
 # -- the checker ----------------------------------------------------------------
 
-class MokhovChecker:
-    """Converts g and b to rational forms once, then assembles a3..a7 by
-    scattering nonzero products into tables keyed by residual indices.
+class OperatorForms:
+    """The entries of an operator as rational forms of one derivation
+    context over its variables, whose atoms are closed under the
+    derivatives the relations take: those of g to first order, those of b
+    to second (a7 differentiates the a5 brackets, which hold g and d b).
 
     G[a][i][j] = g^{ij a} and B[a][i][j][k] = b^{ij a}_k are the dense
-    tables; DG[a][i][j][k] = d_k g^{ij a} and DB[a][i][j][k][l] =
-    d_l b^{ij a}_k are built by the ring derivations d/du^k, and
+    tables and ``deriv`` the ring derivations d/du^k.  DG[a][i][j][k] =
+    d_k g^{ij a} and DB[a][i][j][k][l] = d_l b^{ij a}_k are built when
+    first needed.
+
+    ``edited`` gives the forms of an operator that differs from this one
+    in a few b entries, each a rational multiple of an entry of this b (a
+    sign flip, a scaling or a swap).  They share the context, the
+    derivations, G and DG; their B, and their DB when first needed, are
+    this B and DB with the edited entries scaled, so nothing is converted
+    or differentiated again."""
+
+    def __init__(self, ctx, deriv: list, G: list, B: list,
+                 base: "OperatorForms | None" = None, edits=()):
+        self.ctx, self.deriv, self.G, self.B = ctx, deriv, G, B
+        self._base, self._edits = base, edits
+
+    @classmethod
+    def of(cls, op: HydroOperator) -> "OperatorForms":
+        cache: dict = {}
+        ctx = derivation_context(
+            op.ws, op.variables,
+            [(list(_flatten(op.g)), 1), (list(_flatten(op.b)), 2)], cache,
+        )
+        conv = lambda e: to_rational_form(e, ctx, cache)
+        return cls(ctx, [Derivation(ctx, v, cache) for v in op.variables],
+                   _map_nested(op.g, conv), _map_nested(op.b, conv))
+
+    def edited(self, edits) -> "OperatorForms":
+        """The forms with B[dst] = c * B[src] for each (dst, src, c) in
+        edits, where dst and src are 0-based (a, i, j, k) and c is a
+        nonzero rational; the sources are read before any entry changes."""
+        return OperatorForms(self.ctx, self.deriv, self.G,
+                             _edited(self.B, edits), self, edits)
+
+    def _gradient(self, rf) -> list:
+        if rf.is_zero:
+            return [rf] * len(self.deriv)
+        return [d(rf) for d in self.deriv]
+
+    @cached_property
+    def DG(self) -> list:
+        if self._base is not None:
+            return self._base.DG
+        return _map_nested(self.G, self._gradient)
+
+    @cached_property
+    def DB(self) -> list:
+        if self._base is not None:
+            return _edited(self._base.DB, self._edits)
+        return _map_nested(self.B, self._gradient)
+
+
+def _edited(table: list, edits) -> list:
+    """table with table[dst] = c * table[src] for each (dst, src, c), the
+    entries at a 4-index being forms (B) or lists of forms (DB).  Only the
+    lists on the path to an edited entry are copied; the rest are shared."""
+    out = list(table)
+    for (a, i, j, k), (sa, si, sj, sk), c in edits:
+        src = table[sa][si][sj][sk]
+        plane = out[a] = list(out[a])
+        row = plane[i] = list(plane[i])
+        col = row[j] = list(row[j])
+        col[k] = _map_nested(src, lambda x: x.scaled(c))
+    return out
+
+
+class MokhovChecker:
+    """Assembles a3..a7 from the operator's rational forms (``op.forms``)
+    by scattering nonzero products into tables keyed by residual indices.
+
+    G, B, DG and DB are the forms' tables (see ``OperatorForms``), and
     C[a][j][r][s][q] = d_q b^{jr a}_s - d_s b^{jr a}_q.  The nonzero
     entries of G, B, DB and C are kept in lists grouped by the contracted
     index s.  Each term of a sum joins two such lists on s and forms each
@@ -196,37 +273,27 @@ class MokhovChecker:
     components), then walks its full index product in order and yields
     each residual, or zero.  Tables keep only their nonzero entries, so no
     product has a zero factor; rational forms are canonical, so the sums
-    equal the dense ones.  Every table is built on first use, so a check
+    equal the dense ones.  The checker converts nothing: the forms are the
+    operator's, converted once per operator (a mutant's are its parent's,
+    edited).  DG and DB are built when first needed and kept with the
+    forms; the checker's own tables are built on first use, so a check
     that stops at a2 never differentiates b."""
 
     def __init__(self, op: HydroOperator):
         self.op = op
         self.ws = op.ws
         self.d, self.n = op.d, op.n
-        cache: dict = {}
-        # a7 differentiates the a5 brackets, which hold g and d b
-        self.ctx = derivation_context(
-            self.ws, op.variables,
-            [(list(_flatten(op.g)), 1), (list(_flatten(op.b)), 2)], cache,
-        )
-        conv = lambda e: to_rational_form(e, self.ctx, cache)
-        self.G = _map_nested(op.g, conv)
-        self.B = _map_nested(op.b, conv)
-        self._deriv = [Derivation(self.ctx, v, cache) for v in op.variables]
+        self.forms = op.forms
+        self.ctx, self.G, self.B = self.forms.ctx, self.forms.G, self.forms.B
         self._zero = zero_form(self.ctx)
 
-    def _gradient(self, rf) -> list:
-        if rf.is_zero:
-            return [rf] * self.n
-        return [d(rf) for d in self._deriv]
-
-    @cached_property
+    @property
     def DG(self) -> list:
-        return _map_nested(self.G, self._gradient)
+        return self.forms.DG
 
-    @cached_property
+    @property
     def DB(self) -> list:
-        return _map_nested(self.B, self._gradient)
+        return self.forms.DB
 
     @cached_property
     def C(self) -> list:
@@ -385,7 +452,7 @@ class MokhovChecker:
         (i, j, r) of b^{si be}_q C^{jr al}_{ks}."""
         def halves():
             for key, x in self.brackets.items():
-                for k, deriv in enumerate(self._deriv, 1):
+                for k, deriv in enumerate(self.forms.deriv, 1):
                     dx = deriv(x)
                     if not dx.is_zero:
                         yield (*key, k), dx

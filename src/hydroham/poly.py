@@ -153,6 +153,9 @@ class Poly(dict):
                 out[m[:index] + (e - 1,) + m[index + 1:]] = c * e
         return self.ring._new(out)
 
+    def mul_ground(self, c) -> Poly:
+        return self.ring._new({m: v * c for m, v in self.items()})
+
     def quo_ground(self, c) -> Poly:
         return self.ring._new({m: _quo_coeff(v, c) for m, v in self.items()})
 

@@ -126,6 +126,14 @@ class RationalForm:
     def __neg__(self):
         return RationalForm(-self.num, self.den, self.ctx, reduced=True)
 
+    def scaled(self, c) -> "RationalForm":
+        """c * self for a nonzero rational c: the numerator times a ground
+        constant, which keeps the form reduced (no product, no gcd)."""
+        if c == 1 or self.is_zero:
+            return self
+        return RationalForm(self.num.mul_ground(c), self.den, self.ctx,
+                            reduced=True)
+
     def __mul__(self, other):
         if self.is_zero or other.is_zero:
             return zero_form(self.ctx)
@@ -274,6 +282,8 @@ def to_rational_form(e: ex.Expr, ctx: PolyContext, _cache=None) -> RationalForm:
     ring = ctx.ring
     if isinstance(e, ex.Rat):
         v = e.value
+        if not v:   # most operator entries: share one zero form
+            return zero_form(ctx)
         return RationalForm(
             ring.ground_new(v.numerator if v.denominator == 1 else v),
             ring.one, ctx, reduced=True,

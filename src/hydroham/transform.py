@@ -201,12 +201,20 @@ def operator_difference_records(
     return records
 
 
+@dataclass
+class InvarianceReport(ConditionReport):
+    """The records of ``verify_invariance`` and the pushed operator they
+    check."""
+    pushed: HydroOperator | None = None
+
+
 def verify_invariance(op: HydroOperator, change: CoordinateChange,
-                      policy: ZeroTestPolicy = DEFAULT_POLICY) -> ConditionReport:
+                      policy: ZeroTestPolicy = DEFAULT_POLICY) -> InvarianceReport:
     """check_hamiltonian of the pushforward plus the round-trip residuals
     pushforward(pushforward(op, c), c^{-1}) - op."""
     pushed = pushforward(op, change)
     report = check_hamiltonian(pushed, policy)
     back = pushforward(pushed, change.inverted())
-    return ConditionReport(
-        report.records + operator_difference_records(op, back, policy))
+    return InvarianceReport(
+        report.records + operator_difference_records(op, back, policy),
+        pushed)

@@ -9,9 +9,9 @@ import sys
 import pytest
 
 import hydroham
-from hydroham import catalog
+from hydroham import catalog, cli, transform
 from hydroham.cli import main
-from hydroham.fileio import dump_operator
+from hydroham.fileio import dump_operator, load_change, load_operator, read_json
 
 
 @pytest.fixture
@@ -88,6 +88,35 @@ def test_transform_command(tmp_path, gas_file, capsys):
                  "--emit", str(emitted)]) == 0
     capsys.readouterr()
     assert main(["check", str(emitted)]) == 0
+
+
+def test_transform_emit_pushes_forward_twice(tmp_path, gas_file, capsys,
+                                             monkeypatch):
+    """verify_invariance pushes forward and back; --emit writes the pushed
+    operator it returns instead of pushing forward a third time."""
+    calls = []
+    push = transform.pushforward
+
+    def counted(op, change):
+        calls.append(op)
+        return push(op, change)
+
+    for module in (transform, cli):     # every binding of the function
+        if getattr(module, "pushforward", None) is push:
+            monkeypatch.setattr(module, "pushforward", counted)
+    change = tmp_path / "change.json"
+    change.write_text(json.dumps({
+        "forward": {"u1": "v1", "u2": "v2 + 1", "u3": "v3 - v1"},
+        "inverse": {"v1": "u1", "v2": "u2 - 1", "v3": "u3 + u1"},
+    }))
+    emitted = tmp_path / "pushed.json"
+    assert main(["transform", gas_file, str(change),
+                 "--emit", str(emitted)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
+    gas = load_operator(read_json(gas_file))
+    pushed = push(gas, load_change(read_json(str(change)), gas.ws))
+    assert json.loads(emitted.read_text()) == dump_operator(pushed)
 
 
 def test_pencil_command(gas_file, capsys):

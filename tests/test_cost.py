@@ -6,11 +6,12 @@ the count recorded when the test was written.  A change that lowers the
 count should tighten the bound; one that raises it must say why.
 """
 
+import sys
 from collections import Counter
 
 import pytest
 
-from hydroham import catalog, hamsys, mutation
+from hydroham import calculus, catalog, hamsys, mutation, ratform
 from hydroham.operators import MetricPencil, check_hamiltonian
 from hydroham.ratform import RationalForm
 
@@ -28,14 +29,42 @@ MUL_CALLS = 2262
 # per index tuple, nearly all of them adding a zero.
 ADD_CALLS = 3201
 
-# The same counts over the mutation scan: first_proven_failure on each of
-# the 339 mutants, then check_hamiltonian on the 12 that survive it.  The
-# per-tuple sums made 9,142 products and 92,022 sums here; the tables make
-# more products because a mutant that fails a3 or a5 still builds that
-# relation's whole table before its first residual is looked at.
+# The same counts over the mutation scan: mutants() on the 31 entries,
+# first_proven_failure on each of the 339 mutants, then check_hamiltonian
+# on the 12 that survive it.  Before the mutants took their parent's forms
+# the scan made 10,098 products and 8,910 sums (9,485 and 8,723 without
+# the generation, which is where the parent forms are now built): each
+# mutant converted its entries and differentiated b again.  The per-tuple
+# sums made 9,142 products and 92,022 sums without the generation.
 SCAN_MUTANTS, SCAN_SURVIVORS = 339, 12
-SCAN_MUL_CALLS = 9485
-SCAN_ADD_CALLS = 8723
+SCAN_MUL_CALLS = 2383
+SCAN_ADD_CALLS = 2863
+
+# derivation_context builds, to_rational_form calls (its recursion
+# included) and calculus.differentiate calls from outside calculus over the
+# same scan.  A mutant's forms are its parent's, edited, so the scan builds
+# one context per catalog entry; it built 351 (339 mutants and the 12
+# survivors' full checks), with 39,283 conversions and 4,527
+# differentiations.
+SCAN_CONTEXTS = 31
+SCAN_CONVERSIONS = 2520
+SCAN_DIFFERENTIATIONS = 303
+
+
+def run_scan(start):
+    """Calls start() after instantiating the catalog entries, runs the
+    mutation scan over them and returns what start() returned."""
+    parents = [catalog.instantiate(entry.id)[0] for entry in catalog.ENTRIES]
+    started = start()
+    mutants = [mutant for op in parents
+               for _m, mutant in mutation.mutants(op)]
+    assert len(mutants) == SCAN_MUTANTS
+    survivors = [m for m in mutants
+                 if mutation.first_proven_failure(m) is None]
+    assert len(survivors) == SCAN_SURVIVORS
+    assert all(check_hamiltonian(m).overall == "proven_pass"
+               for m in survivors)
+    return started
 
 
 @pytest.fixture
@@ -71,19 +100,47 @@ def test_verify_all_multiplications(ring_ops):
 
 
 def test_mutation_scan_ring_operations(ring_ops):
-    mutants = [mutant for entry in catalog.ENTRIES
-               for _m, mutant in mutation.mutants(
-                   catalog.instantiate(entry.id)[0])]
-    assert len(mutants) == SCAN_MUTANTS
-    counts = ring_ops()
-    survivors = [m for m in mutants
-                 if mutation.first_proven_failure(m) is None]
-    assert len(survivors) == SCAN_SURVIVORS
-    assert all(check_hamiltonian(m).overall == "proven_pass"
-               for m in survivors)
+    counts = run_scan(ring_ops)
     assert counts["mul"] <= 1.1 * SCAN_MUL_CALLS, counts
     assert counts["add"] <= 1.1 * SCAN_ADD_CALLS, counts
     assert counts["zero_operand"] == 0, counts
+
+
+def test_mutation_scan_conversions(monkeypatch):
+    """Each catalog entry is converted once, in mutants(); no mutant builds
+    a context, converts an entry or differentiates an Expr tree."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # (function, counter, module whose own calls are not counted): the
+    # conversion's recursion is counted, calculus' recursion is not
+    counted_fns = [
+        (ratform.derivation_context, "contexts", None),
+        (ratform.to_rational_form, "conversions", None),
+        (calculus.differentiate, "differentiations", "hydroham.calculus"),
+    ]
+
+    def start():
+        modules = [m for name, m in sys.modules.items()
+                   if name.startswith("hydroham")]
+        for fn, name, skip in counted_fns:
+            wrapper = counted(name, fn)
+            for module in modules:
+                if module.__name__ == skip:
+                    continue
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrapper)
+
+    run_scan(start)
+    assert counts["contexts"] <= 1.1 * SCAN_CONTEXTS, counts
+    assert counts["conversions"] <= 1.1 * SCAN_CONVERSIONS, counts
+    assert counts["differentiations"] <= 1.1 * SCAN_DIFFERENTIATIONS, counts
 
 
 def test_verify_all_builds_each_pencil_once(monkeypatch):

@@ -1,11 +1,23 @@
 """Mutation sensitivity spot checks (the full catalog sweep runs in the
-acceptance suite)."""
+acceptance suite), and mutants' edited forms against forms converted
+afresh."""
 
+import hashlib
 from functools import cached_property
+
+import pytest
+from hypothesis import HealthCheck, given, settings
 
 from hydroham import catalog, mutation
 from hydroham.mutation import Mutation, first_proven_failure, scan
-from hydroham.operators import MokhovChecker
+from hydroham.operators import HydroOperator, MokhovChecker, check_hamiltonian
+from test_properties import sparse_operators
+
+# "<entry id> <kind> <index>" of every mutant of the catalog, one a line in
+# catalog order: 339 lines, recorded when mutants() still zero-tested each
+# entry as an Expr and built each mutant's forms from its own entries
+MUTANT_LIST_SHA256 = (
+    "7994116f36b5f3e786eaa78244bc700e05a28525580369c7bc5a96644f3d9ee1")
 
 
 def test_sign_flip_detected():
@@ -43,7 +55,8 @@ def test_mutation_description():
 
 def test_failure_at_a2_builds_no_later_table(monkeypatch):
     """A mutant that fails a2 differentiates g but builds no d b, no C and
-    none of the tables of a3-a7."""
+    none of the tables of a3-a7: neither its checker, nor its forms, nor
+    the parent forms they were edited from."""
     checkers = []
 
     class Recorded(MokhovChecker):
@@ -51,11 +64,67 @@ def test_failure_at_a2_builds_no_later_table(monkeypatch):
             super().__init__(op)
             checkers.append(self)
 
+    def built(obj):
+        return {name for name in vars(obj)
+                if isinstance(getattr(type(obj), name, None),
+                              cached_property)}
+
     monkeypatch.setattr(mutation, "MokhovChecker", Recorded)
     op, _ws = catalog.instantiate("P_gas")
     _m, mutant = next(mutation.mutants(op))
     assert first_proven_failure(mutant)[0] == "a2"
-    built = {name for name in vars(checkers[0])
-             if isinstance(getattr(MokhovChecker, name, None),
-                           cached_property)}
-    assert built == {"DG"}
+    checker, = checkers
+    assert checker.forms is mutant.forms
+    assert built(checker) == set()
+    assert built(mutant) == built(op) == {"forms"}
+    assert built(mutant.forms) == built(op.forms) == {"DG"}
+    assert mutant.forms.DG is op.forms.DG
+
+
+def test_mutant_list_pinned():
+    lines = [f"{entry.id} {m.kind} {m.index}" for entry in catalog.ENTRIES
+             for m, _mut in mutation.mutants(catalog.instantiate(entry.id)[0])]
+    assert len(lines) == 339
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == MUTANT_LIST_SHA256
+
+
+def _failure(found):
+    if found is None:
+        return None
+    rel, idx, rf = found
+    return rel, idx, str(rf.num), str(rf.den)
+
+
+def _report(report):
+    return [(r.relation, r.indices, str(r.residual), r.verdict.kind)
+            for r in report.records]
+
+
+def assert_mutants_match_scratch(op):
+    """Every mutant's forms, edited from op's, equal forms converted afresh
+    from the mutant's own entries, and give the same verdicts."""
+    for _m, mutant in mutation.mutants(op):
+        assert mutant.forms.G is op.forms.G
+        fresh = HydroOperator(mutant.ws, mutant.d, mutant.n, mutant.g,
+                              mutant.b)
+        assert fresh.forms.ctx is not op.forms.ctx
+        assert mutant.forms.B == fresh.forms.B
+        assert mutant.forms.DB == fresh.forms.DB
+        found = first_proven_failure(mutant)
+        assert _failure(found) == _failure(first_proven_failure(fresh))
+        if found is None:
+            assert _report(check_hamiltonian(mutant)) == \
+                _report(check_hamiltonian(fresh))
+
+
+@pytest.mark.parametrize("entry_id", [e.id for e in catalog.ENTRIES])
+def test_catalog_mutants_match_scratch_forms(entry_id):
+    assert_mutants_match_scratch(catalog.instantiate(entry_id)[0])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sparse_operators())
+def test_random_mutants_match_scratch_forms(op):
+    assert_mutants_match_scratch(op)
