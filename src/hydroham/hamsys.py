@@ -21,14 +21,12 @@ from .operators import (
     is_trivial_pair,
 )
 from .ratform import (
-    Derivation,
     coefficients_in,
     derivation_context,
     det,
     matrix_forms,
     ratform_to_expr,
     to_rational_form,
-    zero_form,
 )
 from .symbols import Symbol, Workspace
 from .zerotest import (
@@ -77,8 +75,8 @@ class QuasilinearSystem:
 
 
 # A, B, the metrics G and d2h[j][k] = d_k d_j h as rational forms of one
-# derivation context, which holds G to first order, and its derivations
-_SystemForms = namedtuple("_SystemForms", "ws A B G d2h deriv")
+# derivation context, which holds G to first order
+_SystemForms = namedtuple("_SystemForms", "ws A B G d2h")
 
 
 def _system_forms(op: HydroOperator,
@@ -96,17 +94,14 @@ def _system_forms(op: HydroOperator,
         raise HamsysError(
             f"density uses unregistered symbols {sorted(s.name for s in bad)}"
         )
-    cache: dict = {}
     ctx = derivation_context(ws, vars_, [
         ([h_expr], 2), (list(_flatten(op.g)), 1), (list(_flatten(op.b)), 0),
-    ], cache)
-    conv = lambda e: to_rational_form(e, ctx, cache)
+    ])
+    conv = lambda e: to_rational_form(e, ctx)
     G, B = _map_nested(op.g, conv), _map_nested(op.b, conv)
-    deriv = [Derivation(ctx, v, cache) for v in vars_]
-    H = conv(h_expr)
-    dh = [d(H) for d in deriv]
-    d2h = [[d(dh_j) for d in deriv] for dh_j in dh]
-    zero = zero_form(ctx)
+    dh = ctx.gradient(conv(h_expr))
+    d2h = [ctx.gradient(dh_j) for dh_j in dh]
+    zero = ctx.zero
     rng = range(n)
 
     def matrix(alpha: int):
@@ -115,7 +110,7 @@ def _system_forms(op: HydroOperator,
         return [[sum((G[alpha][i][j] * d2h[j][k] + B[alpha][i][j][k] * dh[j]
                       for j in rng), zero) for k in rng] for i in rng]
 
-    return _SystemForms(ws, matrix(0), matrix(1), G, d2h, deriv)
+    return _SystemForms(ws, matrix(0), matrix(1), G, d2h)
 
 
 def generate_system(op: HydroOperator,
@@ -355,15 +350,14 @@ def _decoupled_form(op: HydroOperator, forms: _SystemForms, zero, policy):
     if op.d == 1 or is_trivial_pair(op, policy).trivial:
         return "1d"
     if any(not zero(d(e)) for g in forms.G for row in g for e in row
-           for d in forms.deriv):
+           for d in e.ctx.deriv):
         return 3
     # det(lam1 g_x + lam2 g_y) = c20 lam1^2 + c11 lam1 lam2 + c02 lam2^2
     pencil = op.pencil
-    ctx = pencil.matrix[0][0].ctx
-    c20, c11, c02 = (pencil.det_coefficients.get(m, zero_form(ctx))
+    zero_coeff = pencil.matrix[0][0].ctx.zero
+    c20, c11, c02 = (pencil.det_coefficients.get(m, zero_coeff)
                      for m in ((2, 0), (1, 1), (0, 2)))
-    four = to_rational_form(ex.Rat(4), ctx)
-    return 2 if zero(c11 * c11 - four * c20 * c02) else 1
+    return 2 if zero(c11 * c11 - (c20 * c02).scaled(4)) else 1
 
 
 def _is_euler_lagrange(forms: _SystemForms, zero) -> bool:

@@ -22,14 +22,12 @@ from . import expr as ex
 from .calculus import differentiate, substitute
 from .parser import parse
 from .ratform import (
-    Derivation,
     coefficients_in,
     derivation_context,
     det,
     normalize,
     ratform_to_expr,
     to_rational_form,
-    zero_form,
 )
 from .symbols import Symbol, Workspace
 from .zerotest import DEFAULT_POLICY, ZeroTestPolicy, is_zero
@@ -95,31 +93,26 @@ class _Ring:
     def __init__(self, density: LagrangianDensity, order: int):
         ws = density.ws.extended(list(DIFFERENTIALS))
         self.names = [c.name for c in ws.constants[-3:]]
-        cache: dict = {}
         self.ctx = derivation_context(ws, density.vars(),
-                                      [([density.f], order)], cache)
-        self.partials = [Derivation(self.ctx, v, cache)
-                         for v in density.vars()]
+                                      [([density.f], order)])
         self.dvars = [to_rational_form(ex.Var(c), self.ctx)
                       for c in ws.constants[-3:]]
-        self.f = to_rational_form(density.f, self.ctx, cache)
-
-    def gradient(self, rf) -> list:
-        return [d(rf) for d in self.partials]
+        self.f = to_rational_form(density.f, self.ctx)
 
     def D(self, rf, times: int = 1):
         """D rf = da*rf_a + db*rf_b + dc*rf_c, applied `times` times."""
         for _ in range(times):
-            rf = sum((dv * x for dv, x in zip(self.dvars, self.gradient(rf))
-                      if not x.is_zero), zero_form(self.ctx))
+            grad = self.ctx.gradient(rf)
+            rf = sum((dv * x for dv, x in zip(self.dvars, grad)
+                      if not x.is_zero), self.ctx.zero)
         return rf
 
     @cached_property
     def M(self) -> list:
         """The bordered matrix [[0, f_a, f_b, f_c], [f_a, Hessian row], ...]."""
-        grad = self.gradient(self.f)
-        return [[zero_form(self.ctx)] + grad] + [
-            [g] + self.gradient(g) for g in grad]
+        grad = self.ctx.gradient(self.f)
+        return [[self.ctx.zero] + grad] + [
+            [g] + self.ctx.gradient(g) for g in grad]
 
     def hessian(self):
         return det([row[1:] for row in self.M[1:]])
@@ -159,7 +152,7 @@ def bordered_matrix_derivatives(density: LagrangianDensity) -> list:
     """M_a, M_b, M_c: entrywise derivatives of M with the (1,1) corner 0."""
     ring = _Ring(density, 3)
     return [[[ratform_to_expr(d(x)) for x in row] for row in ring.M]
-            for d in ring.partials]
+            for d in ring.ctx.deriv]
 
 
 def det_dM(density: LagrangianDensity) -> dict:
@@ -215,7 +208,7 @@ def euler_lagrange_fluxes(density: LagrangianDensity):
     """(f_a, f_b, f_c): the fluxes whose x, y, t divergence is the
     Euler-Lagrange equation of the density."""
     ring = _Ring(density, 1)
-    return tuple(ratform_to_expr(x) for x in ring.gradient(ring.f))
+    return tuple(ratform_to_expr(x) for x in ring.ctx.gradient(ring.f))
 
 
 # -- partial Legendre transform -------------------------------------------------

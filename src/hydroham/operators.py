@@ -17,14 +17,12 @@ from functools import cached_property
 
 from . import expr as ex
 from .ratform import (
-    Derivation,
     build_context,
     coefficients_in,
     derivation_context,
     det,
     ratform_to_expr,
     to_rational_form,
-    zero_form,
 )
 from .symbols import Symbol, Workspace
 from .zerotest import (
@@ -85,12 +83,7 @@ class HydroOperator:
         return self.ws.variables[: self.n]
 
     def entries(self):
-        for a in range(self.d):
-            for i in range(self.n):
-                for j in range(self.n):
-                    yield self.g[a][i][j]
-                    for k in range(self.n):
-                        yield self.b[a][i][j][k]
+        return _entries(self.g, self.b)
 
     @cached_property
     def forms(self) -> "OperatorForms":
@@ -110,6 +103,16 @@ class HydroOperator:
         return HydroOperator(
             self.ws, 1, self.n, [self.g[alpha]], [self.b[alpha]]
         )
+
+
+def _entries(g, b):
+    """The entries of the tables g and b: for each alpha, i and j, g^{ij}
+    and then b^{ij}_k for each k."""
+    for g_a, b_a in zip(g, b):
+        for g_row, b_row in zip(g_a, b_a):
+            for x, b_k in zip(g_row, b_row):
+                yield x
+                yield from b_k
 
 
 def _check_shape(arr, shape, what):
@@ -190,9 +193,9 @@ class OperatorForms:
     to second (a7 differentiates the a5 brackets, which hold g and d b).
 
     G[a][i][j] = g^{ij a} and B[a][i][j][k] = b^{ij a}_k are the dense
-    tables and ``deriv`` the ring derivations d/du^k.  DG[a][i][j][k] =
-    d_k g^{ij a} and DB[a][i][j][k][l] = d_l b^{ij a}_k are built when
-    first needed.
+    tables; the context holds the ring derivations d/du^k (``ctx.deriv``).
+    DG[a][i][j][k] = d_k g^{ij a} and DB[a][i][j][k][l] = d_l b^{ij a}_k
+    are built when first needed.
 
     ``edited`` gives the forms of an operator that differs from this one
     in a few b entries, each a rational multiple of an entry of this b (a
@@ -201,45 +204,38 @@ class OperatorForms:
     this B and DB with the edited entries scaled, so nothing is converted
     or differentiated again."""
 
-    def __init__(self, ctx, deriv: list, G: list, B: list,
+    def __init__(self, ctx, G: list, B: list,
                  base: "OperatorForms | None" = None, edits=()):
-        self.ctx, self.deriv, self.G, self.B = ctx, deriv, G, B
+        self.ctx, self.G, self.B = ctx, G, B
         self._base, self._edits = base, edits
 
     @classmethod
     def of(cls, op: HydroOperator) -> "OperatorForms":
-        cache: dict = {}
         ctx = derivation_context(
             op.ws, op.variables,
-            [(list(_flatten(op.g)), 1), (list(_flatten(op.b)), 2)], cache,
+            [(list(_flatten(op.g)), 1), (list(_flatten(op.b)), 2)],
         )
-        conv = lambda e: to_rational_form(e, ctx, cache)
-        return cls(ctx, [Derivation(ctx, v, cache) for v in op.variables],
-                   _map_nested(op.g, conv), _map_nested(op.b, conv))
+        conv = lambda e: to_rational_form(e, ctx)
+        return cls(ctx, _map_nested(op.g, conv), _map_nested(op.b, conv))
 
     def edited(self, edits) -> "OperatorForms":
         """The forms with B[dst] = c * B[src] for each (dst, src, c) in
         edits, where dst and src are 0-based (a, i, j, k) and c is a
         nonzero rational; the sources are read before any entry changes."""
-        return OperatorForms(self.ctx, self.deriv, self.G,
-                             _edited(self.B, edits), self, edits)
-
-    def _gradient(self, rf) -> list:
-        if rf.is_zero:
-            return [rf] * len(self.deriv)
-        return [d(rf) for d in self.deriv]
+        return OperatorForms(self.ctx, self.G, _edited(self.B, edits), self,
+                             edits)
 
     @cached_property
     def DG(self) -> list:
         if self._base is not None:
             return self._base.DG
-        return _map_nested(self.G, self._gradient)
+        return _map_nested(self.G, self.ctx.gradient)
 
     @cached_property
     def DB(self) -> list:
         if self._base is not None:
             return _edited(self._base.DB, self._edits)
-        return _map_nested(self.B, self._gradient)
+        return _map_nested(self.B, self.ctx.gradient)
 
 
 def _edited(table: list, edits) -> list:
@@ -285,7 +281,6 @@ class MokhovChecker:
         self.d, self.n = op.d, op.n
         self.forms = op.forms
         self.ctx, self.G, self.B = self.forms.ctx, self.forms.G, self.forms.B
-        self._zero = zero_form(self.ctx)
 
     @property
     def DG(self) -> list:
@@ -361,7 +356,7 @@ class MokhovChecker:
         """(rel, indices, residual) over the full index product in order;
         the residual sums the terms scattered to its indices."""
         table = _table(terms)
-        zero = self._zero
+        zero = self.ctx.zero
         labels = ALPHA_LABELS[: self.d]
         comps = range(1, self.n + 1)
         for idx in itertools.product(labels, labels, *[comps] * arity):
@@ -452,7 +447,7 @@ class MokhovChecker:
         (i, j, r) of b^{si be}_q C^{jr al}_{ks}."""
         def halves():
             for key, x in self.brackets.items():
-                for k, deriv in enumerate(self.forms.deriv, 1):
+                for k, deriv in enumerate(self.ctx.deriv, 1):
                     dx = deriv(x)
                     if not dx.is_zero:
                         yield (*key, k), dx
@@ -555,13 +550,12 @@ class MetricPencil:
     def of(cls, op: HydroOperator) -> "MetricPencil":
         ws = op.ws.extended(list(PENCIL_PARAMS[: op.d]))
         params = ws.constants[len(op.ws.constants):]
-        cache: dict = {}
-        ctx = build_context(ws, _flatten(op.g), cache)
+        ctx = build_context(ws, _flatten(op.g))
         lams = [to_rational_form(ex.Var(p), ctx) for p in params]
         rng = range(op.n)
-        matrix = [[sum((lam * to_rational_form(g[i][j], ctx, cache)
+        matrix = [[sum((lam * to_rational_form(g[i][j], ctx)
                         for lam, g in zip(lams, op.g) if g[i][j] != ex.ZERO),
-                       zero_form(ctx)) for j in rng] for i in rng]
+                       ctx.zero) for j in rng] for i in rng]
         return cls(ws, params, matrix)
 
     @cached_property
@@ -647,42 +641,39 @@ class TrivialityResult:
 def is_trivial_pair(op: HydroOperator,
                     policy: ZeroTestPolicy = DEFAULT_POLICY) -> TrivialityResult:
     """Is the 2D operator identically zero, or its y-part a constant
-    multiple of its x-part (g~ = xi g, b~ = xi b)?  The entries, xi and
-    d xi/du are rational forms of one derivation context; pairs of zero
-    entries are skipped, and entries are converted when first needed."""
+    multiple of its x-part (g~ = xi g, b~ = xi b)?  The entries are the
+    operator's forms (``op.forms``), paired in the order of
+    ``op.entries()``; pairs of zero entries are skipped.  xi and d xi/du
+    are forms of the same context."""
     if op.d != 2:
         raise OperatorError("triviality is defined for d = 2 operators")
-    ws = op.ws
-    entries = list(op.entries())    # the x-part's, then the y-part's
+    ctx = op.forms.ctx
+    entries = list(_entries(op.forms.G, op.forms.B))  # x-part, then y-part
     half = len(entries) // 2
     pairs = [(x, y) for x, y in zip(entries[:half], entries[half:])
-             if x != ex.ZERO or y != ex.ZERO]
-    cache: dict = {}
-    ctx = derivation_context(ws, ws.variables, [(list(_flatten(pairs)), 1)],
-                             cache)
-    conv = lambda e: to_rational_form(e, ctx, cache)
-    nonzero = lambda rf: _proven_nonzero(rf, ws, policy)
+             if not (x.is_zero and y.is_zero)]
+    nonzero = lambda rf: _proven_nonzero(rf, op.ws, policy)
 
     def product(a, b):
         """a*b, not formed when a factor is zero"""
-        return zero_form(ctx) if a.is_zero or b.is_zero else a * b
+        return ctx.zero if a.is_zero or b.is_zero else a * b
 
-    ref = next((pair for pair in pairs if nonzero(conv(pair[0]))), None)
+    ref = next((pair for pair in pairs if nonzero(pair[0])), None)
     if ref is None:
         # x-part vanishes identically: trivial only if y does as well
-        if any(nonzero(conv(y)) for _, y in pairs):
+        if any(nonzero(y) for _, y in pairs):
             return TrivialityResult(False, None,
                                     "x-part zero but y-part nonzero")
         return TrivialityResult(True, ex.ZERO, "identically zero operator")
 
-    x_ref, y_ref = map(conv, ref)
+    x_ref, y_ref = ref
     xi = y_ref / x_ref
-    if any(nonzero(Derivation(ctx, v, cache)(xi)) for v in ws.variables):
+    if any(nonzero(d(xi)) for d in ctx.deriv):
         return TrivialityResult(
             False, None,
             f"proportionality factor {ratform_to_expr(xi)} is not constant",
         )
-    if any(nonzero(product(conv(y), x_ref) - product(conv(x), y_ref))
+    if any(nonzero(product(y, x_ref) - product(x, y_ref))
            for x, y in pairs):
         return TrivialityResult(False, None, "not proportional")
     return TrivialityResult(True, ratform_to_expr(xi))

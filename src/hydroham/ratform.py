@@ -40,7 +40,10 @@ def _get_ring(names: tuple[str, ...]):
 
 
 class PolyContext:
-    """A fixed ring over the workspace symbols plus discovered atoms."""
+    """A fixed ring over the workspace symbols plus discovered atoms, with
+    its zero and one forms.  ``deriv`` holds the derivations d/dv of the
+    context, one per variable, when ``derivation_context`` built it, and is
+    empty otherwise."""
 
     def __init__(self, ws: Workspace, atom_entries: list[tuple[str, ex.Expr]]):
         self.ws = ws
@@ -59,6 +62,17 @@ class PolyContext:
         self.gen_of_name = dict(zip(self.var_names, gens))
         self.gen_of_sig = dict(zip(self.atom_sigs, gens[len(self.var_names):]))
         self.n_vars = len(self.var_names)
+        self.zero = RationalForm(self.ring.zero, self.ring.one, self,
+                                 reduced=True)
+        self.one = RationalForm(self.ring.one, self.ring.one, self,
+                                reduced=True)
+        self.deriv: list = []
+
+    def gradient(self, rf) -> list:
+        """[d(rf) for d in deriv]; a zero form is its own gradient."""
+        if rf.is_zero:
+            return [rf] * len(self.deriv)
+        return [d(rf) for d in self.deriv]
 
     def gen_expr(self, index: int) -> ex.Expr:
         """The Expr a ring generator stands for."""
@@ -136,7 +150,7 @@ class RationalForm:
 
     def __mul__(self, other):
         if self.is_zero or other.is_zero:
-            return zero_form(self.ctx)
+            return self.ctx.zero
         one = self.ctx.ring.one
         if self.den == one and other.den == one:
             return RationalForm(self.num * other.num, one, self.ctx,
@@ -156,9 +170,9 @@ class RationalForm:
 
     def __pow__(self, k: int):
         if k == 0:
-            return one_form(self.ctx)
+            return self.ctx.one
         if k < 0:
-            return one_form(self.ctx) / (self ** (-k))
+            return self.ctx.one / (self ** (-k))
         return RationalForm(self.num ** k, self.den ** k, self.ctx, reduced=True)
 
     def __str__(self):
@@ -183,67 +197,49 @@ def _cancel(num, den):
     return num, den
 
 
-def zero_form(ctx: PolyContext) -> RationalForm:
-    cached = getattr(ctx, "_zero_form", None)
-    if cached is None:
-        cached = RationalForm(ctx.ring.zero, ctx.ring.one, ctx, reduced=True)
-        ctx._zero_form = cached
-    return cached
-
-
-def one_form(ctx: PolyContext) -> RationalForm:
-    cached = getattr(ctx, "_one_form", None)
-    if cached is None:
-        cached = RationalForm(ctx.ring.one, ctx.ring.one, ctx, reduced=True)
-        ctx._one_form = cached
-    return cached
-
-
 # -- atom signatures ---------------------------------------------------------
 
-def atom_signature(atom: ex.Expr, ws: Workspace, _cache=None) -> str:
+def atom_signature(atom: ex.Expr, ws: Workspace) -> str:
     """A canonical string identifying an atom up to rational-function
-    equality of its arguments."""
-    if _cache is None:
-        _cache = {}
+    equality of its arguments.
+
+    Signatures are kept in the workspace's table.  A stored signature stays
+    valid: it prints only the symbols it uses, so registering more symbols
+    cannot change it."""
     key = atom.key()
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
+    sig = ws.signatures.get(key)
+    if sig is not None:
+        return sig
     if isinstance(atom, ex.Call):
-        inner = _canonical_string(atom.arg, ws, _cache)
-        sig = f"{atom.fn}({inner})"
+        sig = f"{atom.fn}({_canonical_string(atom.arg, ws)})"
     elif isinstance(atom, ex.FuncAtom):
-        args = ",".join(_canonical_string(a, ws, _cache) for a in atom.args)
+        args = ",".join(_canonical_string(a, ws) for a in atom.args)
         sig = f"{atom.func.name}[{','.join(map(str, atom.deriv))}]({args})"
     else:
         raise NormalizeError(f"not an atom: {atom}")
-    _cache[key] = sig
+    ws.signatures[key] = sig
     return sig
 
 
-def _canonical_string(e: ex.Expr, ws: Workspace, cache) -> str:
+def _canonical_string(e: ex.Expr, ws: Workspace) -> str:
     """The normal form of e, its atom generators named by their signatures,
     so the string does not depend on the context it was built in."""
-    rf = _normalize_cached(e, ws, cache)
+    rf = _normalize(e, ws)
     sigs = rf.ctx.atom_sigs
     return _GEN_NAME.sub(lambda m: sigs[int(m.group(1))], str(rf))
 
 
-def build_context(ws: Workspace, exprs, _cache=None) -> PolyContext:
-    if _cache is None:
-        _cache = {}
+def build_context(ws: Workspace, exprs) -> PolyContext:
     entries: dict[str, ex.Expr] = {}
     for e in exprs:
         for atom in ex.atoms(e):
-            sig = atom_signature(atom, ws, _cache)
-            entries.setdefault(sig, atom)
+            entries.setdefault(atom_signature(atom, ws), atom)
     return PolyContext(ws, list(entries.items()))
 
 
-def derivation_context(ws: Workspace, variables, parts,
-                       _cache=None) -> PolyContext:
-    """A context whose atoms are closed under partial derivatives.
+def derivation_context(ws: Workspace, variables, parts) -> PolyContext:
+    """A context whose atoms are closed under partial derivatives, with its
+    derivations d/dv for the v in ``variables`` (``ctx.deriv``).
 
     ``parts`` is a list of (exprs, order): the atoms of the exprs and of
     their partial derivatives in ``variables`` up to that order all get a
@@ -251,8 +247,6 @@ def derivation_context(ws: Workspace, variables, parts,
     themselves, one representative per signature, which is the atom
     ``Derivation`` differentiates later.
     """
-    if _cache is None:
-        _cache = {}
     reps: dict[str, ex.Expr] = {}
     done: dict[str, int] = {}   # signature -> derivative order covered
     todo: deque = deque()
@@ -260,7 +254,7 @@ def derivation_context(ws: Workspace, variables, parts,
     def visit(exprs, order):
         for e in exprs:
             for atom in ex.atoms(e):
-                sig = atom_signature(atom, ws, _cache)
+                sig = atom_signature(atom, ws)
                 reps.setdefault(sig, atom)
                 todo.append((sig, order))
 
@@ -275,15 +269,17 @@ def derivation_context(ws: Workspace, variables, parts,
                 visit([differentiate(reps[sig], v) for v in variables], k - 1)
     # atoms come outermost first, so each representative is also the first
     # atom of its signature that build_context meets
-    return build_context(ws, list(reps.values()), _cache)
+    ctx = build_context(ws, list(reps.values()))
+    ctx.deriv = [Derivation(ctx, v) for v in variables]
+    return ctx
 
 
-def to_rational_form(e: ex.Expr, ctx: PolyContext, _cache=None) -> RationalForm:
+def to_rational_form(e: ex.Expr, ctx: PolyContext) -> RationalForm:
     ring = ctx.ring
     if isinstance(e, ex.Rat):
         v = e.value
         if not v:   # most operator entries: share one zero form
-            return zero_form(ctx)
+            return ctx.zero
         return RationalForm(
             ring.ground_new(v.numerator if v.denominator == 1 else v),
             ring.one, ctx, reduced=True,
@@ -294,30 +290,29 @@ def to_rational_form(e: ex.Expr, ctx: PolyContext, _cache=None) -> RationalForm:
             raise NormalizeError(f"symbol {e.symbol.name!r} not in context")
         return RationalForm(gen, ring.one, ctx, reduced=True)
     if isinstance(e, ex.Sum):
-        out = zero_form(ctx)
+        out = ctx.zero
         for t in e.terms:
-            out = out + to_rational_form(t, ctx, _cache)
+            out = out + to_rational_form(t, ctx)
         return out
     if isinstance(e, ex.Prod):
-        out = one_form(ctx)
+        out = ctx.one
         for f in e.factors:
-            out = out * to_rational_form(f, ctx, _cache)
+            out = out * to_rational_form(f, ctx)
             if out.is_zero:
                 return out
         return out
     if isinstance(e, ex.Pow):
-        return to_rational_form(e.base, ctx, _cache) ** e.exponent
+        return to_rational_form(e.base, ctx) ** e.exponent
     if isinstance(e, ex.Quot):
-        num = to_rational_form(e.num, ctx, _cache)
-        den = to_rational_form(e.den, ctx, _cache)
+        num = to_rational_form(e.num, ctx)
+        den = to_rational_form(e.den, ctx)
         if den.is_zero:
             raise ZeroDenominatorError(
                 f"denominator {e.den} is identically zero"
             )
         return num / den
     if isinstance(e, (ex.Call, ex.FuncAtom)):
-        sig = atom_signature(e, ctx.ws, _cache if _cache is not None else {})
-        gen = ctx.gen_of_sig.get(sig)
+        gen = ctx.gen_of_sig.get(atom_signature(e, ctx.ws))
         if gen is None:
             raise NormalizeError(f"atom {e} not in context")
         return RationalForm(gen, ring.one, ctx, reduced=True)
@@ -327,20 +322,18 @@ def to_rational_form(e: ex.Expr, ctx: PolyContext, _cache=None) -> RationalForm:
 def matrix_forms(ws: Workspace, rows) -> list:
     """A matrix of Exprs as rational forms of one context, built from its
     entries."""
-    cache: dict = {}
-    ctx = build_context(ws, [e for row in rows for e in row], cache)
-    return [[to_rational_form(e, ctx, cache) for e in row] for row in rows]
+    ctx = build_context(ws, [e for row in rows for e in row])
+    return [[to_rational_form(e, ctx) for e in row] for row in rows]
 
 
-def _normalize_cached(e: ex.Expr, ws: Workspace, cache) -> RationalForm:
-    ctx = build_context(ws, [e], cache)
-    return to_rational_form(e, ctx, cache)
+def _normalize(e: ex.Expr, ws: Workspace) -> RationalForm:
+    return to_rational_form(e, build_context(ws, [e]))
 
 
 def normalize(e: ex.Expr, ws: Workspace) -> RationalForm:
     """Canonical form; equal rational functions of the extended variable
     set map to the identical (num, den) pair."""
-    return _normalize_cached(e, ws, {})
+    return _normalize(e, ws)
 
 
 # -- the derivation d/dv on rational forms -----------------------------------
@@ -357,10 +350,9 @@ class Derivation:
     quotient rule.
     """
 
-    def __init__(self, ctx: PolyContext, v: Symbol, _cache=None):
+    def __init__(self, ctx: PolyContext, v: Symbol):
         self.ctx = ctx
         self.v = v
-        self._cache = {} if _cache is None else _cache
         self._gens: dict[int, RationalForm] = {}
 
     def generator(self, index: int) -> RationalForm:
@@ -368,13 +360,11 @@ class Derivation:
         if hit is None:
             ctx = self.ctx
             if index < ctx.n_vars:
-                hit = (one_form(ctx) if ctx.var_names[index] == self.v.name
-                       else zero_form(ctx))
+                hit = (ctx.one if ctx.var_names[index] == self.v.name
+                       else ctx.zero)
             else:
                 hit = to_rational_form(
-                    differentiate(ctx.gen_expr(index), self.v), ctx,
-                    self._cache,
-                )
+                    differentiate(ctx.gen_expr(index), self.v), ctx)
             self._gens[index] = hit
         return hit
 
@@ -385,7 +375,7 @@ class Derivation:
         ctx = self.ctx
         ring = ctx.ring
         acc = ring.zero
-        frac = zero_form(ctx)
+        frac = ctx.zero
         for index, degree in enumerate(p.degrees()):
             if degree <= 0:
                 continue
@@ -419,7 +409,7 @@ def det(rows) -> RationalForm:
     def expand(i, cols):
         if len(cols) == 1:
             return rows[i][cols[0]]
-        acc = zero_form(rows[0][0].ctx)
+        acc = rows[0][0].ctx.zero
         for pos, j in enumerate(cols):
             if not rows[i][j].is_zero:
                 minor = expand(i + 1, cols[:pos] + cols[pos + 1:])
@@ -485,11 +475,18 @@ def coefficients_in(rf: RationalForm, param_names: list[str]):
     }
 
 
+# an exp/ln/sqrt application anywhere in a signature
+_TRANSCENDENTAL = re.compile(r"(?<![\w@])(exp|ln|sqrt)\(")
+
+
 def uses_transcendental(rf: RationalForm) -> bool:
-    """Does the numerator involve any exp/ln/sqrt generator?"""
+    """Does the numerator involve a generator with exp/ln/sqrt anywhere in
+    its signature?  That is an exp/ln/sqrt atom, or an abstract atom over
+    one: f(ln(exp(u1))) and f(u1) are distinct generators although they
+    are equal, so a nonzero form over them proves nothing."""
     ctx = rf.ctx
     for i, sig in enumerate(ctx.atom_sigs):
-        if sig.startswith(("exp(", "ln(", "sqrt(")):
+        if _TRANSCENDENTAL.search(sig):
             gi = ctx.n_vars + i
             for monom, _ in rf.num.terms():
                 if monom[gi]:

@@ -22,13 +22,10 @@ from .operators import (
     check_hamiltonian,
 )
 from .ratform import (
-    Derivation,
     derivation_context,
     det,
-    one_form,
     ratform_to_expr,
     to_rational_form,
-    zero_form,
 )
 from .symbols import Symbol, Workspace
 from .zerotest import (
@@ -110,16 +107,12 @@ def coordinate_change(
 
 def _jacobian(change: CoordinateChange, exprs):
     """J^i_k = d phi^i / d v^k in one derivation context over the v side,
-    which holds phi to second order and ``exprs`` at order 0.  Returns J,
-    the conversion of an Expr into the context and the derivations d/dv^k."""
-    ws, v_vars = change.dst_ws, change.v_vars
-    cache: dict = {}
-    ctx = derivation_context(ws, v_vars, [(change.forward, 2), (exprs, 0)],
-                             cache)
-    conv = lambda e: to_rational_form(e, ctx, cache)
-    deriv = [Derivation(ctx, v, cache) for v in v_vars]
-    J = [[d(conv(phi)) for d in deriv] for phi in change.forward]
-    return J, conv, deriv
+    which holds phi to second order and ``exprs`` at order 0.  Returns J and
+    the conversion of an Expr into the context."""
+    ctx = derivation_context(change.dst_ws, change.v_vars,
+                             [(change.forward, 2), (exprs, 0)])
+    conv = lambda e: to_rational_form(e, ctx)
+    return [ctx.gradient(conv(phi)) for phi in change.forward], conv
 
 
 def _inverse(J):
@@ -130,7 +123,7 @@ def _inverse(J):
 
     def cofactor(i, j):
         rows = [[J[r][c] for c in rng if c != j] for r in rng if r != i]
-        minor = det(rows) if rows else one_form(jac.ctx)
+        minor = det(rows) if rows else jac.ctx.one
         return -minor if (i + j) % 2 else minor
 
     return [[cofactor(j, i) / jac for j in rng] for i in rng]
@@ -151,12 +144,13 @@ def pushforward(op: HydroOperator, change: CoordinateChange) -> HydroOperator:
         raise InvalidChangeError("change arity does not match the operator")
     gv = [_map_nested(g, change.to_v) for g in op.g]
     bv = [_map_nested(b, change.to_v) for b in op.b]
-    J, conv, deriv = _jacobian(change, list(_flatten([gv, bv])))
+    J, conv = _jacobian(change, list(_flatten([gv, bv])))
     gv, bv = _map_nested(gv, conv), _map_nested(bv, conv)
     K = _inverse(J)
+    ctx = J[0][0].ctx
     # DK[k][j][q] = d_k K^j_q
-    DK = [_map_nested(K, d) for d in deriv]
-    zero = zero_form(J[0][0].ctx)
+    DK = [_map_nested(K, d) for d in ctx.deriv]
+    zero = ctx.zero
     rng = range(n)
     g_all, b_all = [], []
     for g, b in zip(gv, bv):

@@ -2,9 +2,10 @@
 
 Purely rational expressions (variables, constants, abstract-function atoms)
 are decided exactly by the polynomial normal form: the opaque generators
-are algebraically independent by construction.  Once exp/ln/sqrt enter, a
-nonzero normal form proves nothing, so the verdict falls back to sampling
-at random points that avoid denominator zeros.
+are algebraically independent by construction.  Once exp/ln/sqrt enter,
+also inside an abstract atom's arguments, a nonzero normal form proves
+nothing, so the verdict falls back to sampling at random points that avoid
+denominator zeros.
 
 mpmath is imported only where a value is computed numerically, so a call
 whose residuals are all rational never loads it.

@@ -3,7 +3,7 @@
 import random
 import pytest
 
-from hydroham import catalog, is_zero, parse, print_expr
+from hydroham import catalog, is_zero, parse, print_expr, ratform
 from hydroham import expr as ex
 from hydroham.operators import (
     check_hamiltonian,
@@ -76,10 +76,61 @@ def test_abstract_slots_stay_abstract():
 def test_zero_slots_give_trivial_pair():
     params = {"eps": 0, "p": "0", "q": "0", "r": "0"}
     op, ws = catalog.instantiate("T2.7/rank2_P_2/1", params)
-    assert is_trivial_pair(op).trivial  # y-part vanishes
+    res = is_trivial_pair(op)
+    assert res.trivial and print_expr(res.xi) == "0"  # y-part vanishes
     nonzero = {"eps": 1, "p": "0", "q": "0", "r": "0"}
     op2, _ = catalog.instantiate("T2.7/rank2_P_2/1", nonzero)
     assert not is_trivial_pair(op2).trivial
+
+
+# is_trivial_pair on each d = 2 entry, recorded when it converted the
+# entries into a context of its own: none is trivial, so none has a xi,
+# and the notes are these
+TRIVIALITY_NOTES = {
+    "T2.4": "proportionality factor u2 is not constant",
+    "T2.5/1": "proportionality factor u1 is not constant",
+    "T2.5/2": "proportionality factor u3 is not constant",
+    "T2.6/rank1_P_1/1": "proportionality factor u2 is not constant",
+    "T2.6/rank1_P_1/2": "proportionality factor f is not constant",
+    "T2.6/rank1_P_2/1": "proportionality factor f is not constant",
+    "T2.6/rank1_P_2/2": "proportionality factor u2 is not constant",
+    "T2.7/rank2_P_1/1": "proportionality factor u2 is not constant",
+    "T2.7/rank2_P_1/2": "not proportional",
+    "T2.7/rank2_P_2/1": "proportionality factor q is not constant",
+    "T2.7/rank2_P_2/2": "not proportional",
+    "T2.7/rank2_P_3/1": "proportionality factor u3 is not constant",
+    "P_gas": "not proportional",
+    "T2.7/rank2_P_4/1": "not proportional",
+    "T2.7/rank2_P_4/2": "proportionality factor -1/2*u2 is not constant",
+    "T2.7/rank2_P_5": "proportionality factor -u3 is not constant",
+    "T2.7/rank2_P_6": "not proportional",
+    "APP/rank1_sol1": "proportionality factor f is not constant",
+    "APP/rank1_sol2": "proportionality factor f is not constant",
+    "APP/rk2_2D_1": "proportionality factor q is not constant",
+    "APP/rk2_2D_2": "proportionality factor -1/2*u2*p + 2 is not constant",
+}
+
+
+def test_catalog_triviality_pinned():
+    ids = [e.id for e in catalog.ENTRIES if e.d == 2]
+    assert ids == list(TRIVIALITY_NOTES)
+    for entry_id in ids:
+        res = is_trivial_pair(catalog.instantiate(entry_id)[0])
+        xi = None if res.xi is None else print_expr(res.xi)
+        assert (res.trivial, xi, res.note) == \
+            (False, None, TRIVIALITY_NOTES[entry_id]), entry_id
+
+
+def test_triviality_reads_the_operator_forms(count_calls):
+    """Once op.forms exists, is_trivial_pair builds no context."""
+    ops = [catalog.instantiate(e.id)[0] for e in catalog.ENTRIES if e.d == 2]
+    for op in ops:
+        op.forms
+    counts = count_calls((ratform.derivation_context, "contexts", None),
+                         (ratform.build_context, "builds", None))
+    for op in ops:
+        is_trivial_pair(op)
+    assert counts["contexts"] == 0 and counts["builds"] == 0, counts
 
 
 def test_verify_entry_examples():

@@ -17,13 +17,11 @@ from hydroham import Workspace, catalog, differentiate, mutation, normalize, par
 from hydroham import expr as ex
 from hydroham.operators import MokhovChecker
 from hydroham.ratform import (
-    Derivation,
     ZeroDenominatorError,
     build_context,
     derivation_context,
     ratform_to_expr,
     to_rational_form,
-    zero_form,
 )
 
 
@@ -107,9 +105,10 @@ def oracle(e, *vs):
 
 
 def ring_form(e, order):
-    cache = {}
-    ctx = derivation_context(WS, VARS, [([e], order)], cache)
-    return to_rational_form(e, ctx, cache), ctx, cache
+    """e as a form of a derivation context, and the context's d/dv for
+    each v in VARS."""
+    ctx = derivation_context(WS, VARS, [([e], order)])
+    return to_rational_form(e, ctx), dict(zip(VARS, ctx.deriv))
 
 
 @SETTINGS
@@ -120,8 +119,8 @@ def ring_form(e, order):
 def test_derivation_matches_expr_route(e, v):
     want = oracle(e, v)
     assume(want is not None)
-    rf, ctx, cache = ring_form(e, 1)
-    got = Derivation(ctx, v, cache)(rf)
+    rf, d = ring_form(e, 1)
+    got = d[v](rf)
     assert same(got, want), (e, v, got)
 
 
@@ -130,23 +129,23 @@ def test_derivation_matches_expr_route(e, v):
 def test_second_derivatives_match_expr_route(e, v, w):
     want = oracle(e, v, w)
     assume(want is not None)
-    rf, ctx, cache = ring_form(e, 2)
-    got = Derivation(ctx, w, cache)(Derivation(ctx, v, cache)(rf))
+    rf, d = ring_form(e, 2)
+    got = d[w](d[v](rf))
     assert same(got, want), (e, v, w, got)
 
 
 @SETTINGS
 @given(exprs, st.sampled_from(VARS))
 def test_constants_and_other_variables_differentiate_to_zero(e, v):
-    rf, ctx, cache = ring_form(ex.Var(WS.require_symbol("c1")), 1)
-    assert Derivation(ctx, v, cache)(rf).is_zero
+    rf, d = ring_form(ex.Var(WS.require_symbol("c1")), 1)
+    assert d[v](rf).is_zero
     free = ex.free_symbols(e)
     assume(v not in free and not ex.atoms(e))
     try:
-        rf, ctx, cache = ring_form(e, 1)
+        rf, d = ring_form(e, 1)
     except ZeroDenominatorError:
         assume(False)
-    assert Derivation(ctx, v, cache)(rf).is_zero
+    assert d[v](rf).is_zero
 
 
 @SETTINGS
@@ -186,13 +185,12 @@ def _expr_tables(op):
             flat.append(t)
     for table in (op.g, dg, op.b, db, d2b):
         collect(table)
-    cache = {}
-    ctx = build_context(op.ws, flat, cache)
+    ctx = build_context(op.ws, flat)
 
     def conv(t):
         if isinstance(t, list):
             return [conv(item) for item in t]
-        return to_rational_form(t, ctx, cache)
+        return to_rational_form(t, ctx)
     return ctx, conv(op.g), conv(dg), conv(op.b), conv(db), conv(d2b)
 
 
@@ -249,7 +247,7 @@ def test_checker_tables_and_a7_match_expr_route(entry_id, kind, index):
         for l in range(n):
             assert checker.DB[a][i][j][k][l] == DB[a][i][j][k][l]
     rels = dict.fromkeys(("a5", "a7"), 0)
-    zero = zero_form(ctx)
+    zero = ctx.zero
     for rel, idx, rf in checker.residuals(("a5", "a7")):
         rels[rel] += not rf.is_zero
         if rel == "a7":

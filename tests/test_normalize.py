@@ -124,7 +124,13 @@ def ws_f1():
 
 @pytest.mark.parametrize("text, kind", [
     ("exp(exp(u1)) - exp(exp(u2))", "probably_nonzero"),
-    ("f(exp(u1)) - f(exp(u2))", "proven_nonzero"),
+    # an abstract atom over an exp/ln/sqrt argument is sampled: the next
+    # three are zero, yet their atoms are distinct generators, so distinct
+    # generators over such arguments prove nothing
+    ("f(exp(u1)) - f(exp(u2))", "probably_nonzero"),
+    ("f(ln(exp(u1))) - f(u1)", "probably_nonzero"),
+    ("f(sqrt(u1)^2) - f(u1)", "probably_nonzero"),
+    ("f(exp(u1)*exp(u2)) - f(exp(u1 + u2))", "probably_nonzero"),
     ("f(f(u1)) - f(f(u2))", "proven_nonzero"),
     ("exp(exp(u1)) - exp(exp(u1))", "proven_zero"),
     ("exp(u2 + exp(u1)) - exp(exp(u1) + u2)", "proven_zero"),

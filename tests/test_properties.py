@@ -40,9 +40,7 @@ from hydroham.ratform import (
     build_context,
     det,
     matrix_forms,
-    one_form,
     to_rational_form,
-    zero_form,
 )
 from hydroham.zerotest import EvaluationError, SingularPointError
 
@@ -193,7 +191,7 @@ def dense_residuals(checker):
     DB = [[[[[conv(differentiate(op.b[a][i][j][k], us[m])) for m in rng]
              for k in rng] for j in rng] for i in rng] for a in range(d)]
     deriv = [Derivation(ctx, u) for u in us]
-    zero = zero_form(ctx)
+    zero = ctx.zero
     L = ALPHA_LABELS
     alphas = list(itertools.product(range(d), repeat=2))
 
@@ -332,9 +330,9 @@ def _perm_sign(perm) -> int:
 def leibniz_det(rows):
     """sum over permutations p of sign(p) * prod_i rows[i][p(i)]."""
     ctx = rows[0][0].ctx
-    acc = zero_form(ctx)
+    acc = ctx.zero
     for perm in itertools.permutations(range(len(rows))):
-        term = one_form(ctx)
+        term = ctx.one
         for i, j in enumerate(perm):
             term = term * rows[i][j]
         acc = acc + term if _perm_sign(perm) == 1 else acc - term
