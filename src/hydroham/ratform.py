@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from fractions import Fraction
+from functools import cached_property
 
 from . import expr as ex
 from .calculus import differentiate
@@ -30,6 +31,8 @@ class ZeroDenominatorError(NormalizeError):
 _RING_CACHE: dict[tuple[str, ...], PolyRing] = {}
 # ring name of the i-th atom generator of a context
 _GEN_NAME = re.compile(r"@a(\d+)")
+# an exp/ln/sqrt application anywhere in a signature
+_TRANSCENDENTAL = re.compile(r"(?<![\w@])(exp|ln|sqrt)\(")
 
 
 def _get_ring(names: tuple[str, ...]):
@@ -73,6 +76,13 @@ class PolyContext:
         if rf.is_zero:
             return [rf] * len(self.deriv)
         return [d(rf) for d in self.deriv]
+
+    @cached_property
+    def transcendental_gens(self) -> list:
+        """The indices of the generators with exp/ln/sqrt anywhere in their
+        signature: exp/ln/sqrt atoms, and abstract atoms over them."""
+        return [self.n_vars + i for i, sig in enumerate(self.atom_sigs)
+                if _TRANSCENDENTAL.search(sig)]
 
     def gen_expr(self, index: int) -> ex.Expr:
         """The Expr a ring generator stands for."""
@@ -475,20 +485,11 @@ def coefficients_in(rf: RationalForm, param_names: list[str]):
     }
 
 
-# an exp/ln/sqrt application anywhere in a signature
-_TRANSCENDENTAL = re.compile(r"(?<![\w@])(exp|ln|sqrt)\(")
-
-
 def uses_transcendental(rf: RationalForm) -> bool:
     """Does the numerator involve a generator with exp/ln/sqrt anywhere in
     its signature?  That is an exp/ln/sqrt atom, or an abstract atom over
     one: f(ln(exp(u1))) and f(u1) are distinct generators although they
     are equal, so a nonzero form over them proves nothing."""
-    ctx = rf.ctx
-    for i, sig in enumerate(ctx.atom_sigs):
-        if _TRANSCENDENTAL.search(sig):
-            gi = ctx.n_vars + i
-            for monom, _ in rf.num.terms():
-                if monom[gi]:
-                    return True
-    return False
+    gens = rf.ctx.transcendental_gens
+    return bool(gens) and any(monom[i] for monom, _ in rf.num.terms()
+                              for i in gens)
