@@ -50,6 +50,7 @@ from .integrability import (
 )
 from .operators import (
     OperatorError,
+    _record,
     check_hamiltonian,
     generic_rank,
     is_degenerate,
@@ -60,16 +61,10 @@ from .operators import (
 )
 from .parser import ParseError
 from .poly import HeuristicGCDFailed
-from .ratform import NormalizeError, normalize, ratform_to_expr
+from .ratform import NormalizeError, normalize
 from .symbols import SymbolError
 from .transform import InvalidChangeError, verify_invariance
-from .zerotest import (
-    InconclusiveError,
-    Verdict,
-    ZeroTestPolicy,
-    is_zero,
-    verdict_for_ratform,
-)
+from .zerotest import InconclusiveError, Verdict, ZeroTestPolicy
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -277,8 +272,7 @@ def main(argv=None) -> int:
 def _cmd_check(args, policy) -> int:
     report = Report(args, [args.operator])
     op = load_operator(read_json(args.operator))
-    result = check_hamiltonian(op, policy)
-    _add_report_records(report, result.records)
+    _add_report_records(report, check_hamiltonian(op, policy).records)
     return report.finish()
 
 
@@ -415,27 +409,24 @@ def _cmd_reduction(args, policy) -> int:
     density = load_density(read_json(args.density), op)
     cand = load_candidate(read_json(args.candidate))
     sys_ = generate_system(op, density)
-
-    def checked(name, idx, residual):
-        rf = normalize(residual, cand.ws)
-        report.add_check(name, idx, verdict_for_ratform(rf, cand.ws, policy),
-                         ratform_to_expr(rf))
-
+    residuals = []
     if cand.m >= 2:
-        for idx, residual in commutativity_residual(cand, policy):
-            checked("commutativity", idx, residual)
-    for idx, residual in reduction_residual(cand, sys_):
-        checked("reduction", idx, residual)
+        residuals += [("commutativity", *c)
+                      for c in commutativity_residual(cand, policy)]
+    residuals += [("reduction", *c) for c in reduction_residual(cand, sys_)]
+    numeric = []
     if cand.v is not None:
         coords = {"t": 0, "x": 0, "y": 0, **_parse_at(args.at, cand.m)}
         point = {f"R{i}": coords.get(f"R{i}", Fraction(i))
                  for i in range(1, cand.m + 1)}
         symbolic, numeric = hodograph_residual(
             cand, point, coords["t"], coords["x"], coords["y"], policy)
-        for idx, residual in symbolic:
-            checked("hodograph", idx, residual)
-        for i, value in numeric:
-            report.note(f"hodograph residual at point, i={i}", str(value))
+        residuals += [("hodograph", *c) for c in symbolic]
+    _add_report_records(report, [
+        _record(name, idx, normalize(residual, cand.ws), policy)
+        for name, idx, residual in residuals])
+    for i, value in numeric:
+        report.note(f"hodograph residual at point, i={i}", str(value))
     return report.finish()
 
 
@@ -482,12 +473,10 @@ def _cmd_fkt(args, policy) -> int:
 
 def _cmd_legendre(args, policy) -> int:
     report = Report(args, [args.density])
-    h, ws, inverse = load_legendre(read_json(args.density))
-    result = legendre(h, ws, inverse, policy)
+    result = legendre(*load_legendre(read_json(args.density)), policy)
     report.note("f(a, b, c)", ex.print_expr(result.density.f))
-    for label, residual in result.identity_residuals:
-        report.add_check("legendre-identity", (label,),
-                         is_zero(residual, ws, policy), residual)
+    for label, residual, verdict in result.identity_residuals:
+        report.add_check("legendre-identity", (label,), verdict, residual)
     return report.finish()
 
 

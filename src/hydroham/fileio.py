@@ -9,7 +9,7 @@ import json
 from . import expr as ex
 from .hamsys import HamiltonianDensity, ReductionCandidate
 from .integrability import LEGENDRE_VARS, LagrangianDensity
-from .operators import ALPHA_LABELS, HydroOperator
+from .operators import ALPHA_LABELS, HydroOperator, _map_nested
 from .parser import parse
 from .symbols import Workspace
 from .transform import CoordinateChange, coordinate_change
@@ -109,22 +109,9 @@ def dump_operator(op: HydroOperator) -> dict:
             {"name": fn.name, "args": [a.name for a in fn.args]}
             for fn in op.ws.functions.values()
         ]
-    metrics, bs = {}, {}
-    for a in range(op.d):
-        label = ALPHA_LABELS[a]
-        metrics[label] = [
-            [ex.print_expr(op.g[a][i][j]) for j in range(op.n)]
-            for i in range(op.n)
-        ]
-        bs[label] = [
-            [
-                [ex.print_expr(op.b[a][i][j][k]) for k in range(op.n)]
-                for j in range(op.n)
-            ]
-            for i in range(op.n)
-        ]
-    data["metrics"] = metrics
-    data["b"] = bs
+    for key, table in (("metrics", op.g), ("b", op.b)):
+        data[key] = {label: _map_nested(part, ex.print_expr)
+                     for label, part in zip(ALPHA_LABELS, table)}
     return data
 
 

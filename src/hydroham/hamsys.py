@@ -171,13 +171,12 @@ class ReductionCandidate:
 def commutativity_residual(c: ReductionCandidate,
                            policy: ZeroTestPolicy = DEFAULT_POLICY):
     """Cleared-denominator commutation constraints
-    d_j lam^i (mu^j - mu^i) - d_j mu^i (lam^j - lam^i), i != j."""
+    d_j lam^i (mu^j - mu^i) - d_j mu^i (lam^j - lam^i), i != j.  Each
+    unordered pair of speeds is tested once for coinciding."""
     if c.m < 2:
         raise HamsysError("commutativity needs m >= 2")
     for i in range(c.m):
-        for j in range(c.m):
-            if i == j:
-                continue
+        for j in range(i + 1, c.m):
             if is_zero(c.lam[i] - c.lam[j], c.ws, policy).is_zero_verdict or \
                is_zero(c.mu[i] - c.mu[j], c.ws, policy).is_zero_verdict:
                 raise DegenerateCandidateError(
@@ -243,7 +242,7 @@ def hodograph_residual(c: ReductionCandidate, point: dict, t, x, y,
             ex.neg(ex.mul(ex.as_expr(Fraction(t)), c.lam[i])),
             ex.neg(ex.mul(ex.as_expr(Fraction(y)), c.mu[i])),
         )
-        numeric.append((i + 1, evaluate(expr, pt, policy.precision, c.ws)))
+        numeric.append((i + 1, evaluate(expr, pt, policy.precision)))
     return symbolic, numeric
 
 
@@ -275,8 +274,7 @@ def classify_operator_shape(op: HydroOperator,
     an abstract density, by the freezing cascade and coordinate-change
     invariants.  Each step builds the system once, as rational forms, and
     the zero tests run on those forms."""
-    zero = lambda rf: verdict_for_ratform(rf, rf.ctx.ws,
-                                          policy).is_zero_verdict
+    zero = lambda rf: verdict_for_ratform(rf, policy).is_zero_verdict
     frozen_names: list[str] = []
     current = op
     while True:

@@ -30,7 +30,12 @@ from .ratform import (
     to_rational_form,
 )
 from .symbols import Symbol, Workspace
-from .zerotest import DEFAULT_POLICY, ZeroTestPolicy, is_zero
+from .zerotest import (
+    DEFAULT_POLICY,
+    ZeroTestPolicy,
+    is_zero,
+    verdict_for_ratform,
+)
 
 
 class IntegrabilityError(Exception):
@@ -123,10 +128,9 @@ class _Ring:
 
     def split(self, rf, order: int) -> dict:
         """{(i, j, k): coefficient of da^i db^j dc^k} of a form homogeneous
-        of the given order; every multi-index is present."""
+        of the given order, as forms; every multi-index is present."""
         coeffs = coefficients_in(rf, self.names)
-        return {m: ratform_to_expr(coeffs[m]) if m in coeffs else ex.ZERO
-                for m in _multi_indices(order)}
+        return {m: coeffs.get(m, self.ctx.zero) for m in _multi_indices(order)}
 
 
 def sym_diff(density: LagrangianDensity, order: int) -> dict:
@@ -136,7 +140,7 @@ def sym_diff(density: LagrangianDensity, order: int) -> dict:
     if order not in (1, 2, 3, 4):
         raise IntegrabilityError("symmetric differentials of order 1..4 only")
     ring = _Ring(density, order)
-    return ring.split(ring.D(ring.f, order), order)
+    return _exprs(ring.split(ring.D(ring.f, order), order))
 
 
 def hessian_determinant(density: LagrangianDensity) -> ex.Expr:
@@ -158,7 +162,11 @@ def bordered_matrix_derivatives(density: LagrangianDensity) -> list:
 def det_dM(density: LagrangianDensity) -> dict:
     """det(M_a da + M_b db + M_c dc) as {(i, j, k): coefficient}."""
     ring = _Ring(density, 3)
-    return ring.split(ring.det_dM(), 4)
+    return _exprs(ring.split(ring.det_dM(), 4))
+
+
+def _exprs(forms: dict) -> dict:
+    return {m: ratform_to_expr(rf) for m, rf in forms.items()}
 
 
 @dataclass
@@ -190,8 +198,7 @@ def fkt_residual(density: LagrangianDensity,
     zero."""
     ring = _Ring(density, 4)
     H = ring.hessian()
-    hessian = ratform_to_expr(H)
-    if is_zero(hessian, density.ws, policy).is_zero_verdict:
+    if verdict_for_ratform(H, policy).is_zero_verdict:
         raise DegenerateLagrangianError(
             "the Hessian determinant vanishes identically; the fourth-order "
             "test is inapplicable"
@@ -199,9 +206,8 @@ def fkt_residual(density: LagrangianDensity,
     d3 = ring.D(ring.f, 3)
     dm = ring.det_dM()
     residual = ring.split(H * ring.D(d3) - d3 * ring.D(H) - (dm + dm + dm), 4)
-    verdicts = {m: is_zero(c, density.ws, policy)
-                for m, c in residual.items()}
-    return FktResult(residual, verdicts, hessian)
+    verdicts = {m: verdict_for_ratform(c, policy) for m, c in residual.items()}
+    return FktResult(_exprs(residual), verdicts, ratform_to_expr(H))
 
 
 def euler_lagrange_fluxes(density: LagrangianDensity):
@@ -217,7 +223,8 @@ def euler_lagrange_fluxes(density: LagrangianDensity):
 class LegendreResult:
     density: LagrangianDensity
     h_tilde: ex.Expr            # h - rho*h_rho in (rho_t, u, v)
-    identity_residuals: list    # the three derivative identities
+    # (label, residual, verdict) of the three derivative identities
+    identity_residuals: list
 
 
 def legendre(h: ex.Expr, ws: Workspace, inverse: ex.Expr,
@@ -227,8 +234,8 @@ def legendre(h: ex.Expr, ws: Workspace, inverse: ex.Expr,
     `h` is an expression in (rho, u, v); `inverse` expresses rho through
     (rhot, u, v) and must satisfy h_rho(inverse, u, v) = rhot.  The result
     is the Lagrangian density f(a, b, c) = h~ with (u, v, rho_t) renamed to
-    (a, b, c), together with the verified derivative identities
-    h~_rhot = -rho, h~_u = h_u, h~_v = h_v.
+    (a, b, c), together with the derivative identities h~_rhot = -rho,
+    h~_u = h_u, h~_v = h_v and the verdicts that verified them.
     """
     rho, u, v, rhot = (ws.require_symbol(n) for n in LEGENDRE_VARS)
     h_rho = differentiate(h, rho)
@@ -247,8 +254,9 @@ def legendre(h: ex.Expr, ws: Workspace, inverse: ex.Expr,
         ("h~_v - h_v", differentiate(h_tilde, v)
          - substitute(differentiate(h, v), sub_inv)),
     ]
-    for label, r in residuals:
-        if not is_zero(r, ws, policy).is_zero_verdict:
+    checked = [(label, r, is_zero(r, ws, policy)) for label, r in residuals]
+    for label, _, verdict in checked:
+        if not verdict.is_zero_verdict:
             raise IntegrabilityError(f"derivative identity {label} failed")
 
     lag_ws = lagrangian_workspace(
@@ -257,5 +265,4 @@ def legendre(h: ex.Expr, ws: Workspace, inverse: ex.Expr,
     a, b, c = (lag_ws.require_symbol(n) for n in LAGRANGIAN_VARS)
     f = substitute(h_tilde, {u: ex.Var(a), v: ex.Var(b), rhot: ex.Var(c)})
     f = ratform_to_expr(normalize(f, lag_ws))
-    return LegendreResult(LagrangianDensity(f, lag_ws), h_tilde,
-                          [(lbl, r) for lbl, r in residuals])
+    return LegendreResult(LagrangianDensity(f, lag_ws), h_tilde, checked)

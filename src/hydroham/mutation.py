@@ -10,6 +10,7 @@ family (e.g. negating one 1D part of a rank-0 pair).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from . import expr as ex
@@ -40,13 +41,15 @@ class Mutation:
 
 def _mutant(op: HydroOperator, edits) -> HydroOperator:
     """op with b[dst] = c * b[src] for each (dst, src, c) in edits, its
-    forms edited from op's."""
+    forms edited from op's.  A copy of op, not checked again: its entries
+    are op's or rational multiples of them.  It shares op's pencil, if op
+    has built it, since the pencil reads only g."""
     b = [[[list(col) for col in row] for row in plane] for plane in op.b]
     for (a, i, j, k), (sa, si, sj, sk), c in edits:
         entry = op.b[sa][si][sj][sk]
         b[a][i][j][k] = entry if c == 1 else ex.mul(ex.Rat(c), entry)
-    mutant = HydroOperator(op.ws, op.d, op.n, op.g, b)
-    mutant.forms = op.forms.edited(edits)
+    mutant = copy.copy(op)
+    mutant.b, mutant.forms = b, op.forms.edited(edits)
     return mutant
 
 

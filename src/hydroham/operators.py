@@ -277,7 +277,6 @@ class MokhovChecker:
 
     def __init__(self, op: HydroOperator):
         self.op = op
-        self.ws = op.ws
         self.d, self.n = op.d, op.n
         self.forms = op.forms
         self.ctx, self.G, self.B = self.forms.ctx, self.forms.G, self.forms.B
@@ -514,12 +513,15 @@ ALL_RELATIONS = ("a1", "a2", "a3", "a4", "a5", "a6", "a7")
 _PROVEN_ZERO = Verdict(PROVEN_ZERO)
 
 
-def _record(rel: str, idx: tuple, rf, ws: Workspace,
+def _record(rel: str, idx: tuple, rf,
             policy: ZeroTestPolicy) -> ResidualRecord:
+    """The record of the residual rf: its verdict, Inconclusive when
+    sampling fails, and rf printed back to an Expr.  Every record of a
+    residual form is built here."""
     if rf.is_zero:
         return ResidualRecord(rel, idx, ex.ZERO, _PROVEN_ZERO)
     try:
-        verdict = verdict_for_ratform(rf, ws, policy)
+        verdict = verdict_for_ratform(rf, policy)
     except InconclusiveError:
         verdict = Verdict(INCONCLUSIVE)
     return ResidualRecord(rel, idx, ratform_to_expr(rf), verdict)
@@ -529,10 +531,8 @@ def check_hamiltonian(op: HydroOperator,
                       policy: ZeroTestPolicy = DEFAULT_POLICY) -> ConditionReport:
     """One record per residual of a1..a7; for a subset of the relations,
     use ``MokhovChecker(op).residuals(relations)``."""
-    checker = MokhovChecker(op)
-    records = [_record(rel, idx, rf, op.ws, policy)
-               for rel, idx, rf in checker.residuals(ALL_RELATIONS)]
-    return ConditionReport(records)
+    return ConditionReport([_record(rel, idx, rf, policy) for rel, idx, rf
+                            in MokhovChecker(op).residuals(ALL_RELATIONS)])
 
 
 # -- metric pencil analysis ----------------------------------------------------
@@ -542,8 +542,7 @@ PENCIL_PARAMS = ("lam1", "lam2", "lam3", "lam4")
 
 @dataclass
 class MetricPencil:
-    ws: Workspace               # extended with the formal lambda constants
-    params: list[Symbol]
+    params: list[Symbol]        # the formal lambda constants
     matrix: list                # n x n RationalForms, linear in the lambdas
 
     @classmethod
@@ -556,7 +555,7 @@ class MetricPencil:
         matrix = [[sum((lam * to_rational_form(g[i][j], ctx)
                         for lam, g in zip(lams, op.g) if g[i][j] != ex.ZERO),
                        ctx.zero) for j in rng] for i in rng]
-        return cls(ws, params, matrix)
+        return cls(params, matrix)
 
     @cached_property
     def determinant(self):
@@ -591,7 +590,7 @@ def is_degenerate(op: HydroOperator,
     InconclusiveError."""
     pencil = op.pencil
     for exps, coeff in pencil.det_coefficients.items():
-        if _proven_nonzero(coeff, pencil.ws, policy):
+        if _proven_nonzero(coeff, policy):
             monom = ex.mul(*(
                 ex.pow_(ex.Var(pencil.params[a]), e)
                 for a, e in enumerate(exps) if e
@@ -601,10 +600,10 @@ def is_degenerate(op: HydroOperator,
     return DegeneracyResult(True, None)
 
 
-def _proven_nonzero(rf, ws: Workspace, policy: ZeroTestPolicy) -> bool:
+def _proven_nonzero(rf, policy: ZeroTestPolicy) -> bool:
     """Is rf provably nonzero?  A probabilistic verdict raises
     InconclusiveError."""
-    verdict = verdict_for_ratform(rf, ws, policy)
+    verdict = verdict_for_ratform(rf, policy)
     if not verdict.proven:
         raise InconclusiveError(
             f"verdict for {ratform_to_expr(rf)} is only probabilistic: "
@@ -619,14 +618,14 @@ def generic_rank(op: HydroOperator,
     lambdas and u."""
     pencil = op.pencil
     n = op.n
-    if _proven_nonzero(pencil.determinant, pencil.ws, policy):
+    if _proven_nonzero(pencil.determinant, policy):
         return n
     for r in range(n - 1, 0, -1):
         for rows in itertools.combinations(range(n), r):
             for cols in itertools.combinations(range(n), r):
                 minor = det([[pencil.matrix[i][j] for j in cols]
                              for i in rows])
-                if _proven_nonzero(minor, pencil.ws, policy):
+                if _proven_nonzero(minor, policy):
                     return r
     return 0
 
@@ -652,7 +651,7 @@ def is_trivial_pair(op: HydroOperator,
     half = len(entries) // 2
     pairs = [(x, y) for x, y in zip(entries[:half], entries[half:])
              if not (x.is_zero and y.is_zero)]
-    nonzero = lambda rf: _proven_nonzero(rf, op.ws, policy)
+    nonzero = lambda rf: _proven_nonzero(rf, policy)
 
     def product(a, b):
         """a*b, not formed when a factor is zero"""
@@ -703,7 +702,6 @@ def pencil_compatibility(
     records = []
     for rel, idx, rf in MokhovChecker(pencil_op).residuals(ALL_RELATIONS):
         parts = {(0,): rf} if rf.is_zero else coefficients_in(rf, [lam.name])
-        for (power,), coeff in parts.items():
-            records.append(
-                _record(rel, idx + (f"lam^{power}",), coeff, ws, policy))
+        records += [_record(rel, idx + (f"lam^{power}",), coeff, policy)
+                    for (power,), coeff in parts.items()]
     return ConditionReport(records)

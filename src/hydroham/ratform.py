@@ -84,6 +84,14 @@ class PolyContext:
         return [self.n_vars + i for i, sig in enumerate(self.atom_sigs)
                 if _TRANSCENDENTAL.search(sig)]
 
+    @cached_property
+    def arg_forms(self) -> dict:
+        """{index: normal form of the argument} of the exp/ln/sqrt
+        generators."""
+        return {self.n_vars + i: _normalize(self.atom_exprs[sig].arg, self.ws)
+                for i, sig in enumerate(self.atom_sigs)
+                if isinstance(self.atom_exprs[sig], ex.Call)}
+
     def gen_expr(self, index: int) -> ex.Expr:
         """The Expr a ring generator stands for."""
         if index < self.n_vars:

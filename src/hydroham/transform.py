@@ -19,20 +19,19 @@ from .operators import (
     ResidualRecord,
     _flatten,
     _map_nested,
+    _record,
     check_hamiltonian,
 )
 from .ratform import (
     derivation_context,
     det,
+    matrix_forms,
     ratform_to_expr,
     to_rational_form,
 )
 from .symbols import Symbol, Workspace
 from .zerotest import (
     DEFAULT_POLICY,
-    INCONCLUSIVE,
-    InconclusiveError,
-    Verdict,
     ZeroTestPolicy,
     is_zero,
     verdict_for_ratform,
@@ -87,7 +86,7 @@ class CoordinateChange:
                     raise InvalidChangeError(
                         f"{label} is not the identity on {u.name}")
         J = _jacobian(self, [])[0]
-        if verdict_for_ratform(det(J), self.dst_ws, policy).is_zero_verdict:
+        if verdict_for_ratform(det(J), policy).is_zero_verdict:
             raise InvalidChangeError("Jacobian determinant vanishes identically")
         return self
 
@@ -175,7 +174,8 @@ def pushforward(op: HydroOperator, change: CoordinateChange) -> HydroOperator:
 def operator_difference_records(
         op1: HydroOperator, op2: HydroOperator,
         policy: ZeroTestPolicy = DEFAULT_POLICY) -> list[ResidualRecord]:
-    """Entrywise roundtrip residuals op1 - op2 (same shape and names)."""
+    """Entrywise roundtrip residuals op1 - op2 (same shape and names), the
+    entries of both operators converted into one context."""
     if (op1.d, op1.n) != (op2.d, op2.n):
         raise InvalidChangeError("operator shapes differ")
     rename = dict(zip(op2.variables, (ex.Var(v) for v in op1.variables)))
@@ -184,15 +184,10 @@ def operator_difference_records(
     keys = [(ALPHA_LABELS[a], part, i + 1, j + 1) + k
             for a in range(op1.d) for i in rng for j in rng
             for part, k in [("g", ())] + [("b", (r + 1,)) for r in rng]]
-    records = []
-    for idx, e1, e2 in zip(keys, op1.entries(), op2.entries()):
-        residual = e1 - substitute(e2, rename)
-        try:
-            verdict = is_zero(residual, op1.ws, policy)
-        except InconclusiveError:
-            verdict = Verdict(INCONCLUSIVE)
-        records.append(ResidualRecord("roundtrip", idx, residual, verdict))
-    return records
+    f1, f2 = matrix_forms(op1.ws, [
+        list(op1.entries()), [substitute(e, rename) for e in op2.entries()]])
+    return [_record("roundtrip", idx, x - y, policy)
+            for idx, x, y in zip(keys, f1, f2)]
 
 
 @dataclass

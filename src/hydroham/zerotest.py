@@ -14,16 +14,11 @@ whose residuals are all rational never loads it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as ex
-from .ratform import (
-    RationalForm,
-    atom_signature,
-    normalize,
-    uses_transcendental,
-)
+from .ratform import RationalForm, normalize, uses_transcendental
 from .symbols import Symbol, Workspace
 
 
@@ -92,28 +87,21 @@ DEFAULT_POLICY = ZeroTestPolicy()
 
 @dataclass
 class Point:
-    """Exact assignment of variables (and, internally, opaque atoms)."""
+    """Exact assignment of variables."""
 
     values: dict[Symbol, Fraction]
-    atom_values: dict[str, Fraction] = field(default_factory=dict)
-
-    def as_plain_dict(self) -> dict:
-        out = {s.name: str(v) for s, v in self.values.items()}
-        out.update({k: str(v) for k, v in self.atom_values.items()})
-        return out
 
 
-def evaluate(e: ex.Expr, point: Point, precision: int = 64,
-             ws: Workspace | None = None):
+def evaluate(e: ex.Expr, point: Point, precision: int = 64):
     """Exact rational value when the expression is rational, else a real at
     the requested binary precision.  Raises SingularPointError when a
     denominator vanishes at the point."""
     import mpmath
     with mpmath.workprec(precision + 16):
-        return _eval(e, point, precision, ws)
+        return _eval(e, point, precision)
 
 
-def _eval(e: ex.Expr, point: Point, precision: int, ws: Workspace | None):
+def _eval(e: ex.Expr, point: Point, precision: int):
     if isinstance(e, ex.Rat):
         return e.value
     if isinstance(e, ex.Var):
@@ -122,39 +110,25 @@ def _eval(e: ex.Expr, point: Point, precision: int, ws: Workspace | None):
         except KeyError:
             raise EvaluationError(f"no value assigned to {e.symbol.name}")
     if isinstance(e, ex.Sum):
-        return sum(_eval(t, point, precision, ws) for t in e.terms)
+        return sum(_eval(t, point, precision) for t in e.terms)
     if isinstance(e, ex.Prod):
         out = 1
         for f in e.factors:
-            out *= _eval(f, point, precision, ws)
+            out *= _eval(f, point, precision)
         return out
     if isinstance(e, ex.Pow):
-        base = _eval(e.base, point, precision, ws)
+        base = _eval(e.base, point, precision)
         if e.exponent < 0 and base == 0:
             raise SingularPointError(f"zero base in {e}")
         return base ** e.exponent
     if isinstance(e, ex.Quot):
-        den = _eval(e.den, point, precision, ws)
+        den = _eval(e.den, point, precision)
         if den == 0:
             raise SingularPointError(f"singular denominator {e.den}")
-        return _eval(e.num, point, precision, ws) / den
+        return _eval(e.num, point, precision) / den
     if isinstance(e, ex.Call):
-        import mpmath
-        arg = _eval(e.arg, point, precision, ws)
-        if isinstance(arg, Fraction):
-            arg = mpmath.mpf(arg.numerator) / arg.denominator
-        if e.fn == "exp":
-            if arg > MAX_EXP_ARG:
-                raise EvaluationError(f"exp argument above {MAX_EXP_ARG}")
-            return mpmath.exp(arg)
-        if arg < 0 or (e.fn == "ln" and arg == 0):
-            raise SingularPointError(f"{e.fn} outside the real domain")
-        return mpmath.log(arg) if e.fn == "ln" else mpmath.sqrt(arg)
+        return _apply(e.fn, _eval(e.arg, point, precision))
     if isinstance(e, ex.FuncAtom):
-        if ws is not None and point.atom_values:
-            sig = atom_signature(e, ws)
-            if sig in point.atom_values:
-                return point.atom_values[sig]
         raise EvaluationError(f"abstract atom {e} has no assigned value")
     raise EvaluationError(f"cannot evaluate {type(e)}")
 
@@ -165,49 +139,87 @@ def _random_fraction(rng: random.Random, positive=False) -> Fraction:
     num = rng.randint(1, 12) if positive else rng.choice(
         [n for n in range(-12, 13) if n != 0]
     )
-    den = rng.randint(1, 7)
-    return Fraction(num, den)
+    return Fraction(num, rng.randint(1, 7))
 
 
-def _sample_ratform(rf: RationalForm, ws: Workspace, policy: ZeroTestPolicy,
-                    rng: random.Random):
-    """One evaluation of num/den at a random point; raises on singularity."""
+def _apply(fn: str, arg):
+    """exp, ln or sqrt of a value, as a real at the working precision;
+    raises outside the real domain."""
     import mpmath
+    if isinstance(arg, Fraction):
+        arg = mpmath.mpf(arg.numerator) / arg.denominator
+    if fn == "exp":
+        if arg > MAX_EXP_ARG:
+            raise EvaluationError(f"exp argument above {MAX_EXP_ARG}")
+        return mpmath.exp(arg)
+    if arg < 0 or (fn == "ln" and arg == 0):
+        raise SingularPointError(f"{fn} outside the real domain")
+    return mpmath.log(arg) if fn == "ln" else mpmath.sqrt(arg)
+
+
+def _gens(rf: RationalForm) -> list:
+    """(index, name or signature, argument form or None) of each generator
+    that num or den of rf uses; an exp/ln/sqrt generator is evaluated from
+    its argument form."""
     ctx = rf.ctx
-    need_positive = any(
-        sig.startswith(("ln(", "sqrt(")) for sig in ctx.atom_sigs
-    )
-    point = Point(values={}, atom_values={})
-    for name in ctx.var_names:
-        point.values[ws.require_symbol(name)] = _random_fraction(
-            rng, positive=need_positive
-        )
-    for sig, atom in ctx.atom_exprs.items():
-        if isinstance(atom, ex.FuncAtom):
-            point.atom_values[sig] = _random_fraction(rng)
-    gen_values = [point.values[ws.require_symbol(n)] for n in ctx.var_names]
-    with mpmath.workprec(policy.precision + 32):
-        for sig in ctx.atom_sigs:
-            atom = ctx.atom_exprs[sig]
-            if isinstance(atom, ex.FuncAtom):
-                gen_values.append(point.atom_values[sig])
-            else:
-                gen_values.append(_eval(atom, point, policy.precision, ws))
-        num_val, num_scale = _eval_poly(rf.num, gen_values)
-        den_val, _ = _eval_poly(rf.den, gen_values)
-        if _near_zero(den_val, 1, policy):
+    keys = ctx.var_names + ctx.atom_sigs
+    return [(i, keys[i], ctx.arg_forms.get(i)) for i, (a, b)
+            in enumerate(zip(rf.num.degrees(), rf.den.degrees()))
+            if a > 0 or b > 0]
+
+
+def _positive(rf: RationalForm) -> bool:
+    """Is a generator of rf, or of the argument form of one of its
+    exp/ln/sqrt generators, ln or sqrt?"""
+    return any(arg is not None and (not key.startswith("exp(")
+                                    or _positive(arg))
+               for _, key, arg in _gens(rf))
+
+
+def _sample_ratform(rf: RationalForm, policy: ZeroTestPolicy,
+                    rng: random.Random):
+    """(num value, num scale, values) of rf at a random point.  A value is
+    drawn for each variable and abstract atom that rf, or the argument form
+    of one of its exp/ln/sqrt generators, uses, in the order they are met;
+    values maps their names and signatures to them, so the point does not
+    depend on rf's context.  The variables are positive when one of those
+    generators is ln or sqrt.  Raises on singularity."""
+    import mpmath
+    positive = _positive(rf)
+    values = {}
+
+    def value(form):
+        """(num value, num scale, den value) of the form"""
+        gens = {}
+        for i, key, arg in _gens(form):
+            if arg is not None:
+                num, _, den = value(arg)
+                gens[i] = _apply(form.ctx.gen_expr(i).fn, num / den)
+                continue
+            if key not in values:
+                values[key] = _random_fraction(
+                    rng, positive and i < form.ctx.n_vars)
+            gens[i] = values[key]
+        num, scale = _eval_poly(form.num, gens)
+        den, _ = _eval_poly(form.den, gens)
+        if _near_zero(den, 1, policy):
             raise SingularPointError("denominator vanished at sample point")
-    return num_val, num_scale, point
+        return num, scale, den
+
+    with mpmath.workprec(policy.precision + 32):
+        num, scale, _ = value(rf)
+    return num, scale, values
 
 
-def _eval_poly(p, gen_values):
-    total = 0
-    scale = 0
+def _eval_poly(p, gens: dict):
+    """(value, sum of the absolute values of the terms) of p, given the
+    values of its generators by index."""
+    total = scale = 0
     for monom, coeff in p.terms():
         term = Fraction(coeff)
         for i, power in enumerate(monom):
             if power:
-                term = term * gen_values[i] ** power
+                term = term * gens[i] ** power
         total = total + term
         scale += abs(term)
     return total, scale
@@ -221,18 +233,20 @@ def _near_zero(value, scale, policy: ZeroTestPolicy) -> bool:
     return abs(value) <= tol * (1 + abs(scale))
 
 
-def verdict_for_ratform(rf: RationalForm, ws: Workspace,
+def verdict_for_ratform(rf: RationalForm,
                         policy: ZeroTestPolicy = DEFAULT_POLICY) -> Verdict:
+    """The verdict on rf.  It depends only on the form: a sample draws
+    values for what rf uses (see ``_sample_ratform``), whatever else shares
+    its context."""
     if rf.is_zero:
         return Verdict(PROVEN_ZERO)
     if not uses_transcendental(rf):
         return Verdict(PROVEN_NONZERO)
     rng = random.Random(policy.seed)
-    done = 0
-    retries = 0
+    done = retries = 0
     while done < policy.samples:
         try:
-            value, scale, point = _sample_ratform(rf, ws, policy, rng)
+            value, scale, values = _sample_ratform(rf, policy, rng)
         except (SingularPointError, EvaluationError):
             retries += 1
             if retries > policy.max_retries:
@@ -241,7 +255,8 @@ def verdict_for_ratform(rf: RationalForm, ws: Workspace,
                 )
             continue
         if not _near_zero(value, scale, policy):
-            return Verdict(PROBABLY_NONZERO, done + 1, point.as_plain_dict())
+            witness = {k: str(v) for k, v in values.items()}
+            return Verdict(PROBABLY_NONZERO, done + 1, witness)
         done += 1
     return Verdict(PROBABLY_ZERO, policy.samples)
 
@@ -250,5 +265,4 @@ def is_zero(e: ex.Expr, ws: Workspace,
             policy: ZeroTestPolicy = DEFAULT_POLICY) -> Verdict:
     """Tri-state zero test; exact whenever the expression is rational in the
     variables and opaque atoms."""
-    rf = normalize(e, ws)
-    return verdict_for_ratform(rf, ws, policy)
+    return verdict_for_ratform(normalize(e, ws), policy)

@@ -10,6 +10,7 @@ from hydroham.operators import (
     is_trivial_pair,
     pencil_compatibility,
 )
+from hydroham.zerotest import InconclusiveError
 
 
 def test_entry_count_and_groups():
@@ -131,6 +132,21 @@ def test_triviality_reads_the_operator_forms(count_calls):
     for op in ops:
         is_trivial_pair(op)
     assert counts["contexts"] == 0 and counts["builds"] == 0, counts
+
+
+def test_sampled_triviality_witness_lists_only_the_residual():
+    """With f = exp(u2), the reference entry exp(u2) of T2.6/rank1_P_1/2 is
+    only probably nonzero.  Its witness names u2 alone: it listed every
+    variable and atom of the operator's forms, six h derivative atoms
+    among them, when a sample drew a value for each generator of the
+    context."""
+    entry = catalog.get_entry("T2.6/rank1_P_1/2")
+    params = {**catalog.default_params(entry), "f": "exp(u2)"}
+    op, _ws = catalog.instantiate(entry.id, params)
+    with pytest.raises(InconclusiveError) as err:
+        is_trivial_pair(op)
+    assert str(err.value) == ("verdict for exp(u2) is only probabilistic: "
+                              "ProbablyNonzero(witness={'u2': '1/7'})")
 
 
 def test_verify_entry_examples():

@@ -1,5 +1,5 @@
 """Deterministic cost bounds: ring operation counts over one catalog pass
-and over the mutation scan.
+and over the mutation scan, and context builds of CLI commands.
 
 Timings drift on a shared machine; call counts do not.  The bound is 1.1x
 the count recorded when the test was written.  A change that lowers the
@@ -11,8 +11,11 @@ from collections import Counter
 import pytest
 
 from hydroham import calculus, catalog, hamsys, mutation, ratform
+from hydroham.cli import main
 from hydroham.operators import MetricPencil, check_hamiltonian
+from hydroham.poly import Poly
 from hydroham.ratform import RationalForm
+from test_golden import CASES, _make_inputs
 
 # RationalForm.__mul__ calls in one catalog.verify_all() pass.  Down from
 # 5,084: the quotient rule no longer forms its 259 products with a zero
@@ -28,6 +31,10 @@ MUL_CALLS = 2262
 # per index tuple, nearly all of them adding a zero.
 ADD_CALLS = 3201
 
+# Poly.gcd calls in the same pass: one per cancellation of a nonzero
+# numerator against a denominator other than 1.
+GCD_CALLS = 3105
+
 # The same counts over the mutation scan: mutants() on the 31 entries,
 # first_proven_failure on each of the 339 mutants, then check_hamiltonian
 # on the 12 that survive it.  Before the mutants took their parent's forms
@@ -38,6 +45,7 @@ ADD_CALLS = 3201
 SCAN_MUTANTS, SCAN_SURVIVORS = 339, 12
 SCAN_MUL_CALLS = 2383
 SCAN_ADD_CALLS = 2863
+SCAN_GCD_CALLS = 3789
 
 # derivation_context builds, to_rational_form calls (its recursion
 # included) and calculus.differentiate calls from outside calculus over the
@@ -58,6 +66,15 @@ VERIFY_ALL_CONTEXTS = 31
 VERIFY_ALL_BUILDS = 262
 VERIFY_ALL_CONVERSIONS = 2712
 
+# build_context calls of one CLI command, by golden case (test_golden.py).
+# Each verdict is taken on the form the command holds: fkt judges the
+# Hessian and its 15 coefficients in its ring (18 builds when each was
+# printed and normalized again), transform converts both operators'
+# entries into one context for the round trip (82, one per entry), and
+# legendre reports the verdicts it took (8, when the CLI tested the three
+# identities again).
+CLI_BUILDS = {"fkt-quartic": 2, "transform-emit": 11, "legendre": 5}
+
 
 def run_scan(start):
     """Calls start() after instantiating the catalog entries, runs the
@@ -77,10 +94,11 @@ def run_scan(start):
 
 @pytest.fixture
 def ring_ops(monkeypatch):
-    """A function that starts counting RationalForm products, sums and
-    products with a zero operand, and returns the live Counter."""
+    """A function that starts counting RationalForm products, sums,
+    products with a zero operand and Poly.gcd calls, and returns the live
+    Counter."""
     counts = Counter()
-    mul, add = RationalForm.__mul__, RationalForm.__add__
+    mul, add, gcd = RationalForm.__mul__, RationalForm.__add__, Poly.gcd
 
     def counted_mul(a, b):
         counts["mul"] += 1
@@ -91,9 +109,14 @@ def ring_ops(monkeypatch):
         counts["add"] += 1
         return add(a, b)
 
+    def counted_gcd(p, q):
+        counts["gcd"] += 1
+        return gcd(p, q)
+
     def start():
         monkeypatch.setattr(RationalForm, "__mul__", counted_mul)
         monkeypatch.setattr(RationalForm, "__add__", counted_add)
+        monkeypatch.setattr(Poly, "gcd", counted_gcd)
         return counts
     return start
 
@@ -104,6 +127,7 @@ def test_verify_all_multiplications(ring_ops):
     assert all(r.ok for r in results)
     assert counts["mul"] <= 1.1 * MUL_CALLS, counts
     assert counts["add"] <= 1.1 * ADD_CALLS, counts
+    assert counts["gcd"] <= 1.1 * GCD_CALLS, counts
     assert counts["zero_operand"] == 0, counts
 
 
@@ -111,6 +135,7 @@ def test_mutation_scan_ring_operations(ring_ops):
     counts = run_scan(ring_ops)
     assert counts["mul"] <= 1.1 * SCAN_MUL_CALLS, counts
     assert counts["add"] <= 1.1 * SCAN_ADD_CALLS, counts
+    assert counts["gcd"] <= 1.1 * SCAN_GCD_CALLS, counts
     assert counts["zero_operand"] == 0, counts
 
 
@@ -181,3 +206,12 @@ def test_classifier_builds_one_system_per_step(monkeypatch):
     shape = hamsys.classify_operator_shape(catalog.instantiate("P_gas")[0])
     assert str(shape) == "euler-lagrange-reducible"
     assert sizes == [3]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_BUILDS))
+def test_cli_context_builds(name, count_calls, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _make_inputs()
+    counts = count_calls((ratform.build_context, "builds", None))
+    main(["--format", "json"] + CASES[name])
+    assert counts["builds"] <= 1.1 * CLI_BUILDS[name], counts

@@ -81,8 +81,8 @@ GOLDEN = {
         "09a95d747aed308fabc60407605fe30a42af1789a6100b7957fa0300109da8dc"),
     "pencil-compatibility": (0, 97155,
         "06f568e571c73b2dfe602af1c803fa65cdaf1096761d3311c545884434ed1643"),
-    "pencil-exp-witness": (2, 707,
-        "a3cc4c3cc7727d8f32870726779758b9d52aa2cc254a246c913498b6a15433ed"),
+    "pencil-exp-witness": (2, 682,
+        "51d89314d19d135307d5acc23ebe704369f2c5ea798f98d3d4369e238b86a3db"),
     "pencil-gas-flip-compatibility": (1, 98280,
         "c537d2b31d6430f65617db81672a6cbea07942f8d48ee15f8a3270ec1ea1746b"),
     "system-abstract-exp": (0, 760,

@@ -223,9 +223,11 @@ def test_legendre_velocity_coupled():
     expect = parse("-1/2*(c - 1/2*(a^2 + b^2))^2", res.density.ws)
     assert is_zero(res.density.f - expect,
                    res.density.ws).kind == "proven_zero"
-    # the derivative identities were verified during construction
-    assert [lbl for lbl, _ in res.identity_residuals] == [
-        "h~_rhot + rho", "h~_u - h_u", "h~_v - h_v"]
+    # the derivative identities were verified during construction, and
+    # their verdicts come with them
+    assert [(lbl, str(v)) for lbl, _, v in res.identity_residuals] == [
+        ("h~_rhot + rho", "ProvenZero"), ("h~_u - h_u", "ProvenZero"),
+        ("h~_v - h_v", "ProvenZero")]
 
 
 def test_legendre_pure_quadratic():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from hydroham import catalog, mutation
+from hydroham import expr as ex
 from hydroham.mutation import Mutation, first_proven_failure, scan
 from hydroham.operators import HydroOperator, MokhovChecker, check_hamiltonian
 from test_properties import sparse_operators
@@ -79,6 +80,22 @@ def test_failure_at_a2_builds_no_later_table(monkeypatch):
     assert built(mutant) == built(op) == {"forms"}
     assert built(mutant.forms) == built(op.forms) == {"DG"}
     assert mutant.forms.DG is op.forms.DG
+
+
+def test_mutants_are_not_checked_again(count_calls):
+    """A mutant's entries are its parent's or rational multiples of them,
+    so mutants() walks no entry's free symbols (it made 22,092 such walks
+    over the catalog when each mutant was checked as a new operator).  A
+    mutant shares its parent's g and, once built, its pencil."""
+    parents = [catalog.instantiate(e.id)[0] for e in catalog.ENTRIES]
+    for op in parents:
+        op.pencil
+    counts = count_calls((ex.free_symbols, "free_symbols", None))
+    pairs = [(op, m) for op in parents for _, m in mutation.mutants(op)]
+    assert len(pairs) == 339
+    assert counts["free_symbols"] == 0, counts
+    assert all(m.g is op.g and m.pencil is op.pencil and m.b is not op.b
+               for op, m in pairs)
 
 
 def test_mutant_list_pinned():

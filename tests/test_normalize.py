@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from hydroham import (
     InconclusiveError,
@@ -18,8 +20,18 @@ from hydroham import (
     ratform_to_expr,
 )
 from hydroham import expr as ex
-from hydroham.ratform import coefficients_in
-from hydroham.zerotest import MAX_EXP_ARG, EvaluationError, SingularPointError
+from hydroham.ratform import (
+    coefficients_in,
+    derivation_context,
+    to_rational_form,
+)
+from hydroham.zerotest import (
+    MAX_EXP_ARG,
+    EvaluationError,
+    SingularPointError,
+    verdict_for_ratform,
+)
+from test_derivation import SETTINGS, VARS, WS, exprs
 
 
 def test_factor_cancellation(ws3):
@@ -155,3 +167,53 @@ def test_parameter_coefficients(ws3):
     assert {m: print_expr(ratform_to_expr(c)) for m, c in coeffs.items()} == {
         (0, 0): "1", (0, 2): "f^2/u2", (1, 1): "(-u1*f)/u2",
     }
+
+
+# The larger context of the next test: its workspace has a variable before
+# and one after those of WS and one more constant, and its expressions hold
+# ln/sqrt atoms and abstract atoms over all of them.
+WIDE_WS = WS.derive(variables=["u0", "u1", "u2", "u3", "w"],
+                    constants=["c1", "lam"])
+WIDE_EXPRS = [parse(t, WIDE_WS) for t in (
+    "ln(u0 + lam)", "sqrt(w*u2)", "f(u0, w)*q''", "exp(q(w))", "f_23",
+    "u1*u3*w")]
+
+
+def verdict_or_failure(rf):
+    try:
+        return verdict_for_ratform(rf)
+    except InconclusiveError as err:
+        return f"inconclusive: {err}"
+
+
+@SETTINGS
+@given(exprs, exprs, st.integers(0, 1))
+@example(parse("exp(u2)", WS), parse("f_23 + q''", WS), 1)
+@example(parse("exp(exp(u1)) - exp(exp(u2))", WS), parse("ln(u3)", WS), 0)
+@example(parse("sqrt(u1^2) - u1", WS), parse("exp(u2)", WS), 0)
+@example(parse("exp(u1)/(sqrt(u1)^2 - u1)", WS), parse("u2", WS), 0)
+@example(parse("f(u2*exp(u1), u3) - q(ln(u2))", WS), parse("c1", WS), 1)
+def test_verdict_depends_only_on_the_form(e, other, order):
+    """A form gets the same verdict, samples and witness whether it is
+    normalized alone or converted into a larger derivation context."""
+    try:
+        alone = normalize(e, WS)
+    except (ZeroDenominatorError, ZeroDivisionError):
+        assume(False)
+    ctx = derivation_context(WIDE_WS, VARS,
+                             [([other, *WIDE_EXPRS, e], order)])
+    inside = to_rational_form(e, ctx)
+    assert len(ctx.ring.gens) > len(alone.ctx.ring.gens)
+    assert verdict_or_failure(inside) == verdict_or_failure(alone)
+
+
+def test_witness_lists_only_what_the_form_uses(ws3):
+    """u1 and u3 are in the context but not in the form; u2 is drawn for
+    the argument of exp(u2) (values at the default seed).  An abstract
+    atom's value is drawn whole, so the variables of its arguments are
+    not drawn."""
+    v = is_zero(parse("exp(u2)*f_3 - exp(u2)*f_3 + exp(u2)", ws3), ws3)
+    assert str(v) == "ProbablyNonzero(witness={'u2': '1/7'})"
+    v = is_zero(parse("f(u2, exp(u1)) + sqrt(u3)", ws3), ws3)
+    assert v.kind == "probably_nonzero"
+    assert set(v.witness) == {"u3", "f[0,0](u2,exp(u1))"}, v.witness
