@@ -64,7 +64,12 @@ from .poly import HeuristicGCDFailed
 from .ratform import NormalizeError, normalize
 from .symbols import SymbolError
 from .transform import InvalidChangeError, verify_invariance
-from .zerotest import InconclusiveError, Verdict, ZeroTestPolicy
+from .zerotest import (
+    EvaluationError,
+    InconclusiveError,
+    Verdict,
+    ZeroTestPolicy,
+)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -257,7 +262,7 @@ def main(argv=None) -> int:
         return handler(args, policy)
     except (FileFormatError, ParseError, SymbolError, catalog.CatalogError,
             NormalizeError, OperatorError, HamsysError, IntegrabilityError,
-            InvalidChangeError, ValueError) as e:
+            InvalidChangeError, EvaluationError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (InconclusiveError, HeuristicGCDFailed) as e:
@@ -366,12 +371,12 @@ def _cmd_catalog(args, policy) -> int:
         if v.trivial is not None:
             summary += f"; trivial={v.trivial}"
         report.note(entry.id, summary)
-        for rec in v.report.records:
-            if rec.verdict.is_zero_verdict:
-                report.unlisted_passes += 1
-            else:
-                report.add_check(f"{entry.id}:{rec.relation}", rec.indices,
-                                 rec.verdict, rec.residual)
+        listed = [rec for rec in v.report.nonzero
+                  if not rec.verdict.is_zero_verdict]
+        report.unlisted_passes += v.report.count - len(listed)
+        for rec in listed:
+            report.add_check(f"{entry.id}:{rec.relation}", rec.indices,
+                             rec.verdict, rec.residual)
         if not v.ok:
             report.add_check(f"{entry.id}:summary", ("entry",),
                              Verdict("proven_nonzero"))

@@ -31,6 +31,7 @@ from .ratform import (
 from .symbols import Symbol, Workspace
 from .zerotest import (
     DEFAULT_POLICY,
+    EvaluationError,
     Point,
     ZeroTestPolicy,
     evaluate,
@@ -242,7 +243,11 @@ def hodograph_residual(c: ReductionCandidate, point: dict, t, x, y,
             ex.neg(ex.mul(ex.as_expr(Fraction(t)), c.lam[i])),
             ex.neg(ex.mul(ex.as_expr(Fraction(y)), c.mu[i])),
         )
-        numeric.append((i + 1, evaluate(expr, pt, policy.precision)))
+        try:
+            numeric.append((i + 1, evaluate(expr, pt, policy.precision)))
+        except EvaluationError as e:
+            where = ", ".join(f"{k}={v}" for k, v in point.items())
+            raise type(e)(f"v{i + 1} at {where}: {e}") from None
     return symbolic, numeric
 
 

@@ -94,13 +94,12 @@ def first_proven_failure(op: HydroOperator):
     """First residual that is provably nonzero, or None.
 
     Only valid as a proof for transcendental-free operators (the catalog);
-    a nonzero normal form with exp/ln/sqrt atoms is skipped.
+    a nonzero normal form with exp/ln/sqrt atoms is skipped.  The checker
+    yields only the nonzero residuals, in index order.
     """
-    checker = MokhovChecker(op)
-    for rel, idx, rf in checker.residuals(_SCAN_ORDER):
-        if rf.is_zero or uses_transcendental(rf):
-            continue
-        return rel, idx, rf
+    for rel, idx, rf in MokhovChecker(op).residuals(_SCAN_ORDER):
+        if not uses_transcendental(rf):
+            return rel, idx, rf
     return None
 
 

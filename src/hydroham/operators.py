@@ -4,7 +4,9 @@ An operator is the coefficient bundle (d, n, g^{ij alpha}, b^{ij alpha}_k)
 of P^{ij} = sum_alpha g^{ij alpha} d/dx^alpha + b^{ij alpha}_k u^k_{x^alpha}.
 The seven relations a1..a7 are necessary and sufficient for skew-symmetry
 plus the Jacobi identity; they are checked exactly on rational normal
-forms, with all free indices enumerated and cyclic sums written out.
+forms, with cyclic sums written out.  The checker yields the nonzero
+residuals only; ``residual_keys`` lists every free index, and a report
+builds the records of the zero residuals only when they are read.
 Derivatives are taken in the polynomial ring, when a relation first needs
 them.
 """
@@ -12,8 +14,8 @@ them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 from . import expr as ex
 from .ratform import (
@@ -146,7 +148,7 @@ def operator_from_entries(ws: Workspace, d: int, n: int, g_entries=None,
 
 # -- condition reports ---------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class ResidualRecord:
     relation: str
     indices: tuple
@@ -169,17 +171,51 @@ def overall_result(kinds) -> str:
     return worst
 
 
-@dataclass
 class ConditionReport:
-    records: list[ResidualRecord] = field(default_factory=list)
+    """The verdicts of a set of residuals.
+
+    ``keys()`` lists (relation, indices) of every residual checked, in
+    order.  ``kept`` maps keys, in the same order, to the records built
+    when the report was made: one per nonzero residual form (or one per
+    lambda power of a pencil residual), built by ``_record``.  Every other
+    residual is zero, so ProvenZero; its record, whose indices end in
+    ``zero_suffix``, is built only when ``records`` is read."""
+
+    def __init__(self, keys, kept: dict, zero_suffix: tuple = ()):
+        self.keys, self.kept, self.zero_suffix = keys, kept, zero_suffix
+
+    @property
+    def nonzero(self) -> list[ResidualRecord]:
+        """The kept records, in order."""
+        return [r for recs in self.kept.values() for r in recs]
+
+    @cached_property
+    def count(self) -> int:
+        """The number of residuals checked."""
+        return sum(1 for _ in self.keys())
+
+    @cached_property
+    def records(self) -> list[ResidualRecord]:
+        """Every record in key order: the kept ones, and one ProvenZero
+        record for each other residual."""
+        kept, suffix = self.kept, self.zero_suffix
+        out = []
+        for key in self.keys():
+            recs = kept.get(key)
+            if recs is None:
+                out.append(ResidualRecord(key[0], key[1] + suffix, ex.ZERO,
+                                          _PROVEN_ZERO))
+            else:
+                out += recs
+        return out
 
     @property
     def overall(self) -> str:
-        return overall_result(r.verdict.kind for r in self.records)
+        return overall_result(r.verdict.kind for r in self.nonzero)
 
     def failures(self) -> list[ResidualRecord]:
         return [
-            r for r in self.records
+            r for r in self.nonzero
             if r.verdict.kind in (PROVEN_NONZERO, PROBABLY_NONZERO)
         ]
 
@@ -265,15 +301,16 @@ class MokhovChecker:
     share; the a5 brackets, which a5 and a7 share; the a6 table; and the
     a7 halves, d_k of each nonzero bracket plus the cyclic b C terms.  A
     relation adds each entry of its table into the two to six residuals
-    it enters, keyed by the indices as they print (alpha labels, 1-based
-    components), then walks its full index product in order and yields
-    each residual, or zero.  Tables keep only their nonzero entries, so no
-    product has a zero factor; rational forms are canonical, so the sums
-    equal the dense ones.  The checker converts nothing: the forms are the
-    operator's, converted once per operator (a mutant's are its parent's,
-    edited).  DG and DB are built when first needed and kept with the
-    forms; the checker's own tables are built on first use, so a check
-    that stops at a2 never differentiates b."""
+    it enters, keyed by the indices (alpha positions, 1-based components),
+    then yields the nonzero residuals with their keys sorted, which is the
+    order of ``residual_keys``, and the alphas printed as labels.  Tables
+    keep only their nonzero entries, so no product has a zero factor, and
+    a Hamiltonian operator's relation tables are empty; rational forms are
+    canonical, so the sums equal the dense ones.  The checker converts
+    nothing: the forms are the operator's, converted once per operator (a
+    mutant's are its parent's, edited).  DG and DB are built when first
+    needed and kept with the forms; the checker's own tables are built on
+    first use, so a check that stops at a2 never differentiates b."""
 
     def __init__(self, op: HydroOperator):
         self.op = op
@@ -297,13 +334,13 @@ class MokhovChecker:
 
     def _by_s(self, table, pos: int) -> list:
         """The nonzero entries of a dense table, listed by the contracted
-        index s, its pos-th component index: (alpha label, the other
+        index s, its pos-th component index: (alpha position, the other
         component indices 1-based, entry)."""
         out = [[] for _ in range(self.n)]
         for (a, *idx), x in _leaves(table):
             if not x.is_zero:
                 s = idx.pop(pos)
-                out[s].append((ALPHA_LABELS[a], *(i + 1 for i in idx), x))
+                out[s].append((a, *(i + 1 for i in idx), x))
         return out
 
     @cached_property
@@ -351,25 +388,24 @@ class MokhovChecker:
                 yield (al, be, i, r, j, q), -t
         return _table(terms())
 
-    def _walk(self, rel: str, arity: int, terms):
-        """(rel, indices, residual) over the full index product in order;
-        the residual sums the terms scattered to its indices."""
-        table = _table(terms)
-        zero = self.ctx.zero
-        labels = ALPHA_LABELS[: self.d]
-        comps = range(1, self.n + 1)
-        for idx in itertools.product(labels, labels, *[comps] * arity):
-            yield rel, idx, table.get(idx, zero)
+    @staticmethod
+    def _walk(rel: str, terms):
+        """(rel, indices, residual) of the nonzero residuals in index order;
+        a residual sums the terms scattered to its key (al, be, ...)."""
+        for (al, be, *idx), x in sorted(_table(terms).items()):
+            yield rel, (ALPHA_LABELS[al], ALPHA_LABELS[be], *idx), x
 
-    # each generator yields (relation, indices, RationalForm)
+    # each generator yields (relation, indices, RationalForm) of the
+    # nonzero residuals, in the order of residual_keys
 
     def residuals_a1(self):
         G = self.G
         for a in range(self.d):
             for i in range(self.n):
                 for j in range(i + 1, self.n):
-                    yield "a1", (ALPHA_LABELS[a], i + 1, j + 1), \
-                        G[a][i][j] - G[a][j][i]
+                    x = G[a][i][j] - G[a][j][i]
+                    if not x.is_zero:
+                        yield "a1", (ALPHA_LABELS[a], i + 1, j + 1), x
 
     def residuals_a2(self):
         DG, B = self.DG, self.B
@@ -378,11 +414,13 @@ class MokhovChecker:
             for i in rng:
                 for j in rng:
                     for k in rng:
-                        yield "a2", (ALPHA_LABELS[a], i + 1, j + 1, k + 1), \
-                            DG[a][i][j][k] - B[a][i][j][k] - B[a][j][i][k]
+                        x = DG[a][i][j][k] - B[a][i][j][k] - B[a][j][i][k]
+                        if not x.is_zero:
+                            yield "a2", (ALPHA_LABELS[a], i + 1, j + 1,
+                                         k + 1), x
 
     def residuals_a3(self):
-        yield from self._walk("a3", 3, self._a3_terms())
+        yield from self._walk("a3", self._a3_terms())
 
     def _a3_terms(self):
         """a3[a, be, i, j, r] = P[a, be, i, j, r] + P[be, a, i, j, r]
@@ -395,7 +433,7 @@ class MokhovChecker:
             yield (al, be, j, i, r), m
 
     def residuals_a4(self):
-        yield from self._walk("a4", 3, self._a4_terms())
+        yield from self._walk("a4", self._a4_terms())
 
     def _a4_terms(self):
         """a4[a, be, i, j, r] = sum over cyclic (i, j, r) of
@@ -408,7 +446,7 @@ class MokhovChecker:
                 yield (be, al, *jir), m
 
     def residuals_a5(self):
-        yield from self._walk("a5", 4, self._a5_terms())
+        yield from self._walk("a5", self._a5_terms())
 
     def _a5_terms(self):
         """a5[a, be, ...] = bracket[a, be, ...] + bracket[be, a, ...]"""
@@ -417,7 +455,7 @@ class MokhovChecker:
             yield (be, al, *ijrq), x
 
     def residuals_a6(self):
-        yield from self._walk("a6", 4, self._a6_terms())
+        yield from self._walk("a6", self._a6_terms())
 
     def _a6_terms(self):
         """a6[a, be, i, j, r, q] = S[a, be, i, j, r, q] - S[be, a, j, i, r, q]
@@ -437,7 +475,7 @@ class MokhovChecker:
             yield (be, a, j, i, r, q), -t
 
     def residuals_a7(self):
-        yield from self._walk("a7", 5, self._a7_terms())
+        yield from self._walk("a7", self._a7_terms())
 
     def _a7_terms(self):
         """a7[a, be, i, j, r, k, q] = half[a, be, i, j, r, q, k]
@@ -460,8 +498,27 @@ class MokhovChecker:
             yield (be, al, i, j, r, q, k), h
 
     def residuals(self, relations):
+        """(relation, indices, RationalForm) of the nonzero residuals of
+        the relations, in the order of ``residual_keys``."""
         for rel in relations:
             yield from getattr(self, f"residuals_{rel}")()
+
+
+# (alpha indices, component indices) of the residuals of each relation
+_ARITY = {"a1": (1, 2), "a2": (1, 3), "a3": (2, 3), "a4": (2, 3),
+          "a5": (2, 4), "a6": (2, 4), "a7": (2, 5)}
+
+
+def residual_keys(d: int, n: int, relations):
+    """(relation, indices) of every residual of the relations, in order:
+    each relation's full index product, alpha labels first, then 1-based
+    components (i < j for a1).  The one place every index is listed."""
+    labels, comps = ALPHA_LABELS[:d], range(1, n + 1)
+    for rel in relations:
+        n_alpha, n_comp = _ARITY[rel]
+        for idx in itertools.product(*[labels] * n_alpha, *[comps] * n_comp):
+            if rel != "a1" or idx[1] < idx[2]:
+                yield rel, idx
 
 
 def _leaves(nested) -> list:
@@ -529,10 +586,12 @@ def _record(rel: str, idx: tuple, rf,
 
 def check_hamiltonian(op: HydroOperator,
                       policy: ZeroTestPolicy = DEFAULT_POLICY) -> ConditionReport:
-    """One record per residual of a1..a7; for a subset of the relations,
-    use ``MokhovChecker(op).residuals(relations)``."""
-    return ConditionReport([_record(rel, idx, rf, policy) for rel, idx, rf
-                            in MokhovChecker(op).residuals(ALL_RELATIONS)])
+    """The report of the residuals of a1..a7, one record each; for a
+    subset of the relations, use ``MokhovChecker(op).residuals``."""
+    return ConditionReport(
+        partial(residual_keys, op.d, op.n, ALL_RELATIONS),
+        {(rel, idx): [_record(rel, idx, rf, policy)] for rel, idx, rf
+         in MokhovChecker(op).residuals(ALL_RELATIONS)})
 
 
 # -- metric pencil analysis ----------------------------------------------------
@@ -685,7 +744,8 @@ def pencil_compatibility(
         policy: ZeroTestPolicy = DEFAULT_POLICY) -> ConditionReport:
     """Forms the 1D operator g_x + lam g_y, b_x + lam b_y with a formal
     constant lam and checks a1..a7 identically in lam; one record per
-    lambda power of each residual."""
+    lambda power of each nonzero residual, and one ``lam^0`` record of
+    each zero one."""
     if opx.d != 1 or opy.d != 1:
         raise OperatorError("compatibility expects two 1D operators")
     if opx.n != opy.n or opx.ws is not opy.ws:
@@ -699,9 +759,10 @@ def pencil_compatibility(
             for k in range(n)] for j in range(n)] for i in range(n)]]
     pencil_op = HydroOperator(ws, 1, n, g, b)
 
-    records = []
-    for rel, idx, rf in MokhovChecker(pencil_op).residuals(ALL_RELATIONS):
-        parts = {(0,): rf} if rf.is_zero else coefficients_in(rf, [lam.name])
-        records += [_record(rel, idx + (f"lam^{power}",), coeff, policy)
-                    for (power,), coeff in parts.items()]
-    return ConditionReport(records)
+    kept = {(rel, idx): [_record(rel, idx + (f"lam^{power}",), coeff, policy)
+                         for (power,), coeff
+                         in coefficients_in(rf, [lam.name]).items()]
+            for rel, idx, rf in MokhovChecker(pencil_op).residuals(
+                ALL_RELATIONS)}
+    return ConditionReport(partial(residual_keys, 1, n, ALL_RELATIONS), kept,
+                           ("lam^0",))

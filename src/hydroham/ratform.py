@@ -87,8 +87,9 @@ class PolyContext:
     @cached_property
     def arg_forms(self) -> dict:
         """{index: normal form of the argument} of the exp/ln/sqrt
-        generators."""
-        return {self.n_vars + i: _normalize(self.atom_exprs[sig].arg, self.ws)
+        generators, as ``atom_signature`` kept them."""
+        table = self.ws.signatures
+        return {self.n_vars + i: table[self.atom_exprs[sig].key()][1]
                 for i, sig in enumerate(self.atom_sigs)
                 if isinstance(self.atom_exprs[sig], ex.Call)}
 
@@ -221,28 +222,32 @@ def atom_signature(atom: ex.Expr, ws: Workspace) -> str:
     """A canonical string identifying an atom up to rational-function
     equality of its arguments.
 
-    Signatures are kept in the workspace's table.  A stored signature stays
-    valid: it prints only the symbols it uses, so registering more symbols
-    cannot change it."""
+    Signatures are kept in the workspace's table, each with the normal
+    form of the argument of an exp/ln/sqrt atom (None for an abstract
+    atom), which the sampler evaluates (``PolyContext.arg_forms``).  A
+    stored signature stays valid: it prints only the symbols it uses, so
+    registering more symbols cannot change it."""
     key = atom.key()
-    sig = ws.signatures.get(key)
-    if sig is not None:
-        return sig
+    entry = ws.signatures.get(key)
+    if entry is not None:
+        return entry[0]
     if isinstance(atom, ex.Call):
-        sig = f"{atom.fn}({_canonical_string(atom.arg, ws)})"
+        arg = _normalize(atom.arg, ws)
+        entry = f"{atom.fn}({_canonical_string(arg)})", arg
     elif isinstance(atom, ex.FuncAtom):
-        args = ",".join(_canonical_string(a, ws) for a in atom.args)
-        sig = f"{atom.func.name}[{','.join(map(str, atom.deriv))}]({args})"
+        args = ",".join(_canonical_string(_normalize(a, ws))
+                        for a in atom.args)
+        entry = (f"{atom.func.name}[{','.join(map(str, atom.deriv))}]"
+                 f"({args})", None)
     else:
         raise NormalizeError(f"not an atom: {atom}")
-    ws.signatures[key] = sig
-    return sig
+    ws.signatures[key] = entry
+    return entry[0]
 
 
-def _canonical_string(e: ex.Expr, ws: Workspace) -> str:
-    """The normal form of e, its atom generators named by their signatures,
-    so the string does not depend on the context it was built in."""
-    rf = _normalize(e, ws)
+def _canonical_string(rf: RationalForm) -> str:
+    """rf printed with its atom generators named by their signatures, so
+    the string does not depend on the context it was built in."""
     sigs = rf.ctx.atom_sigs
     return _GEN_NAME.sub(lambda m: sigs[int(m.group(1))], str(rf))
 

@@ -62,7 +62,8 @@ class Workspace:
     functions: dict[str, FunctionSymbol] = field(default_factory=dict)
     frozen: bool = False
     _by_name: dict[str, object] = field(default_factory=dict, repr=False)
-    # atom key -> canonical signature, filled by ratform.atom_signature
+    # atom key -> (canonical signature, normal form of an exp/ln/sqrt
+    # argument or None), filled by ratform.atom_signature
     signatures: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _register(self, name: str):

@@ -8,6 +8,7 @@ oracle that pins the sign conventions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import expr as ex
@@ -190,11 +191,19 @@ def operator_difference_records(
             for idx, x, y in zip(keys, f1, f2)]
 
 
-@dataclass
 class InvarianceReport(ConditionReport):
-    """The records of ``verify_invariance`` and the pushed operator they
-    check."""
-    pushed: HydroOperator | None = None
+    """The report of ``verify_invariance``: the residuals of a check, then
+    the round-trip records, of which those of nonzero residuals are kept;
+    and the pushed operator they check."""
+
+    def __init__(self, checked: ConditionReport, roundtrip: list,
+                 pushed: HydroOperator):
+        keys = [(r.relation, r.indices) for r in roundtrip]
+        kept = {key: [r] for key, r in zip(keys, roundtrip)
+                if r.residual != ex.ZERO}
+        super().__init__(lambda: itertools.chain(checked.keys(), keys),
+                         {**checked.kept, **kept})
+        self.pushed = pushed
 
 
 def verify_invariance(op: HydroOperator, change: CoordinateChange,
@@ -205,5 +214,4 @@ def verify_invariance(op: HydroOperator, change: CoordinateChange,
     report = check_hamiltonian(pushed, policy)
     back = pushforward(pushed, change.inverted())
     return InvarianceReport(
-        report.records + operator_difference_records(op, back, policy),
-        pushed)
+        report, operator_difference_records(op, back, policy), pushed)

@@ -201,6 +201,23 @@ def test_reduction_bad_at_exits_3(hodograph_files, capsys, at, message):
     assert captured.err == f"input error: {message}\n"
 
 
+def test_reduction_singular_point_exits_3(hodograph_files, tmp_path,
+                                          capsys):
+    """A speed v singular at the --at point is an input error, not a
+    traceback."""
+    cand = tmp_path / "singular.json"
+    cand.write_text(json.dumps({
+        "m": 1, "u": ["R1", "0", "0"], "lambda": ["R1"], "mu": ["1"],
+        "v": ["1/R1"],
+    }))
+    argv = ["reduction", *hodograph_files[:2], str(cand), "--at", "R1=0"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "input error: v1 at R1=0: singular denominator R1\n"
+
+
 def test_legendre_command(tmp_path, capsys):
     path = tmp_path / "h.json"
     path.write_text(json.dumps({

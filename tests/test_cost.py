@@ -1,5 +1,6 @@
 """Deterministic cost bounds: ring operation counts over one catalog pass
-and over the mutation scan, and context builds of CLI commands.
+and over the mutation scan, residual records built, and context builds of
+CLI commands and of a sampled verdict.
 
 Timings drift on a shared machine; call counts do not.  The bound is 1.1x
 the count recorded when the test was written.  A change that lowers the
@@ -10,7 +11,8 @@ from collections import Counter
 
 import pytest
 
-from hydroham import calculus, catalog, hamsys, mutation, ratform
+from hydroham import Workspace, calculus, catalog, hamsys, mutation, parse
+from hydroham import operators, ratform, zerotest
 from hydroham.cli import main
 from hydroham.operators import MetricPencil, check_hamiltonian
 from hydroham.poly import Poly
@@ -75,6 +77,14 @@ VERIFY_ALL_CONVERSIONS = 2712
 # identities again).
 CLI_BUILDS = {"fkt-quartic": 2, "transform-emit": 11, "legendre": 5}
 
+# build_context calls of is_zero on SAMPLED_EXPR, whose context holds three
+# exp/ln atoms: one for the expression and one for each atom's argument,
+# when its signature is first made.  The sampler reads the argument forms
+# kept with the signatures; it made 7 when it normalized each argument
+# again.
+SAMPLED_EXPR = "exp(2*u1) - exp(u1)^2 + ln(u2) - ln(u2)"
+SAMPLED_BUILDS = 4
+
 
 def run_scan(start):
     """Calls start() after instantiating the catalog entries, runs the
@@ -90,6 +100,20 @@ def run_scan(start):
     assert all(check_hamiltonian(m).overall == "proven_pass"
                for m in survivors)
     return started
+
+
+def test_no_record_built_unless_read(count_calls):
+    """A report builds the ResidualRecord of a zero residual only when its
+    records are read, so a pass over the catalog, whose residuals all
+    vanish, and the mutation scan build none (42,348 and 19,938 before)."""
+    counts = count_calls((operators.ResidualRecord, "records", None))
+    results = catalog.verify_all()
+    assert all(r.ok for r in results)
+    assert counts["records"] == 0, counts
+    run_scan(lambda: None)
+    assert counts["records"] == 0, counts
+    report = results[0].report
+    assert len(report.records) == report.count == counts["records"] > 0
 
 
 @pytest.fixture
@@ -206,6 +230,16 @@ def test_classifier_builds_one_system_per_step(monkeypatch):
     shape = hamsys.classify_operator_shape(catalog.instantiate("P_gas")[0])
     assert str(shape) == "euler-lagrange-reducible"
     assert sizes == [3]
+
+
+def test_sampled_verdict_builds(count_calls):
+    ws = Workspace()
+    ws.add_variables("u1", "u2")
+    ws.freeze()
+    e = parse(SAMPLED_EXPR, ws)
+    counts = count_calls((ratform.build_context, "builds", None))
+    assert zerotest.is_zero(e, ws).kind == "probably_zero"
+    assert counts["builds"] <= 1.1 * SAMPLED_BUILDS, counts
 
 
 @pytest.mark.parametrize("name", sorted(CLI_BUILDS))

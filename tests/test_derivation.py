@@ -246,14 +246,16 @@ def test_checker_tables_and_a7_match_expr_route(entry_id, kind, index):
         assert checker.DG[a][i][j][k] == DG[a][i][j][k]
         for l in range(n):
             assert checker.DB[a][i][j][k][l] == DB[a][i][j][k][l]
-    rels = dict.fromkeys(("a5", "a7"), 0)
+    # the checker yields the nonzero residuals; the oracle's nonzero a7
+    # residuals over every index must be those, in the same order
+    got = list(checker.residuals(("a5", "a7")))
+    assert {rel for rel, _idx, _rf in got} == {"a5", "a7"}
     zero = ctx.zero
-    for rel, idx, rf in checker.residuals(("a5", "a7")):
-        rels[rel] += not rf.is_zero
-        if rel == "a7":
-            a, be = "xy".index(idx[0]), "xy".index(idx[1])
-            i, j, r, k, q = (x - 1 for x in idx[2:])
-            want = _oracle_a7(n, G, DG, B, DB, D2B, a, be, i, j, r, k, q,
-                              zero)
-            assert rf == want, idx
-    assert rels["a5"] and rels["a7"]
+    want = []
+    for a, be, i, j, r, k, q in itertools.product(range(d), range(d),
+                                                  *[range(n)] * 5):
+        rf = _oracle_a7(n, G, DG, B, DB, D2B, a, be, i, j, r, k, q, zero)
+        if not rf.is_zero:
+            want.append((("xy"[a], "xy"[be], i + 1, j + 1, r + 1, k + 1,
+                          q + 1), rf))
+    assert [(idx, rf) for rel, idx, rf in got if rel == "a7"] == want

@@ -20,6 +20,13 @@ from test_properties import sparse_operators
 MUTANT_LIST_SHA256 = (
     "7994116f36b5f3e786eaa78244bc700e05a28525580369c7bc5a96644f3d9ee1")
 
+# repr((relation, indices, str(num), str(den))) of the first proven
+# failure of each of those mutants, or "None", one a line in the same
+# order, recorded when the checker still yielded every residual, zero or
+# not, and first_proven_failure skipped the zero ones
+FIRST_FAILURES_SHA256 = (
+    "e51304efcf6779676109e26b0ba9bdacdb7c00bfca17f3ce84eedc65c4ed052a")
+
 
 def test_sign_flip_detected():
     op, ws = catalog.instantiate("T2.2/2")
@@ -111,6 +118,20 @@ def _failure(found):
         return None
     rel, idx, rf = found
     return rel, idx, str(rf.num), str(rf.den)
+
+
+def test_first_failures_pinned():
+    kills = []
+    lines = []
+    for entry in catalog.ENTRIES:
+        for _m, mut in mutation.mutants(catalog.instantiate(entry.id)[0]):
+            found = _failure(first_proven_failure(mut))
+            lines.append(repr(found) if found else "None")
+            kills.append(found[0] if found else None)
+    assert {rel: kills.count(rel) for rel in set(kills)} == \
+        {"a2": 278, "a3": 11, "a5": 38, None: 12}
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == FIRST_FAILURES_SHA256
 
 
 def _report(report):

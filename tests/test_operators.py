@@ -30,9 +30,11 @@ def ws2():
 
 
 def relation_report(op, *relations):
-    """The records of the given relations from the full check."""
-    return ConditionReport([r for r in check_hamiltonian(op).records
-                            if r.relation in relations])
+    """The report of the given relations from the full check."""
+    full = check_hamiltonian(op)
+    return ConditionReport(
+        lambda: (key for key in full.keys() if key[0] in relations),
+        {key: recs for key, recs in full.kept.items() if key[0] in relations})
 
 
 def two_cmpt_form2(ws2):

@@ -4,8 +4,10 @@ Each suite runs at least 1000 cases: differentiation linearity and the
 Leibniz rule, commuting mixed partials, normalize idempotence, parser
 round-trip, and evaluation consistency.  A hypothesis suite checks the
 sparse Mokhov residual assembly against a dense reference on random
-operators (d <= 3), a second check does so on every catalog entry, and a
-hypothesis suite checks the cofactor determinant against the Leibniz sum.
+operators (d <= 3), further checks do so on explicit d = 4 operators and on
+every catalog entry, the reports' records are checked against an eager
+enumeration of every residual, and a hypothesis suite checks the cofactor
+determinant against the Leibniz sum.
 """
 
 import functools
@@ -26,22 +28,34 @@ from hydroham import (
     parse,
     print_expr,
 )
-from hydroham import catalog
+from hydroham import catalog, mutation
 from hydroham import expr as ex
+from hydroham.fileio import load_change
 from hydroham.operators import (
     ALL_RELATIONS,
     ALPHA_LABELS,
+    HydroOperator,
     MokhovChecker,
+    _record,
+    check_hamiltonian,
     operator_from_entries,
+    pencil_compatibility,
 )
 from hydroham.ratform import (
     Derivation,
     ZeroDenominatorError,
     build_context,
+    coefficients_in,
     det,
     matrix_forms,
     to_rational_form,
 )
+from hydroham.transform import (
+    operator_difference_records,
+    pushforward,
+    verify_invariance,
+)
+from hydroham.zerotest import DEFAULT_POLICY
 from hydroham.zerotest import EvaluationError, SingularPointError
 
 N_CASES = 1000
@@ -174,8 +188,9 @@ def test_evaluation_consistency():
 # -- sparse residual assembly against a dense reference ------------------------
 
 def dense_residuals(checker):
-    """(relation, indices, form) of a1..a7 in the checker's order, written
-    from the formulas with every sum taken over all s.  The tables are
+    """(relation, indices, form) of every residual of a1..a7, zero or not,
+    in the checker's order, written from the formulas with every sum taken
+    over all s.  The tables are
     converted afresh from the operator's Exprs; derivatives of the
     entries come from calculus.differentiate."""
     op, ctx = checker.op, checker.ctx
@@ -294,6 +309,37 @@ def test_sparse_residuals_match_dense_reference(op):
     assert_matches_dense(MokhovChecker(op))
 
 
+def _d4_operator(g_text, b_text):
+    """A d = 4, n = 2 operator from {(alpha, i, j): text} and
+    {(alpha, i, j, k): text}, alpha 0..3 for x, y, z, w."""
+    ws = Workspace()
+    ws.add_variables("u1", "u2")
+    ws.freeze()
+    return operator_from_entries(
+        ws, 4, 2, {key: parse(t, ws) for key, t in g_text.items()},
+        {key: parse(t, ws) for key, t in b_text.items()})
+
+
+# d = 4 operators whose nonzero residuals pair w with x, y and z, so a
+# walk that sorted the labels as strings ("w" < "x") would misplace them
+D4_OPERATORS = {
+    "w-and-x": ({(0, 1, 1): "1", (3, 1, 2): "u1", (3, 2, 1): "u1"},
+                {(3, 1, 2, 1): "1", (0, 2, 2, 1): "1/u1"}),
+    "every-alpha": ({(a, i, i): f"{a + 1}*u{i}" for a in range(4)
+                     for i in (1, 2)},
+                    {(a, 1, 2, 2): "u1" for a in (1, 3)}),
+    "w-only": ({(3, 1, 1): "u2", (3, 2, 2): "1"},
+               {(3, 1, 2, 1): "1/2", (3, 2, 1, 2): "-u1"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(D4_OPERATORS))
+def test_d4_residuals_match_dense_reference(name):
+    op = _d4_operator(*D4_OPERATORS[name])
+    assert_matches_dense(MokhovChecker(op))
+    assert check_hamiltonian(op).records == eager_records(op)
+
+
 @pytest.mark.parametrize("entry_id", [e.id for e in catalog.ENTRIES])
 def test_catalog_residuals_match_dense_reference(entry_id):
     """Every residual of a catalog entry vanishes, but its terms do not:
@@ -302,11 +348,88 @@ def test_catalog_residuals_match_dense_reference(entry_id):
 
 
 def assert_matches_dense(checker):
+    """The checker yields the nonzero residuals of the dense reference, in
+    its order; the reference lists every index, so the zero residuals the
+    checker skips are checked too."""
     got = [(rel, idx, rf.num, rf.den)
            for rel, idx, rf in checker.residuals(ALL_RELATIONS)]
     want = [(rel, idx, rf.num, rf.den)
-            for rel, idx, rf in dense_residuals(checker)]
+            for rel, idx, rf in dense_residuals(checker) if not rf.is_zero]
     assert got == want
+
+
+# -- lazy report records against an eager enumeration -------------------------
+
+def eager_records(op):
+    """The record of every residual of check_hamiltonian(op), zero or not,
+    built from the dense reference."""
+    return [_record(rel, idx, rf, DEFAULT_POLICY)
+            for rel, idx, rf in dense_residuals(MokhovChecker(op))]
+
+
+@pytest.mark.parametrize("entry_id", [e.id for e in catalog.ENTRIES])
+def test_catalog_records_match_eager_enumeration(entry_id):
+    op = catalog.instantiate(entry_id)[0]
+    report = check_hamiltonian(op)
+    assert report.nonzero == [] and report.overall == "proven_pass"
+    assert report.records == eager_records(op)
+    assert report.count == len(report.records)
+
+
+def test_survivor_records_match_eager_enumeration():
+    survivors = [mut for entry in catalog.ENTRIES for _m, mut
+                 in mutation.mutants(catalog.instantiate(entry.id)[0])
+                 if mutation.first_proven_failure(mut) is None]
+    assert len(survivors) == 12
+    for mut in survivors:
+        assert check_hamiltonian(mut).records == eager_records(mut)
+
+
+def _pencil_operator(opx, opy):
+    """g_x + lam g_y, b_x + lam b_y over the workspace with lam."""
+    ws = opx.ws.extended(["lam"])
+    lam = ex.Var(ws.constants[-1])
+
+    def combine(x, y):
+        if isinstance(x, list):
+            return [combine(a, b) for a, b in zip(x, y)]
+        return ex.add(x, ex.mul(lam, y))
+    return HydroOperator(ws, 1, opx.n, combine(opx.g, opy.g),
+                         combine(opx.b, opy.b))
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["gas", "gas-flip"])
+def test_pencil_records_match_eager_enumeration(flip):
+    gas = catalog.instantiate("P_gas")[0]
+    if flip:
+        gas = next(mut for _m, mut in mutation.mutants(gas))
+    opx, opy = gas.part(0), gas.part(1)
+    pencil_op = _pencil_operator(opx, opy)
+    lam = pencil_op.ws.constants[-1].name
+    want = []
+    for rel, idx, rf in dense_residuals(MokhovChecker(pencil_op)):
+        parts = {(0,): rf} if rf.is_zero else coefficients_in(rf, [lam])
+        want += [_record(rel, idx + (f"lam^{p}",), c, DEFAULT_POLICY)
+                 for (p,), c in parts.items()]
+    report = pencil_compatibility(opx, opy)
+    assert report.records == want
+    assert report.overall == ("fail" if flip else "proven_pass")
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["gas", "gas-flip"])
+def test_invariance_records_match_eager_enumeration(flip):
+    gas = catalog.instantiate("P_gas")[0]
+    if flip:
+        gas = next(mut for _m, mut in mutation.mutants(gas))
+    change = load_change(
+        {"forward": {"u1": "v1", "u2": "v2 + 1", "u3": "v3 - v1"},
+         "inverse": {"v1": "u1", "v2": "u2 - 1", "v3": "u3 + u1"}}, gas.ws)
+    report = verify_invariance(gas, change)
+    back = pushforward(report.pushed, change.inverted())
+    want = (eager_records(report.pushed)
+            + operator_difference_records(gas, back))
+    assert report.records == want
+    assert report.overall == ("fail" if flip else "proven_pass")
 
 
 # -- the cofactor determinant against the Leibniz sum --------------------------
