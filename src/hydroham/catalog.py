@@ -25,11 +25,11 @@ from .operators import (
     operator_from_entries,
 )
 from .parser import parse
-from .symbols import Workspace
+from .symbols import InputError, Workspace
 from .zerotest import DEFAULT_POLICY, ZeroTestPolicy
 
 
-class CatalogError(Exception):
+class CatalogError(InputError):
     pass
 
 
@@ -434,13 +434,16 @@ class EntryVerification:
     trivial: bool | None
 
     @property
+    def matches_label(self) -> bool:
+        """Do the pencil facts (degenerate, rank, nontrivial) agree with the
+        entry's label?  Each fact is a proof: an undecided one raised
+        InconclusiveError."""
+        return (self.degenerate and self.rank == self.rank_label
+                and self.trivial is not True)
+
+    @property
     def ok(self) -> bool:
-        return (
-            self.report.overall == "proven_pass"
-            and self.degenerate
-            and self.rank == self.rank_label
-            and self.trivial is not True
-        )
+        return self.report.overall == "proven_pass" and self.matches_label
 
 
 def verify_entry(entry_id: str, params: dict | None = None,

@@ -1,22 +1,29 @@
 """JSON file formats: operators, coordinate changes, densities, reduction
 candidates, Lagrangian densities and Legendre inputs.  All expression fields
-are strings in the expression grammar."""
+are strings in the expression grammar.
+
+Each loader imports the module of the object it builds, so reading one
+kind of file loads none of the others' modules.
+"""
 
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
 from . import expr as ex
-from .hamsys import HamiltonianDensity, ReductionCandidate
-from .integrability import LEGENDRE_VARS, LagrangianDensity
-from .operators import ALPHA_LABELS, HydroOperator, _map_nested
 from .parser import parse
-from .symbols import Workspace
-from .transform import CoordinateChange, coordinate_change
+from .symbols import InputError, Workspace
 from .zerotest import DEFAULT_POLICY
 
+if TYPE_CHECKING:
+    from .hamsys import HamiltonianDensity, ReductionCandidate
+    from .integrability import LagrangianDensity
+    from .operators import HydroOperator
+    from .transform import CoordinateChange
 
-class FileFormatError(Exception):
+
+class FileFormatError(InputError):
     pass
 
 
@@ -55,6 +62,7 @@ def _workspace(data: dict, variables, constants=()) -> Workspace:
 
 
 def load_operator(data: dict) -> HydroOperator:
+    from .operators import ALPHA_LABELS, HydroOperator
     d = _require(data, "dimension", int)
     if not 1 <= d <= len(ALPHA_LABELS):
         raise FileFormatError(
@@ -97,6 +105,7 @@ def _is_nest(value, depth: int, n: int) -> bool:
 
 
 def dump_operator(op: HydroOperator) -> dict:
+    from .operators import ALPHA_LABELS, _map_nested
     data = {
         "dimension": op.d,
         "components": op.n,
@@ -117,6 +126,7 @@ def dump_operator(op: HydroOperator) -> dict:
 
 def load_change(data: dict, src_ws: Workspace,
                 policy=DEFAULT_POLICY) -> CoordinateChange:
+    from .transform import coordinate_change
     forward = _require(data, "forward", dict)
     inverse = _require(data, "inverse", dict)
     if set(forward) != {s.name for s in src_ws.variables}:
@@ -128,6 +138,7 @@ def load_change(data: dict, src_ws: Workspace,
 
 
 def load_density(data: dict, op: HydroOperator) -> HamiltonianDensity:
+    from .hamsys import HamiltonianDensity
     text = _require(data, "h", str)
     ws = op.ws
     for name, args in _functions(data):
@@ -137,6 +148,7 @@ def load_density(data: dict, op: HydroOperator) -> HamiltonianDensity:
 
 
 def load_candidate(data: dict) -> ReductionCandidate:
+    from .hamsys import ReductionCandidate
     m = _require(data, "m", int)
     if m < 1:
         raise FileFormatError("m must be >= 1")
@@ -156,12 +168,14 @@ def load_candidate(data: dict) -> ReductionCandidate:
 
 def load_lagrangian(data: dict) -> LagrangianDensity:
     """The density f(a, b, c) of the fourth-order test."""
+    from .integrability import LagrangianDensity
     return LagrangianDensity.from_text(_require(data, "f", str),
                                        _functions(data))
 
 
 def load_legendre(data: dict):
     """(h, its workspace over rho, u, v, rhot, inverse) for `legendre`."""
+    from .integrability import LEGENDRE_VARS
     ws = _workspace(data, LEGENDRE_VARS)
     return (parse(_require(data, "h", str), ws), ws,
             parse(_require(data, "inverse", str), ws))

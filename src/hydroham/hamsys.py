@@ -28,7 +28,7 @@ from .ratform import (
     ratform_to_expr,
     to_rational_form,
 )
-from .symbols import Symbol, Workspace
+from .symbols import InputError, Symbol, Workspace
 from .zerotest import (
     DEFAULT_POLICY,
     EvaluationError,
@@ -40,7 +40,7 @@ from .zerotest import (
 )
 
 
-class HamsysError(Exception):
+class HamsysError(InputError):
     pass
 
 

@@ -29,7 +29,7 @@ from .ratform import (
     ratform_to_expr,
     to_rational_form,
 )
-from .symbols import Symbol, Workspace
+from .symbols import InputError, Symbol, Workspace
 from .zerotest import (
     DEFAULT_POLICY,
     ZeroTestPolicy,
@@ -38,7 +38,7 @@ from .zerotest import (
 )
 
 
-class IntegrabilityError(Exception):
+class IntegrabilityError(InputError):
     pass
 
 

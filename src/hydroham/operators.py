@@ -26,29 +26,24 @@ from .ratform import (
     ratform_to_expr,
     to_rational_form,
 )
-from .symbols import Symbol, Workspace
+from .symbols import InputError, Symbol, Workspace
 from .zerotest import (
     DEFAULT_POLICY,
     INCONCLUSIVE,
     PROBABLY_NONZERO,
-    PROBABLY_ZERO,
     PROVEN_NONZERO,
     PROVEN_ZERO,
     InconclusiveError,
     Verdict,
     ZeroTestPolicy,
+    overall_result,
     verdict_for_ratform,
 )
 
 ALPHA_LABELS = ("x", "y", "z", "w")
 
-PROVEN_PASS = "proven_pass"
-PROBABLY_PASS = "probably_pass"
-INCONCLUSIVE_PASS = "inconclusive"
-FAIL = "fail"
 
-
-class OperatorError(Exception):
+class OperatorError(InputError):
     pass
 
 
@@ -154,21 +149,6 @@ class ResidualRecord:
     indices: tuple
     residual: ex.Expr
     verdict: Verdict
-
-
-def overall_result(kinds) -> str:
-    """The overall result of a set of verdict kinds: fail on any nonzero
-    verdict, else the weakest of proven pass, probable pass and
-    inconclusive."""
-    worst = PROVEN_PASS
-    for k in kinds:
-        if k in (PROVEN_NONZERO, PROBABLY_NONZERO):
-            return FAIL
-        if k == INCONCLUSIVE:
-            worst = INCONCLUSIVE_PASS
-        elif k == PROBABLY_ZERO and worst == PROVEN_PASS:
-            worst = PROBABLY_PASS
-    return worst
 
 
 class ConditionReport:

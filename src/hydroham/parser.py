@@ -14,10 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as ex
-from .symbols import RESERVED_NAMES, FunctionSymbol, Symbol, Workspace
+from .symbols import (
+    RESERVED_NAMES,
+    FunctionSymbol,
+    InputError,
+    Symbol,
+    Workspace,
+)
 
 
-class ParseError(Exception):
+class ParseError(InputError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte {offset})")
         self.offset = offset

@@ -17,10 +17,10 @@ from functools import cached_property
 from . import expr as ex
 from .calculus import differentiate
 from .poly import PolyRing
-from .symbols import Symbol, Workspace
+from .symbols import InputError, Symbol, Workspace
 
 
-class NormalizeError(Exception):
+class NormalizeError(InputError):
     pass
 
 

@@ -10,7 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-class SymbolError(Exception):
+class InputError(Exception):
+    """Base of the errors of an invalid input; the CLI exits 3 on them."""
+
+
+class SymbolError(InputError):
     pass
 
 

@@ -30,7 +30,7 @@ from .ratform import (
     ratform_to_expr,
     to_rational_form,
 )
-from .symbols import Symbol, Workspace
+from .symbols import InputError, Symbol, Workspace
 from .zerotest import (
     DEFAULT_POLICY,
     ZeroTestPolicy,
@@ -39,7 +39,7 @@ from .zerotest import (
 )
 
 
-class InvalidChangeError(Exception):
+class InvalidChangeError(InputError):
     pass
 
 

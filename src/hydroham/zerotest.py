@@ -19,10 +19,10 @@ from fractions import Fraction
 
 from . import expr as ex
 from .ratform import RationalForm, normalize, uses_transcendental
-from .symbols import Symbol, Workspace
+from .symbols import InputError, Symbol, Workspace
 
 
-class EvaluationError(Exception):
+class EvaluationError(InputError):
     pass
 
 
@@ -72,6 +72,27 @@ class Verdict:
             PROVEN_NONZERO: "ProvenNonzero",
             INCONCLUSIVE: "Inconclusive",
         }[self.kind]
+
+
+PROVEN_PASS = "proven_pass"
+PROBABLY_PASS = "probably_pass"
+INCONCLUSIVE_PASS = "inconclusive"
+FAIL = "fail"
+
+
+def overall_result(kinds) -> str:
+    """The overall result of a set of verdict kinds: fail on any nonzero
+    verdict, else the weakest of proven pass, probable pass and
+    inconclusive."""
+    worst = PROVEN_PASS
+    for k in kinds:
+        if k in (PROVEN_NONZERO, PROBABLY_NONZERO):
+            return FAIL
+        if k == INCONCLUSIVE:
+            worst = INCONCLUSIVE_PASS
+        elif k == PROBABLY_ZERO and worst == PROVEN_PASS:
+            worst = PROBABLY_PASS
+    return worst
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,27 @@ def ws3():
 
 
 @pytest.fixture
-def count_calls(monkeypatch):
+def rebind(monkeypatch):
+    """A function (fn, replacement, module name or None) that points every
+    binding of fn in the loaded hydroham modules at the replacement, except
+    in the named module, whose own calls (its recursion, say) keep fn."""
+    def point(fn, replacement, skip=None):
+        for name, module in list(sys.modules.items()):
+            if not name.startswith("hydroham") or name == skip:
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, replacement)
+    return point
+
+
+@pytest.fixture
+def count_calls(rebind):
     """A function that starts counting calls and returns the live Counter.
 
     It takes (function, counter name, module name or None) triples and
-    points every binding of each function in the loaded hydroham modules at
-    a counting wrapper, except in the named module, whose own calls (its
-    recursion, say) are then not counted."""
+    rebinds each function to a counting wrapper, except in the named
+    module."""
     counts = Counter()
 
     def counted(name, fn):
@@ -33,15 +47,7 @@ def count_calls(monkeypatch):
         return wrapper
 
     def start(*counted_fns):
-        modules = [m for name, m in sys.modules.items()
-                   if name.startswith("hydroham")]
         for fn, name, skip in counted_fns:
-            wrapper = counted(name, fn)
-            for module in modules:
-                if module.__name__ == skip:
-                    continue
-                for attr, value in list(vars(module).items()):
-                    if value is fn:
-                        monkeypatch.setattr(module, attr, wrapper)
+            rebind(fn, counted(name, fn), skip)
         return counts
     return start

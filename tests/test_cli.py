@@ -349,6 +349,31 @@ def test_catalog_verify_json_lists_failures_only(capsys):
     assert doc["checks"] == [] and doc["overall"] == "proven_pass"
 
 
+def test_catalog_verify_sampled_failure_claims_no_proof(capsys):
+    """A failing record that is only probabilistic is listed as itself; no
+    entry summary with a ProvenNonzero verdict is added for it."""
+    assert main(["--format", "json", "catalog", "verify", "APP/rk2_2D_1",
+                 "--set", "p=exp(u1)"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [(c["name"], c["indices"], c["verdict"]) for c in doc["checks"]] \
+        == [("APP/rk2_2D_1:a2", ["y", 1, 1, 1],
+             "ProbablyNonzero(witness={'u1': '1/7'})")]
+    assert doc["overall"] == "fail"
+
+
+def test_catalog_verify_summary_when_a_fact_contradicts_the_label(capsys):
+    """With its slots set to zero the entry's y-part vanishes, so the pair
+    is trivial: the relations all hold, and the proven triviality is
+    reported as the entry's summary check."""
+    assert main(["--format", "json", "catalog", "verify", "T2.7/rank2_P_2/1",
+                 "--eps", "0", "--set", "p=0", "--set", "q=0",
+                 "--set", "r=0"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [(c["name"], c["verdict"]) for c in doc["checks"]] \
+        == [("T2.7/rank2_P_2/1:summary", "ProvenNonzero")]
+    assert doc["notes"][0]["value"].startswith("proven_pass;")
+
+
 def test_exp_tower_exits_without_traceback(tmp_path):
     # six nested exp outgrow memory at most sample points; the CLI runs in
     # a child process whose address space is capped at 1.5 GB

@@ -1,6 +1,6 @@
 """Deterministic cost bounds: ring operation counts over one catalog pass
-and over the mutation scan, residual records built, and context builds of
-CLI commands and of a sampled verdict.
+and over the mutation scan, residual records built, the largest ring
+built, and context builds of CLI commands and of a sampled verdict.
 
 Timings drift on a shared machine; call counts do not.  The bound is 1.1x
 the count recorded when the test was written.  A change that lowers the
@@ -67,6 +67,13 @@ SCAN_DIFFERENTIATIONS = 303
 VERIFY_ALL_CONTEXTS = 31
 VERIFY_ALL_BUILDS = 262
 VERIFY_ALL_CONVERSIONS = 2712
+
+# The largest ring built, len(ctx.ring.gens) over the build_context calls,
+# in one catalog.verify_all() pass and in the mutation scan: 25 in both,
+# the ring of APP/rank1_sol1 (d = 2, n = 3), its three variables and 22
+# abstract atoms.
+VERIFY_ALL_RING_GENS = 25
+SCAN_RING_GENS = 25
 
 # build_context calls of one CLI command, by golden case (test_golden.py).
 # Each verdict is taken on the form the command holds: fkt judges the
@@ -190,6 +197,35 @@ def test_verify_all_conversions(count_calls):
     assert counts["contexts"] == VERIFY_ALL_CONTEXTS, counts
     assert counts["builds"] <= 1.1 * VERIFY_ALL_BUILDS, counts
     assert counts["conversions"] <= 1.1 * VERIFY_ALL_CONVERSIONS, counts
+
+
+@pytest.fixture
+def ring_sizes(rebind):
+    """A function that starts recording the generator count of each ring
+    ratform.build_context builds, and returns the live list."""
+    sizes = []
+    build = ratform.build_context
+
+    def recorded(*args, **kwargs):
+        ctx = build(*args, **kwargs)
+        sizes.append(len(ctx.ring.gens))
+        return ctx
+
+    def start():
+        rebind(build, recorded)
+        return sizes
+    return start
+
+
+def test_verify_all_largest_ring(ring_sizes):
+    sizes = ring_sizes()
+    assert all(r.ok for r in catalog.verify_all())
+    assert 0 < max(sizes) <= 1.1 * VERIFY_ALL_RING_GENS, max(sizes)
+
+
+def test_mutation_scan_largest_ring(ring_sizes):
+    sizes = run_scan(ring_sizes)
+    assert 0 < max(sizes) <= 1.1 * SCAN_RING_GENS, max(sizes)
 
 
 def test_verify_all_builds_each_pencil_once(monkeypatch):

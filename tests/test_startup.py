@@ -21,8 +21,8 @@ from test_golden import CHECK_ENTRY, GOLDEN
 
 # argv (a JSON list of --format json argument lists) -> one JSON line: the
 # third-party modules loaded after importing hydroham.cli, then, for each
-# command, its exit code, stdout length and SHA-256, and the third-party
-# modules loaded so far
+# command, its exit code, stdout length and SHA-256, the third-party
+# modules loaded so far and the hydroham submodules loaded so far
 CHILD = """
 import contextlib, hashlib, io, json, sys
 
@@ -35,6 +35,11 @@ def third_party():
                   and m.split(".")[0] != "hydroham")
 
 
+def own():
+    return sorted(m.split(".")[1] for m in sys.modules
+                  if m.startswith("hydroham."))
+
+
 from hydroham.cli import main
 
 after_import = third_party()
@@ -45,7 +50,7 @@ for argv in json.loads(sys.argv[1]):
         code = main(["--format", "json"] + argv)
     out = buf.getvalue().encode()
     rows.append([code, len(out), hashlib.sha256(out).hexdigest(),
-                 third_party()])
+                 third_party(), own()])
 print(json.dumps({"mpmath_at_start": "mpmath" in start,
                   "after_import": after_import, "rows": rows}))
 """
@@ -88,6 +93,31 @@ def test_sampled_verdict_imports_mpmath_when_needed(inputs):
     """The exp(u2) pencil is the one golden case whose verdicts sample."""
     result = _cold([["pencil", "rank1_exp.json"]], inputs)
     assert result["after_import"] == []
-    code, size, digest, loaded = result["rows"][0]
+    code, size, digest, loaded, _own = result["rows"][0]
     assert (code, size, digest) == GOLDEN["pencil-exp-witness"]
     assert "mpmath" in loaded
+
+
+# hydroham submodules a command must not load: each imports its domain
+# module in its handler, and a file loader imports only what it builds
+NOT_LOADED = {
+    "check": {"transform", "hamsys", "integrability", "catalog"},
+    "pencil": {"transform", "hamsys", "integrability", "catalog"},
+    "fkt": {"operators", "transform", "hamsys", "catalog"},
+    "catalog": {"transform", "hamsys", "integrability"},
+}
+COMMANDS = {"check": ["check", "gas.json"],
+            "pencil": ["pencil", "gas.json", "--compatibility"],
+            "fkt": ["fkt", "quartic.json"],
+            "catalog": ["catalog", "verify", CHECK_ENTRY]}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_loads_only_its_modules(inputs, name):
+    """Each command runs alone in a fresh child, so what it loads is not
+    hidden by an earlier command."""
+    result = _cold([COMMANDS[name]], inputs)
+    code, _size, _digest, _third, own = result["rows"][0]
+    assert code in (0, 1), code
+    assert NOT_LOADED[name].isdisjoint(own), own
+    assert "operators" in own or name == "fkt", own
