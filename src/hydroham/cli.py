@@ -35,6 +35,7 @@ from .fileio import (
     read_json,
 )
 from .poly import HeuristicGCDFailed
+from .ratform import normalize
 from .symbols import InputError
 from .zerotest import (
     InconclusiveError,
@@ -297,8 +298,9 @@ def _cmd_transform(args, policy) -> int:
     return report.finish()
 
 
-def _parse_catalog_params(args, params: dict) -> dict:
-    """The entry's default params with the command line's bindings."""
+def _parse_catalog_params(args, entry) -> dict:
+    from . import catalog
+    params = catalog.default_params(entry)
     if args.eps is not None:
         params["eps"] = Fraction(args.eps)
     if args.kappa is not None:
@@ -325,8 +327,8 @@ def _cmd_catalog(args, policy) -> int:
         if not args.id:
             raise FileFormatError(f"catalog {args.action} needs an entry id")
         entry = catalog.get_entry(args.id)
-        op, _ws = catalog.instantiate(args.id, _parse_catalog_params(
-            args, catalog.default_params(entry)))
+        op, _ws = catalog.instantiate(args.id,
+                                      _parse_catalog_params(args, entry))
         doc = dump_operator(op)
         text = json.dumps(doc, indent=2, sort_keys=True)
         if args.action == "export" and args.output:
@@ -344,7 +346,7 @@ def _cmd_catalog(args, policy) -> int:
     else:
         entries = [catalog.get_entry(args.id)]
     for entry in entries:
-        params = _parse_catalog_params(args, catalog.default_params(entry))
+        params = _parse_catalog_params(args, entry)
         v = catalog.verify_entry(entry.id, params, policy)
         summary = (f"{v.report.overall}; degenerate={v.degenerate}; "
                    f"rank {v.rank} (label {v.rank_label})")
@@ -354,6 +356,9 @@ def _cmd_catalog(args, policy) -> int:
         listed = [rec for rec in v.report.nonzero
                   if not rec.verdict.is_zero_verdict]
         report.unlisted_passes += v.report.count - len(listed)
+        # unlisted ProbablyZero records still make the result a probable pass
+        report.kinds += [rec.verdict.kind for rec in v.report.nonzero
+                         if rec.verdict.is_zero_verdict]
         for rec in listed:
             report.add_check(f"{entry.id}:{rec.relation}", rec.indices,
                              rec.verdict, rec.residual)
@@ -398,7 +403,6 @@ def _cmd_reduction(args, policy) -> int:
         reduction_residual,
     )
     from .operators import _record
-    from .ratform import normalize
     report = Report(args, [args.operator, args.density, args.candidate])
     op = load_operator(read_json(args.operator))
     density = load_density(read_json(args.density), op)

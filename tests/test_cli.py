@@ -361,6 +361,17 @@ def test_catalog_verify_sampled_failure_claims_no_proof(capsys):
     assert doc["overall"] == "fail"
 
 
+def test_catalog_verify_sampled_pass_is_no_proven_pass(capsys):
+    """exp(2*u3) - exp(u3)^2 is zero, but its two exponentials are separate
+    ring generators, so its residuals are only sampled zero: the records
+    are not listed, yet the report is a probable pass, not a proven one."""
+    assert main(["--format", "json", "catalog", "verify", "APP/rk2_2D_1",
+                 "--set", "p=exp(u3) + u1*(exp(2*u3) - exp(u3)^2)"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["checks"] == [] and doc["overall"] == "probably_pass"
+    assert doc["notes"][0]["value"].startswith("probably_pass;")
+
+
 def test_catalog_verify_summary_when_a_fact_contradicts_the_label(capsys):
     """With its slots set to zero the entry's y-part vanishes, so the pair
     is trivial: the relations all hold, and the proven triviality is
