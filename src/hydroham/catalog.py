@@ -11,7 +11,6 @@ alpha 0 = x, 1 = y.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import expr as ex
@@ -33,20 +32,20 @@ class CatalogError(InputError):
     pass
 
 
-@dataclass(frozen=True)
 class CatalogEntry:
-    id: str
-    source: str
-    d: int
-    n: int
-    rank_label: int
-    g: dict = field(default_factory=dict)
-    b: dict = field(default_factory=dict)
-    const_slots: tuple = ()          # subset of ("eps", "kappa")
-    func_slots: tuple = ()           # ((name, (arg, ...)), ...)
-    shape_bucket: str | None = None  # expected reduced-system shape
-    shape_form: object = None        # decoupled 2-component form tag
-    note: str = ""
+    def __init__(self, id: str, source: str, d: int, n: int, rank_label: int,
+                 g: dict | None = None, b: dict | None = None,
+                 const_slots: tuple = (), func_slots: tuple = (),
+                 shape_bucket: str | None = None, shape_form: object = None,
+                 note: str = ""):
+        self.id, self.source, self.d, self.n = id, source, d, n
+        self.rank_label = rank_label
+        self.g, self.b = g or {}, b or {}
+        self.const_slots = const_slots    # subset of ("eps", "kappa")
+        self.func_slots = func_slots      # ((name, (arg, ...)), ...)
+        self.shape_bucket = shape_bucket  # expected reduced-system shape
+        self.shape_form = shape_form      # decoupled 2-component form tag
+        self.note = note
 
     def workspace(self) -> Workspace:
         ws = Workspace()
@@ -424,14 +423,13 @@ def instantiate(entry_id: str, params: dict | None = None):
     return op, ws
 
 
-@dataclass
 class EntryVerification:
-    entry_id: str
-    report: ConditionReport
-    degenerate: bool
-    rank: int
-    rank_label: int
-    trivial: bool | None
+    def __init__(self, entry_id: str, report: ConditionReport,
+                 degenerate: bool, rank: int, rank_label: int,
+                 trivial: bool | None):
+        self.entry_id, self.report = entry_id, report
+        self.degenerate, self.trivial = degenerate, trivial
+        self.rank, self.rank_label = rank, rank_label
 
     @property
     def matches_label(self) -> bool:

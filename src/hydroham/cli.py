@@ -218,8 +218,6 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    policy = ZeroTestPolicy(samples=args.samples, seed=args.seed,
-                            precision=args.precision)
     handler = {
         "check": _cmd_check,
         "pencil": _cmd_pencil,
@@ -232,6 +230,8 @@ def main(argv=None) -> int:
         "legendre": _cmd_legendre,
     }[args.command]
     try:
+        policy = ZeroTestPolicy(samples=args.samples, seed=args.seed,
+                                precision=args.precision)
         return handler(args, policy)
     except (InputError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
@@ -291,11 +291,20 @@ def _cmd_transform(args, policy) -> int:
     result = verify_invariance(op, change, policy)
     _add_report_records(report, result.records)
     if args.emit:
-        with open(args.emit, "w") as fh:
-            json.dump(dump_operator(result.pushed), fh, indent=2,
-                      sort_keys=True)
+        _write(args.emit, json.dumps(dump_operator(result.pushed), indent=2,
+                                     sort_keys=True))
         report.note("transformed operator written to", args.emit)
     return report.finish()
+
+
+def _write(path: str, text: str):
+    """Write an output file; a path that cannot be written is an input
+    error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e.strerror}") from None
 
 
 def _parse_catalog_params(args, entry) -> dict:
@@ -304,7 +313,11 @@ def _parse_catalog_params(args, entry) -> dict:
     if args.eps is not None:
         params["eps"] = Fraction(args.eps)
     if args.kappa is not None:
-        params["kappa"] = Fraction(args.kappa)
+        try:
+            params["kappa"] = Fraction(args.kappa)
+        except (ValueError, ZeroDivisionError):
+            raise FileFormatError(f"--kappa: {args.kappa} is not a rational "
+                                  "number") from None
     for binding in args.set:
         name, _, text = binding.partition("=")
         if not text:
@@ -332,8 +345,7 @@ def _cmd_catalog(args, policy) -> int:
         doc = dump_operator(op)
         text = json.dumps(doc, indent=2, sort_keys=True)
         if args.action == "export" and args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text + "\n")
+            _write(args.output, text + "\n")
             print(f"{args.id} written to {args.output}")
         else:
             print(text)

@@ -9,13 +9,15 @@ kind of file loads none of the others' modules.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING
 
 from . import expr as ex
 from .parser import parse
 from .symbols import InputError, Workspace
 from .zerotest import DEFAULT_POLICY
 
+# type checkers read this name as typing.TYPE_CHECKING, which would cost a
+# cold call the 5 ms import of typing
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .hamsys import HamiltonianDensity, ReductionCandidate
     from .integrability import LagrangianDensity

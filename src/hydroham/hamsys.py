@@ -9,7 +9,6 @@ the structural classifier for systems generated with an abstract density.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import expr as ex
@@ -48,10 +47,9 @@ class DegenerateCandidateError(HamsysError):
     """Two characteristic speeds coincide as expressions."""
 
 
-@dataclass
 class HamiltonianDensity:
-    h: ex.Expr
-    ws: Workspace
+    def __init__(self, h: ex.Expr, ws: Workspace):
+        self.h, self.ws = h, ws
 
     @classmethod
     def abstract(cls, ws: Workspace, n: int, name: str = "h"):
@@ -67,12 +65,10 @@ class HamiltonianDensity:
         return cls(atom, ws2)
 
 
-@dataclass
 class QuasilinearSystem:
-    ws: Workspace
-    n: int
-    A: list  # n x n Exprs
-    B: list
+    def __init__(self, ws: Workspace, n: int, A: list, B: list):
+        self.ws, self.n = ws, n
+        self.A, self.B = A, B  # n x n Exprs
 
 
 # A, B, the metrics G and d2h[j][k] = d_k d_j h as rational forms of one
@@ -128,12 +124,12 @@ def generate_system(op: HydroOperator,
 DISPERSION_PARAMS = ("lam", "mu")
 
 
-@dataclass
 class DispersionRelation:
-    ws: Workspace
-    params: list[Symbol]
-    det: ex.Expr
-    coefficients: dict  # (i, j) exponents of (lam, mu) -> Expr
+    def __init__(self, ws: Workspace, params: list[Symbol], det: ex.Expr,
+                 coefficients: dict):
+        self.ws, self.params, self.det = ws, params, det
+        # (i, j) exponents of (lam, mu) -> Expr
+        self.coefficients = coefficients
 
 
 def dispersion(sys: QuasilinearSystem) -> DispersionRelation:
@@ -153,16 +149,16 @@ def dispersion(sys: QuasilinearSystem) -> DispersionRelation:
 
 # -- hydrodynamic reduction candidates ----------------------------------------
 
-@dataclass
 class ReductionCandidate:
     """u = u(R^1..R^m) with R^i_t = lambda^i R^i_x, R^i_y = mu^i R^i_x."""
 
-    ws: Workspace                # workspace of the R variables
-    m: int
-    u: list[ex.Expr]             # n expressions in R
-    lam: list[ex.Expr]           # m characteristic speeds
-    mu: list[ex.Expr]
-    v: list[ex.Expr] | None = None   # optional commuting-flow speeds
+    def __init__(self, ws: Workspace, m: int, u: list[ex.Expr],
+                 lam: list[ex.Expr], mu: list[ex.Expr],
+                 v: list[ex.Expr] | None = None):
+        self.ws, self.m = ws, m  # ws: the workspace of the R variables
+        self.u = u               # n expressions in R
+        self.lam, self.mu = lam, mu  # m characteristic speeds each
+        self.v = v               # optional commuting-flow speeds
 
     @property
     def r_vars(self) -> list[Symbol]:
@@ -260,11 +256,12 @@ EULER_LAGRANGE = "euler-lagrange-reducible"
 UNCLASSIFIED = "unclassified"
 
 
-@dataclass
 class ShapeResult:
-    kind: str
-    form: object = None          # 1 | 2 | 3 | "1d" for decoupled systems
-    frozen: list[str] = field(default_factory=list)
+    def __init__(self, kind: str, form: object = None,
+                 frozen: list[str] | None = None):
+        self.kind = kind
+        self.form = form  # 1 | 2 | 3 | "1d" for decoupled systems
+        self.frozen = frozen or []
 
     def __str__(self):
         tag = self.kind if self.form is None else f"{self.kind}({self.form})"

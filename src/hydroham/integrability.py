@@ -15,7 +15,6 @@ rejected as inapplicable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import expr as ex
@@ -61,19 +60,15 @@ def lagrangian_workspace(functions=()) -> Workspace:
     return ws.freeze()
 
 
-@dataclass
 class LagrangianDensity:
-    f: ex.Expr
-    ws: Workspace
-
-    def __post_init__(self):
-        vars_ = set(self.ws.variables[:3])
-        extra = ex.free_symbols(self.f) - vars_ - set(self.ws.constants)
+    def __init__(self, f: ex.Expr, ws: Workspace):
+        extra = ex.free_symbols(f) - set(ws.variables[:3]) - set(ws.constants)
         if extra:
             raise IntegrabilityError(
                 f"density may only use a, b, c; found "
                 f"{sorted(s.name for s in extra)}"
             )
+        self.f, self.ws = f, ws
 
     @classmethod
     def from_text(cls, text: str, functions=()) -> "LagrangianDensity":
@@ -169,11 +164,11 @@ def _exprs(forms: dict) -> dict:
     return {m: ratform_to_expr(rf) for m, rf in forms.items()}
 
 
-@dataclass
 class FktResult:
-    residual: dict              # multi-index -> Expr
-    verdicts: dict              # multi-index -> Verdict
-    hessian: ex.Expr
+    def __init__(self, residual: dict, verdicts: dict, hessian: ex.Expr):
+        self.residual = residual  # multi-index -> Expr
+        self.verdicts = verdicts  # multi-index -> Verdict
+        self.hessian = hessian
 
     @property
     def integrable(self) -> bool:
@@ -219,12 +214,13 @@ def euler_lagrange_fluxes(density: LagrangianDensity):
 
 # -- partial Legendre transform -------------------------------------------------
 
-@dataclass
 class LegendreResult:
-    density: LagrangianDensity
-    h_tilde: ex.Expr            # h - rho*h_rho in (rho_t, u, v)
-    # (label, residual, verdict) of the three derivative identities
-    identity_residuals: list
+    def __init__(self, density: LagrangianDensity, h_tilde: ex.Expr,
+                 identity_residuals: list):
+        self.density = density
+        self.h_tilde = h_tilde  # h - rho*h_rho in (rho_t, u, v)
+        # (label, residual, verdict) of the three derivative identities
+        self.identity_residuals = identity_residuals
 
 
 def legendre(h: ex.Expr, ws: Workspace, inverse: ex.Expr,

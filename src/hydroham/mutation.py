@@ -11,7 +11,6 @@ family (e.g. negating one 1D part of a rank-0 pair).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 
 from . import expr as ex
 from .operators import (
@@ -24,10 +23,10 @@ from .ratform import uses_transcendental
 from .zerotest import DEFAULT_POLICY, ZeroTestPolicy
 
 
-@dataclass(frozen=True)
 class Mutation:
-    kind: str            # 'flip' | 'scale' | 'swap'
-    index: tuple         # (alpha, i, j, k), 1-based component indices
+    def __init__(self, kind: str, index: tuple):
+        self.kind = kind    # 'flip' | 'scale' | 'swap'
+        self.index = index  # (alpha, i, j, k), 1-based component indices
 
     def describe(self) -> str:
         a, i, j, k = self.index
@@ -79,11 +78,10 @@ def mutants(op: HydroOperator):
                                             (there, here, 1)]))
 
 
-@dataclass
 class MutationScan:
-    total: int
-    caught: int
-    survivors: list  # (Mutation, ConditionReport)
+    def __init__(self, total: int, caught: int, survivors: list):
+        self.total, self.caught = total, caught
+        self.survivors = survivors  # (Mutation, ConditionReport)
 
 
 # (a2) kills most sign/scale mutants instantly; cheap relations first

@@ -14,7 +14,6 @@ them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, partial
 
 from . import expr as ex
@@ -47,27 +46,22 @@ class OperatorError(InputError):
     pass
 
 
-@dataclass
 class HydroOperator:
     """Dense coefficient bundle; entries are Exprs over the workspace."""
 
-    ws: Workspace
-    d: int
-    n: int
-    g: list  # [alpha][i][j] -> Expr
-    b: list  # [alpha][i][j][k] -> Expr
-
-    def __post_init__(self):
-        if self.d < 1 or self.n < 1:
+    def __init__(self, ws: Workspace, d: int, n: int, g: list, b: list):
+        if d < 1 or n < 1:
             raise OperatorError("dimension and component count must be >= 1")
-        if len(self.ws.variables) < self.n:
+        if len(ws.variables) < n:
             raise OperatorError("workspace lacks the operator variables")
-        if len(self.g) != self.d or len(self.b) != self.d:
+        if len(g) != d or len(b) != d:
             raise OperatorError("metric/coefficient arrays must have d slices")
-        for a in range(self.d):
-            _check_shape(self.g[a], (self.n, self.n), "g")
-            _check_shape(self.b[a], (self.n, self.n, self.n), "b")
-        allowed = set(self.ws.variables) | set(self.ws.constants)
+        for a in range(d):
+            _check_shape(g[a], (n, n), "g")
+            _check_shape(b[a], (n, n, n), "b")
+        # g[alpha][i][j] and b[alpha][i][j][k] are Exprs
+        self.ws, self.d, self.n, self.g, self.b = ws, d, n, g, b
+        allowed = set(ws.variables) | set(ws.constants)
         for e in self.entries():
             bad = ex.free_symbols(e) - allowed
             if bad:
@@ -143,12 +137,19 @@ def operator_from_entries(ws: Workspace, d: int, n: int, g_entries=None,
 
 # -- condition reports ---------------------------------------------------------
 
-@dataclass(slots=True)
 class ResidualRecord:
-    relation: str
-    indices: tuple
-    residual: ex.Expr
-    verdict: Verdict
+    __slots__ = ("relation", "indices", "residual", "verdict")
+
+    def __init__(self, relation: str, indices: tuple, residual: ex.Expr,
+                 verdict: Verdict):
+        self.relation, self.indices = relation, indices
+        self.residual, self.verdict = residual, verdict
+
+    def __eq__(self, other):
+        if other.__class__ is not ResidualRecord:
+            return NotImplemented
+        return (self.relation, self.indices, self.residual, self.verdict) == (
+            other.relation, other.indices, other.residual, other.verdict)
 
 
 class ConditionReport:
@@ -579,10 +580,10 @@ def check_hamiltonian(op: HydroOperator,
 PENCIL_PARAMS = ("lam1", "lam2", "lam3", "lam4")
 
 
-@dataclass
 class MetricPencil:
-    params: list[Symbol]        # the formal lambda constants
-    matrix: list                # n x n RationalForms, linear in the lambdas
+    def __init__(self, params: list[Symbol], matrix: list):
+        self.params = params    # the formal lambda constants
+        self.matrix = matrix    # n x n RationalForms, linear in the lambdas
 
     @classmethod
     def of(cls, op: HydroOperator) -> "MetricPencil":
@@ -616,10 +617,10 @@ def pencil_determinant(op: HydroOperator) -> dict[tuple, ex.Expr]:
         or {(0,) * op.d: ex.ZERO}
 
 
-@dataclass
 class DegeneracyResult:
-    degenerate: bool
-    certificate: ex.Expr | None  # a nonzero coefficient when not degenerate
+    def __init__(self, degenerate: bool, certificate: ex.Expr | None):
+        self.degenerate = degenerate
+        self.certificate = certificate  # a nonzero coefficient, if any
 
 
 def is_degenerate(op: HydroOperator,
@@ -669,11 +670,9 @@ def generic_rank(op: HydroOperator,
     return 0
 
 
-@dataclass
 class TrivialityResult:
-    trivial: bool
-    xi: ex.Expr | None
-    note: str = ""
+    def __init__(self, trivial: bool, xi: ex.Expr | None, note: str = ""):
+        self.trivial, self.xi, self.note = trivial, xi, note
 
 
 def is_trivial_pair(op: HydroOperator,

@@ -10,7 +10,6 @@ parse as expressions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as ex
@@ -38,12 +37,12 @@ class UnknownSymbolError(ParseError):
         self.name = name
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # 'int' | 'ident' | 'op' | 'end'
-    text: str
-    offset: int
-    primes: int = 0
+    __slots__ = ("kind", "text", "offset", "primes")
+
+    def __init__(self, kind: str, text: str, offset: int, primes: int = 0):
+        self.kind = kind  # 'int' | 'ident' | 'op' | 'end'
+        self.text, self.offset, self.primes = text, offset, primes
 
 
 _OPS = set("+-*/^(),")

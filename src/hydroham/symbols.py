@@ -7,8 +7,6 @@ workspace must be frozen before any computation that relies on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 
 class InputError(Exception):
     """Base of the errors of an invalid input; the CLI exits 3 on them."""
@@ -25,25 +23,42 @@ CONSTANT = "constant"
 RESERVED_NAMES = frozenset({"dx", "dy", "dt", "d_x", "d_y", "d_t"})
 
 
-@dataclass(frozen=True)
 class Symbol:
-    name: str
-    kind: str = VARIABLE
+    """A variable or constant; equal by name and kind, so a dict key."""
 
-    def __post_init__(self):
-        if self.kind not in (VARIABLE, CONSTANT):
-            raise SymbolError(f"unknown symbol kind {self.kind!r}")
+    __slots__ = ("name", "kind")
+
+    def __init__(self, name: str, kind: str = VARIABLE):
+        if kind not in (VARIABLE, CONSTANT):
+            raise SymbolError(f"unknown symbol kind {kind!r}")
+        self.name, self.kind = name, kind
+
+    def __eq__(self, other):
+        if other.__class__ is not Symbol:
+            return NotImplemented
+        return self.name == other.name and self.kind == other.kind
+
+    def __hash__(self):
+        return hash((self.name, self.kind))
 
     def __repr__(self):
         return self.name
 
 
-@dataclass(frozen=True)
 class FunctionSymbol:
-    """An abstract function with a declared, ordered argument list."""
+    """An abstract function with a declared, ordered argument list; equal
+    by name and arguments, so a dict key."""
 
-    name: str
-    args: tuple[Symbol, ...]
+    def __init__(self, name: str, args: tuple[Symbol, ...]):
+        self.name, self.args = name, args
+
+    def __eq__(self, other):
+        if other.__class__ is not FunctionSymbol:
+            return NotImplemented
+        return self.name == other.name and self.args == other.args
+
+    def __hash__(self):
+        return hash((self.name, self.args))
 
     def __repr__(self):
         return f"{self.name}({', '.join(a.name for a in self.args)})"
@@ -57,18 +72,18 @@ def _check_identifier(name: str):
         raise SymbolError(f"{name!r} is a reserved operator symbol")
 
 
-@dataclass
 class Workspace:
     """Ordered registry of symbols.  Registration freezes before use."""
 
-    variables: list[Symbol] = field(default_factory=list)
-    constants: list[Symbol] = field(default_factory=list)
-    functions: dict[str, FunctionSymbol] = field(default_factory=dict)
-    frozen: bool = False
-    _by_name: dict[str, object] = field(default_factory=dict, repr=False)
-    # atom key -> (canonical signature, normal form of an exp/ln/sqrt
-    # argument or None), filled by ratform.atom_signature
-    signatures: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self):
+        self.variables: list[Symbol] = []
+        self.constants: list[Symbol] = []
+        self.functions: dict[str, FunctionSymbol] = {}
+        self.frozen = False
+        self._by_name: dict[str, object] = {}
+        # atom key -> (canonical signature, normal form of an exp/ln/sqrt
+        # argument or None), filled by ratform.atom_signature
+        self.signatures: dict = {}
 
     def _register(self, name: str):
         _check_identifier(name)

@@ -9,7 +9,6 @@ oracle that pins the sign conventions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import expr as ex
 from .calculus import substitute
@@ -43,18 +42,16 @@ class InvalidChangeError(InputError):
     pass
 
 
-@dataclass
 class CoordinateChange:
     """u = phi(v) with an explicitly supplied inverse v = phi^{-1}(u)."""
 
-    src_ws: Workspace            # u side
-    dst_ws: Workspace            # v side
-    forward: list[ex.Expr]       # phi^i, expressions over dst_ws
-    inverse: list[ex.Expr]       # (phi^{-1})^i, expressions over src_ws
-
-    def __post_init__(self):
-        if len(self.forward) != len(self.inverse):
+    def __init__(self, src_ws: Workspace, dst_ws: Workspace,
+                 forward: list[ex.Expr], inverse: list[ex.Expr]):
+        if len(forward) != len(inverse):
             raise InvalidChangeError("forward/inverse arity mismatch")
+        self.src_ws, self.dst_ws = src_ws, dst_ws  # u side, v side
+        self.forward = forward  # phi^i, expressions over dst_ws
+        self.inverse = inverse  # (phi^{-1})^i, expressions over src_ws
 
     @property
     def n(self) -> int:

@@ -14,7 +14,6 @@ whose residuals are all rational never loads it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as ex
@@ -48,11 +47,18 @@ INCONCLUSIVE = "inconclusive"
 _ZEROISH = (PROVEN_ZERO, PROBABLY_ZERO)
 
 
-@dataclass(frozen=True)
 class Verdict:
-    kind: str
-    samples: int = 0
-    witness: dict | None = None
+    __slots__ = ("kind", "samples", "witness")
+
+    def __init__(self, kind: str, samples: int = 0,
+                 witness: dict | None = None):
+        self.kind, self.samples, self.witness = kind, samples, witness
+
+    def __eq__(self, other):
+        if other.__class__ is not Verdict:
+            return NotImplemented
+        return (self.kind, self.samples, self.witness) == (
+            other.kind, other.samples, other.witness)
 
     @property
     def is_zero_verdict(self) -> bool:
@@ -95,22 +101,36 @@ def overall_result(kinds) -> str:
     return worst
 
 
-@dataclass(frozen=True)
+# the fewest bits a sample is evaluated with: _near_zero's tolerance is
+# 2^-(precision//2) of the value's scale, so a coarse one reads nonzero
+# values as zero
+MIN_PRECISION = 24
+
+
 class ZeroTestPolicy:
-    samples: int = 20
-    seed: int = 0
-    precision: int = 64
-    max_retries: int = 200
+    """How forms are sampled.  A policy that samples nothing, or too
+    coarsely to tell a value from zero, would pass any form: it is an
+    input error."""
+
+    def __init__(self, samples: int = 20, seed: int = 0,
+                 precision: int = 64, max_retries: int = 200):
+        if samples < 1:
+            raise InputError(f"samples must be at least 1, got {samples}")
+        if precision < MIN_PRECISION:
+            raise InputError(f"precision must be at least {MIN_PRECISION} "
+                             f"bits, got {precision}")
+        self.samples, self.seed = samples, seed
+        self.precision, self.max_retries = precision, max_retries
 
 
 DEFAULT_POLICY = ZeroTestPolicy()
 
 
-@dataclass
 class Point:
     """Exact assignment of variables."""
 
-    values: dict[Symbol, Fraction]
+    def __init__(self, values: dict[Symbol, Fraction]):
+        self.values = values
 
 
 def evaluate(e: ex.Expr, point: Point, precision: int = 64):

@@ -385,6 +385,55 @@ def test_catalog_verify_summary_when_a_fact_contradicts_the_label(capsys):
     assert doc["notes"][0]["value"].startswith("proven_pass;")
 
 
+POLICY_REPRO = ["catalog", "verify", "APP/rk2_2D_1", "--set", "p=exp(u1)"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["catalog", "verify", "T2.7/rank2_P_6", "--kappa", "1/0"],
+     "--kappa: 1/0 is not a rational number"),
+    (["--samples", "0"] + POLICY_REPRO, "samples must be at least 1, got 0"),
+    (["--samples", "-3"] + POLICY_REPRO,
+     "samples must be at least 1, got -3"),
+    (["--precision", "0"] + POLICY_REPRO,
+     "precision must be at least 24 bits, got 0"),
+    (["--precision", "1"] + POLICY_REPRO,
+     "precision must be at least 24 bits, got 1"),
+], ids=["kappa-zero-denominator", "samples-0", "samples-negative",
+        "precision-0", "precision-1"])
+def test_bad_parameter_exits_3(capsys, argv, message):
+    """A --kappa that is no rational, and a zero-test policy that samples
+    nothing or cannot tell a value from zero, are input errors.  Such a
+    policy once turned the failing APP/rk2_2D_1 repro into a probable
+    pass."""
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
+def test_unwritable_export_exits_3(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    assert main(["catalog", "export", "P_gas", "-o", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"input error: cannot write {path}: "
+                            "No such file or directory\n")
+
+
+def test_unwritable_emit_exits_3(tmp_path, gas_file, capsys):
+    change = tmp_path / "change.json"
+    change.write_text(json.dumps({
+        "forward": {"u1": "v1", "u2": "v2", "u3": "v3"},
+        "inverse": {"v1": "u1", "v2": "u2", "v3": "u3"},
+    }))
+    assert main(["transform", gas_file, str(change),
+                 "--emit", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"input error: cannot write {tmp_path}: "
+                            "Is a directory\n")
+
+
 def test_exp_tower_exits_without_traceback(tmp_path):
     # six nested exp outgrow memory at most sample points; the CLI runs in
     # a child process whose address space is capped at 1.5 GB

@@ -25,8 +25,10 @@ from hydroham.ratform import (
     derivation_context,
     to_rational_form,
 )
+from hydroham.symbols import InputError
 from hydroham.zerotest import (
     MAX_EXP_ARG,
+    MIN_PRECISION,
     EvaluationError,
     SingularPointError,
     verdict_for_ratform,
@@ -217,3 +219,14 @@ def test_witness_lists_only_what_the_form_uses(ws3):
     v = is_zero(parse("f(u2, exp(u1)) + sqrt(u3)", ws3), ws3)
     assert v.kind == "probably_nonzero"
     assert set(v.witness) == {"u3", "f[0,0](u2,exp(u1))"}, v.witness
+
+
+@pytest.mark.parametrize("kwargs", [{"samples": 0}, {"samples": -3},
+                                    {"precision": MIN_PRECISION - 1}])
+def test_vacuous_policy_is_an_input_error(kwargs):
+    """A policy that samples nothing, or at a precision whose tolerance
+    reads a nonzero value as zero, would make every sampled verdict a
+    pass."""
+    with pytest.raises(InputError):
+        ZeroTestPolicy(**kwargs)
+    assert ZeroTestPolicy(samples=1, precision=MIN_PRECISION).samples == 1

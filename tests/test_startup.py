@@ -19,14 +19,22 @@ from hydroham.fileio import dump_operator
 from test_cli import _child_env
 from test_golden import CHECK_ENTRY, GOLDEN
 
+# standard-library modules a cold call need not pay for: `dataclasses`
+# imports `inspect`, which imports `ast`, `dis` and `tokenize` (10 ms), and
+# each @dataclass then compiles its generated methods with `exec` (another
+# 10 ms); `typing` takes 5 ms
+HEAVY = ("dataclasses", "inspect", "typing")
+
 # argv (a JSON list of --format json argument lists) -> one JSON line: the
 # third-party modules loaded after importing hydroham.cli, then, for each
 # command, its exit code, stdout length and SHA-256, the third-party
-# modules loaded so far and the hydroham submodules loaded so far
+# modules loaded so far, the hydroham submodules loaded so far and the
+# HEAVY modules loaded so far
 CHILD = """
 import contextlib, hashlib, io, json, sys
 
 start = set(sys.modules)
+HEAVY = %r
 
 
 def third_party():
@@ -50,18 +58,38 @@ for argv in json.loads(sys.argv[1]):
         code = main(["--format", "json"] + argv)
     out = buf.getvalue().encode()
     rows.append([code, len(out), hashlib.sha256(out).hexdigest(),
-                 third_party(), own()])
+                 third_party(), own(),
+                 [m for m in HEAVY if m in sys.modules and m not in start]])
 print(json.dumps({"mpmath_at_start": "mpmath" in start,
                   "after_import": after_import, "rows": rows}))
-"""
+""" % (HEAVY,)
+
+# -> one JSON line: the hydroham submodules and the HEAVY modules that
+# importing every submodule of hydroham loads
+IMPORT_ALL = """
+import importlib, json, os, sys
+
+start = set(sys.modules)
+import hydroham
+
+for name in sorted(os.listdir(hydroham.__path__[0])):
+    if name.endswith(".py") and name != "__init__.py":
+        importlib.import_module("hydroham." + name[:-3])
+print(json.dumps([sorted(m for m in sys.modules if m.startswith("hydroham.")),
+                  [m for m in %r if m in sys.modules and m not in start]]))
+""" % (HEAVY,)
+
+
+def _child(script, *args, cwd=None):
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], cwd=cwd,
+        env=_child_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def _cold(commands, cwd):
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(commands)], cwd=cwd,
-        env=_child_env(), capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
+    result = _child(CHILD, json.dumps(commands), cwd=cwd)
     assert not result["mpmath_at_start"]
     return result
 
@@ -93,7 +121,7 @@ def test_sampled_verdict_imports_mpmath_when_needed(inputs):
     """The exp(u2) pencil is the one golden case whose verdicts sample."""
     result = _cold([["pencil", "rank1_exp.json"]], inputs)
     assert result["after_import"] == []
-    code, size, digest, loaded, _own = result["rows"][0]
+    code, size, digest, loaded, _own, _heavy = result["rows"][0]
     assert (code, size, digest) == GOLDEN["pencil-exp-witness"]
     assert "mpmath" in loaded
 
@@ -117,7 +145,16 @@ def test_command_loads_only_its_modules(inputs, name):
     """Each command runs alone in a fresh child, so what it loads is not
     hidden by an earlier command."""
     result = _cold([COMMANDS[name]], inputs)
-    code, _size, _digest, _third, own = result["rows"][0]
+    code, _size, _digest, _third, own, heavy = result["rows"][0]
     assert code in (0, 1), code
     assert NOT_LOADED[name].isdisjoint(own), own
     assert "operators" in own or name == "fkt", own
+    assert heavy == [], heavy
+
+
+def test_no_module_loads_a_heavy_stdlib_module():
+    """The value types are plain classes: no hydroham submodule imports
+    dataclasses (so none loads inspect) or typing."""
+    own, heavy = _child(IMPORT_ALL)
+    assert "hydroham.transform" in own and "hydroham.cli" in own, own
+    assert heavy == [], heavy
