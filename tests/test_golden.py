@@ -33,6 +33,12 @@ EXP_DENSITY = {"h": "u1*u2*u3 + exp(u2)"}
 LEGENDRE = {"h": "1/2*rho*(u^2 + v^2) + 1/2*rho^2",
             "inverse": "rhot - 1/2*(u^2 + v^2)"}
 CHECK_ENTRY = "T2.7/rank2_P_1/1"
+# an m = 2 reduction of the gas system whose residuals do not all vanish,
+# with commuting-flow speeds v, so that failing residual text and the
+# hodograph notes are in the report
+CANDIDATE = {"m": 2, "u": ["R1", "R2", "R1*R2"],
+             "lambda": ["R1", "R2/(1+R1)"], "mu": ["R1^2", "exp(R2)"],
+             "v": ["R2", "2*R1"]}
 
 # name -> argv after `--format json`; the file after `--emit` is emitted
 CASES = {
@@ -57,6 +63,8 @@ CASES = {
     "fkt-nondiagonal": ["fkt", "fkt_nondiagonal.json"],
     "legendre": ["legendre", "legendre.json"],
     "catalog-verify": ["catalog", "verify", CHECK_ENTRY],
+    "reduction-candidate": ["reduction", "gas.json", "h.json",
+                            "candidate.json", "--at", "R1=2,R2=3"],
 }
 
 # name -> (exit code, stdout length, stdout sha256[, emitted file sha256])
@@ -85,6 +93,8 @@ GOLDEN = {
         "51d89314d19d135307d5acc23ebe704369f2c5ea798f98d3d4369e238b86a3db"),
     "pencil-gas-flip-compatibility": (1, 98280,
         "c537d2b31d6430f65617db81672a6cbea07942f8d48ee15f8a3270ec1ea1746b"),
+    "reduction-candidate": (1, 3201,
+        "a9ef74d11090d8127672dd6eedf5ead5a79e928af3658242485072084b715290"),
     "system-abstract-exp": (0, 760,
         "f4d8306ba203cf90362ed7f52b20d811823aa871da8afdd8e9b053ed3f9644f9"),
     "system-classify": (0, 774,
@@ -167,6 +177,11 @@ VERDICTS = {
         "trivial pair",
     ), 489,
         "db89171a06462e93a4615e1701c516fe1494b6391f27ca546229e66d2bebff7c"),
+    "reduction-candidate": (1, (
+        "hodograph residual at point, i=1",
+        "hodograph residual at point, i=2",
+    ), 12,
+        "a106e63d82c2fc64fdc740036a87bb6cf4e9447c274f5df4e18dacbb53ac7676"),
     "system-abstract-exp": (0, (
         "A[1]",
         "A[2]",
@@ -237,6 +252,7 @@ def _make_inputs():
     _write("fkt_quartic.json", {"f": "a^4 + b^2 + c^2"})
     _write("fkt_nondiagonal.json", {"f": "a*b*c + a^3"})
     _write("legendre.json", LEGENDRE)
+    _write("candidate.json", CANDIDATE)
 
 
 def _digest(data: bytes) -> str:
