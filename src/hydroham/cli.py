@@ -35,7 +35,6 @@ from .fileio import (
     read_json,
 )
 from .poly import HeuristicGCDFailed
-from .ratform import normalize
 from .symbols import InputError
 from .zerotest import (
     InconclusiveError,
@@ -59,8 +58,7 @@ _OVERALL_EXIT = {
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
+        print(f"input error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
 
 
@@ -433,9 +431,7 @@ def _cmd_reduction(args, policy) -> int:
         symbolic, numeric = hodograph_residual(
             cand, point, coords["t"], coords["x"], coords["y"], policy)
         residuals += [("hodograph", *c) for c in symbolic]
-    _add_report_records(report, [
-        _record(name, idx, normalize(residual, cand.ws), policy)
-        for name, idx, residual in residuals])
+    _add_report_records(report, (_record(*r, policy) for r in residuals))
     for i, value in numeric:
         report.note(f"hodograph residual at point, i={i}", str(value))
     return report.finish()

@@ -12,7 +12,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import expr as ex
-from .calculus import differentiate, substitute
+from .calculus import substitute
 from .operators import (
     HydroOperator,
     _flatten,
@@ -165,9 +165,15 @@ class ReductionCandidate:
         return self.ws.variables[: self.m]
 
 
+def _speed_forms(c: ReductionCandidate, *families) -> list:
+    """Lists of Exprs in R as forms of one derivation context over R."""
+    ctx = derivation_context(c.ws, c.r_vars, [(sum(families, []), 1)])
+    return [[to_rational_form(e, ctx) for e in fam] for fam in families]
+
+
 def commutativity_residual(c: ReductionCandidate,
                            policy: ZeroTestPolicy = DEFAULT_POLICY):
-    """Cleared-denominator commutation constraints
+    """Cleared-denominator commutation constraints, as forms over R:
     d_j lam^i (mu^j - mu^i) - d_j mu^i (lam^j - lam^i), i != j.  Each
     unordered pair of speeds is tested once for coinciding."""
     if c.m < 2:
@@ -179,56 +185,52 @@ def commutativity_residual(c: ReductionCandidate,
                 raise DegenerateCandidateError(
                     f"speeds {i + 1} and {j + 1} coincide"
                 )
-    return [((i + 1, j + 1), _cleared_commutator(c.lam, c.mu, c.r_vars, i, j))
+    lam, mu = _speed_forms(c, c.lam, c.mu)
+    return [((i + 1, j + 1), _cleared_commutator(lam, mu, i, j))
             for i in range(c.m) for j in range(c.m) if i != j]
 
 
-def _cleared_commutator(X, Y, R, i: int, j: int) -> ex.Expr:
-    """d_j X^i (Y^j - Y^i) - d_j Y^i (X^j - X^i): the flows of speeds X and
-    Y commute iff it vanishes for all i != j."""
-    return ex.add(
-        ex.mul(differentiate(X[i], R[j]), ex.add(Y[j], ex.neg(Y[i]))),
-        ex.neg(ex.mul(differentiate(Y[i], R[j]), ex.add(X[j], ex.neg(X[i])))),
-    )
+def _cleared_commutator(X, Y, i: int, j: int):
+    """d_j X^i (Y^j - Y^i) - d_j Y^i (X^j - X^i) for speed forms X and Y:
+    their flows commute iff it vanishes for all i != j."""
+    d = X[i].ctx.deriv[j]
+    return d(X[i]) * (Y[j] - Y[i]) - d(Y[i]) * (X[j] - X[i])
 
 
 def reduction_residual(c: ReductionCandidate, sys: QuasilinearSystem):
     """(E + lam^i A + mu^i B) d_i u after substituting u = u(R); n*m
-    expressions over the R variables."""
+    rational forms of one derivation context over R."""
     n = sys.n
-    u_vars = sys.ws.variables[:n]
-    binding = dict(zip(u_vars, c.u))
-    A = [[substitute(sys.A[i][k], binding) for k in range(n)]
-         for i in range(n)]
-    B = [[substitute(sys.B[i][k], binding) for k in range(n)]
-         for i in range(n)]
+    binding = dict(zip(sys.ws.variables[:n], c.u))
+    A, B = _map_nested([sys.A, sys.B], lambda e: substitute(e, binding))
+    ctx = derivation_context(c.ws, c.r_vars, [
+        (c.u, 1), (list(_flatten([A, B])) + c.lam + c.mu, 0)])
+    conv = lambda e: to_rational_form(e, ctx)
+    U, A, B, lam, mu = (_map_nested(t, conv) for t in (c.u, A, B, c.lam, c.mu))
     out = []
-    for i in range(c.m):
-        du = [differentiate(c.u[a], c.r_vars[i]) for a in range(n)]
+    for i, d in enumerate(ctx.deriv):
+        du = [d(x) for x in U]
         for row in range(n):
-            terms = [du[row]]
-            for k in range(n):
-                if du[k] == ex.ZERO:
-                    continue
-                terms.append(ex.mul(c.lam[i], A[row][k], du[k]))
-                terms.append(ex.mul(c.mu[i], B[row][k], du[k]))
-            out.append(((i + 1, row + 1), ex.add(*terms)))
+            out.append(((i + 1, row + 1), sum(
+                ((lam[i] * A[row][k] + mu[i] * B[row][k]) * du[k]
+                 for k in range(n) if not du[k].is_zero), du[row])))
     return out
 
 
 def hodograph_residual(c: ReductionCandidate, point: dict, t, x, y,
                        policy: ZeroTestPolicy = DEFAULT_POLICY):
-    """Symbolic residuals of the commuting-flow linear system for v^i, and
-    numeric residuals v^i(R0) - x - lam^i t - mu^i y at the given point."""
+    """Residual forms over R of the commuting-flow linear system for v^i,
+    and numeric residuals v^i(R0) - x - lam^i t - mu^i y at the point."""
     if c.v is None:
         raise HamsysError("candidate carries no commuting-flow speeds v")
     R = c.r_vars
+    v, lam, mu = _speed_forms(c, c.v, c.lam, c.mu)
     # d_j v^i (lam^j - lam^i) = d_j lam^i (v^j - v^i), and the same against
     # the mu family
     symbolic = [
-        ((i + 1, j + 1, fam_name), _cleared_commutator(c.v, fam, R, i, j))
+        ((i + 1, j + 1, fam_name), _cleared_commutator(v, fam, i, j))
         for i in range(c.m) for j in range(c.m) if i != j
-        for fam_name, fam in (("lam", c.lam), ("mu", c.mu))
+        for fam_name, fam in (("lam", lam), ("mu", mu))
     ]
     pt = Point(values={R[i]: Fraction(point[R[i].name])
                        for i in range(c.m)})

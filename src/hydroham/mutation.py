@@ -58,7 +58,7 @@ def mutants(op: HydroOperator):
     equal entries are not swapped.  Entries are compared as the normal
     forms of ``op.forms``.  Each mutant's forms are its parent's, with the
     changed entries of B (and later DB) scaled or swapped, so a mutant
-    converts and differentiates nothing of its own."""
+    converts nothing and takes no derivative of its own."""
     B = op.forms.B
     rng = range(op.n)
     for a in range(op.d):

@@ -207,7 +207,7 @@ class OperatorForms:
     """The entries of an operator as rational forms of one derivation
     context over its variables, whose atoms are closed under the
     derivatives the relations take: those of g to first order, those of b
-    to second (a7 differentiates the a5 brackets, which hold g and d b).
+    to second (a7 takes d_k of the a5 brackets, which hold g and d b).
 
     G[a][i][j] = g^{ij a} and B[a][i][j][k] = b^{ij a}_k are the dense
     tables; the context holds the ring derivations d/du^k (``ctx.deriv``).
@@ -218,8 +218,8 @@ class OperatorForms:
     in a few b entries, each a rational multiple of an entry of this b (a
     sign flip, a scaling or a swap).  They share the context, the
     derivations, G and DG; their B, and their DB when first needed, are
-    this B and DB with the edited entries scaled, so nothing is converted
-    or differentiated again."""
+    this B and DB with the edited entries scaled, so no entry is converted
+    or derived again."""
 
     def __init__(self, ctx, G: list, B: list,
                  base: "OperatorForms | None" = None, edits=()):
@@ -291,7 +291,7 @@ class MokhovChecker:
     nothing: the forms are the operator's, converted once per operator (a
     mutant's are its parent's, edited).  DG and DB are built when first
     needed and kept with the forms; the checker's own tables are built on
-    first use, so a check that stops at a2 never differentiates b."""
+    first use, so a check that stops at a2 never takes d b."""
 
     def __init__(self, op: HydroOperator):
         self.op = op

@@ -4,18 +4,19 @@ The extended variable set is the workspace's variables and constants in
 registration order, followed by one opaque generator per distinct atom
 (abstract-function derivative atoms and exp/ln/sqrt applications), ordered
 by a canonical signature.  Monomial order is graded reverse lexicographic.
-Polynomial arithmetic is done in the sparse rings over QQ of ``poly``.
+Polynomial arithmetic and derivatives are done in the sparse rings over QQ
+of ``poly``: an atom's derivative follows the chain rule over its argument
+forms, which live in the same context.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations_with_replacement
 
 from . import expr as ex
-from .calculus import differentiate
 from .poly import PolyRing
 from .symbols import InputError, Symbol, Workspace
 
@@ -86,12 +87,11 @@ class PolyContext:
 
     @cached_property
     def arg_forms(self) -> dict:
-        """{index: normal form of the argument} of the exp/ln/sqrt
-        generators, as ``atom_signature`` kept them."""
-        table = self.ws.signatures
-        return {self.n_vars + i: table[self.atom_exprs[sig].key()][1]
-                for i, sig in enumerate(self.atom_sigs)
-                if isinstance(self.atom_exprs[sig], ex.Call)}
+        """{index: the argument as a form of this context} of the
+        exp/ln/sqrt generators; the context holds the atoms nested in them."""
+        atoms = map(self.atom_exprs.get, self.atom_sigs)
+        return {self.n_vars + i: to_rational_form(atom.arg, self)
+                for i, atom in enumerate(atoms) if isinstance(atom, ex.Call)}
 
     def gen_expr(self, index: int) -> ex.Expr:
         """The Expr a ring generator stands for."""
@@ -222,27 +222,28 @@ def atom_signature(atom: ex.Expr, ws: Workspace) -> str:
     """A canonical string identifying an atom up to rational-function
     equality of its arguments.
 
-    Signatures are kept in the workspace's table, each with the normal
-    form of the argument of an exp/ln/sqrt atom (None for an abstract
-    atom), which the sampler evaluates (``PolyContext.arg_forms``).  A
-    stored signature stays valid: it prints only the symbols it uses, so
-    registering more symbols cannot change it."""
+    Signatures are kept in the workspace's table.  A stored signature stays
+    valid: it prints only the symbols it uses, so registering more symbols
+    cannot change it.  ln of a rational constant <= 0 and sqrt of one < 0
+    are not real, so they are input errors."""
     key = atom.key()
-    entry = ws.signatures.get(key)
-    if entry is not None:
-        return entry[0]
+    sig = ws.signatures.get(key)
+    if sig is not None:
+        return sig
     if isinstance(atom, ex.Call):
         arg = _normalize(atom.arg, ws)
-        entry = f"{atom.fn}({_canonical_string(arg)})", arg
+        sig = f"{atom.fn}({_canonical_string(arg)})"
+        if atom.fn != "exp" and set(arg.num) <= {arg.ctx.ring.zero_monom} \
+                and (arg.num.LC < 0 or atom.fn == "ln" and arg.is_zero):
+            raise NormalizeError(f"{sig} is outside the real domain")
     elif isinstance(atom, ex.FuncAtom):
         args = ",".join(_canonical_string(_normalize(a, ws))
                         for a in atom.args)
-        entry = (f"{atom.func.name}[{','.join(map(str, atom.deriv))}]"
-                 f"({args})", None)
+        sig = f"{atom.func.name}[{','.join(map(str, atom.deriv))}]({args})"
     else:
         raise NormalizeError(f"not an atom: {atom}")
-    ws.signatures[key] = entry
-    return entry[0]
+    ws.signatures[key] = sig
+    return sig
 
 
 def _canonical_string(rf: RationalForm) -> str:
@@ -264,35 +265,33 @@ def derivation_context(ws: Workspace, variables, parts) -> PolyContext:
     """A context whose atoms are closed under partial derivatives, with its
     derivations d/dv for the v in ``variables`` (``ctx.deriv``).
 
-    ``parts`` is a list of (exprs, order): the atoms of the exprs and of
-    their partial derivatives in ``variables`` up to that order all get a
-    generator.  The derivatives are found by differentiating the atoms
-    themselves, one representative per signature, which is the atom
-    ``Derivation`` differentiates later.
+    ``parts`` is a list of (exprs, order).  Each atom of the exprs, nested
+    ones included, gets a generator, and so does each partial derivative of
+    an abstract atom up to that order, taken in the arguments that hold one
+    of ``variables``: these are the atoms the chain rule of ``Derivation``
+    meets up to that order.  The first atom of a signature stands for it.
     """
-    reps: dict[str, ex.Expr] = {}
-    done: dict[str, int] = {}   # signature -> derivative order covered
-    todo: deque = deque()
-
-    def visit(exprs, order):
+    vs = set(variables)
+    entries: dict[str, ex.Expr] = {}
+    for exprs, order in parts:
+        found: dict[str, ex.Expr] = {}
         for e in exprs:
             for atom in ex.atoms(e):
-                sig = atom_signature(atom, ws)
-                reps.setdefault(sig, atom)
-                todo.append((sig, order))
-
-    for exprs, order in parts:
-        visit(exprs, order)
-        while todo:
-            sig, k = todo.popleft()
-            if done.get(sig, -1) >= k:
+                found.setdefault(atom_signature(atom, ws), atom)
+        for sig, atom in found.items():
+            entries.setdefault(sig, atom)
+        for sig in found:
+            atom = entries[sig]
+            if not (order and isinstance(atom, ex.FuncAtom)):
                 continue
-            done[sig] = k
-            if k:
-                visit([differentiate(reps[sig], v) for v in variables], k - 1)
-    # atoms come outermost first, so each representative is also the first
-    # atom of its signature that build_context meets
-    ctx = build_context(ws, list(reps.values()))
+            slots = [t for t, a in enumerate(atom.args)
+                     if vs & ex.free_symbols(a)]
+            for k in range(1, order + 1):
+                for picks in combinations_with_replacement(slots, k):
+                    partial = ex.FuncAtom(atom.func, atom.args, [
+                        d + picks.count(t) for t, d in enumerate(atom.deriv)])
+                    entries.setdefault(atom_signature(partial, ws), partial)
+    ctx = PolyContext(ws, list(entries.items()))
     ctx.deriv = [Derivation(ctx, v) for v in variables]
     return ctx
 
@@ -365,12 +364,12 @@ class Derivation:
     """The partial derivative d/dv on the rational forms of one context.
 
     A generator's derivative is worked out on first use and cached: 1 or 0
-    for a variable or constant, and the normal form of the differentiated
-    atom for an atom generator (the next abstract-derivative atom times the
-    chain factor, exp(a)*a', a'/a or a'/(2*sqrt(a))).  The context must hold
-    the atoms of those derivatives; ``derivation_context`` builds one that
-    does.  Polynomials follow the chain rule over generators, quotients the
-    quotient rule.
+    for a variable or constant, and for an atom generator the chain rule
+    over its argument forms a: exp(a)*a', a'/a, a'/(2*sqrt(a)), or
+    sum_t f_{+e_t}(args)*a_t' for an abstract atom f, whose partial
+    f_{+e_t} bumps the t-th derivative order.  The context must hold those
+    partials; ``derivation_context`` builds one that does.  Polynomials
+    follow the chain rule over generators, quotients the quotient rule.
     """
 
     def __init__(self, ctx: PolyContext, v: Symbol):
@@ -386,10 +385,32 @@ class Derivation:
                 hit = (ctx.one if ctx.var_names[index] == self.v.name
                        else ctx.zero)
             else:
-                hit = to_rational_form(
-                    differentiate(ctx.gen_expr(index), self.v), ctx)
+                hit = self._atom(index)
             self._gens[index] = hit
         return hit
+
+    def _atom(self, index: int) -> RationalForm:
+        """sum_t (d atom/d a_t) * a_t' over the argument forms a_t of an atom
+        generator with a_t' != 0, with no product where a_t' is 1."""
+        ctx, ring = self.ctx, self.ctx.ring
+        atom = ctx.gen_expr(index)
+        terms = []
+        if isinstance(atom, ex.Call):
+            a, x = ctx.arg_forms[index], ring.gens[index]
+            da = self(a)
+            if not da.is_zero:
+                num, den = {"exp": (x, ring.one), "ln": (a.den, a.num),
+                            "sqrt": (ring.one, x.mul_ground(2))}[atom.fn]
+                terms.append((RationalForm(num, den, ctx), da))
+        else:
+            for t, arg in enumerate(atom.args):
+                da = self(to_rational_form(arg, ctx))
+                if not da.is_zero:
+                    deriv = [d + (s == t) for s, d in enumerate(atom.deriv)]
+                    terms.append((to_rational_form(ex.FuncAtom(
+                        atom.func, atom.args, deriv), ctx), da))
+        forms = [f if da == ctx.one else f * da for f, da in terms]
+        return sum(forms[1:], forms[0]) if forms else ctx.zero
 
     def poly(self, p) -> RationalForm:
         """d/dv of a polynomial: sum over its generators x of
@@ -398,7 +419,7 @@ class Derivation:
         ctx = self.ctx
         ring = ctx.ring
         acc = ring.zero
-        frac = ctx.zero
+        fracs = []
         for index, degree in enumerate(p.degrees()):
             if degree <= 0:
                 continue
@@ -409,8 +430,8 @@ class Derivation:
             if dx.den == ring.one:
                 acc = acc + dp * dx.num
             else:
-                frac = frac + RationalForm(dp, ring.one, ctx, reduced=True) * dx
-        return RationalForm(acc, ring.one, ctx, reduced=True) + frac
+                fracs.append(RationalForm(dp, ring.one, ctx, reduced=True) * dx)
+        return sum(fracs, RationalForm(acc, ring.one, ctx, reduced=True))
 
     def __call__(self, rf: RationalForm) -> RationalForm:
         dnum = self.poly(rf.num)

@@ -81,8 +81,7 @@ class Workspace:
         self.functions: dict[str, FunctionSymbol] = {}
         self.frozen = False
         self._by_name: dict[str, object] = {}
-        # atom key -> (canonical signature, normal form of an exp/ln/sqrt
-        # argument or None), filled by ratform.atom_signature
+        # atom key -> canonical signature, filled by ratform.atom_signature
         self.signatures: dict = {}
 
     def _register(self, name: str):

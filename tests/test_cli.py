@@ -411,6 +411,61 @@ def test_bad_parameter_exits_3(capsys, argv, message):
     assert captured.err == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["catalog", "verify", "T2.7/rank2_P_6", "--eps", "abc"],
+     "argument --eps: invalid int value: 'abc'"),
+    (["--samples", "x", "check", "gas.json"],
+     "argument --samples: invalid int value: 'x'"),
+    (["check"], "the following arguments are required: operator"),
+    (["reduction", "op.json", "h.json"],
+     "the following arguments are required: candidate"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    (["--bogus-flag", "check", "x.json"],
+     "unrecognized arguments: --bogus-flag"),
+], ids=["eps-not-int", "samples-not-int", "missing-operator",
+        "missing-candidate", "unknown-command", "unknown-flag"])
+def test_argument_errors_print_one_line(capsys, argv, message):
+    """argparse's own errors exit 3 with one input-error line and no usage
+    block."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {message}")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("ln(0)", "ln(0)"), ("sqrt(-1)", "sqrt(-1)"), ("ln(u1 - u1)", "ln(0)"),
+    ("u1*ln(-2)", "ln(-2)"), ("sqrt(-1/2) + u2", "sqrt(-1/2)"),
+])
+def test_constant_atom_outside_its_domain_exits_3(tmp_path, capsys, entry,
+                                                  message):
+    """A constant exp/ln/sqrt argument outside the real domain is an input
+    error, as 1/0 is; the check was once sampled to an inconclusive
+    exit 2."""
+    doc = dump_operator(catalog.instantiate("P_gas")[0])
+    doc["metrics"]["x"][2][2] = entry
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"input error: {message} is outside the real "
+                            "domain\n")
+
+
+@pytest.mark.parametrize("entry", ["sqrt(0)", "ln(2)", "ln(-u1)"])
+def test_constant_atom_inside_its_domain_is_accepted(tmp_path, capsys, entry):
+    doc = dump_operator(catalog.instantiate("P_gas")[0])
+    doc["metrics"]["x"][2][2] = entry
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) in (0, 1, 2)
+    assert "input error" not in capsys.readouterr().err
+
+
 def test_unwritable_export_exits_3(tmp_path, capsys):
     path = tmp_path / "missing" / "x.json"
     assert main(["catalog", "export", "P_gas", "-o", str(path)]) == 3

@@ -38,13 +38,14 @@ WS = make_ws()
 VARS = [WS.require_symbol(n) for n in ("u1", "u2", "u3")]
 
 # Atoms with default arguments, non-default arguments and nested atoms,
-# including atoms that differ only in which inner atom they hold.
+# including atoms that differ only in which inner atom they hold, and atoms
+# with arguments that hold no variable.
 ATOM_TEXTS = (
     "f", "f_2", "f_3", "f_23", "q", "q'", "q''",
     "f(u1, u2^2)", "q(u1*u2)", "q(1/(u1 - u3))", "f_2(u3, c1*u1)",
     "exp(u1)", "ln(u2)", "sqrt(u3)", "exp(u1*u2 + c1)",
     "f(u2*exp(u1), u3)", "q(ln(u2))", "q(ln(u3))", "exp(q)",
-    "sqrt(u1 + f)", "sqrt(u1 + f_2)",
+    "sqrt(u1 + f)", "sqrt(u1 + f_2)", "q(c1)", "f(c1, u1)", "exp(c1)",
 )
 ATOMS = [parse(t, WS) for t in ATOM_TEXTS]
 
@@ -146,6 +147,18 @@ def test_constants_and_other_variables_differentiate_to_zero(e, v):
     except ZeroDenominatorError:
         assume(False)
     assert d[v](rf).is_zero
+
+
+def test_no_partial_in_an_argument_without_a_variable():
+    """q(c1) depends on no variable, so its context holds no partial of
+    q; f(c1, u1) gets partials in its second argument only."""
+    ctx = derivation_context(WS, VARS, [([parse("q(c1)", WS)], 2)])
+    assert ctx.atom_sigs == ("q[0](c1)",)
+    assert all(d(to_rational_form(parse("q(c1)", WS), ctx)).is_zero
+               for d in ctx.deriv)
+    ctx = derivation_context(WS, VARS, [([parse("f(c1, u1)", WS)], 2)])
+    assert ctx.atom_sigs == ("f[0,0](c1,u1)", "f[0,1](c1,u1)",
+                             "f[0,2](c1,u1)")
 
 
 @SETTINGS

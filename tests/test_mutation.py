@@ -93,10 +93,12 @@ def test_mutants_are_not_checked_again(count_calls):
     """A mutant's entries are its parent's or rational multiples of them,
     so mutants() walks no entry's free symbols (it made 22,092 such walks
     over the catalog when each mutant was checked as a new operator).  A
-    mutant shares its parent's g and, once built, its pencil."""
+    mutant shares its parent's g and, once built, its pencil.  The parents'
+    pencils and forms are built first: their derivation contexts look for
+    the arguments of abstract atoms that hold a variable."""
     parents = [catalog.instantiate(e.id)[0] for e in catalog.ENTRIES]
     for op in parents:
-        op.pencil
+        op.pencil, op.forms
     counts = count_calls((ex.free_symbols, "free_symbols", None))
     pairs = [(op, m) for op in parents for _, m in mutation.mutants(op)]
     assert len(pairs) == 339

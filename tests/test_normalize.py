@@ -1,5 +1,6 @@
 """Canonical rational forms, tri-state zero tests, evaluation."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from hydroham import (
 )
 from hydroham import expr as ex
 from hydroham.ratform import (
+    NormalizeError,
     coefficients_in,
     derivation_context,
     to_rational_form,
@@ -118,6 +120,24 @@ def test_normalize_reproducible(ws3):
     a = normalize(parse("(u1 + u2)^3/(u3*u1 - u2)", ws3), ws3)
     b = normalize(parse("(u2 + u1)*(u1 + u2)^2/(u1*u3 - u2)", ws3), ws3)
     assert str(a) == str(b)
+
+
+@pytest.mark.parametrize("text, atom", [
+    ("ln(0)", "ln(0)"), ("sqrt(-1)", "sqrt(-1)"), ("ln(u1 - u1)", "ln(0)"),
+    ("u1*ln(-2)", "ln(-2)"), ("exp(u1) + ln(-1/3)", "ln(-1/3)"),
+    ("sqrt(2*u2 - u2 - u2 - 5)", "sqrt(-5)"), ("q(ln(0))", "ln(0)"),
+])
+def test_constant_atom_outside_its_domain_raises(ws3, text, atom):
+    message = f"{atom} is outside the real domain"
+    with pytest.raises(NormalizeError, match=f"^{re.escape(message)}$"):
+        normalize(parse(text, ws3), ws3)
+
+
+@pytest.mark.parametrize("text", ["sqrt(0)", "ln(2)", "ln(-u1)", "exp(-1)",
+                                  "sqrt(1/4)", "ln(c1)", "sqrt(u1 - u1)"])
+def test_constant_atom_inside_its_domain_normalizes(ws3, text):
+    ws = ws3.derive(constants=["c1"]) if "c1" in text else ws3
+    assert not normalize(parse(text, ws), ws).is_zero
 
 
 def test_sampling_singularity_exhaustion(ws3):
