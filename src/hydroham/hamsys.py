@@ -34,7 +34,6 @@ from .zerotest import (
     Point,
     ZeroTestPolicy,
     evaluate,
-    is_zero,
     verdict_for_ratform,
 )
 
@@ -178,14 +177,14 @@ def commutativity_residual(c: ReductionCandidate,
     unordered pair of speeds is tested once for coinciding."""
     if c.m < 2:
         raise HamsysError("commutativity needs m >= 2")
+    lam, mu = _speed_forms(c, c.lam, c.mu)
     for i in range(c.m):
         for j in range(i + 1, c.m):
-            if is_zero(c.lam[i] - c.lam[j], c.ws, policy).is_zero_verdict or \
-               is_zero(c.mu[i] - c.mu[j], c.ws, policy).is_zero_verdict:
+            if any(verdict_for_ratform(f[i] - f[j], policy).is_zero_verdict
+                   for f in (lam, mu)):
                 raise DegenerateCandidateError(
                     f"speeds {i + 1} and {j + 1} coincide"
                 )
-    lam, mu = _speed_forms(c, c.lam, c.mu)
     return [((i + 1, j + 1), _cleared_commutator(lam, mu, i, j))
             for i in range(c.m) for j in range(c.m) if i != j]
 

@@ -71,6 +71,7 @@ class PolyContext:
         self.one = RationalForm(self.ring.one, self.ring.one, self,
                                 reduced=True)
         self.deriv: list = []
+        self._args: dict[int, tuple] = {}
 
     def gradient(self, rf) -> list:
         """[d(rf) for d in deriv]; a zero form is its own gradient."""
@@ -87,11 +88,17 @@ class PolyContext:
 
     @cached_property
     def arg_forms(self) -> dict:
-        """{index: the argument as a form of this context} of the
-        exp/ln/sqrt generators; the context holds the atoms nested in them."""
-        atoms = map(self.atom_exprs.get, self.atom_sigs)
-        return {self.n_vars + i: to_rational_form(atom.arg, self)
-                for i, atom in enumerate(atoms) if isinstance(atom, ex.Call)}
+        """{index: the argument form} of the exp/ln/sqrt generators."""
+        return {i: self.args(i)[0] for i in self.transcendental_gens
+                if isinstance(self.gen_expr(i), ex.Call)}
+
+    def args(self, index: int) -> tuple:
+        """An atom generator's argument forms, converted once per context."""
+        if index not in self._args:
+            atom = self.gen_expr(index)
+            args = atom.args if isinstance(atom, ex.FuncAtom) else (atom.arg,)
+            self._args[index] = tuple(to_rational_form(a, self) for a in args)
+        return self._args[index]
 
     def gen_expr(self, index: int) -> ex.Expr:
         """The Expr a ring generator stands for."""
@@ -233,8 +240,9 @@ def atom_signature(atom: ex.Expr, ws: Workspace) -> str:
     if isinstance(atom, ex.Call):
         arg = _normalize(atom.arg, ws)
         sig = f"{atom.fn}({_canonical_string(arg)})"
-        if atom.fn != "exp" and set(arg.num) <= {arg.ctx.ring.zero_monom} \
-                and (arg.num.LC < 0 or atom.fn == "ln" and arg.is_zero):
+        # a constant argument: no monomial of num or den has an exponent
+        if atom.fn != "exp" and not any(map(any, [*arg.num, *arg.den])) and (
+                arg.num.LC < 0 or atom.fn == "ln" and arg.is_zero):
             raise NormalizeError(f"{sig} is outside the real domain")
     elif isinstance(atom, ex.FuncAtom):
         args = ",".join(_canonical_string(_normalize(a, ws))
@@ -274,14 +282,9 @@ def derivation_context(ws: Workspace, variables, parts) -> PolyContext:
     vs = set(variables)
     entries: dict[str, ex.Expr] = {}
     for exprs, order in parts:
-        found: dict[str, ex.Expr] = {}
-        for e in exprs:
-            for atom in ex.atoms(e):
-                found.setdefault(atom_signature(atom, ws), atom)
-        for sig, atom in found.items():
-            entries.setdefault(sig, atom)
-        for sig in found:
-            atom = entries[sig]
+        found = [entries.setdefault(atom_signature(a, ws), a)
+                 for e in exprs for a in ex.atoms(e)]
+        for atom in dict.fromkeys(found):
             if not (order and isinstance(atom, ex.FuncAtom)):
                 continue
             slots = [t for t, a in enumerate(atom.args)
@@ -392,24 +395,21 @@ class Derivation:
     def _atom(self, index: int) -> RationalForm:
         """sum_t (d atom/d a_t) * a_t' over the argument forms a_t of an atom
         generator with a_t' != 0, with no product where a_t' is 1."""
-        ctx, ring = self.ctx, self.ctx.ring
-        atom = ctx.gen_expr(index)
-        terms = []
-        if isinstance(atom, ex.Call):
-            a, x = ctx.arg_forms[index], ring.gens[index]
+        ctx, one = self.ctx, self.ctx.ring.one
+        atom, x = ctx.gen_expr(index), ctx.ring.gens[index]
+        forms = []
+        for t, a in enumerate(ctx.args(index)):
             da = self(a)
-            if not da.is_zero:
-                num, den = {"exp": (x, ring.one), "ln": (a.den, a.num),
-                            "sqrt": (ring.one, x.mul_ground(2))}[atom.fn]
-                terms.append((RationalForm(num, den, ctx), da))
-        else:
-            for t, arg in enumerate(atom.args):
-                da = self(to_rational_form(arg, ctx))
-                if not da.is_zero:
-                    deriv = [d + (s == t) for s, d in enumerate(atom.deriv)]
-                    terms.append((to_rational_form(ex.FuncAtom(
-                        atom.func, atom.args, deriv), ctx), da))
-        forms = [f if da == ctx.one else f * da for f, da in terms]
+            if da.is_zero:
+                continue
+            if isinstance(atom, ex.Call):
+                f = RationalForm(*{
+                    "exp": (x, one), "ln": (a.den, a.num),
+                    "sqrt": (one, x.mul_ground(2))}[atom.fn], ctx)
+            else:
+                f = to_rational_form(ex.FuncAtom(atom.func, atom.args, [
+                    d + (s == t) for s, d in enumerate(atom.deriv)]), ctx)
+            forms.append(f if da == ctx.one else f * da)
         return sum(forms[1:], forms[0]) if forms else ctx.zero
 
     def poly(self, p) -> RationalForm:

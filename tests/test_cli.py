@@ -456,7 +456,8 @@ def test_constant_atom_outside_its_domain_exits_3(tmp_path, capsys, entry,
                             "domain\n")
 
 
-@pytest.mark.parametrize("entry", ["sqrt(0)", "ln(2)", "ln(-u1)"])
+@pytest.mark.parametrize("entry", ["sqrt(0)", "ln(2)", "ln(-u1)", "ln(-1/u1)",
+                                   "sqrt(-1/u1)"])
 def test_constant_atom_inside_its_domain_is_accepted(tmp_path, capsys, entry):
     doc = dump_operator(catalog.instantiate("P_gas")[0])
     doc["metrics"]["x"][2][2] = entry

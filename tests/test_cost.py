@@ -59,9 +59,9 @@ SCAN_GCD_CALLS = 3789
 # 4,527 calculus.differentiate calls.  Atom derivatives are taken in the
 # ring, by the chain rule over the argument forms, so the scan makes no
 # such call (303 when derivation_context differentiated each atom to find
-# the atoms of its derivatives and Derivation converted them).  That
-# raised the conversions from 2,520 to 2,623: the chain rule converts the
-# arguments of abstract atoms.
+# the atoms of its derivatives and Derivation converted them).  The chain
+# rule converts the arguments of an atom once per context: 2,525
+# conversions (2,623 when each derivation converted them again).
 SCAN_CONTEXTS = 31
 SCAN_CONVERSIONS = 2520
 
@@ -71,7 +71,8 @@ SCAN_CONVERSIONS = 2520
 # the d = 2 entries into a context of its own and each consumer kept its
 # own table of atom signatures, which now live on the workspace.  It made
 # 262 builds when derivation_context built its ring with build_context;
-# the chain rule raised the conversions from 2,712 to 2,818.
+# the chain rule makes 2,714 conversions (2,818 when each derivation
+# converted the arguments of abstract atoms again).
 VERIFY_ALL_CONTEXTS = 31
 VERIFY_ALL_BUILDS = 231
 VERIFY_ALL_CONVERSIONS = 2712

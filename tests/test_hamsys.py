@@ -201,10 +201,10 @@ def test_commutativity_tests_each_pair_of_speeds_once(count_calls):
     ws = candidate_ws(3)
     R = [parse(f"R{i}", ws) for i in (1, 2, 3)]
     mu = [parse(f"R{i}^2", ws) for i in (1, 2, 3)]
-    counts = count_calls((zerotest.is_zero, "is_zero", None))
+    counts = count_calls((zerotest.verdict_for_ratform, "verdict", None))
     c = ReductionCandidate(ws, 3, u=R, lam=R, mu=mu)
     assert len(commutativity_residual(c)) == 6
-    assert counts["is_zero"] == 6, counts
+    assert counts["verdict"] == 6, counts
     for lam, pair in (([R[0], R[1], R[1]], "2 and 3"),
                       ([R[0], R[1], R[0]], "1 and 3"),
                       ([R[1], R[1], R[1]], "1 and 2")):

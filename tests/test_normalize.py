@@ -134,7 +134,8 @@ def test_constant_atom_outside_its_domain_raises(ws3, text, atom):
 
 
 @pytest.mark.parametrize("text", ["sqrt(0)", "ln(2)", "ln(-u1)", "exp(-1)",
-                                  "sqrt(1/4)", "ln(c1)", "sqrt(u1 - u1)"])
+                                  "sqrt(1/4)", "ln(c1)", "sqrt(u1 - u1)",
+                                  "ln(-1/u1)", "sqrt(-1/u1)", "ln(-2/c1)"])
 def test_constant_atom_inside_its_domain_normalizes(ws3, text):
     ws = ws3.derive(constants=["c1"]) if "c1" in text else ws3
     assert not normalize(parse(text, ws), ws).is_zero
