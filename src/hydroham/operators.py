@@ -316,12 +316,19 @@ class MokhovChecker:
     def _by_s(self, table, pos: int) -> list:
         """The nonzero entries of a dense table, listed by the contracted
         index s, its pos-th component index: (alpha position, the other
-        component indices 1-based, entry)."""
+        component indices 1-based, entry).  Index tuples are built for the
+        rows of the table and its nonzero entries only."""
+        rows = [((), table)]
+        while isinstance(rows[0][1][0], list):
+            rows = [(idx + (i,), sub) for idx, node in rows
+                    for i, sub in enumerate(node)]
         out = [[] for _ in range(self.n)]
-        for (a, *idx), x in _leaves(table):
-            if not x.is_zero:
-                s = idx.pop(pos)
-                out[s].append((a, *(i + 1 for i in idx), x))
+        for idx, row in rows:
+            for i, x in enumerate(row):
+                if not x.is_zero:
+                    a, *rest = idx + (i,)
+                    s = rest.pop(pos)
+                    out[s].append((a, *(k + 1 for k in rest), x))
         return out
 
     @cached_property
@@ -500,15 +507,6 @@ def residual_keys(d: int, n: int, relations):
         for idx in itertools.product(*[labels] * n_alpha, *[comps] * n_comp):
             if rel != "a1" or idx[1] < idx[2]:
                 yield rel, idx
-
-
-def _leaves(nested) -> list:
-    """(index tuple, entry) of each entry of a nested list."""
-    items = [((), nested)]
-    while isinstance(items[0][1], list):
-        items = [(idx + (i,), sub) for idx, node in items
-                 for i, sub in enumerate(node)]
-    return items
 
 
 def _join(left, right):

@@ -6,6 +6,12 @@ are ordered by graded reverse lexicographic order, and ``str`` prints them
 leading term first (``-3/2*u1**2*@a0 + 1``).  Polynomials are never mutated
 once built.
 
+The order's sort key, ``(-degree, reversed exponents)``, is a tuple compared
+in C, and the leading monomial has the smallest key.  Most operands the
+checker makes are single terms, and they take shortcuts: a product with a
+single term shifts the other operand's monomials, and an exact quotient by
+one subtracts its exponents, neither with a division loop.
+
 The gcd takes a shortcut when either operand is a single term; otherwise it
 clears denominators and runs the heuristic gcd of Char, Geddes and Gonnet
 (GCDHEU, J. Symbolic Comput. 7, 1989): evaluate one variable at a large
@@ -18,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as igcd
 from math import isqrt, lcm
-from operator import add, sub
+from operator import add, gt, sub
 
 # evaluation points GCDHEU tries before it gives up
 HEU_GCD_MAX = 6
@@ -29,12 +35,16 @@ class HeuristicGCDFailed(ArithmeticError):
 
 
 def grevlex(monom: tuple) -> tuple:
-    """Sort key of graded reverse lexicographic order."""
-    return (sum(monom), tuple(-e for e in reversed(monom)))
+    """Sort key of graded reverse lexicographic order, leading monomial
+    first: higher degree first, then a smaller exponent of the last
+    generator, then of the one before it, and so on."""
+    return (-sum(monom), monom[::-1])
 
 
 def _leading(d: dict) -> tuple:
-    return max(d, key=grevlex)
+    if len(d) == 1:
+        return next(iter(d))
+    return min(d, key=grevlex)
 
 
 def _quo_coeff(a, b):
@@ -106,6 +116,13 @@ class Poly(dict):
         return p
 
     def __mul__(self, other: Poly) -> Poly:
+        if len(other) == 1:
+            self, other = other, self
+        if len(self) == 1:
+            # shifted monomials are distinct and the coefficients nonzero
+            (m1, c1), = self.items()
+            return other.ring._new({tuple(map(add, m1, m)): c1 * c
+                                    for m, c in other.items()})
         p = {}
         get = p.get
         for m1, c1 in self.items():
@@ -131,8 +148,7 @@ class Poly(dict):
 
     def terms(self) -> list:
         """(monomial, coefficient) pairs, leading term first."""
-        return sorted(self.items(), key=lambda t: grevlex(t[0]),
-                      reverse=True)
+        return [(m, self[m]) for m in sorted(self, key=grevlex)]
 
     @property
     def LC(self):
@@ -161,7 +177,15 @@ class Poly(dict):
 
     def quo(self, other: Poly) -> Poly:
         """The exact quotient self / other; other must divide self."""
-        q = _exquo(self, other, integral=False)
+        if len(other) != 1:
+            q = _exquo(self, other, integral=False)
+        else:
+            (lm, lc), = other.items()
+            # a monomial divides self when each exponent of lm is at most
+            # that generator's least exponent in self
+            q = None if any(map(gt, lm, map(min, zip(*self)))) else {
+                tuple(map(sub, m, lm)): _quo_coeff(c, lc)
+                for m, c in self.items()}
         if q is None:
             raise ArithmeticError(f"{other} does not divide {self}")
         return self.ring._new(q)

@@ -15,6 +15,7 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
+from math import isqrt
 
 from . import expr as ex
 from .poly import PolyRing
@@ -225,14 +226,16 @@ def _cancel(num, den):
 
 # -- atom signatures ---------------------------------------------------------
 
-def atom_signature(atom: ex.Expr, ws: Workspace) -> str:
+def atom_signature(atom: ex.Expr, ws: Workspace) -> str | Fraction:
     """A canonical string identifying an atom up to rational-function
-    equality of its arguments.
+    equality of its arguments, or the atom's value when it is rational.
 
     Signatures are kept in the workspace's table.  A stored signature stays
     valid: it prints only the symbols it uses, so registering more symbols
     cannot change it.  ln of a rational constant <= 0 and sqrt of one < 0
-    are not real, so they are input errors."""
+    are not real, so they are input errors.  exp(0), ln(1) and sqrt(p/q)
+    for squares p and q are rational: their value stands for them, so they
+    take no generator and a signature over them names the value."""
     key = atom.key()
     sig = ws.signatures.get(key)
     if sig is not None:
@@ -241,9 +244,16 @@ def atom_signature(atom: ex.Expr, ws: Workspace) -> str:
         arg = _normalize(atom.arg, ws)
         sig = f"{atom.fn}({_canonical_string(arg)})"
         # a constant argument: no monomial of num or den has an exponent
-        if atom.fn != "exp" and not any(map(any, [*arg.num, *arg.den])) and (
-                arg.num.LC < 0 or atom.fn == "ln" and arg.is_zero):
-            raise NormalizeError(f"{sig} is outside the real domain")
+        if not any(map(any, [*arg.num, *arg.den])):
+            c = Fraction(arg.num.LC)
+            if atom.fn != "exp" and (c < 0 or atom.fn == "ln" and not c):
+                raise NormalizeError(f"{sig} is outside the real domain")
+            if atom.fn == "sqrt":
+                root = Fraction(isqrt(c.numerator), isqrt(c.denominator))
+                if root * root == c:
+                    sig = root
+            elif c == (atom.fn == "ln"):    # exp(0) = 1, ln(1) = 0
+                sig = Fraction(atom.fn == "exp")
     elif isinstance(atom, ex.FuncAtom):
         args = ",".join(_canonical_string(_normalize(a, ws))
                         for a in atom.args)
@@ -261,11 +271,20 @@ def _canonical_string(rf: RationalForm) -> str:
     return _GEN_NAME.sub(lambda m: sigs[int(m.group(1))], str(rf))
 
 
-def build_context(ws: Workspace, exprs) -> PolyContext:
-    entries: dict[str, ex.Expr] = {}
+def _atoms(ws: Workspace, exprs):
+    """(signature, atom) of each atom of the exprs, nested ones included,
+    whose value is not rational."""
     for e in exprs:
         for atom in ex.atoms(e):
-            entries.setdefault(atom_signature(atom, ws), atom)
+            sig = atom_signature(atom, ws)
+            if isinstance(sig, str):
+                yield sig, atom
+
+
+def build_context(ws: Workspace, exprs) -> PolyContext:
+    entries: dict[str, ex.Expr] = {}
+    for sig, atom in _atoms(ws, exprs):
+        entries.setdefault(sig, atom)
     return PolyContext(ws, list(entries.items()))
 
 
@@ -282,8 +301,7 @@ def derivation_context(ws: Workspace, variables, parts) -> PolyContext:
     vs = set(variables)
     entries: dict[str, ex.Expr] = {}
     for exprs, order in parts:
-        found = [entries.setdefault(atom_signature(a, ws), a)
-                 for e in exprs for a in ex.atoms(e)]
+        found = [entries.setdefault(sig, a) for sig, a in _atoms(ws, exprs)]
         for atom in dict.fromkeys(found):
             if not (order and isinstance(atom, ex.FuncAtom)):
                 continue
@@ -337,7 +355,10 @@ def to_rational_form(e: ex.Expr, ctx: PolyContext) -> RationalForm:
             )
         return num / den
     if isinstance(e, (ex.Call, ex.FuncAtom)):
-        gen = ctx.gen_of_sig.get(atom_signature(e, ctx.ws))
+        sig = atom_signature(e, ctx.ws)
+        if isinstance(sig, Fraction):
+            return to_rational_form(ex.Rat(sig), ctx)
+        gen = ctx.gen_of_sig.get(sig)
         if gen is None:
             raise NormalizeError(f"atom {e} not in context")
         return RationalForm(gen, ring.one, ctx, reduced=True)

@@ -81,7 +81,8 @@ class Workspace:
         self.functions: dict[str, FunctionSymbol] = {}
         self.frozen = False
         self._by_name: dict[str, object] = {}
-        # atom key -> canonical signature, filled by ratform.atom_signature
+        # atom key -> canonical signature (or rational value), filled by
+        # ratform.atom_signature
         self.signatures: dict = {}
 
     def _register(self, name: str):

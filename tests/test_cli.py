@@ -467,6 +467,20 @@ def test_constant_atom_inside_its_domain_is_accepted(tmp_path, capsys, entry):
     assert "input error" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ["0", "sqrt(0)", "ln(1)", "exp(0) - 1",
+                                   "sqrt(4) - 2"])
+def test_rational_constant_atom_folds(tmp_path, capsys, entry):
+    """exp, ln or sqrt of a rational constant with a rational value is that
+    value, so each entry is g^{33,x} = 0 and the check is a proof; all but
+    the first were once sampled to an undecided exit 2."""
+    doc = dump_operator(catalog.instantiate("P_gas")[0])
+    doc["metrics"]["x"][2][2] = entry
+    path = tmp_path / "folded.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--format", "json", "check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["overall"] == "proven_pass"
+
+
 def test_unwritable_export_exits_3(tmp_path, capsys):
     path = tmp_path / "missing" / "x.json"
     assert main(["catalog", "export", "P_gas", "-o", str(path)]) == 3

@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 from hydroham import Workspace, calculus, catalog, hamsys, mutation, parse
-from hydroham import operators, ratform, zerotest
+from hydroham import operators, poly, ratform, zerotest
 from hydroham.cli import main
 from hydroham.operators import MetricPencil, check_hamiltonian
 from hydroham.poly import Poly
@@ -39,6 +39,13 @@ ADD_CALLS = 2142
 # numerator against a denominator other than 1.
 GCD_CALLS = 3105
 
+# poly._exquo calls, the general exact division (the quotient by a
+# polynomial of two or more terms and GCDHEU's trial divisions), in the
+# same pass.  Down from 288: a quotient by a single term subtracts its
+# exponents.  Poly.__mul__ and Poly.quo take their single-term shortcuts
+# inside the calls counted above, so those counts do not move.
+EXQUO_CALLS = 24
+
 # The same counts over the mutation scan: mutants() on the 31 entries,
 # first_proven_failure on each of the 339 mutants, then check_hamiltonian
 # on the 12 that survive it.  Before the mutants took their parent's forms
@@ -51,6 +58,7 @@ SCAN_MUTANTS, SCAN_SURVIVORS = 339, 12
 SCAN_MUL_CALLS = 2383
 SCAN_ADD_CALLS = 2087
 SCAN_GCD_CALLS = 3789
+SCAN_EXQUO_CALLS = 24     # 214 before the single-term quotient
 
 # derivation_context builds and to_rational_form calls (its recursion
 # included) over the same scan.  A mutant's forms are its parent's, edited,
@@ -136,10 +144,11 @@ def test_no_record_built_unless_read(count_calls):
 @pytest.fixture
 def ring_ops(monkeypatch):
     """A function that starts counting RationalForm products, sums,
-    products with a zero operand and Poly.gcd calls, and returns the live
-    Counter."""
+    products with a zero operand, Poly.gcd calls and general exact
+    divisions, and returns the live Counter."""
     counts = Counter()
     mul, add, gcd = RationalForm.__mul__, RationalForm.__add__, Poly.gcd
+    exquo = poly._exquo
 
     def counted_mul(a, b):
         counts["mul"] += 1
@@ -154,10 +163,15 @@ def ring_ops(monkeypatch):
         counts["gcd"] += 1
         return gcd(p, q)
 
+    def counted_exquo(*args, **kwargs):
+        counts["exquo"] += 1
+        return exquo(*args, **kwargs)
+
     def start():
         monkeypatch.setattr(RationalForm, "__mul__", counted_mul)
         monkeypatch.setattr(RationalForm, "__add__", counted_add)
         monkeypatch.setattr(Poly, "gcd", counted_gcd)
+        monkeypatch.setattr(poly, "_exquo", counted_exquo)
         return counts
     return start
 
@@ -169,6 +183,7 @@ def test_verify_all_multiplications(ring_ops):
     assert counts["mul"] <= 1.1 * MUL_CALLS, counts
     assert counts["add"] <= 1.1 * ADD_CALLS, counts
     assert counts["gcd"] <= 1.1 * GCD_CALLS, counts
+    assert counts["exquo"] <= 1.1 * EXQUO_CALLS, counts
     assert counts["zero_operand"] == 0, counts
 
 
@@ -177,6 +192,7 @@ def test_mutation_scan_ring_operations(ring_ops):
     assert counts["mul"] <= 1.1 * SCAN_MUL_CALLS, counts
     assert counts["add"] <= 1.1 * SCAN_ADD_CALLS, counts
     assert counts["gcd"] <= 1.1 * SCAN_GCD_CALLS, counts
+    assert counts["exquo"] <= 1.1 * SCAN_EXQUO_CALLS, counts
     assert counts["zero_operand"] == 0, counts
 
 

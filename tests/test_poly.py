@@ -3,6 +3,7 @@ order, which serves as the oracle: arithmetic, term order, printing,
 derivatives, the monic gcd and exact quotients."""
 
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +97,54 @@ def test_order_and_accessors_match_sympy(case):
     for i in range(n):
         assert same(a.diff(i), sa.diff(sa.ring.gens[i]))
     assert str(a) == str(sa)
+
+
+@st.composite
+def term_cases(draw):
+    """(n, two single terms, a polynomial) in n generators."""
+    n = draw(st.integers(1, 5))
+    terms = [[(draw(st.tuples(*[st.integers(0, 3)] * n)),
+               draw(coefficients(False)))] for _ in range(2)]
+    return n, terms, draw(poly_terms(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_cases())
+def test_single_term_products_and_quotients_match_sympy(case):
+    """Products with a single term in either order, and quotients by one,
+    divisible or not."""
+    n, (tt, tu), ta = case
+    (t, st_), (u, su), (a, sa) = build(tt, n), build(tu, n), build(ta, n)
+    assert same(t * a, st_ * sa) and same(a * t, sa * st_)
+    assert same(t * u, st_ * su)
+    assert same((a * t).quo(t), (sa * st_).quo(st_))
+    q, r = sa.div(st_)
+    if r:
+        with pytest.raises(ArithmeticError):
+            a.quo(t)
+    else:
+        assert same(a.quo(t), q)
+
+
+def test_single_term_quotient_without_generators():
+    ring = PolyRing(())
+    assert ring.ground_new(6).quo(ring.ground_new(4)) == ring.ground_new(
+        Fraction(3, 2))
+    assert ring.zero.quo(ring.ground_new(4)) == ring.zero
+
+
+def test_term_order_matches_sympy_on_every_pair():
+    """Every pair of monomials of up to three generators and degree four,
+    unsampled: the order of terms() and the LC are sympy's grevlex."""
+    for n in range(1, 4):
+        ring = PolyRing(NAMES[:n])
+        monoms = [m for m in product(range(5), repeat=n) if sum(m) <= 4]
+        for m1, m2 in combinations(monoms, 2):
+            p = ring.term_new(m1, 1) + ring.term_new(m2, 2)
+            first = max(m1, m2, key=grevlex)
+            assert [m for m, _ in p.terms()] == [first, min(m1, m2,
+                                                            key=grevlex)]
+            assert p.LC == p[first]
 
 
 def check_gcd(ta, tb, tc, n):
