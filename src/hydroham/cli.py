@@ -228,6 +228,9 @@ def main(argv=None) -> int:
         "legendre": _cmd_legendre,
     }[args.command]
     try:
+        if args.max_residual_chars < 0:
+            raise InputError("max-residual-chars must be at least 0, got "
+                             f"{args.max_residual_chars}")
         policy = ZeroTestPolicy(samples=args.samples, seed=args.seed,
                                 precision=args.precision)
         return handler(args, policy)

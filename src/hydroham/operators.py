@@ -274,30 +274,40 @@ class MokhovChecker:
     by scattering nonzero products into tables keyed by residual indices.
 
     G, B, DG and DB are the forms' tables (see ``OperatorForms``), and
-    C[a][j][r][s][q] = d_q b^{jr a}_s - d_s b^{jr a}_q.  The nonzero
-    entries of G, B, DB and C are kept in lists grouped by the contracted
-    index s.  Each term of a sum joins two such lists on s and forms each
-    product once.  Four tables are summed from these products:
+    C^{jr a}_{sq} = d_q b^{jr a}_s - d_s b^{jr a}_q.  The nonzero entries
+    of G, B, DB and C are kept in lists grouped by alpha and by the
+    contracted index s.  Each term of a sum joins two such lists on s and
+    forms each product once.  Four tables are summed from these products:
     P[al, be, i, j, r] = sum_s g^{si al} b^{jr be}_s, which a3 and a4
-    share; the a5 brackets, which a5 and a7 share; the a6 table; and the
-    a7 halves, d_k of each nonzero bracket plus the cyclic b C terms.  A
-    relation adds each entry of its table into the two to six residuals
-    it enters, keyed by the indices (alpha positions, 1-based components),
-    then yields the nonzero residuals with their keys sorted, which is the
-    order of ``residual_keys``, and the alphas printed as labels.  Tables
-    keep only their nonzero entries, so no product has a zero factor, and
-    a Hamiltonian operator's relation tables are empty; rational forms are
-    canonical, so the sums equal the dense ones.  The checker converts
-    nothing: the forms are the operator's, converted once per operator (a
-    mutant's are its parent's, edited).  DG and DB are built when first
-    needed and kept with the forms; the checker's own tables are built on
-    first use, so a check that stops at a2 never takes d b."""
+    share; the a5 brackets; the a6 table; and the a7 halves, d_k of each
+    nonzero bracket plus the cyclic b C terms.  A relation adds each entry
+    of its table into the two to six residuals it enters, keyed by the
+    indices (alpha positions, 1-based components), then yields the nonzero
+    residuals with their keys sorted, which is the order of
+    ``residual_keys``, and the alphas printed as labels.  Tables keep only
+    their nonzero entries, so no product has a zero factor, and a
+    Hamiltonian operator's relation tables are empty; rational forms are
+    canonical, so the sums equal the dense ones.
+
+    The brackets come in blocks keyed by (al, be, i), the first three
+    indices of a residual, built on first use from the dense g and b of al
+    and the C and b lists of be; a6 reads the b b products of the blocks,
+    a7 their brackets.  a5 walks the blocks in key order, summing block
+    (a, be, i) with (be, a, i): a walk that stops in block (a, be, i) has
+    built only that block, the blocks before it and (be, a, i).
+
+    The checker converts nothing: the forms are the operator's, converted
+    once per operator (a mutant's are its parent's, edited).  DG and DB
+    are built when first needed and kept with the forms; the checker's
+    own tables are built on first use, so a check that stops at a2 never
+    takes d b."""
 
     def __init__(self, op: HydroOperator):
         self.op = op
         self.d, self.n = op.d, op.n
         self.forms = op.forms
         self.ctx, self.G, self.B = self.forms.ctx, self.forms.G, self.forms.B
+        self._blocks: dict = {}
 
     @property
     def DG(self) -> list:
@@ -307,56 +317,47 @@ class MokhovChecker:
     def DB(self) -> list:
         return self.forms.DB
 
-    @cached_property
-    def C(self) -> list:
-        rng = range(self.n)
-        return [[[[[D[j][r][s][q] - D[j][r][q][s] for q in rng] for s in rng]
-                  for r in rng] for j in rng] for D in self.DB]
-
-    def _by_s(self, table, pos: int) -> list:
-        """The nonzero entries of a dense table, listed by the contracted
-        index s, its pos-th component index: (alpha position, the other
-        component indices 1-based, entry).  Index tuples are built for the
-        rows of the table and its nonzero entries only."""
-        rows = [((), table)]
-        while isinstance(rows[0][1][0], list):
-            rows = [(idx + (i,), sub) for idx, node in rows
-                    for i, sub in enumerate(node)]
-        out = [[] for _ in range(self.n)]
-        for idx, row in rows:
-            for i, x in enumerate(row):
-                if not x.is_zero:
-                    a, *rest = idx + (i,)
-                    s = rest.pop(pos)
-                    out[s].append((a, *(k + 1 for k in rest), x))
+    def _by_s(self, entries, pos: int) -> list:
+        """Entries (alpha, components, x) listed by alpha and by the
+        contracted index s, their pos-th component, without s."""
+        out = [[[] for _ in range(self.n)] for _ in range(self.d)]
+        for e in entries:
+            out[e[0]][e[pos + 1] - 1].append(e[:pos + 1] + e[pos + 2:])
         return out
 
     @cached_property
+    def _b_nonzero(self) -> list:
+        """(a, i, j, k, b^{ij a}_k) of the nonzero entries of B"""
+        return _nonzero(self.B)
+
+    @cached_property
     def _g_s(self) -> list:
-        """(al, i, g^{si al}) by s"""
-        return self._by_s(self.G, 0)
+        """(al, i, g^{si al}) by al and s"""
+        return self._by_s(_nonzero(self.G), 0)
 
     @cached_property
     def _b_last(self) -> list:
-        """(al, i, j, b^{ij al}_s) by s"""
-        return self._by_s(self.B, 2)
+        """(al, i, j, b^{ij al}_s) by al and s"""
+        return self._by_s(self._b_nonzero, 2)
 
     @cached_property
     def _b_first(self) -> list:
-        """(be, r, q, b^{sr be}_q) by s"""
-        return self._by_s(self.B, 0)
+        """(be, r, q, b^{sr be}_q) by be and s"""
+        return self._by_s(self._b_nonzero, 0)
 
     @cached_property
     def _c_s(self) -> list:
-        """(be, j, r, q, C^{jr be}_{sq}) by s"""
-        return self._by_s(self.C, 2)
-
-    @cached_property
-    def _bb(self) -> list:
-        """(al, i, j, be, r, q, b^{ij al}_s b^{sr be}_q) for each pair of
-        nonzero entries that share s; the a5 brackets and a6 share them."""
-        return [(al, i, j, be, r, q, x * y) for (al, i, j, x), (be, r, q, y)
-                in _join(self._b_last, self._b_first)]
+        """(be, j, r, q, C^{jr be}_{sq}) by be and s, for the (be, j, r) of
+        a nonzero b; C is antisymmetric, so each s < q is subtracted once."""
+        out = [[[] for _ in range(self.n)] for _ in range(self.d)]
+        for be, j, r in dict.fromkeys(e[:3] for e in self._b_nonzero):
+            D = self.DB[be][j - 1][r - 1]
+            for s, q in itertools.combinations(range(self.n), 2):
+                c = D[s][q] - D[q][s]
+                if not c.is_zero:
+                    out[be][s].append((be, j, r, q + 1, c))
+                    out[be][q].append((be, j, r, s + 1, -c))
+        return out
 
     @cached_property
     def P(self) -> dict:
@@ -364,17 +365,33 @@ class MokhovChecker:
         return _table(((al, be, i, j, r), g * b) for (al, i, g), (be, j, r, b)
                       in _join(self._g_s, self._b_last))
 
-    @cached_property
-    def brackets(self) -> dict:
-        """The a5 brackets [al, be, i, j, r, q] = sum_s g^{si al}
-        C^{jr be}_{sq} + b^{ij al}_s b^{sr be}_q - b^{ir al}_s b^{sj be}_q."""
-        def terms():
-            for (al, i, g), (be, j, r, q, c) in _join(self._g_s, self._c_s):
-                yield (al, be, i, j, r, q), g * c
-            for al, i, j, be, r, q, t in self._bb:
-                yield (al, be, i, j, r, q), t
-                yield (al, be, i, r, j, q), -t
-        return _table(terms())
+    def _block(self, al: int, be: int, i: int) -> tuple:
+        """The bracket block (al, be, i), i 0-based, built on first use: by
+        (j, r, q), the brackets [al, be, i, j, r, q] = sum_s g^{si al}
+        C^{jr be}_{sq} + b^{ij al}_s b^{sr be}_q - b^{ir al}_s b^{sj be}_q,
+        and the products (j, r, q, b^{ij al}_s b^{sr be}_q)."""
+        block = self._blocks.get((al, be, i))
+        if block is None:
+            c_s, b_s = self._c_s[be], self._b_first[be]
+            bb = [(j, r, q, x * y) for j, row in enumerate(self.B[al][i], 1)
+                  for x, ys in zip(row, b_s) if ys and not x.is_zero
+                  for _be, r, q, y in ys]
+            gc = [((j, r, q), g[i] * c) for g, cs in zip(self.G[al], c_s)
+                  if cs and not g[i].is_zero for _be, j, r, q, c in cs]
+            block = self._blocks[al, be, i] = _table(itertools.chain(
+                gc, (((j, r, q), t) for j, r, q, t in bb),
+                (((r, j, q), -t) for j, r, q, t in bb))), bb
+        return block
+
+    def _block_keys(self):
+        return itertools.product(range(self.d), range(self.d), range(self.n))
+
+    def _all_blocks(self) -> dict:
+        """{(al, be, i): block} of every bracket block."""
+        if len(self._blocks) < self.d * self.d * self.n:
+            for key in self._block_keys():
+                self._block(*key)
+        return self._blocks
 
     @staticmethod
     def _walk(rel: str, terms):
@@ -434,13 +451,16 @@ class MokhovChecker:
                 yield (be, al, *jir), m
 
     def residuals_a5(self):
-        yield from self._walk("a5", self._a5_terms())
-
-    def _a5_terms(self):
-        """a5[a, be, ...] = bracket[a, be, ...] + bracket[be, a, ...]"""
-        for (al, be, *ijrq), x in self.brackets.items():
-            yield (al, be, *ijrq), x
-            yield (be, al, *ijrq), x
+        """a5[a, be, i, ...] = bracket[a, be, i, ...] + bracket[be, a, i, ...],
+        block by block in key order; twice the bracket when a = be."""
+        L = ALPHA_LABELS
+        for a, be, i in self._block_keys():
+            x, y = self._block(a, be, i)[0], self._block(be, a, i)[0]
+            if x or y:
+                sums = ({k: v.scaled(2) for k, v in x.items()} if a == be
+                        else _table(itertools.chain(x.items(), y.items())))
+                for jrq, v in sorted(sums.items()):
+                    yield "a5", (L[a], L[be], i + 1, *jrq), v
 
     def residuals_a6(self):
         yield from self._walk("a6", self._a6_terms())
@@ -450,13 +470,17 @@ class MokhovChecker:
         with the a6 table S = sum_s g^{si be} d_s b^{jr a}_q
         - b^{ij be}_s b^{sr a}_q - b^{ir be}_s b^{js a}_q."""
         def terms():
+            db = [(a, j, r, q, s, x) for a, j, r, q, _b in self._b_nonzero
+                  for s, x in enumerate(self.DB[a][j - 1][r - 1][q - 1], 1)
+                  if not x.is_zero]
             for (be, i, g), (a, j, r, q, x) in _join(self._g_s,
-                                                      self._by_s(self.DB, 3)):
+                                                      self._by_s(db, 3)):
                 yield (a, be, i, j, r, q), g * x
-            for be, i, j, a, r, q, t in self._bb:
-                yield (a, be, i, j, r, q), -t
-            for (be, i, r, x), (a, j, q, y) in _join(self._b_last,
-                                                      self._by_s(self.B, 1)):
+            for (be, a, i), (_x, bb) in self._all_blocks().items():
+                for j, r, q, t in bb:
+                    yield (a, be, i + 1, j, r, q), -t
+            for (be, i, r, x), (a, j, q, y) in _join(
+                    self._b_last, self._by_s(self._b_nonzero, 1)):
                 yield (a, be, i, j, r, q), -(x * y)
         for (a, be, i, j, r, q), t in _table(terms()).items():
             yield (a, be, i, j, r, q), t
@@ -471,11 +495,12 @@ class MokhovChecker:
         d_k of the bracket [al, be, i, j, r, q] plus the sum over cyclic
         (i, j, r) of b^{si be}_q C^{jr al}_{ks}."""
         def halves():
-            for key, x in self.brackets.items():
-                for k, deriv in enumerate(self.ctx.deriv, 1):
-                    dx = deriv(x)
-                    if not dx.is_zero:
-                        yield (*key, k), dx
+            for (al, be, i), (brackets, _bb) in self._all_blocks().items():
+                for (j, r, q), x in brackets.items():
+                    for k, deriv in enumerate(self.ctx.deriv, 1):
+                        dx = deriv(x)
+                        if not dx.is_zero:
+                            yield (al, be, i + 1, j, r, q, k), dx
             for (be, i, q, b), (al, j, r, k, c) in _join(self._b_first,
                                                          self._c_s):
                 t = -(b * c)        # C^{jr al}_{ks} = -C^{jr al}_{sk}
@@ -510,9 +535,22 @@ def residual_keys(d: int, n: int, relations):
 
 
 def _join(left, right):
-    """The pairs (x, y) of entries of two lists grouped by s that share
-    s."""
-    return ((x, y) for xs, ys in zip(left, right) for x in xs for y in ys)
+    """The pairs (x, y) of entries of two lists grouped by alpha and s
+    that share s."""
+    return ((x, y) for ls in left for rs in right for xs, ys in zip(ls, rs)
+            if ys for x in xs for y in ys)
+
+
+def _nonzero(table) -> list:
+    """(alpha position, 1-based components, x) of the nonzero entries x of
+    a dense table; index tuples are built for its rows and nonzero entries
+    only."""
+    rows = [((a,), node) for a, node in enumerate(table)]
+    while isinstance(rows[0][1][0], list):
+        rows = [(idx + (i,), sub) for idx, node in rows
+                for i, sub in enumerate(node, 1)]
+    return [idx + (i, x) for idx, row in rows
+            for i, x in enumerate(row, 1) if not x.is_zero]
 
 
 def _table(terms) -> dict:

@@ -105,12 +105,16 @@ def overall_result(kinds) -> str:
 # 2^-(precision//2) of the value's scale, so a coarse one reads nonzero
 # values as zero
 MIN_PRECISION = 24
+# the most bits a sample is evaluated with: the cost of a sampled verdict
+# grows fast with the precision (fkt on the density a^2 + b^2 - 2*exp(c)
+# takes 0.3-0.5 s at 2^16 bits and does not finish in a minute at 2^20)
+MAX_PRECISION = 2**16
 
 
 class ZeroTestPolicy:
     """How forms are sampled.  A policy that samples nothing, or too
     coarsely to tell a value from zero, would pass any form: it is an
-    input error."""
+    input error.  So is a precision above MAX_PRECISION."""
 
     def __init__(self, samples: int = 20, seed: int = 0,
                  precision: int = 64, max_retries: int = 200):
@@ -118,6 +122,9 @@ class ZeroTestPolicy:
             raise InputError(f"samples must be at least 1, got {samples}")
         if precision < MIN_PRECISION:
             raise InputError(f"precision must be at least {MIN_PRECISION} "
+                             f"bits, got {precision}")
+        if precision > MAX_PRECISION:
+            raise InputError(f"precision must be at most {MAX_PRECISION} "
                              f"bits, got {precision}")
         self.samples, self.seed = samples, seed
         self.precision, self.max_retries = precision, max_retries

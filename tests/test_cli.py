@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -398,17 +399,47 @@ POLICY_REPRO = ["catalog", "verify", "APP/rk2_2D_1", "--set", "p=exp(u1)"]
      "precision must be at least 24 bits, got 0"),
     (["--precision", "1"] + POLICY_REPRO,
      "precision must be at least 24 bits, got 1"),
+    (["--precision", "65537"] + POLICY_REPRO,
+     "precision must be at most 65536 bits, got 65537"),
+    (["--precision", "1048576"] + POLICY_REPRO,
+     "precision must be at most 65536 bits, got 1048576"),
+    (["--precision", "8388608"] + POLICY_REPRO,
+     "precision must be at most 65536 bits, got 8388608"),
 ], ids=["kappa-zero-denominator", "samples-0", "samples-negative",
-        "precision-0", "precision-1"])
+        "precision-0", "precision-1", "precision-2^16+1", "precision-2^20",
+        "precision-2^23"])
 def test_bad_parameter_exits_3(capsys, argv, message):
     """A --kappa that is no rational, and a zero-test policy that samples
     nothing or cannot tell a value from zero, are input errors.  Such a
     policy once turned the failing APP/rk2_2D_1 repro into a probable
-    pass."""
+    pass.  So is a precision above 2^16 bits: a sampled verdict at 2^20
+    bits did not finish in a minute."""
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"input error: {message}\n"
+
+
+def test_negative_max_residual_chars_exits_3(tmp_path, capsys):
+    """A negative --max-residual-chars once cut each residual short of its
+    end, before the digest, and exited 1.  0 prints the digest alone."""
+    zero = [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps({
+        "dimension": 1, "components": 2, "variables": ["u1", "u2"],
+        "metrics": {"x": [["1", "exp(exp(u1))"], ["exp(exp(u2))", "1"]]},
+        "b": {"x": zero}}))
+    argv = ["--format", "json", "--max-residual-chars"]
+    assert main(argv + ["-5", "check", str(path)]) == 3
+    assert _assert_input_error(capsys) == \
+        "input error: max-residual-chars must be at least 0, got -5\n"
+    assert main(argv + ["0", "check", str(path)]) == 1
+    residuals = [c["residual"] for c in
+                 json.loads(capsys.readouterr().out)["checks"]
+                 if "residual" in c]
+    assert residuals and all(
+        re.fullmatch(r"\.\.\. \[sha256:[0-9a-f]{16}\]", r)
+        for r in residuals), residuals
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -12,6 +12,7 @@ from hydroham import catalog, mutation
 from hydroham import expr as ex
 from hydroham.mutation import Mutation, first_proven_failure, scan
 from hydroham.operators import HydroOperator, MokhovChecker, check_hamiltonian
+from hydroham.ratform import RationalForm
 from test_properties import sparse_operators
 
 # "<entry id> <kind> <index>" of every mutant of the catalog, one a line in
@@ -87,6 +88,51 @@ def test_failure_at_a2_builds_no_later_table(monkeypatch):
     assert built(mutant) == built(op) == {"forms"}
     assert built(mutant.forms) == built(op.forms) == {"DG"}
     assert mutant.forms.DG is op.forms.DG
+
+
+def test_failure_at_a5_builds_only_the_blocks_it_reads(monkeypatch):
+    """A mutant whose first failure lies in bracket block (x, x, 1) builds
+    that block and no other, no a6 or a7 table, and forms fewer ring
+    products than check_hamiltonian on the same mutant (both with the
+    forms' derivatives built)."""
+    checkers, tables = [], []
+
+    class Recorded(MokhovChecker):
+        def __init__(self, op):
+            super().__init__(op)
+            checkers.append(self)
+
+        def _a6_terms(self):
+            tables.append("a6")
+            return super()._a6_terms()
+
+        def _a7_terms(self):
+            tables.append("a7")
+            return super()._a7_terms()
+
+    products = 0
+    mul = RationalForm.__mul__
+
+    def counted(a, b):
+        nonlocal products
+        products += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(mutation, "MokhovChecker", Recorded)
+    monkeypatch.setattr(RationalForm, "__mul__", counted)
+    op, _ws = catalog.instantiate("T2.6/rank1_P_2/2")
+    mutant = next(m for mut, m in mutation.mutants(op)
+                  if (mut.kind, mut.index) == ("swap", (0, 1, 2, 2)))
+    mutant.forms.DB
+    products = 0
+    rel, idx, _rf = first_proven_failure(mutant)
+    assert (rel, idx[:3]) == ("a5", ("x", "x", 1))
+    checker, = checkers
+    assert list(checker._blocks) == [(0, 0, 0)]
+    assert tables == []
+    scan_products, products = products, 0
+    assert check_hamiltonian(mutant).overall == "fail"
+    assert 0 < scan_products < products, (scan_products, products)
 
 
 def test_mutants_are_not_checked_again(count_calls):

@@ -30,6 +30,7 @@ from hydroham.ratform import (
 from hydroham.symbols import InputError
 from hydroham.zerotest import (
     MAX_EXP_ARG,
+    MAX_PRECISION,
     MIN_PRECISION,
     EvaluationError,
     SingularPointError,
@@ -272,3 +273,10 @@ def test_vacuous_policy_is_an_input_error(kwargs):
     with pytest.raises(InputError):
         ZeroTestPolicy(**kwargs)
     assert ZeroTestPolicy(samples=1, precision=MIN_PRECISION).samples == 1
+
+
+def test_precision_above_the_cap_is_an_input_error():
+    """A sampled verdict at 2^20 bits does not finish in a minute."""
+    with pytest.raises(InputError, match="at most 65536 bits, got 65537"):
+        ZeroTestPolicy(precision=MAX_PRECISION + 1)
+    assert ZeroTestPolicy(precision=MAX_PRECISION).precision == 2**16

@@ -347,6 +347,31 @@ def test_catalog_residuals_match_dense_reference(entry_id):
     assert_matches_dense(MokhovChecker(catalog.instantiate(entry_id)[0]))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sparse_operators())
+def test_sparse_relations_alone_match_dense_reference(op):
+    assert_relations_alone_match_dense(op)
+
+
+@pytest.mark.parametrize("name", sorted(D4_OPERATORS))
+def test_d4_relations_alone_match_dense_reference(name):
+    assert_relations_alone_match_dense(_d4_operator(*D4_OPERATORS[name]))
+
+
+def assert_relations_alone_match_dense(op):
+    """a5, a6 and a7, each run alone on a fresh checker, yield the nonzero
+    residuals of the dense reference: the bracket blocks they share do not
+    depend on an earlier relation having run."""
+    want = [(rel, idx, rf.num, rf.den)
+            for rel, idx, rf in dense_residuals(MokhovChecker(op))
+            if not rf.is_zero]
+    for rel in ("a5", "a6", "a7"):
+        got = [(r, idx, rf.num, rf.den)
+               for r, idx, rf in MokhovChecker(op).residuals((rel,))]
+        assert got == [w for w in want if w[0] == rel], rel
+
+
 def assert_matches_dense(checker):
     """The checker yields the nonzero residuals of the dense reference, in
     its order; the reference lists every index, so the zero residuals the
