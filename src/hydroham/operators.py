@@ -63,6 +63,8 @@ class HydroOperator:
         self.ws, self.d, self.n, self.g, self.b = ws, d, n, g, b
         allowed = set(ws.variables) | set(ws.constants)
         for e in self.entries():
+            if isinstance(e, ex.Rat):   # most entries are 0: no symbols
+                continue
             bad = ex.free_symbols(e) - allowed
             if bad:
                 raise OperatorError(

@@ -12,11 +12,13 @@ checker makes are single terms, and they take shortcuts: a product with a
 single term shifts the other operand's monomials, and an exact quotient by
 one subtracts its exponents, neither with a division loop.
 
-The gcd takes a shortcut when either operand is a single term; otherwise it
-clears denominators and runs the heuristic gcd of Char, Geddes and Gonnet
-(GCDHEU, J. Symbolic Comput. 7, 1989): evaluate one variable at a large
-integer, take the gcd of the images recursively, interpolate, and keep the
-candidate only if it divides both operands exactly.
+A fraction is reduced by ``cancel``.  When either operand is a single
+term, their gcd is the monomial of least exponents, so both are shifted by
+it and no gcd is built.  Otherwise the gcd clears denominators and runs the
+heuristic gcd of Char, Geddes and Gonnet (GCDHEU, J. Symbolic Comput. 7,
+1989): evaluate one variable at a large integer, take the gcd of the images
+recursively, interpolate, and keep the candidate only if it divides both
+operands exactly.
 """
 
 from __future__ import annotations
@@ -198,13 +200,33 @@ class Poly(dict):
             h = self or other
             return h.quo_ground(h.LC) if h else ring.zero
         if len(self) == 1 or len(other) == 1:
-            monoms = list(self) + list(other)
-            return ring.term_new(tuple(map(min, zip(*monoms))), 1)
+            return ring.term_new(_least_exponents(self, other), 1)
         shrink, grow = _deflation(self, other)
         h = _heugcd(shrink(_cleared(self)), shrink(_cleared(other)))[0]
         h = grow(h)
         lc = h[_leading(h)]
         return ring._new({m: _quo_coeff(c, lc) for m, c in h.items()})
+
+    def cancel(self, other: Poly) -> tuple:
+        """(self/h, other/h) for the gcd h of self and a nonzero other,
+        scaled so the second is monic; (0, 1) for a zero self.  When either
+        has a single term, h is the monomial of least exponents, so both
+        are shifted by it: no gcd is built and nothing is divided."""
+        ring = self.ring
+        if not self or other == ring.one:
+            return self, ring.one
+        if len(self) == 1 or len(other) == 1:
+            low = _least_exponents(self, other)
+            if any(low):
+                self, other = _shifted(self, low), _shifted(other, low)
+        else:
+            h = self.gcd(other)
+            if h != ring.one:
+                self, other = self.quo(h), other.quo(h)
+        lc = other.LC
+        if lc != 1:
+            self, other = self.quo_ground(lc), other.quo_ground(lc)
+        return self, other
 
     def __str__(self):
         if not self:
@@ -222,6 +244,17 @@ class Poly(dict):
         return "".join(parts)
 
     __repr__ = __str__
+
+
+def _least_exponents(f: Poly, g: Poly) -> tuple:
+    """The monomial gcd of f and g, nonzero and one of them a single term:
+    each generator's least exponent over both."""
+    return tuple(map(min, *f, *g))
+
+
+def _shifted(p: Poly, low: tuple) -> Poly:
+    """p divided by the monomial low, which divides each of its terms."""
+    return p.ring._new({tuple(map(sub, m, low)): c for m, c in p.items()})
 
 
 # -- exact division ------------------------------------------------------------

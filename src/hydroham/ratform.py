@@ -6,7 +6,10 @@ registration order, followed by one opaque generator per distinct atom
 by a canonical signature.  Monomial order is graded reverse lexicographic.
 Polynomial arithmetic and derivatives are done in the sparse rings over QQ
 of ``poly``: an atom's derivative follows the chain rule over its argument
-forms, which live in the same context.
+forms, which live in the same context.  Forms are reduced by
+``Poly.cancel``, which cancels against a single term by shifting exponents
+and runs a gcd only between two sums; a sum whose numerator cancels is the
+context's zero form, reduced no further.
 """
 
 from __future__ import annotations
@@ -118,7 +121,7 @@ class RationalForm:
         if not den:
             raise ZeroDenominatorError("denominator is identically zero")
         if not reduced:
-            num, den = _cancel(num, den)
+            num, den = num.cancel(den)
         self.num = num
         self.den = den
         self.ctx = ctx
@@ -144,12 +147,9 @@ class RationalForm:
         if other.is_zero:
             return self
         if self.den == other.den:
-            return RationalForm(self.num + other.num, self.den, self.ctx)
-        return RationalForm(
-            self.num * other.den + other.num * self.den,
-            self.den * other.den,
-            self.ctx,
-        )
+            return self._over(self.num + other.num, self.den)
+        return self._over(self.num * other.den + other.num * self.den,
+                          self.den * other.den)
 
     def __sub__(self, other):
         if other.is_zero:
@@ -157,12 +157,13 @@ class RationalForm:
         if self.is_zero:
             return -other
         if self.den == other.den:
-            return RationalForm(self.num - other.num, self.den, self.ctx)
-        return RationalForm(
-            self.num * other.den - other.num * self.den,
-            self.den * other.den,
-            self.ctx,
-        )
+            return self._over(self.num - other.num, self.den)
+        return self._over(self.num * other.den - other.num * self.den,
+                          self.den * other.den)
+
+    def _over(self, num, den) -> "RationalForm":
+        """num/den reduced; the context's zero form when num cancelled."""
+        return RationalForm(num, den, self.ctx) if num else self.ctx.zero
 
     def __neg__(self):
         return RationalForm(-self.num, self.den, self.ctx, reduced=True)
@@ -184,8 +185,8 @@ class RationalForm:
                                 reduced=True)
         # cross-cancelled factors of two reduced forms give a reduced
         # product with a monic denominator
-        num1, den2 = _cancel(self.num, other.den)
-        num2, den1 = _cancel(other.num, self.den)
+        num1, den2 = self.num.cancel(other.den)
+        num2, den1 = other.num.cancel(self.den)
         return RationalForm(num1 * num2, den1 * den2, self.ctx, reduced=True)
 
     def __truediv__(self, other):
@@ -208,20 +209,6 @@ class RationalForm:
         return f"({self.num})/({self.den})"
 
     __repr__ = __str__
-
-
-def _cancel(num, den):
-    if not num:
-        return num, den.ring.one
-    if den == den.ring.one:
-        return num, den
-    g = num.gcd(den)
-    if g != g.ring.one:
-        num, den = num.quo(g), den.quo(g)
-    lc = den.LC
-    if lc != 1:
-        num, den = num.quo_ground(lc), den.quo_ground(lc)
-    return num, den
 
 
 # -- atom signatures ---------------------------------------------------------
@@ -273,8 +260,11 @@ def _canonical_string(rf: RationalForm) -> str:
 
 def _atoms(ws: Workspace, exprs):
     """(signature, atom) of each atom of the exprs, nested ones included,
-    whose value is not rational."""
+    whose value is not rational.  A rational constant, as most operator
+    entries are, has no atom and is skipped."""
     for e in exprs:
+        if isinstance(e, ex.Rat):
+            continue
         for atom in ex.atoms(e):
             sig = atom_signature(atom, ws)
             if isinstance(sig, str):

@@ -128,7 +128,8 @@ class Workspace:
         return self._by_name.get(name)
 
     def require_symbol(self, name: str) -> Symbol:
-        sym = self._by_name.get(name)
+        # a name read from a file may be any JSON value
+        sym = self._by_name.get(name) if isinstance(name, str) else None
         if not isinstance(sym, Symbol):
             raise SymbolError(
                 f"unknown symbol {name!r}; registered: {self.registered_names()}"

@@ -109,17 +109,25 @@ MIN_PRECISION = 24
 # grows fast with the precision (fkt on the density a^2 + b^2 - 2*exp(c)
 # takes 0.3-0.5 s at 2^16 bits and does not finish in a minute at 2^20)
 MAX_PRECISION = 2**16
+# the most samples a verdict draws: its cost grows in proportion (a cold
+# check of a 1D operator with g12 = exp(2*u1), g21 = exp(u1)^2 takes 0.4 s
+# at 2,000 samples and 3 s at 20,000, so 10^9 would run for days)
+MAX_SAMPLES = 2**16
 
 
 class ZeroTestPolicy:
     """How forms are sampled.  A policy that samples nothing, or too
     coarsely to tell a value from zero, would pass any form: it is an
-    input error.  So is a precision above MAX_PRECISION."""
+    input error.  So is a precision above MAX_PRECISION or more samples
+    than MAX_SAMPLES."""
 
     def __init__(self, samples: int = 20, seed: int = 0,
                  precision: int = 64, max_retries: int = 200):
         if samples < 1:
             raise InputError(f"samples must be at least 1, got {samples}")
+        if samples > MAX_SAMPLES:
+            raise InputError(f"samples must be at most {MAX_SAMPLES}, "
+                             f"got {samples}")
         if precision < MIN_PRECISION:
             raise InputError(f"precision must be at least {MIN_PRECISION} "
                              f"bits, got {precision}")

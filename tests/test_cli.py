@@ -287,6 +287,23 @@ def test_bad_counts_exit_3(tmp_path, capsys, key, value, message):
     assert captured.err == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize("args", [[[]], [{"u1": 1}], [1], [None]])
+def test_function_argument_of_the_wrong_type_exits_3(tmp_path, capsys, args):
+    """A declared function argument that is no string once met the symbol
+    table's dict as a key: a list raised TypeError, a traceback with exit 1
+    (found by tests/test_cli_fuzz.py run with more examples)."""
+    doc = {
+        "dimension": 1, "components": 1, "variables": ["u1"],
+        "functions": [{"name": "f", "args": args}],
+        "metrics": {"x": [["1"]]}, "b": {"x": [[["0"]]]},
+    }
+    path = tmp_path / "bad_args.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 3
+    assert _assert_input_error(capsys).startswith(
+        f"input error: unknown symbol {args[0]!r}")
+
+
 def test_undecided_analysis_exits_2(capsys):
     # exp(u2) in the pencil makes its minors' verdicts only probabilistic
     code = main(["catalog", "verify", "T2.6/rank1_P_2/1",
@@ -405,15 +422,19 @@ POLICY_REPRO = ["catalog", "verify", "APP/rk2_2D_1", "--set", "p=exp(u1)"]
      "precision must be at most 65536 bits, got 1048576"),
     (["--precision", "8388608"] + POLICY_REPRO,
      "precision must be at most 65536 bits, got 8388608"),
+    (["--samples", "65537"] + POLICY_REPRO,
+     "samples must be at most 65536, got 65537"),
 ], ids=["kappa-zero-denominator", "samples-0", "samples-negative",
         "precision-0", "precision-1", "precision-2^16+1", "precision-2^20",
-        "precision-2^23"])
+        "precision-2^23", "samples-2^16+1"])
 def test_bad_parameter_exits_3(capsys, argv, message):
     """A --kappa that is no rational, and a zero-test policy that samples
     nothing or cannot tell a value from zero, are input errors.  Such a
     policy once turned the failing APP/rk2_2D_1 repro into a probable
     pass.  So is a precision above 2^16 bits: a sampled verdict at 2^20
-    bits did not finish in a minute."""
+    bits did not finish in a minute; and so are more than 2^16 samples:
+    a verdict's time grows with its samples, 3 s at 20,000 on a 1D
+    operator with two exp entries."""
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -27,17 +27,26 @@ from test_golden import CASES, _make_inputs
 # by is_degenerate and generic_rank (107 products fewer).  Down from 4,863:
 # a3-a7 scatter each nonzero product of their sums into tables keyed by
 # residual indices, so a product that enters several residuals (or both
-# the a5 brackets and a6) is formed once.
-MUL_CALLS = 2262
+# the a5 brackets and a6) is formed once.  Lowered from 2,262, the count
+# recorded when the bound was set, to the 2,254 the pass makes.
+MUL_CALLS = 2254
 # RationalForm.__add__ calls in the same pass; 78,897 when a3-a7 summed
 # per index tuple, nearly all of them adding a zero, and 3,199 when a ring
 # derivative added a zero fraction to each polynomial part and the
 # derivative of an atom was its differentiated Expr converted again.
 ADD_CALLS = 2142
 
-# Poly.gcd calls in the same pass: one per cancellation of a nonzero
-# numerator against a denominator other than 1.
-GCD_CALLS = 3105
+# Poly.gcd calls in the same pass: general gcds only, of two operands with
+# two or more terms each.  A cancellation against a single term shifts both
+# operands by the monomial of least exponents and builds no gcd; 3,105 when
+# each cancellation of a nonzero numerator against a denominator other
+# than 1 built one.
+GCD_CALLS = 4
+
+# Poly.cancel calls in the same pass: one per form built unreduced, two per
+# product of forms with a denominator.  A sum whose numerator cancels is
+# the context's zero form and is not reduced: 5,966 when it was.
+CANCEL_CALLS = 4162
 
 # poly._exquo calls, the general exact division (the quotient by a
 # polynomial of two or more terms and GCDHEU's trial divisions), in the
@@ -59,10 +68,14 @@ EXQUO_CALLS = 24
 # blocks up to their first nonzero residual only: down from 2,383
 # products, 2,087 sums and 3,789 gcds, when such a mutant built every
 # bracket (and C was subtracted at every index, not once per pair s < q).
+# Gcds and cancellations as in the pass: 2,114 gcds and 5,299
+# cancellations before single terms cancelled without a gcd and a sum that
+# cancelled stopped being reduced.
 SCAN_MUTANTS, SCAN_SURVIVORS = 339, 12
 SCAN_MUL_CALLS = 1476
 SCAN_ADD_CALLS = 1147
-SCAN_GCD_CALLS = 2114
+SCAN_GCD_CALLS = 4
+SCAN_CANCEL_CALLS = 3392
 SCAN_EXQUO_CALLS = 24     # 214 before the single-term quotient
 
 # derivation_context builds and to_rational_form calls (its recursion
@@ -149,11 +162,11 @@ def test_no_record_built_unless_read(count_calls):
 @pytest.fixture
 def ring_ops(monkeypatch):
     """A function that starts counting RationalForm products, sums,
-    products with a zero operand, Poly.gcd calls and general exact
-    divisions, and returns the live Counter."""
+    products with a zero operand, Poly.gcd and Poly.cancel calls and
+    general exact divisions, and returns the live Counter."""
     counts = Counter()
     mul, add, gcd = RationalForm.__mul__, RationalForm.__add__, Poly.gcd
-    exquo = poly._exquo
+    cancel, exquo = Poly.cancel, poly._exquo
 
     def counted_mul(a, b):
         counts["mul"] += 1
@@ -168,6 +181,10 @@ def ring_ops(monkeypatch):
         counts["gcd"] += 1
         return gcd(p, q)
 
+    def counted_cancel(p, q):
+        counts["cancel"] += 1
+        return cancel(p, q)
+
     def counted_exquo(*args, **kwargs):
         counts["exquo"] += 1
         return exquo(*args, **kwargs)
@@ -176,6 +193,7 @@ def ring_ops(monkeypatch):
         monkeypatch.setattr(RationalForm, "__mul__", counted_mul)
         monkeypatch.setattr(RationalForm, "__add__", counted_add)
         monkeypatch.setattr(Poly, "gcd", counted_gcd)
+        monkeypatch.setattr(Poly, "cancel", counted_cancel)
         monkeypatch.setattr(poly, "_exquo", counted_exquo)
         return counts
     return start
@@ -188,6 +206,7 @@ def test_verify_all_multiplications(ring_ops):
     assert counts["mul"] <= 1.1 * MUL_CALLS, counts
     assert counts["add"] <= 1.1 * ADD_CALLS, counts
     assert counts["gcd"] <= 1.1 * GCD_CALLS, counts
+    assert counts["cancel"] <= 1.1 * CANCEL_CALLS, counts
     assert counts["exquo"] <= 1.1 * EXQUO_CALLS, counts
     assert counts["zero_operand"] == 0, counts
 
@@ -197,6 +216,7 @@ def test_mutation_scan_ring_operations(ring_ops):
     assert counts["mul"] <= 1.1 * SCAN_MUL_CALLS, counts
     assert counts["add"] <= 1.1 * SCAN_ADD_CALLS, counts
     assert counts["gcd"] <= 1.1 * SCAN_GCD_CALLS, counts
+    assert counts["cancel"] <= 1.1 * SCAN_CANCEL_CALLS, counts
     assert counts["exquo"] <= 1.1 * SCAN_EXQUO_CALLS, counts
     assert counts["zero_operand"] == 0, counts
 

@@ -125,6 +125,35 @@ def test_derivation_matches_expr_route(e, v):
     assert same(got, want), (e, v, got)
 
 
+# a single-term denominator: a nonzero rational times powers of variables,
+# constants and atoms, so most are not monic
+single_terms = st.builds(
+    lambda c, factors: ex.mul(ex.Rat(c), *(ex.pow_(b, k) for b, k in factors)),
+    st.sampled_from([Fraction(1), Fraction(-3), Fraction(2, 5)]),
+    st.lists(st.tuples(leaves.filter(lambda e: not isinstance(e, ex.Rat)),
+                       st.integers(1, 3)), min_size=1, max_size=3),
+)
+
+
+@SETTINGS
+@given(exprs, single_terms, st.sampled_from(VARS), st.sampled_from(VARS))
+@example(parse("u2", WS), parse("u1^3*u3", WS), VARS[0], VARS[2])
+@example(parse("f", WS), parse("u1^2", WS), VARS[0], VARS[1])
+@example(parse("exp(u1)", WS), parse("u2", WS), VARS[1], VARS[0])
+@example(parse("u1 + q", WS), parse("3*u1^2*exp(u2)", WS), VARS[0], VARS[2])
+def test_single_term_denominators_match_expr_route(num, den, v, w):
+    """N/D for a single term D, to second order: each quotient-rule step
+    then cancels against single terms, by shifting exponents."""
+    e = ex.div(num, den)
+    want = oracle(e, v)
+    assume(want is not None)
+    rf, d = ring_form(e, 2)
+    assert same(d[v](rf), want), (e, v)
+    want = oracle(want, w)
+    assume(want is not None)
+    assert same(d[w](d[v](rf)), want), (e, v, w)
+
+
 @SETTINGS
 @given(exprs, st.sampled_from(VARS), st.sampled_from(VARS))
 def test_second_derivatives_match_expr_route(e, v, w):

@@ -31,6 +31,7 @@ from hydroham.symbols import InputError
 from hydroham.zerotest import (
     MAX_EXP_ARG,
     MAX_PRECISION,
+    MAX_SAMPLES,
     MIN_PRECISION,
     EvaluationError,
     SingularPointError,
@@ -280,3 +281,14 @@ def test_precision_above_the_cap_is_an_input_error():
     with pytest.raises(InputError, match="at most 65536 bits, got 65537"):
         ZeroTestPolicy(precision=MAX_PRECISION + 1)
     assert ZeroTestPolicy(precision=MAX_PRECISION).precision == 2**16
+
+
+def test_samples_above_the_cap_are_an_input_error():
+    """A verdict's time grows with its samples (3 s at 20,000 on a 1D
+    operator with two exp entries), so 10^9 would run for days.  The
+    policy refuses it before anything is sampled."""
+    for samples in (MAX_SAMPLES + 1, 10**9):
+        with pytest.raises(InputError,
+                           match=f"at most 65536, got {samples}$"):
+            ZeroTestPolicy(samples=samples)
+    assert ZeroTestPolicy(samples=MAX_SAMPLES).samples == 2**16

@@ -233,3 +233,23 @@ def test_unregistered_symbols_rejected(ws2):
     other.freeze()
     with pytest.raises(OperatorError):
         operator_from_entries(ws2, 1, 2, {(0, 1, 1): parse("v1", other)}, {})
+
+
+@pytest.mark.parametrize("where, text", [
+    ((0, 2, 2), "2*v1"), ((0, 2, 2, 2), "exp(v2)"), ((0, 1, 2, 1), "v1*v2"),
+])
+def test_unregistered_symbol_in_a_nonzero_entry_rejected(ws2, where, text):
+    """Rational entries skip the symbol scan, as they hold no symbol;
+    every other entry is scanned, wherever it sits among the zeros."""
+    other = Workspace()
+    other.add_variables("v1", "v2")
+    other.freeze()
+
+    def build(e):
+        g = {where: e} if len(where) == 3 else {}
+        b = {where: e} if len(where) == 4 else {}
+        return operator_from_entries(ws2, 1, 2, g, b)
+
+    with pytest.raises(OperatorError, match=r"unregistered symbols \['v"):
+        build(ex.add(parse("u1", ws2), parse(text, other)))
+    build(ex.Rat(Fraction(3, 2)))

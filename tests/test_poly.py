@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.orderings import grevlex
@@ -213,6 +213,86 @@ def test_gcd_skips_a_zero_image(monkeypatch):
     monkeypatch.setattr(poly, "HEU_GCD_MAX", 1)
     with pytest.raises(HeuristicGCDFailed):
         (a * c).gcd(b * c)
+
+
+def check_cancel(tn, td, n):
+    """num.cancel(den) against sympy's cancel, made monic in the
+    denominator: num/den in lowest terms is unique up to that scaling."""
+    (num, snum), (den, sden) = build(tn, n), build(td, n)
+    p, q = num.cancel(den)
+    sp, sq = snum.cancel(sden)
+    lc = sq.LC
+    assert same(p, sp.quo_ground(lc)) and same(q, sq.quo_ground(lc))
+    assert q.LC == 1 and p * den == q * num
+    if len(p) > 1 and len(q) > 1:
+        assert p.gcd(q) == q.ring.one
+
+
+@st.composite
+def single_term_cases(draw):
+    """(n, a single term, a nonzero polynomial) in n generators, the term
+    first or second."""
+    n = draw(st.integers(1, 5))
+    term = draw(poly_terms(n, max_terms=1).filter(bool))
+    other = draw(poly_terms(n).filter(bool))
+    pair = (term, other) if draw(st.booleans()) else (other, term)
+    return n, pair
+
+
+def _no_gcd(*_args):
+    raise AssertionError("a single-term cancellation built a gcd")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(single_term_cases())
+def test_single_term_cancel_matches_sympy(monkeypatch, case):
+    """With a single-term operand the gcd is the monomial of least
+    exponents: both are shifted by it and no gcd is built.  The draws hold
+    overlapping and disjoint exponents and non-monic denominators."""
+    monkeypatch.setattr(poly.Poly, "gcd", _no_gcd)
+    n, (tn, td) = case
+    check_cancel(tn, td, n)
+
+
+@pytest.mark.parametrize("tn, td", [
+    # overlapping exponents: x^2 y / (3 x y^3) = x / (3 y^2)
+    ([((2, 1, 0), Fraction(1))], [((1, 3, 0), Fraction(3))]),
+    # disjoint exponents: x^2 / (-2/5 y z) keeps both
+    ([((2, 0, 0), Fraction(1))], [((0, 1, 1), Fraction(-2, 5))]),
+    # a term over a sum: x y / (2 x^2 y + 4 x y z) = 1 / (2 x + 4 z)
+    ([((1, 1, 0), Fraction(1))],
+     [((2, 1, 0), Fraction(2)), ((1, 1, 1), Fraction(4))]),
+    # a sum over a term: (x^3 + x y) / (7 x^2) = (x^2 + y) / (7 x)
+    ([((3, 0, 0), Fraction(1)), ((1, 1, 0), Fraction(1))],
+     [((2, 0, 0), Fraction(7))]),
+    # a constant over a term, and a term over a constant
+    ([((0, 0, 0), Fraction(-3))], [((0, 2, 0), Fraction(6))]),
+    ([((0, 2, 1), Fraction(6))], [((0, 0, 0), Fraction(-3))]),
+], ids=["overlapping", "disjoint", "term-over-sum", "sum-over-term",
+        "constant-over-term", "term-over-constant"])
+def test_single_term_cancel_cases(monkeypatch, tn, td):
+    monkeypatch.setattr(poly.Poly, "gcd", _no_gcd)
+    check_cancel(tn, td, 3)
+
+
+def test_cancel_without_generators():
+    """In the ring of no generators every operand is a constant."""
+    ring = PolyRing(())
+    assert ring.ground_new(6).cancel(ring.ground_new(4)) == (
+        ring.ground_new(Fraction(3, 2)), ring.one)
+    assert ring.zero.cancel(ring.ground_new(-5)) == (ring.zero, ring.one)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_pairs(count=3))
+def test_cancel_matches_sympy(case):
+    """num = a c over den = b c, two or more terms each in most draws, so
+    the general gcd runs."""
+    n, (ta, tb, tc) = case
+    (a, _), (b, _), (c, _) = build(ta, n), build(tb, n), build(tc, n)
+    if b and c:
+        check_cancel(list((a * c).items()), list((b * c).items()), n)
 
 
 def test_printing_matches_sympy():
