@@ -56,9 +56,6 @@ class HydroOperator:
             raise OperatorError("workspace lacks the operator variables")
         if len(g) != d or len(b) != d:
             raise OperatorError("metric/coefficient arrays must have d slices")
-        for a in range(d):
-            _check_shape(g[a], (n, n), "g")
-            _check_shape(b[a], (n, n, n), "b")
         # g[alpha][i][j] and b[alpha][i][j][k] are Exprs
         self.ws, self.d, self.n, self.g, self.b = ws, d, n, g, b
         allowed = set(ws.variables) | set(ws.constants)
@@ -106,14 +103,6 @@ def _entries(g, b):
             for x, b_k in zip(g_row, b_row):
                 yield x
                 yield from b_k
-
-
-def _check_shape(arr, shape, what):
-    if len(arr) != shape[0]:
-        raise OperatorError(f"{what} has wrong shape")
-    if len(shape) > 1:
-        for sub in arr:
-            _check_shape(sub, shape[1:], what)
 
 
 def zero_operator(ws: Workspace, d: int, n: int) -> HydroOperator:

@@ -1,52 +1,55 @@
 """Sparse multivariate polynomials over QQ.
 
-A polynomial is a dict from exponent tuples to nonzero coefficients, each
-an ``int`` or a ``Fraction``; the zero polynomial is the empty dict.  Terms
-are ordered by graded reverse lexicographic order, and ``str`` prints them
-leading term first (``-3/2*u1**2*@a0 + 1``).  Polynomials are never mutated
-once built.
+A polynomial is a dict from monomials to nonzero coefficients, each an
+``int`` or a ``Fraction``; the zero polynomial is the empty dict.  Terms
+are ordered by graded reverse lexicographic order (grevlex), and ``str``
+prints them leading term first (``-3/2*u1**2*@a0 + 1``).  Polynomials are
+never mutated once built.
 
-The order's sort key, ``(-degree, reversed exponents)``, is a tuple compared
-in C, and the leading monomial has the smallest key.  Most operands the
-checker makes are single terms, and they take shortcuts: a product with a
-single term shifts the other operand's monomials, and an exact quotient by
-one subtracts its exponents, neither with a division loop.
+A monomial is one int, a packed exponent vector (Monagan and Pearce, CASC
+2007): generator i's exponent fills the W-bit field at bit i*W and the
+total degree the field above them, at bit S = n*W.  The invariant is a
+total degree of at most MAX_DEGREE = 2^(W-1) - 1, so the top bit of each
+field, its guard bit, stays clear; a product or term past this cap raises
+ValueError.  A product of monomials is their sum.  Ints order monomials
+by degree first, so one check on the largest keys bounds every field of
+a product; with the bits below S flipped they sort in grevlex order.  The
+guard bits of ((a | G) - b) & G mark each field where a >= b, so a
+fieldwise min or max, or a divisibility test, is a few int operations.
+``terms()``, ``degrees()`` and ``term_new`` speak exponent tuples.
 
-A fraction is reduced by ``cancel``.  When either operand is a single
-term, their gcd is the monomial of least exponents, so both are shifted by
-it and no gcd is built.  Otherwise the gcd clears denominators and runs the
-heuristic gcd of Char, Geddes and Gonnet (GCDHEU, J. Symbolic Comput. 7,
-1989): evaluate one variable at a large integer, take the gcd of the images
-recursively, interpolate, and keep the candidate only if it divides both
-operands exactly.
+A product with a single term shifts the other operand's monomials, and a
+quotient by one subtracts its exponents.  ``cancel`` shifts both operands
+by the monomial of least exponents when either is a single term, and
+otherwise divides by their gcd: the heuristic gcd of Char, Geddes and
+Gonnet (GCDHEU, J. Symbolic Comput. 7, 1989) over ZZ, after clearing
+denominators.  GCDHEU and the general exact division run on exponent
+tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd as igcd
 from math import isqrt, lcm
-from operator import add, gt, sub
+from operator import add, sub
+from sys import byteorder
 
 # evaluation points GCDHEU tries before it gives up
 HEU_GCD_MAX = 6
+# bits per exponent field, its guard bit included
+W = 16
+FIELD = (1 << W) - 1
+MAX_DEGREE = (1 << W - 1) - 1
 
 
 class HeuristicGCDFailed(ArithmeticError):
     """GCDHEU found no gcd within its HEU_GCD_MAX evaluation points."""
 
 
-def grevlex(monom: tuple) -> tuple:
-    """Sort key of graded reverse lexicographic order, leading monomial
-    first: higher degree first, then a smaller exponent of the last
-    generator, then of the one before it, and so on."""
-    return (-sum(monom), monom[::-1])
-
-
 def _leading(d: dict) -> tuple:
-    if len(d) == 1:
-        return next(iter(d))
-    return min(d, key=grevlex)
+    return min(d, key=lambda m: (-sum(m), m[::-1]))
 
 
 def _quo_coeff(a, b):
@@ -58,30 +61,56 @@ def _quo_coeff(a, b):
     return q.numerator if q.denominator == 1 else q
 
 
+def _too_high(degree: int) -> ValueError:
+    return ValueError(f"total degree must be at most {MAX_DEGREE}, got "
+                      f"{degree}")
+
+
 class PolyRing:
     """QQ[names] with grevlex order."""
 
     def __init__(self, names):
         self.names = tuple(names)
         n = len(self.names)
-        self.zero_monom = (0,) * n
+        self._shift = n * W
+        self._low = (1 << self._shift) - 1
+        self._limit = MAX_DEGREE + 1 << self._shift
+        self._guards = sum(1 << i * W + W - 1 for i in range(n))
+        self._ones = sum(1 << i * W for i in range(n))
+        self._order = self._low.__xor__     # sort key, leading term largest
         self.zero = self._new({})
         self.one = self.ground_new(1)
-        self.gens = tuple(
-            self.term_new(tuple(int(i == j) for j in range(n)), 1)
-            for i in range(n)
-        )
+        self.gens = tuple(self._new({1 << i * W | 1 << self._shift: 1})
+                          for i in range(n))
 
     def _new(self, terms: dict) -> Poly:
         p = Poly(terms)
         p.ring = self
         return p
 
+    def _pack(self, monom: tuple) -> int:
+        degree = sum(monom)
+        if degree > MAX_DEGREE:
+            raise _too_high(degree)
+        return sum((e << i * W for i, e in enumerate(monom)),
+                   degree << self._shift)
+
+    def _unpack(self, m: int) -> tuple:
+        # W = 16: each field is one native uint16 of the int's bytes
+        return tuple(memoryview((m & self._low).to_bytes(
+            self._shift // 8, byteorder)).cast("H"))
+
+    def _tuples(self, p: Poly) -> dict:
+        return {self._unpack(m): c for m, c in p.items()}
+
+    def _packed(self, d: dict) -> Poly:
+        return self._new({self._pack(m): c for m, c in d.items()})
+
     def term_new(self, monom: tuple, coeff) -> Poly:
-        return self._new({monom: coeff} if coeff else {})
+        return self._new({self._pack(monom): coeff} if coeff else {})
 
     def ground_new(self, coeff) -> Poly:
-        return self.term_new(self.zero_monom, coeff)
+        return self._new({0: coeff} if coeff else {})
 
 
 class Poly(dict):
@@ -120,26 +149,33 @@ class Poly(dict):
     def __mul__(self, other: Poly) -> Poly:
         if len(other) == 1:
             self, other = other, self
+        ring = self.ring
         if len(self) == 1:
-            # shifted monomials are distinct and the coefficients nonzero
             (m1, c1), = self.items()
-            return other.ring._new({tuple(map(add, m1, m)): c1 * c
-                                    for m, c in other.items()})
+            if other and m1 + max(other) >= ring._limit:
+                raise _too_high(m1 + max(other) >> ring._shift)
+            # shifted monomials are distinct and the coefficients nonzero
+            return ring._new({m1 + m: c1 * c for m, c in other.items()})
+        if self and other and max(self) + max(other) >= ring._limit:
+            raise _too_high(max(self) + max(other) >> ring._shift)
         p = {}
         get = p.get
         for m1, c1 in self.items():
             for m2, c2 in other.items():
-                m = tuple(map(add, m1, m2))
+                m = m1 + m2
                 p[m] = get(m, 0) + c1 * c2
-        return self.ring._new({m: c for m, c in p.items() if c})
+        return ring._new({m: c for m, c in p.items() if c})
 
     def __pow__(self, k: int) -> Poly:
         if k < 0:
             raise ValueError("negative power of a polynomial")
+        ring = self.ring
+        if self and (max(self) >> ring._shift) * k > MAX_DEGREE:
+            raise _too_high((max(self) >> ring._shift) * k)
         if len(self) == 1:
             (m, c), = self.items()
-            return self.ring.term_new(tuple(e * k for e in m), c ** k)
-        out, base = self.ring.one, self
+            return ring._new({m * k: c ** k})
+        out, base = ring.one, self
         while k:
             if k & 1:
                 out = out * base
@@ -149,27 +185,28 @@ class Poly(dict):
         return out
 
     def terms(self) -> list:
-        """(monomial, coefficient) pairs, leading term first."""
-        return [(m, self[m]) for m in sorted(self, key=grevlex)]
+        """(exponent tuple, coefficient) pairs, leading term first."""
+        unpack = self.ring._unpack
+        return [(unpack(m), self[m])
+                for m in sorted(self, key=self.ring._order, reverse=True)]
 
     @property
     def LC(self):
-        return self[_leading(self)] if self else 0
+        return (self[max(self, key=self.ring._order)] if len(self) > 1
+                else next(iter(self.values()), 0))
 
     def degrees(self) -> tuple:
         """The largest exponent of each generator (-inf for zero)."""
         if not self:
             return (float("-inf"),) * len(self.ring.names)
-        return tuple(map(max, zip(*self)))
+        return self.ring._unpack(_fieldwise(self.ring, self, -1))
 
     def diff(self, index: int) -> Poly:
         """d/dx of the generator at ``index``."""
-        out = {}
-        for m, c in self.items():
-            e = m[index]
-            if e:
-                out[m[:index] + (e - 1,) + m[index + 1:]] = c * e
-        return self.ring._new(out)
+        ring, shift = self.ring, index * W
+        unit = 1 << shift | 1 << ring._shift
+        return ring._new({m - unit: c * (m >> shift & FIELD)
+                          for m, c in self.items() if m >> shift & FIELD})
 
     def mul_ground(self, c) -> Poly:
         return self.ring._new({m: v * c for m, v in self.items()})
@@ -179,18 +216,18 @@ class Poly(dict):
 
     def quo(self, other: Poly) -> Poly:
         """The exact quotient self / other; other must divide self."""
-        if len(other) != 1:
-            q = _exquo(self, other, integral=False)
-        else:
+        ring, g = self.ring, self.ring._guards
+        if len(other) == 1:
             (lm, lc), = other.items()
-            # a monomial divides self when each exponent of lm is at most
-            # that generator's least exponent in self
-            q = None if any(map(gt, lm, map(min, zip(*self)))) else {
-                tuple(map(sub, m, lm)): _quo_coeff(c, lc)
-                for m, c in self.items()}
-        if q is None:
-            raise ArithmeticError(f"{other} does not divide {self}")
-        return self.ring._new(q)
+            # lm divides m when no field of (m | G) - lm borrows its guard bit
+            if all(((m | g) - lm) & g == g for m in self):
+                return ring._new({m - lm: _quo_coeff(c, lc)
+                                  for m, c in self.items()})
+        else:
+            q = _exquo(ring._tuples(self), ring._tuples(other), integral=False)
+            if q is not None:
+                return ring._packed(q)
+        raise ArithmeticError(f"{other} does not divide {self}")
 
     def gcd(self, other: Poly) -> Poly:
         """The monic greatest common divisor (zero for two zeros).  Raises
@@ -200,12 +237,11 @@ class Poly(dict):
             h = self or other
             return h.quo_ground(h.LC) if h else ring.zero
         if len(self) == 1 or len(other) == 1:
-            return ring.term_new(_least_exponents(self, other), 1)
-        shrink, grow = _deflation(self, other)
-        h = _heugcd(shrink(_cleared(self)), shrink(_cleared(other)))[0]
-        h = grow(h)
-        lc = h[_leading(h)]
-        return ring._new({m: _quo_coeff(c, lc) for m, c in h.items()})
+            return ring._new({_least_exponents(self, other): 1})
+        f, g = _cleared(ring._tuples(self)), _cleared(ring._tuples(other))
+        shrink, grow = _deflation(f, g)
+        h = ring._packed(grow(_heugcd(shrink(f), shrink(g))[0]))
+        return h.quo_ground(h.LC)
 
     def cancel(self, other: Poly) -> tuple:
         """(self/h, other/h) for the gcd h of self and a nonzero other,
@@ -217,7 +253,7 @@ class Poly(dict):
             return self, ring.one
         if len(self) == 1 or len(other) == 1:
             low = _least_exponents(self, other)
-            if any(low):
+            if low:
                 self, other = _shifted(self, low), _shifted(other, low)
         else:
             h = self.gcd(other)
@@ -229,32 +265,42 @@ class Poly(dict):
         return self, other
 
     def __str__(self):
-        if not self:
-            return "0"
-        parts = []
+        out = ""
         for m, c in self.terms():
-            parts.append(" - " if c < 0 else " + ")
-            c = abs(c)
             factors = [name if e == 1 else f"{name}**{e}"
                        for name, e in zip(self.ring.names, m) if e]
-            if c != 1 or not factors:
-                factors.insert(0, str(c))
-            parts.append("*".join(factors))
-        parts[0] = "-" if parts[0] == " - " else ""
-        return "".join(parts)
+            if abs(c) != 1 or not factors:
+                factors.insert(0, str(abs(c)))
+            out += (" - " if c < 0 else " + ") + "*".join(factors)
+        if not out:
+            return "0"
+        return out[3:] if out[1] == "+" else "-" + out[3:]
 
     __repr__ = __str__
 
 
-def _least_exponents(f: Poly, g: Poly) -> tuple:
+def _fieldwise(ring: PolyRing, monoms, flip: int = 0) -> int:
+    """The fieldwise min of nonempty monomials, or the max for flip = -1."""
+    g = ring._guards
+    acc, *rest = monoms
+    for m in rest:
+        # each field where acc >= m, its guard bit spread over its low bits
+        t = ((acc | g) - m) & g
+        acc ^= (acc ^ m) & (t - (t >> W - 1) ^ flip)
+    acc &= ring._low
+    # the total degree: field n-1 of acc * ones sums the fields
+    return acc | (acc * ring._ones << W >> ring._shift & FIELD) << ring._shift
+
+
+def _least_exponents(f: Poly, g: Poly) -> int:
     """The monomial gcd of f and g, nonzero and one of them a single term:
     each generator's least exponent over both."""
-    return tuple(map(min, *f, *g))
+    return 0 if 0 in f or 0 in g else _fieldwise(f.ring, chain(f, g))
 
 
-def _shifted(p: Poly, low: tuple) -> Poly:
+def _shifted(p: Poly, low: int) -> Poly:
     """p divided by the monomial low, which divides each of its terms."""
-    return p.ring._new({tuple(map(sub, m, low)): c for m, c in p.items()})
+    return p.ring._new({m - low: c for m, c in p.items()})
 
 
 # -- exact division ------------------------------------------------------------
@@ -292,7 +338,7 @@ def _exquo(f: dict, g: dict, integral: bool):
 
 # -- GCDHEU over ZZ ------------------------------------------------------------
 
-def _cleared(p: Poly) -> dict:
+def _cleared(p: dict) -> dict:
     """p times the lcm of its coefficient denominators: integer coefficients."""
     d = lcm(*(c.denominator for c in p.values()))
     return {m: c.numerator * (d // c.denominator) for m, c in p.items()}
@@ -303,12 +349,7 @@ def _deflation(f: dict, g: dict):
     generators absent from both are dropped, and each remaining exponent is
     divided by the gcd of that generator's exponents.  The gcd commutes
     with the substitution x -> x^J, so it can be taken in the small ring."""
-    n = len(next(iter(f)))
-    steps = [0] * n
-    for m in list(f) + list(g):
-        for i, e in enumerate(m):
-            if e:
-                steps[i] = igcd(steps[i], e)
+    steps = [igcd(*column) for column in zip(*f, *g)]
     kept = [(i, s) for i, s in enumerate(steps) if s]
 
     def shrink(p):
@@ -317,7 +358,7 @@ def _deflation(f: dict, g: dict):
     def grow(p):
         out = {}
         for m, c in p.items():
-            full = [0] * n
+            full = [0] * len(steps)
             for (i, s), e in zip(kept, m):
                 full[i] = e * s
             out[tuple(full)] = c
@@ -348,19 +389,14 @@ def _interpolate(h, x: int, n: int) -> dict:
     coefficient."""
     f = {}
     i = 0
+    if n == 1:
+        h = {(): h}
     while h:
-        if n == 1:
-            digit = _symmetric_mod(h, x)
-            h = (h - digit) // x
+        digits = {m: _symmetric_mod(c, x) for m, c in h.items()}
+        h = {m: (c - digits[m]) // x for m, c in h.items() if c != digits[m]}
+        for m, digit in digits.items():
             if digit:
-                f[(i,)] = digit
-        else:
-            digits = {m: _symmetric_mod(c, x) for m, c in h.items()}
-            h = {m: (c - digits[m]) // x for m, c in h.items()
-                 if c != digits[m]}
-            for m, digit in digits.items():
-                if digit:
-                    f[(i,) + m] = digit
+                f[(i,) + m] = digit
         i += 1
     if f[_leading(f)] < 0:
         f = {m: -c for m, c in f.items()}
@@ -407,22 +443,16 @@ def _heugcd_candidates(f: dict, g: dict, ff, gg, x: int, n: int):
     else:
         hh, cff, cfg = _heugcd(ff, gg)
     h = _primitive(_interpolate(hh, x, n))
-    cff_ = _exquo(f, h, integral=True)
-    if cff_ is not None:
-        cfg_ = _exquo(g, h, integral=True)
-        if cfg_ is not None:
-            return h, cff_, cfg_
+    if ((cff_ := _exquo(f, h, integral=True)) is not None
+            and (cfg_ := _exquo(g, h, integral=True)) is not None):
+        return h, cff_, cfg_
     cff = _interpolate(cff, x, n)
-    h = _exquo(f, cff, integral=True)
-    if h is not None:
-        cfg_ = _exquo(g, h, integral=True)
-        if cfg_ is not None:
-            return h, cff, cfg_
+    if ((h := _exquo(f, cff, integral=True)) is not None
+            and (cfg_ := _exquo(g, h, integral=True)) is not None):
+        return h, cff, cfg_
     cfg = _interpolate(cfg, x, n)
-    h = _exquo(g, cfg, integral=True)
-    if h is not None:
-        cff_ = _exquo(f, h, integral=True)
-        if cff_ is not None:
-            return h, cff_, cfg
+    if ((h := _exquo(g, cfg, integral=True)) is not None
+            and (cff_ := _exquo(f, h, integral=True)) is not None):
+        return h, cff_, cfg
     return None
 

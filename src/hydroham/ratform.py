@@ -230,8 +230,8 @@ def atom_signature(atom: ex.Expr, ws: Workspace) -> str | Fraction:
     if isinstance(atom, ex.Call):
         arg = _normalize(atom.arg, ws)
         sig = f"{atom.fn}({_canonical_string(arg)})"
-        # a constant argument: no monomial of num or den has an exponent
-        if not any(map(any, [*arg.num, *arg.den])):
+        # a constant argument: no generator has a positive degree
+        if max((*arg.num.degrees(), *arg.den.degrees()), default=0) <= 0:
             c = Fraction(arg.num.LC)
             if atom.fn != "exp" and (c < 0 or atom.fn == "ln" and not c):
                 raise NormalizeError(f"{sig} is outside the real domain")

@@ -335,6 +335,31 @@ def test_literal_division_by_zero_exits_3(tmp_path, capsys):
     assert "division by zero" in _assert_input_error(capsys)
 
 
+def test_missing_metric_row_exits_3(tmp_path, capsys):
+    """Table shapes are checked once, where the document is read."""
+    doc = _op_1d2("1")
+    del doc["metrics"]["x"][1]
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 3
+    assert _assert_input_error(capsys) == (
+        "input error: metrics['x'] must be 2x2\n")
+
+
+@pytest.mark.parametrize("entry, degree", [
+    ("u1^40000", 40000), ("(u1*u2)^20000", 40000),
+    ("u1^20000*u2^20000", 40000), ("u1^32768", 32768),
+])
+def test_total_degree_past_the_cap_exits_3(tmp_path, capsys, entry, degree):
+    """A monomial's total degree is capped at 2^15 - 1; each entry was
+    once accepted."""
+    path = tmp_path / "high.json"
+    path.write_text(json.dumps(_op_1d2(entry)))
+    assert main(["check", str(path)]) == 3
+    assert _assert_input_error(capsys) == (
+        f"input error: total degree must be at most 32767, got {degree}\n")
+
+
 def test_deep_nesting_exits_3(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text(json.dumps(_op_1d2("(" * 3000 + "u1" + ")" * 3000)))

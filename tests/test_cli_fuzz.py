@@ -8,7 +8,7 @@ the expression grammar (exp/ln/sqrt and an abstract function included),
 shape and type edits, and deleted keys.  Argument lists are drawn over the
 global flags and the ``catalog`` options.  Sizes stay bounded so a call
 stays cheap: at most 50 samples, 256 bits of precision and exponents up
-to 4.  The draws are derandomized, so a run is reproducible.
+to 4, but for two leaves past the total degree cap.  The draws are derandomized, so a run is reproducible.
 """
 
 import contextlib
@@ -62,7 +62,7 @@ CELLS = [p for p in PATHS if p[0] in ("metrics", "b")
 # the expression grammar; a leaf may be malformed or unregistered
 LEAVES = ("u1", "u2", "eps", "0", "1", "-2", "1/3", "f", "f_1", "f_12",
           "f(u2, u1)", "exp(2*u1) - exp(u1)^2", "w9", "1/0", "u1^", "(",
-          "")
+          "", "u1^40000", "(u1*u2)^20000")
 EXPRS = st.recursive(
     st.sampled_from(LEAVES),
     lambda inner: st.one_of(

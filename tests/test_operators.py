@@ -222,11 +222,6 @@ def test_compatibility_reports_per_lambda_power(ws2):
     assert "lam^0" in powers
 
 
-def test_operator_shape_validation(ws2):
-    with pytest.raises(OperatorError):
-        HydroOperator(ws2, 1, 2, [[[ex.ZERO]]], [[[[ex.ZERO]]]])
-
-
 def test_unregistered_symbols_rejected(ws2):
     other = Workspace()
     other.add_variables("v1", "v2")

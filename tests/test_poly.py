@@ -1,9 +1,12 @@
 """The in-package polynomial ring against sympy's ring over QQ in grevlex
 order, which serves as the oracle: arithmetic, term order, printing,
-derivatives, the monic gcd and exact quotients."""
+derivatives, the monic gcd and exact quotients, also with exponents at the
+edges of the packed fields; and the guard-bit operations and the degree
+cap of the packed monomials."""
 
 from fractions import Fraction
 from itertools import combinations, product
+from operator import le, sub
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -34,13 +37,26 @@ def build(terms, n):
 
 
 def as_dict(p):
-    """Coefficients as Fractions, for either ring's elements."""
+    """Coefficients as Fractions by exponent tuple, for either ring's
+    elements."""
     return {m: Fraction(int(c.numerator), int(c.denominator))
-            for m, c in p.items()}
+            for m, c in p.terms()}
+
+
+def rebuilt(p):
+    """Ours p, built again term by term from its exponent tuples: equal to
+    p only when each of p's packed monomials, degree included, is the one
+    term_new makes."""
+    out = p.ring.zero
+    for m, c in p.terms():
+        out = out + p.ring.term_new(m, c)
+    return out
 
 
 def same(p, q):
-    return as_dict(p) == as_dict(q) and str(p) == str(q)
+    """Ours p and sympy's q have the same terms and print alike."""
+    return (as_dict(p) == as_dict(q) and str(p) == str(q)
+            and p == rebuilt(p))
 
 
 def coefficients(big):
@@ -144,7 +160,7 @@ def test_term_order_matches_sympy_on_every_pair():
             first = max(m1, m2, key=grevlex)
             assert [m for m, _ in p.terms()] == [first, min(m1, m2,
                                                             key=grevlex)]
-            assert p.LC == p[first]
+            assert p.LC == dict(p.terms())[first]
 
 
 def check_gcd(ta, tb, tc, n):
@@ -292,7 +308,7 @@ def test_cancel_matches_sympy(case):
     n, (ta, tb, tc) = case
     (a, _), (b, _), (c, _) = build(ta, n), build(tb, n), build(tc, n)
     if b and c:
-        check_cancel(list((a * c).items()), list((b * c).items()), n)
+        check_cancel((a * c).terms(), (b * c).terms(), n)
 
 
 def test_printing_matches_sympy():
@@ -300,3 +316,100 @@ def test_printing_matches_sympy():
     p, sp = build(terms, 5)
     assert str(p) == str(sp) == "-3/2*u1**2*@a0 + 1"
     assert str(PolyRing(NAMES).zero) == "0"
+
+
+# Exponents at and around the edges of the packed fields: a carry from one
+# field into the next, or into the degree field, shows as a wrong exponent.
+EDGES = [0, 1, 2, 255, 256, 257, 2 ** 14 - 1, 2 ** 14, 2 ** 15 - 2]
+
+
+@st.composite
+def edge_terms(draw, n, budget, max_terms=4):
+    """Up to max_terms distinct terms in n generators with exponents from
+    EDGES, each of total degree at most budget."""
+    monoms = set()
+    for _ in range(draw(st.integers(0, max_terms))):
+        m, left = [0] * n, budget
+        for i in draw(st.permutations(range(n))):
+            m[i] = draw(st.sampled_from([e for e in EDGES if e <= left]))
+            left -= m[i]
+        monoms.add(tuple(m))
+    return [(m, draw(coefficients(False))) for m in sorted(monoms)]
+
+
+@st.composite
+def edge_cases(draw):
+    """(n, a, b, t): two polynomials and a single term whose pairwise
+    products stay within the degree cap."""
+    n = draw(st.integers(1, 4))
+    budget = draw(st.sampled_from(EDGES[1:]))
+    rest = poly.MAX_DEGREE - budget
+    return (n, draw(edge_terms(n, budget)), draw(edge_terms(n, rest)),
+            draw(edge_terms(n, rest, max_terms=1).filter(bool)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_cases())
+def test_packed_fields_match_sympy(case):
+    """Products, single-term quotients and cancellations, degrees,
+    derivatives and term order, with exponents near the field edges."""
+    n, ta, tb, tt = case
+    (a, sa), (b, sb), (t, st_) = build(ta, n), build(tb, n), build(tt, n)
+    assert [m for m, _ in a.terms()] == [m for m, _ in sa.terms()]
+    assert str(a) == str(sa)
+    assert same(a * b, sa * sb) and same(t * a, st_ * sa)
+    assert same((a * t).quo(t), sa)
+    q, r = sa.div(st_)
+    if r:
+        with pytest.raises(ArithmeticError):
+            a.quo(t)
+    else:
+        assert same(a.quo(t), q)
+    if a:
+        assert a.degrees() == sa.degrees()
+        check_cancel(ta, tt, n)
+        check_cancel(tt, ta, n)
+    for i in range(n):
+        assert same(a.diff(i), sa.diff(sa.ring.gens[i]))
+
+
+def test_swar_min_max_and_divisibility_are_fieldwise():
+    """Every pair of monomials of up to three generators with exponents up
+    to four, unsampled: the guard-bit min and max are the tuple ones, with
+    their total degree, and a single term divides another exactly when
+    each of its exponents is at most the other's."""
+    for n in range(4):
+        ring = PolyRing(NAMES[:n])
+        monoms = list(product(range(5), repeat=n))
+        packed = {m: next(iter(ring.term_new(m, 1))) for m in monoms}
+        for a, b in product(monoms, repeat=2):
+            pair = [packed[a], packed[b]]
+            low, high = tuple(map(min, a, b)), tuple(map(max, a, b))
+            assert poly._fieldwise(ring, pair) == packed[low]
+            assert poly._fieldwise(ring, pair, -1) == packed[high]
+            ta, tb = ring.term_new(a, 1), ring.term_new(b, 3)
+            if all(map(le, a, b)):
+                assert tb.quo(ta).terms() == [
+                    (tuple(map(sub, b, a)), 3)]
+            else:
+                with pytest.raises(ArithmeticError):
+                    tb.quo(ta)
+
+
+def test_total_degree_cap():
+    """A total degree up to MAX_DEGREE = 2^15 - 1 is kept exactly; a
+    product, power or term past it raises ValueError before it is built."""
+    ring = PolyRing(NAMES[:2])
+    x, y = ring.gens
+    top = poly.MAX_DEGREE
+    assert (x ** top).terms() == [((top, 0), 1)]
+    assert ((x + y) * x ** (top - 1)).terms() == [((top, 0), 1),
+                                                    ((top - 1, 1), 1)]
+    assert (x ** (top - 1) * y).degrees() == (top - 1, 1)
+    for make in (lambda: x ** top * y, lambda: y * x ** top,
+                 lambda: (x + y) ** (top + 1), lambda: x ** (top + 1),
+                 lambda: (x + ring.one) * (x ** top + y),
+                 lambda: ring.term_new((top, 1), 1)):
+        with pytest.raises(ValueError, match="total degree must be at most "
+                                             "32767"):
+            make()
