@@ -279,7 +279,7 @@ def _cmd_pencil(args, policy) -> int:
         report.add_check("pencil", ("analysis",), Verdict("inconclusive"))
         report.note("inconclusive", str(e))
     if args.compatibility and op.d == 2:
-        result = pencil_compatibility(op.part(0), op.part(1), policy)
+        result = pencil_compatibility(op, policy)
         _add_report_records(report, result.records)
     return report.finish()
 

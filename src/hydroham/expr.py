@@ -351,8 +351,9 @@ _PREC_POW = 3
 _PREC_ATOM = 4
 
 
-def _arg_digit(sym: Symbol, position: int) -> str:
-    # u2 -> "2"; fall back to the 1-based argument position
+def arg_digit(sym: Symbol, position: int) -> str:
+    """The digit naming a function's argument in a derivative suffix (f_12):
+    the digit tail of its name (u2 -> "2"), else its 1-based position."""
     tail = sym.name.lstrip(
         "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
     )
@@ -368,7 +369,7 @@ def _atom_name(e: FuncAtom) -> str:
     if len(e.args) == 1:
         return name + "'" * e.deriv[0]
     digits = "".join(
-        _arg_digit(e.func.args[t], t) * e.deriv[t] for t in range(len(e.deriv))
+        arg_digit(e.func.args[t], t) * e.deriv[t] for t in range(len(e.deriv))
     )
     return f"{name}_{digits}"
 

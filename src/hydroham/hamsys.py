@@ -15,15 +15,13 @@ from . import expr as ex
 from .calculus import substitute
 from .operators import (
     HydroOperator,
+    MetricPencil,
     _flatten,
     _map_nested,
     is_trivial_pair,
 )
 from .ratform import (
-    coefficients_in,
     derivation_context,
-    det,
-    matrix_forms,
     ratform_to_expr,
     to_rational_form,
 )
@@ -134,16 +132,11 @@ class DispersionRelation:
 def dispersion(sys: QuasilinearSystem) -> DispersionRelation:
     """det(E + lam A + mu B) expanded as a polynomial in the formal
     constants lam, mu."""
-    ws = sys.ws.extended(list(DISPERSION_PARAMS))
-    lam, mu = ws.constants[-2:]
-    rng = range(sys.n)
-    d = det(matrix_forms(ws, [[ex.add(
-        ex.ONE if i == k else ex.ZERO, ex.mul(ex.Var(lam), sys.A[i][k]),
-        ex.mul(ex.Var(mu), sys.B[i][k])) for k in rng] for i in rng]))
-    coeffs = coefficients_in(d, [lam.name, mu.name])
+    pencil = MetricPencil(sys.ws, DISPERSION_PARAMS, [sys.A, sys.B], unit=1)
     return DispersionRelation(
-        ws, [lam, mu], ratform_to_expr(d),
-        {exps: ratform_to_expr(c) for exps, c in coeffs.items()})
+        pencil.ws, pencil.params, ratform_to_expr(pencil.determinant),
+        {exps: ratform_to_expr(c)
+         for exps, c in pencil.det_coefficients.items()})
 
 
 # -- hydrodynamic reduction candidates ----------------------------------------

@@ -215,10 +215,8 @@ def euler_lagrange_fluxes(density: LagrangianDensity):
 # -- partial Legendre transform -------------------------------------------------
 
 class LegendreResult:
-    def __init__(self, density: LagrangianDensity, h_tilde: ex.Expr,
-                 identity_residuals: list):
+    def __init__(self, density: LagrangianDensity, identity_residuals: list):
         self.density = density
-        self.h_tilde = h_tilde  # h - rho*h_rho in (rho_t, u, v)
         # (label, residual, verdict) of the three derivative identities
         self.identity_residuals = identity_residuals
 
@@ -261,4 +259,4 @@ def legendre(h: ex.Expr, ws: Workspace, inverse: ex.Expr,
     a, b, c = (lag_ws.require_symbol(n) for n in LAGRANGIAN_VARS)
     f = substitute(h_tilde, {u: ex.Var(a), v: ex.Var(b), rhot: ex.Var(c)})
     f = ratform_to_expr(normalize(f, lag_ws))
-    return LegendreResult(LagrangianDensity(f, lag_ws), h_tilde, checked)
+    return LegendreResult(LagrangianDensity(f, lag_ws), checked)

@@ -88,12 +88,6 @@ class HydroOperator:
         construction)."""
         return MetricPencil.of(self)
 
-    def part(self, alpha: int) -> "HydroOperator":
-        """The 1D operator in the alpha-th independent variable."""
-        return HydroOperator(
-            self.ws, 1, self.n, [self.g[alpha]], [self.b[alpha]]
-        )
-
 
 def _entries(g, b):
     """The entries of the tables g and b: for each alpha, i and j, g^{ij}
@@ -608,25 +602,31 @@ PENCIL_PARAMS = ("lam1", "lam2", "lam3", "lam4")
 
 
 class MetricPencil:
-    def __init__(self, params: list[Symbol], matrix: list):
-        self.params = params    # the formal lambda constants
-        self.matrix = matrix    # n x n RationalForms, linear in the lambdas
+    """The linear matrix pencil unit*E + sum_a lam_a M_a, the formal
+    constants lam_a named by ``names`` and added to ``ws``, as rational forms
+    of one context built from the entries of the M_a.  ``of(op)`` is the
+    metric pencil sum_alpha lam_alpha g^alpha."""
+
+    def __init__(self, ws: Workspace, names, matrices: list, unit=0):
+        self.ws = ws.extended(list(names))
+        self.params = self.ws.constants[len(ws.constants):]  # the lambdas
+        ctx = build_context(self.ws, _flatten(matrices))
+        lams = [to_rational_form(ex.Var(p), ctx) for p in self.params]
+        diag = ctx.one.scaled(unit) if unit else ctx.zero
+        rng = range(len(matrices[0]))
+        self.matrix = [[sum((lam * to_rational_form(m[i][j], ctx)
+                             for lam, m in zip(lams, matrices)
+                             if m[i][j] != ex.ZERO),
+                            diag if i == j else ctx.zero) for j in rng]
+                       for i in rng]
 
     @classmethod
     def of(cls, op: HydroOperator) -> "MetricPencil":
-        ws = op.ws.extended(list(PENCIL_PARAMS[: op.d]))
-        params = ws.constants[len(op.ws.constants):]
-        ctx = build_context(ws, _flatten(op.g))
-        lams = [to_rational_form(ex.Var(p), ctx) for p in params]
-        rng = range(op.n)
-        matrix = [[sum((lam * to_rational_form(g[i][j], ctx)
-                        for lam, g in zip(lams, op.g) if g[i][j] != ex.ZERO),
-                       ctx.zero) for j in rng] for i in rng]
-        return cls(params, matrix)
+        return cls(op.ws, PENCIL_PARAMS[: op.d], op.g)
 
     @cached_property
     def determinant(self):
-        """det(sum_alpha lam_alpha g^alpha) as one RationalForm."""
+        """The determinant of the pencil as one RationalForm."""
         return det(self.matrix)
 
     @cached_property
@@ -746,29 +746,26 @@ def is_trivial_pair(op: HydroOperator,
 # -- pencil compatibility --------------------------------------------------------
 
 def pencil_compatibility(
-        opx: HydroOperator, opy: HydroOperator,
+        op: HydroOperator,
         policy: ZeroTestPolicy = DEFAULT_POLICY) -> ConditionReport:
-    """Forms the 1D operator g_x + lam g_y, b_x + lam b_y with a formal
-    constant lam and checks a1..a7 identically in lam; one record per
-    lambda power of each nonzero residual, and one ``lam^0`` record of
-    each zero one."""
-    if opx.d != 1 or opy.d != 1:
-        raise OperatorError("compatibility expects two 1D operators")
-    if opx.n != opy.n or opx.ws is not opy.ws:
-        raise OperatorError("operators must share components and workspace")
-    ws = opx.ws.extended(["lam"])
-    lam = ws.constants[-1]
-    n = opx.n
-    g = [[[ex.add(opx.g[0][i][j], ex.mul(ex.Var(lam), opy.g[0][i][j]))
-           for j in range(n)] for i in range(n)]]
-    b = [[[[ex.add(opx.b[0][i][j][k], ex.mul(ex.Var(lam), opy.b[0][i][j][k]))
-            for k in range(n)] for j in range(n)] for i in range(n)]]
-    pencil_op = HydroOperator(ws, 1, n, g, b)
-
-    kept = {(rel, idx): [_record(rel, idx + (f"lam^{power}",), coeff, policy)
-                         for (power,), coeff
-                         in coefficients_in(rf, [lam.name]).items()]
-            for rel, idx, rf in MokhovChecker(pencil_op).residuals(
-                ALL_RELATIONS)}
-    return ConditionReport(partial(residual_keys, 1, n, ALL_RELATIONS), kept,
-                           ("lam^0",))
+    """a1..a7 of the 1D operator g_x + lam g_y, b_x + lam b_y of a 2D
+    operator, identically in lam: a relation sums over ordered alpha labels,
+    linear in each label's entries, so the lam^k coefficient of a residual
+    sums the 2D ones with k labels y (a3[x, y] + a3[y, x] at lam^1).  One
+    record per lambda power of each nonzero residual, one ``lam^0`` record
+    of each zero one."""
+    if op.d != 2:
+        raise OperatorError("compatibility expects a d = 2 operator")
+    powers: dict = {}
+    for rel, idx, rf in MokhovChecker(op).residuals(ALL_RELATIONS):
+        a = _ARITY[rel][0]
+        powers.setdefault((rel, ("x",) * a + idx[a:]), []).append(
+            (idx[:a].count("y"), rf))
+    kept = {}
+    for (rel, idx), terms in sorted(powers.items()):
+        recs = [_record(rel, idx + (f"lam^{k}",), rf, policy)
+                for k, rf in sorted(_table(terms).items())]
+        if recs:
+            kept[rel, idx] = recs
+    return ConditionReport(partial(residual_keys, 1, op.n, ALL_RELATIONS),
+                           kept, ("lam^0",))

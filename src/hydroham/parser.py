@@ -230,7 +230,8 @@ class _Parser:
                     )
                 deriv[0] = tok.primes
             for d in deriv_digits:
-                pos = _digit_position(target, d)
+                pos = next((t for t, a in enumerate(target.args)
+                            if ex.arg_digit(a, t) == d), None)
                 if pos is None:
                     raise ParseError(
                         f"derivative index {d} does not match an argument of "
@@ -248,16 +249,6 @@ class _Parser:
             return ex.func_atom(target, args, deriv)
 
         raise UnknownSymbolError(name, tok.offset, self.ws)
-
-
-def _digit_position(fn: FunctionSymbol, digit: str):
-    for t, sym in enumerate(fn.args):
-        tail = sym.name.lstrip(
-            "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-        )
-        if tail == digit or (not tail.isdigit() and str(t + 1) == digit):
-            return t
-    return None
 
 
 def parse(text: str, workspace: Workspace) -> ex.Expr:

@@ -15,8 +15,9 @@ ValueError.  A product of monomials is their sum.  Ints order monomials
 by degree first, so one check on the largest keys bounds every field of
 a product; with the bits below S flipped they sort in grevlex order.  The
 guard bits of ((a | G) - b) & G mark each field where a >= b, so a
-fieldwise min or max, or a divisibility test, is a few int operations.
-``terms()``, ``degrees()`` and ``term_new`` speak exponent tuples.
+fieldwise min or a divisibility test is a few int operations, and the OR
+of the monomials holds the generators that occur.  ``terms()`` and
+``term_new`` speak exponent tuples.
 
 A product with a single term shifts the other operand's monomials, and a
 quotient by one subtracts its exponents.  ``cancel`` shifts both operands
@@ -30,10 +31,11 @@ tuples.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from math import gcd as igcd
 from math import isqrt, lcm
-from operator import add, sub
+from operator import add, or_, sub
 from sys import byteorder
 
 # evaluation points GCDHEU tries before it gives up
@@ -195,11 +197,15 @@ class Poly(dict):
         return (self[max(self, key=self.ring._order)] if len(self) > 1
                 else next(iter(self.values()), 0))
 
-    def degrees(self) -> tuple:
-        """The largest exponent of each generator (-inf for zero)."""
-        if not self:
-            return (float("-inf"),) * len(self.ring.names)
-        return self.ring._unpack(_fieldwise(self.ring, self, -1))
+    def occurring(self) -> list:
+        """The indices of the generators that occur, in increasing order:
+        the nonzero fields of the OR of the monomials, which never carries."""
+        acc, out = reduce(or_, self, 0) & self.ring._low, []
+        while acc:
+            i = ((acc & -acc).bit_length() - 1) // W
+            out.append(i)
+            acc &= ~(FIELD << i * W)
+        return out
 
     def diff(self, index: int) -> Poly:
         """d/dx of the generator at ``index``."""
@@ -279,14 +285,14 @@ class Poly(dict):
     __repr__ = __str__
 
 
-def _fieldwise(ring: PolyRing, monoms, flip: int = 0) -> int:
-    """The fieldwise min of nonempty monomials, or the max for flip = -1."""
+def _fieldwise(ring: PolyRing, monoms) -> int:
+    """The fieldwise min of nonempty monomials."""
     g = ring._guards
     acc, *rest = monoms
     for m in rest:
         # each field where acc >= m, its guard bit spread over its low bits
         t = ((acc | g) - m) & g
-        acc ^= (acc ^ m) & (t - (t >> W - 1) ^ flip)
+        acc ^= (acc ^ m) & (t - (t >> W - 1))
     acc &= ring._low
     # the total degree: field n-1 of acc * ones sums the fields
     return acc | (acc * ring._ones << W >> ring._shift & FIELD) << ring._shift

@@ -230,8 +230,8 @@ def atom_signature(atom: ex.Expr, ws: Workspace) -> str | Fraction:
     if isinstance(atom, ex.Call):
         arg = _normalize(atom.arg, ws)
         sig = f"{atom.fn}({_canonical_string(arg)})"
-        # a constant argument: no generator has a positive degree
-        if max((*arg.num.degrees(), *arg.den.degrees()), default=0) <= 0:
+        # a constant argument: no generator occurs
+        if not (arg.num.occurring() or arg.den.occurring()):
             c = Fraction(arg.num.LC)
             if atom.fn != "exp" and (c < 0 or atom.fn == "ln" and not c):
                 raise NormalizeError(f"{sig} is outside the real domain")
@@ -431,9 +431,7 @@ class Derivation:
         ring = ctx.ring
         acc = ring.zero
         fracs = []
-        for index, degree in enumerate(p.degrees()):
-            if degree <= 0:
-                continue
+        for index in p.occurring():
             dx = self.generator(index)
             if dx.is_zero:
                 continue

@@ -113,6 +113,8 @@ MAX_PRECISION = 2**16
 # check of a 1D operator with g12 = exp(2*u1), g21 = exp(u1)^2 takes 0.4 s
 # at 2,000 samples and 3 s at 20,000, so 10^9 would run for days)
 MAX_SAMPLES = 2**16
+# the singular points a verdict skips before it gives up as Inconclusive
+MAX_RETRIES = 200
 
 
 class ZeroTestPolicy:
@@ -122,7 +124,7 @@ class ZeroTestPolicy:
     than MAX_SAMPLES."""
 
     def __init__(self, samples: int = 20, seed: int = 0,
-                 precision: int = 64, max_retries: int = 200):
+                 precision: int = 64):
         if samples < 1:
             raise InputError(f"samples must be at least 1, got {samples}")
         if samples > MAX_SAMPLES:
@@ -134,8 +136,7 @@ class ZeroTestPolicy:
         if precision > MAX_PRECISION:
             raise InputError(f"precision must be at most {MAX_PRECISION} "
                              f"bits, got {precision}")
-        self.samples, self.seed = samples, seed
-        self.precision, self.max_retries = precision, max_retries
+        self.samples, self.seed, self.precision = samples, seed, precision
 
 
 DEFAULT_POLICY = ZeroTestPolicy()
@@ -219,9 +220,8 @@ def _gens(rf: RationalForm) -> list:
     its argument form."""
     ctx = rf.ctx
     keys = ctx.var_names + ctx.atom_sigs
-    return [(i, keys[i], ctx.arg_forms.get(i)) for i, (a, b)
-            in enumerate(zip(rf.num.degrees(), rf.den.degrees()))
-            if a > 0 or b > 0]
+    return [(i, keys[i], ctx.arg_forms.get(i))
+            for i in sorted({*rf.num.occurring(), *rf.den.occurring()})]
 
 
 def _positive(rf: RationalForm) -> bool:
@@ -305,7 +305,7 @@ def verdict_for_ratform(rf: RationalForm,
             value, scale, values = _sample_ratform(rf, policy, rng)
         except (SingularPointError, EvaluationError):
             retries += 1
-            if retries > policy.max_retries:
+            if retries > MAX_RETRIES:
                 raise InconclusiveError(
                     "all candidate sample points hit singularities"
                 )

@@ -112,7 +112,7 @@ def test_criterion_4_pencil_compatibility():
             continue
         checked += 1
         op, _ws = catalog.instantiate(entry.id)
-        rep = pencil_compatibility(op.part(0), op.part(1))
+        rep = pencil_compatibility(op)
         if rep.overall != "proven_pass":
             bad.append(entry.id)
     report(4, not bad and checked == 21,

@@ -213,7 +213,7 @@ def test_2d_entries_split_into_compatible_parts():
     for eid in ("T2.4", "T2.5/2", "T2.7/rank2_P_1/1", "P_gas",
                 "APP/rk2_2D_1"):
         op, ws = catalog.instantiate(eid)
-        rep = pencil_compatibility(op.part(0), op.part(1))
+        rep = pencil_compatibility(op)
         assert rep.overall == "proven_pass", eid
 
 

@@ -339,3 +339,25 @@ def test_cli_context_builds(name, count_calls, tmp_path, monkeypatch):
     counts = count_calls((ratform.build_context, "builds", None))
     main(["--format", "json"] + CASES[name])
     assert counts["builds"] <= 1.1 * CLI_BUILDS[name], counts
+
+
+def test_pencil_compatibility_checks_once(count_calls, tmp_path, monkeypatch):
+    """pencil --compatibility regroups the residuals of one check of the 2D
+    operator by lambda power: one derivation context, shared with the
+    triviality test, and one checker.  It built two contexts when it
+    checked g_x + lam g_y as a 1D operator of its own, over a second
+    workspace and ring."""
+    monkeypatch.chdir(tmp_path)
+    _make_inputs()
+    checkers = Counter()
+    init = operators.MokhovChecker.__init__
+
+    def counted(self, op):
+        checkers[op.d] += 1
+        init(self, op)
+
+    monkeypatch.setattr(operators.MokhovChecker, "__init__", counted)
+    counts = count_calls((ratform.derivation_context, "contexts", None))
+    assert main(["--format", "json", "pencil", "gas.json",
+                 "--compatibility"]) == 0
+    assert counts["contexts"] == 1 and checkers == {2: 1}, (counts, checkers)

@@ -106,6 +106,22 @@ def test_function_application_and_suffix(ws3):
     assert parse("f_33", ws3) == ex.func_atom(f, deriv=(0, 2))
 
 
+def test_suffix_digits_of_non_digit_arguments():
+    """An argument whose name has no digit tail is named by its 1-based
+    position in a derivative suffix, when parsed and when printed."""
+    ws = Workspace()
+    ws.add_variables("a", "b")
+    ws.add_function("k", ["a", "b"])
+    ws.freeze()
+    k = ws.functions["k"]
+    for text, deriv in (("k_12", (1, 1)), ("k_2", (0, 1)), ("k_11", (2, 0))):
+        e = parse(text, ws)
+        assert e == ex.func_atom(k, deriv=deriv)
+        assert print_expr(e) == text
+    with pytest.raises(ParseError, match="derivative index 3"):
+        parse("k_3", ws)
+
+
 def test_prime_notation(ws3):
     q = ws3.functions["q"]
     assert parse("q'", ws3) == ex.func_atom(q, deriv=(1,))

@@ -169,7 +169,7 @@ def test_sampling_singularity_exhaustion(ws3):
     # use a denominator that vanishes identically only through the atom
     e = parse("exp(u1)/(sqrt(u1)^2 - u1)", ws3)
     with pytest.raises((InconclusiveError, ZeroDenominatorError)):
-        is_zero(e, ws3, ZeroTestPolicy(samples=3, max_retries=5))
+        is_zero(e, ws3, ZeroTestPolicy(samples=3))
 
 
 @pytest.fixture

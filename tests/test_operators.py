@@ -199,10 +199,17 @@ def test_mokhov_two_component_sign_flip_caught(ws2):
     assert any(r.verdict.kind == "proven_nonzero" for r in rep.failures())
 
 
+def pair(opx, opy):
+    """The 2D operator whose x- and y-parts are the 1D operators opx, opy."""
+    return HydroOperator(opx.ws, 2, opx.n, opx.g + opy.g, opx.b + opy.b)
+
+
 def test_compatibility_self_pair(ws2):
     op = two_cmpt_form2(ws2)
-    rep = pencil_compatibility(op, op)
+    rep = pencil_compatibility(pair(op, op))
     assert rep.overall == "proven_pass"
+    with pytest.raises(OperatorError, match="d = 2"):
+        pencil_compatibility(op)
 
 
 def test_compatibility_detects_mutant(ws2):
@@ -212,12 +219,12 @@ def test_compatibility_detects_mutant(ws2):
         {(0, 1, 1): parse("1", ws2)},
         {(0, 1, 2, 2): parse("-1/u1", ws2), (0, 2, 1, 2): parse("2/u1", ws2)},
     )
-    assert pencil_compatibility(op, mutant).overall == "fail"
+    assert pencil_compatibility(pair(op, mutant)).overall == "fail"
 
 
 def test_compatibility_reports_per_lambda_power(ws2):
     op = two_cmpt_form2(ws2)
-    rep = pencil_compatibility(op, op)
+    rep = pencil_compatibility(pair(op, op))
     powers = {idx[-1] for rec in rep.records for idx in [rec.indices]}
     assert "lam^0" in powers
 

@@ -53,6 +53,12 @@ def rebuilt(p):
     return out
 
 
+def occurring(q):
+    """The indices of the generators to which sympy's q gives a positive
+    degree."""
+    return [i for i, e in enumerate(q.degrees()) if e > 0]
+
+
 def same(p, q):
     """Ours p and sympy's q have the same terms and print alike."""
     return (as_dict(p) == as_dict(q) and str(p) == str(q)
@@ -108,8 +114,7 @@ def test_order_and_accessors_match_sympy(case):
         Fraction(int(c.numerator), int(c.denominator)) for _, c in sa.terms()]
     assert Fraction(a.LC) == Fraction(int(sa.LC.numerator),
                                       int(sa.LC.denominator))
-    if a:
-        assert a.degrees() == sa.degrees()
+    assert a.occurring() == occurring(sa)
     for i in range(n):
         assert same(a.diff(i), sa.diff(sa.ring.gens[i]))
     assert str(a) == str(sa)
@@ -351,8 +356,9 @@ def edge_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(edge_cases())
 def test_packed_fields_match_sympy(case):
-    """Products, single-term quotients and cancellations, degrees,
-    derivatives and term order, with exponents near the field edges."""
+    """Products, single-term quotients and cancellations, the generators
+    that occur, derivatives and term order, with exponents near the field
+    edges."""
     n, ta, tb, tt = case
     (a, sa), (b, sb), (t, st_) = build(ta, n), build(tb, n), build(tt, n)
     assert [m for m, _ in a.terms()] == [m for m, _ in sa.terms()]
@@ -365,28 +371,28 @@ def test_packed_fields_match_sympy(case):
             a.quo(t)
     else:
         assert same(a.quo(t), q)
+    assert a.occurring() == occurring(sa)
+    assert (a * b).occurring() == occurring(sa * sb)
     if a:
-        assert a.degrees() == sa.degrees()
         check_cancel(ta, tt, n)
         check_cancel(tt, ta, n)
     for i in range(n):
         assert same(a.diff(i), sa.diff(sa.ring.gens[i]))
 
 
-def test_swar_min_max_and_divisibility_are_fieldwise():
+def test_swar_min_and_divisibility_are_fieldwise():
     """Every pair of monomials of up to three generators with exponents up
-    to four, unsampled: the guard-bit min and max are the tuple ones, with
-    their total degree, and a single term divides another exactly when
-    each of its exponents is at most the other's."""
+    to four, unsampled: the guard-bit min is the tuple one, with its total
+    degree, and a single term divides another exactly when each of its
+    exponents is at most the other's."""
     for n in range(4):
         ring = PolyRing(NAMES[:n])
         monoms = list(product(range(5), repeat=n))
         packed = {m: next(iter(ring.term_new(m, 1))) for m in monoms}
         for a, b in product(monoms, repeat=2):
             pair = [packed[a], packed[b]]
-            low, high = tuple(map(min, a, b)), tuple(map(max, a, b))
+            low = tuple(map(min, a, b))
             assert poly._fieldwise(ring, pair) == packed[low]
-            assert poly._fieldwise(ring, pair, -1) == packed[high]
             ta, tb = ring.term_new(a, 1), ring.term_new(b, 3)
             if all(map(le, a, b)):
                 assert tb.quo(ta).terms() == [
@@ -405,7 +411,7 @@ def test_total_degree_cap():
     assert (x ** top).terms() == [((top, 0), 1)]
     assert ((x + y) * x ** (top - 1)).terms() == [((top, 0), 1),
                                                     ((top - 1, 1), 1)]
-    assert (x ** (top - 1) * y).degrees() == (top - 1, 1)
+    assert (x ** (top - 1) * y).occurring() == [0, 1]
     for make in (lambda: x ** top * y, lambda: y * x ** top,
                  lambda: (x + y) ** (top + 1), lambda: x ** (top + 1),
                  lambda: (x + ring.one) * (x ** top + y),

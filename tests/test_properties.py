@@ -6,8 +6,10 @@ round-trip, and evaluation consistency.  A hypothesis suite checks the
 sparse Mokhov residual assembly against a dense reference on random
 operators (d <= 3), further checks do so on explicit d = 4 operators and on
 every catalog entry, the reports' records are checked against an eager
-enumeration of every residual, and a hypothesis suite checks the cofactor
-determinant against the Leibniz sum.
+enumeration of every residual, a hypothesis suite checks the pencil
+compatibility records against the pencil g_x + lam g_y checked as a 1D
+operator, and one checks the cofactor determinant against the Leibniz
+sum.
 """
 
 import functools
@@ -272,10 +274,12 @@ def dense_residuals(checker):
                 half(a, be, i, j, r, q, k) + half(be, a, i, j, r, k, q)
 
 
-def _entry_text(draw, n):
-    """0 three times in four, else a constant, a low-degree monomial sum in u
-    or a constant over one u."""
-    kind = draw(st.sampled_from(["0"] * 12 + ["const", "poly", "poly", "inv"]))
+def _entry_text(draw, n, atoms=False):
+    """0 about three times in four, else a constant, a low-degree monomial
+    sum in u or a constant over one u; with atoms, also a multiple of the
+    abstract f(u1..un), of its first partial or of exp of one u."""
+    kind = draw(st.sampled_from(["0"] * 12 + ["const", "poly", "poly", "inv"]
+                                + ["f", "f_1", "exp"] * atoms))
     if kind == "0":
         return "0"
     c = draw(st.sampled_from(["1", "-1", "2", "-3", "1/2"]))
@@ -284,21 +288,30 @@ def _entry_text(draw, n):
         return c
     if kind == "inv":
         return f"{c}/{u()}"
+    if kind == "exp":
+        return f"{c}*exp({u()})"
+    if kind != "poly":
+        return f"{c}*{u()}*{kind}"
     terms = [c + "".join(f"*{u()}" for _ in range(draw(st.integers(0, 2))))
              for _ in range(draw(st.integers(1, 2)))]
     return " + ".join(terms)
 
 
 @st.composite
-def sparse_operators(draw):
-    d = draw(st.integers(1, 3))
+def sparse_operators(draw, d=None, atoms=False):
+    """Operators with d (1 to 3 when not given) alphas and up to three
+    components; with atoms, entries may hold an abstract f(u1..un) and exp."""
+    d = d or draw(st.integers(1, 3))
     n = draw(st.integers(1, 2 if d == 3 else 3))
     ws = Workspace()
-    ws.add_variables(*(f"u{i}" for i in range(1, n + 1)))
+    us = [f"u{i}" for i in range(1, n + 1)]
+    ws.add_variables(*us)
+    if atoms:
+        ws.add_function("f", us)
     ws.freeze()
     cells = lambda k: itertools.product(range(d), *[range(1, n + 1)] * k)
-    g = {key: parse(_entry_text(draw, n), ws) for key in cells(2)}
-    b = {key: parse(_entry_text(draw, n), ws) for key in cells(3)}
+    g = {key: parse(_entry_text(draw, n, atoms), ws) for key in cells(2)}
+    b = {key: parse(_entry_text(draw, n, atoms), ws) for key in cells(3)}
     return operator_from_entries(ws, d, n, g, b)
 
 
@@ -410,17 +423,31 @@ def test_survivor_records_match_eager_enumeration():
         assert check_hamiltonian(mut).records == eager_records(mut)
 
 
-def _pencil_operator(opx, opy):
-    """g_x + lam g_y, b_x + lam b_y over the workspace with lam."""
-    ws = opx.ws.extended(["lam"])
+def _pencil_operator(op):
+    """The 1D operator g_x + lam g_y, b_x + lam b_y of a 2D operator, over
+    its workspace with the constant lam added."""
+    ws = op.ws.extended(["lam"])
     lam = ex.Var(ws.constants[-1])
 
     def combine(x, y):
         if isinstance(x, list):
             return [combine(a, b) for a, b in zip(x, y)]
         return ex.add(x, ex.mul(lam, y))
-    return HydroOperator(ws, 1, opx.n, combine(opx.g, opy.g),
-                         combine(opx.b, opy.b))
+    return HydroOperator(ws, 1, op.n, [combine(*op.g)], [combine(*op.b)])
+
+
+def pencil_records(op):
+    """The record of every lambda power of every residual of the 1D pencil
+    of the 2D operator, from the dense reference: the route that checks the
+    pencil itself and splits each residual by the powers of lam."""
+    pencil_op = _pencil_operator(op)
+    lam = pencil_op.ws.constants[-1].name
+    want = []
+    for rel, idx, rf in dense_residuals(MokhovChecker(pencil_op)):
+        parts = {(0,): rf} if rf.is_zero else coefficients_in(rf, [lam])
+        want += [_record(rel, idx + (f"lam^{p}",), c, DEFAULT_POLICY)
+                 for (p,), c in parts.items()]
+    return want
 
 
 @pytest.mark.parametrize("flip", [False, True], ids=["gas", "gas-flip"])
@@ -428,17 +455,18 @@ def test_pencil_records_match_eager_enumeration(flip):
     gas = catalog.instantiate("P_gas")[0]
     if flip:
         gas = next(mut for _m, mut in mutation.mutants(gas))
-    opx, opy = gas.part(0), gas.part(1)
-    pencil_op = _pencil_operator(opx, opy)
-    lam = pencil_op.ws.constants[-1].name
-    want = []
-    for rel, idx, rf in dense_residuals(MokhovChecker(pencil_op)):
-        parts = {(0,): rf} if rf.is_zero else coefficients_in(rf, [lam])
-        want += [_record(rel, idx + (f"lam^{p}",), c, DEFAULT_POLICY)
-                 for (p,), c in parts.items()]
-    report = pencil_compatibility(opx, opy)
-    assert report.records == want
+    report = pencil_compatibility(gas)
+    assert report.records == pencil_records(gas)
     assert report.overall == ("fail" if flip else "proven_pass")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sparse_operators(d=2, atoms=True))
+def test_sparse_pencil_records_match_lambda_pencil(op):
+    """The compatibility records, regrouped from the residuals of the 2D
+    check, are those of the pencil checked and split by lam powers."""
+    assert pencil_compatibility(op).records == pencil_records(op)
 
 
 @pytest.mark.parametrize("flip", [False, True], ids=["gas", "gas-flip"])
