@@ -278,7 +278,7 @@ def _cmd_pencil(args, policy) -> int:
     except InconclusiveError as e:
         report.add_check("pencil", ("analysis",), Verdict("inconclusive"))
         report.note("inconclusive", str(e))
-    if args.compatibility and op.d == 2:
+    if args.compatibility:
         result = pencil_compatibility(op, policy)
         _add_report_records(report, result.records)
     return report.finish()

@@ -217,7 +217,8 @@ class OperatorForms:
             op.ws, op.variables,
             [(list(_flatten(op.g)), 1), (list(_flatten(op.b)), 2)],
         )
-        conv = lambda e: to_rational_form(e, ctx)
+        # most entries are the zero Rat: no conversion
+        conv = lambda e: ctx.zero if e is ex.ZERO else to_rational_form(e, ctx)
         return cls(ctx, _map_nested(op.g, conv), _map_nested(op.b, conv))
 
     def edited(self, edits) -> "OperatorForms":

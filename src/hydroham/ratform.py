@@ -217,12 +217,14 @@ def atom_signature(atom: ex.Expr, ws: Workspace) -> str | Fraction:
     """A canonical string identifying an atom up to rational-function
     equality of its arguments, or the atom's value when it is rational.
 
-    Signatures are kept in the workspace's table.  A stored signature stays
-    valid: it prints only the symbols it uses, so registering more symbols
-    cannot change it.  ln of a rational constant <= 0 and sqrt of one < 0
-    are not real, so they are input errors.  exp(0), ln(1) and sqrt(p/q)
-    for squares p and q are rational: their value stands for them, so they
-    take no generator and a signature over them names the value."""
+    Signatures are kept in the workspace's table, and so is the string of
+    each argument of an abstract atom: f, f_1, f_11, ... normalize their
+    arguments once per table.  A stored string stays valid: it prints only
+    the symbols it uses, so appending symbols cannot change it.  ln of a
+    rational constant <= 0 and sqrt of one < 0 are not real, so they are
+    input errors.  exp(0), ln(1) and sqrt(p/q) for squares p and q are
+    rational: their value stands for them, so they take no generator and a
+    signature over them names the value."""
     key = atom.key()
     sig = ws.signatures.get(key)
     if sig is not None:
@@ -242,13 +244,21 @@ def atom_signature(atom: ex.Expr, ws: Workspace) -> str | Fraction:
             elif c == (atom.fn == "ln"):    # exp(0) = 1, ln(1) = 0
                 sig = Fraction(atom.fn == "exp")
     elif isinstance(atom, ex.FuncAtom):
-        args = ",".join(_canonical_string(_normalize(a, ws))
-                        for a in atom.args)
+        args = ",".join(_argument_string(a, ws) for a in atom.args)
         sig = f"{atom.func.name}[{','.join(map(str, atom.deriv))}]({args})"
     else:
         raise NormalizeError(f"not an atom: {atom}")
     ws.signatures[key] = sig
     return sig
+
+
+def _argument_string(arg: ex.Expr, ws: Workspace) -> str:
+    """An argument's canonical string, kept apart from the atom keys."""
+    key = ("arg", arg.key())
+    s = ws.signatures.get(key)
+    if s is None:
+        s = ws.signatures[key] = _canonical_string(_normalize(arg, ws))
+    return s
 
 
 def _canonical_string(rf: RationalForm) -> str:
@@ -426,7 +436,8 @@ class Derivation:
     def poly(self, p) -> RationalForm:
         """d/dv of a polynomial: sum over its generators x of
         (dp/dx) * dx/dv.  Polynomial generator derivatives accumulate in one
-        polynomial; only those with a denominator take fraction arithmetic."""
+        polynomial (dp itself where dx/dv is 1); only those with a
+        denominator take fraction arithmetic."""
         ctx = self.ctx
         ring = ctx.ring
         acc = ring.zero
@@ -437,7 +448,7 @@ class Derivation:
                 continue
             dp = p.diff(index)
             if dx.den == ring.one:
-                acc = acc + dp * dx.num
+                acc = acc + (dp if dx is ctx.one else dp * dx.num)
             else:
                 fracs.append(RationalForm(dp, ring.one, ctx, reduced=True) * dx)
         return sum(fracs, RationalForm(acc, ring.one, ctx, reduced=True))

@@ -82,7 +82,8 @@ class Workspace:
         self.frozen = False
         self._by_name: dict[str, object] = {}
         # atom key -> canonical signature (or rational value), filled by
-        # ratform.atom_signature
+        # ratform.atom_signature; "symbols" -> the symbol sequence of the
+        # workspaces sharing it (see extended)
         self.signatures: dict = {}
 
     def _register(self, name: str):
@@ -169,7 +170,12 @@ class Workspace:
 
     def extended(self, extra_constants: list[str]) -> "Workspace":
         """A derived workspace with additional constants (formal
-        parameters); a name already in use gets a numeric suffix."""
+        parameters); a name already in use gets a numeric suffix.
+
+        It shares this workspace's table of atom signatures: a signature
+        prints only the symbols it uses, in registration order, so it is
+        the same in all workspaces whose symbol lists are prefixes of one
+        sequence, which the table records.  Other orders get a new table."""
         names = [s.name for s in self.constants]
         for name in extra_constants:
             base, n = name, 0
@@ -177,4 +183,11 @@ class Workspace:
                 n += 1
                 name = f"{base}{n}"
             names.append(name)
-        return self.derive(constants=names)
+        ws = self.derive(constants=names)
+        order = tuple(s.name for s in ws.variables + ws.constants)
+        seen = self.signatures.setdefault(
+            "symbols", order[:len(order) - len(extra_constants)])
+        if order[:len(seen)] == seen or seen[:len(order)] == order:
+            self.signatures["symbols"] = max(seen, order, key=len)
+            ws.signatures = self.signatures
+        return ws

@@ -126,6 +126,21 @@ def test_pencil_command(gas_file, capsys):
     assert "degenerate: True" in out and "generic rank: 2" in out
 
 
+def test_pencil_compatibility_of_a_1d_operator_exits_3(tmp_path, capsys):
+    """The x/y pair check needs d = 2.  On a d = 1 export the flag is an
+    input error: one line, no report.  It used to be dropped without a
+    word, with exit 0 and no compatibility record."""
+    path = tmp_path / "op.json"
+    assert main(["catalog", "export", "T2.2/1", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["--format", "json", "pencil", str(path),
+                 "--compatibility"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "input error: compatibility expects a d = 2 operator\n")
+
+
 def test_system_and_dispersion(tmp_path, gas_file, capsys):
     density = tmp_path / "h.json"
     density.write_text(json.dumps({

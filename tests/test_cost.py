@@ -78,8 +78,8 @@ SCAN_GCD_CALLS = 4
 SCAN_CANCEL_CALLS = 3392
 SCAN_EXQUO_CALLS = 24     # 214 before the single-term quotient
 
-# derivation_context builds and to_rational_form calls (its recursion
-# included) over the same scan.  A mutant's forms are its parent's, edited,
+# derivation_context builds, build_context calls and to_rational_form calls
+# (the conversion's recursion included) over the same scan.  A mutant's forms are its parent's, edited,
 # so the scan builds one context per catalog entry; it built 351 (339
 # mutants and the 12 survivors' full checks), with 39,283 conversions and
 # 4,527 calculus.differentiate calls.  Atom derivatives are taken in the
@@ -87,9 +87,14 @@ SCAN_EXQUO_CALLS = 24     # 214 before the single-term quotient
 # such call (303 when derivation_context differentiated each atom to find
 # the atoms of its derivatives and Derivation converted them).  The chain
 # rule converts the arguments of an atom once per context: 2,525
-# conversions (2,623 when each derivation converted them again).
+# conversions (2,623 when each derivation converted them again).  Down
+# from 2,525 conversions and 184 build_context calls: the zero entries of
+# the dense tables take the context's zero form without a conversion, and
+# the arguments of abstract atoms are normalized once per workspace, not
+# once per partial derivative.
 SCAN_CONTEXTS = 31
-SCAN_CONVERSIONS = 2520
+SCAN_CONVERSIONS = 803
+SCAN_BUILDS = 13
 
 # derivation_context builds, build_context calls and to_rational_form calls
 # (both recursions included) in one catalog.verify_all() pass.  It made 52
@@ -97,11 +102,16 @@ SCAN_CONVERSIONS = 2520
 # the d = 2 entries into a context of its own and each consumer kept its
 # own table of atom signatures, which now live on the workspace.  It made
 # 262 builds when derivation_context built its ring with build_context;
-# the chain rule makes 2,714 conversions (2,818 when each derivation
-# converted the arguments of abstract atoms again).
+# the chain rule made 2,714 conversions (2,818 when each derivation
+# converted the arguments of abstract atoms again).  It made 231 builds
+# when each partial f_J(args) normalized its arguments in a one-expression
+# ring of its own (200 of them), and the metric pencil's workspace signed
+# the atoms of g again; now the arguments' canonical strings are kept in
+# the workspace's table, which the pencil's extended workspace shares.
+# The 1,551 zero entries of the dense tables are not converted.
 VERIFY_ALL_CONTEXTS = 31
-VERIFY_ALL_BUILDS = 231
-VERIFY_ALL_CONVERSIONS = 2712
+VERIFY_ALL_BUILDS = 44
+VERIFY_ALL_CONVERSIONS = 976
 
 # The largest ring built, len(ctx.ring.gens) over the build_context and
 # derivation_context calls (the latter built its ring with the former), in
@@ -114,11 +124,18 @@ SCAN_RING_GENS = 25
 # build_context calls of one CLI command, by golden case (test_golden.py).
 # Each verdict is taken on the form the command holds: fkt judges the
 # Hessian and its 15 coefficients in its ring (18 builds when each was
-# printed and normalized again), transform converts both operators'
-# entries into one context for the round trip (82, one per entry), and
+# printed and normalized again; its ring is a derivation context, which
+# makes no build_context call, so the bound of 2 fell to 0), transform
+# converts both operators' entries into one context for the round trip
+# (82, one per entry; the bound was 11), and
 # legendre reports the verdicts it took (8, when the CLI tested the three
-# identities again).
-CLI_BUILDS = {"fkt-quartic": 2, "transform-emit": 11, "legendre": 5}
+# identities again).  The arguments of abstract atoms are normalized once
+# per workspace: dispersion over exp(k(u1)) made 18 builds,
+# system --classify 33 and transform over abstract atoms 55 when each
+# partial derivative normalized its arguments again.
+CLI_BUILDS = {"fkt-quartic": 0, "transform-emit": 7, "legendre": 5,
+              "dispersion-abstract-exp": 4, "system-classify": 4,
+              "transform-abstract-emit": 12}
 
 # build_context calls of is_zero on SAMPLED_EXPR, whose context holds three
 # exp/ln atoms: one for the expression and one for each atom's argument,
@@ -228,10 +245,12 @@ def test_mutation_scan_conversions(count_calls):
     counts = run_scan(lambda: count_calls(
         (ratform.derivation_context, "contexts", None),
         (ratform.to_rational_form, "conversions", None),
+        (ratform.build_context, "builds", None),
         (calculus.differentiate, "differentiations", "hydroham.calculus"),
     ))
     assert counts["contexts"] <= 1.1 * SCAN_CONTEXTS, counts
     assert counts["conversions"] <= 1.1 * SCAN_CONVERSIONS, counts
+    assert counts["builds"] <= 1.1 * SCAN_BUILDS, counts
     assert counts["differentiations"] == 0, counts
 
 
@@ -248,6 +267,29 @@ def test_verify_all_conversions(count_calls):
     assert counts["contexts"] == VERIFY_ALL_CONTEXTS, counts
     assert counts["builds"] <= 1.1 * VERIFY_ALL_BUILDS, counts
     assert counts["conversions"] <= 1.1 * VERIFY_ALL_CONVERSIONS, counts
+
+
+def test_atom_arguments_normalized_once(count_calls):
+    """APP/rank1_sol1 holds f, psi and eta over (u2, u3) and 22 of their
+    partials, all in one workspace: u2 and u3 are each normalized once (44
+    normalizations when each partial normalized its arguments again)."""
+    op = catalog.instantiate("APP/rank1_sol1")[0]
+    args = {a for atom in op.forms.ctx.atom_exprs.values() for a in atom.args}
+    assert len(args) == 2, args
+    counts = count_calls((ratform._normalize, "normalizations", None))
+    assert catalog.verify_entry("APP/rank1_sol1").ok
+    assert counts["normalizations"] == len(args), counts
+
+
+def test_pencil_signs_no_atom_again(count_calls):
+    """The metric pencil's workspace shares the operator's signature table,
+    so building the pencil after the forms normalizes nothing (2 when the
+    atoms of g were signed again)."""
+    op = catalog.instantiate("APP/rank1_sol1")[0]
+    op.forms
+    counts = count_calls((ratform._normalize, "normalizations", None))
+    MetricPencil.of(op)
+    assert counts["normalizations"] == 0, counts
 
 
 @pytest.fixture

@@ -23,6 +23,7 @@ from hydroham import (
 from hydroham import expr as ex
 from hydroham.ratform import (
     NormalizeError,
+    atom_signature,
     coefficients_in,
     derivation_context,
     to_rational_form,
@@ -213,6 +214,62 @@ def test_parameter_coefficients(ws3):
     assert {m: print_expr(ratform_to_expr(c)) for m, c in coeffs.items()} == {
         (0, 0): "1", (0, 2): "f^2/u2", (1, 1): "(-u1*f)/u2",
     }
+
+
+def _alone(ws):
+    """A workspace with the variables and constants of ws, in order, and a
+    table of its own, built without derive."""
+    fresh = Workspace()
+    fresh.add_variables(*(s.name for s in ws.variables))
+    fresh.add_constants(*(s.name for s in ws.constants))
+    return fresh.freeze()
+
+
+def _signature(atom, ws):
+    try:
+        return atom_signature(atom, ws)
+    except (NormalizeError, ZeroDivisionError) as err:
+        return type(err).__name__
+
+
+@SETTINGS
+@given(st.lists(exprs, min_size=1, max_size=3), st.data())
+def test_signature_does_not_depend_on_the_table(args, data):
+    """Atoms and partials of f(u2, u3) and q(u3) over shared argument
+    expressions (sums, quotients, nested atoms), and exp/ln/sqrt of them,
+    signed in turn in a workspace, in its extension, which shares its
+    table, and in a derived workspace with the variables reordered, which
+    does not: each signature is the one the atom gets alone, in a fresh
+    workspace with the same symbols."""
+    base = WS.derive()
+    wide = base.extended(["lam", "mu"])
+    reordered = base.derive(variables=["u3", "u1", "u2"])
+    assert wide.signatures is base.signatures
+    assert reordered.signatures is not base.signatures
+    f, q = WS.functions["f"], WS.functions["q"]
+    pick, order = st.integers(0, len(args) - 1), st.integers(0, 2)
+    atoms = st.one_of(
+        st.builds(lambda i, j, di, dj: ex.FuncAtom(
+            f, (args[i], args[j]), (di, dj)), pick, pick, order, order),
+        st.builds(lambda i, d: ex.FuncAtom(q, (args[i],), (d,)), pick, order),
+        st.builds(lambda fn, i: ex.Call(fn, args[i]),
+                  st.sampled_from(["exp", "ln", "sqrt"]), pick))
+    for atom in data.draw(st.lists(atoms, min_size=1, max_size=6)):
+        for ws in (base, wide, reordered):
+            assert _signature(atom, ws) == _signature(atom, _alone(ws))
+
+
+def test_extension_in_another_order_keeps_its_own_table(ws3):
+    """Two extensions that append the same constants in other orders print
+    lam + mu in other orders, so they cannot share one table: the second
+    gets its own, and q(lam + mu) - q(mu + lam) stays zero in it."""
+    ab, ba = ws3.extended(["lam", "mu"]), ws3.extended(["mu", "lam"])
+    assert ab.signatures is ws3.signatures
+    assert ba.signatures is not ws3.signatures
+    assert atom_signature(parse("q(mu + lam)", ab), ab) == "q[0](lam + mu)"
+    e = parse("q(lam + mu) - q(mu + lam)", ba)
+    assert is_zero(e, ba).kind == "proven_zero"
+    assert ws3.extended(["lam"]).signatures is ws3.signatures
 
 
 # The larger context of the next test: its workspace has a variable before
