@@ -89,7 +89,7 @@ def _system_forms(op: HydroOperator,
             f"density uses unregistered symbols {sorted(s.name for s in bad)}"
         )
     ctx = derivation_context(ws, vars_, [
-        ([h_expr], 2), (list(_flatten(op.g)), 1), (list(_flatten(op.b)), 0),
+        ([h_expr], 2), (_flatten(op.g), 1), (_flatten(op.b), 0),
     ])
     conv = lambda e: to_rational_form(e, ctx)
     G, B = _map_nested(op.g, conv), _map_nested(op.b, conv)
@@ -196,7 +196,7 @@ def reduction_residual(c: ReductionCandidate, sys: QuasilinearSystem):
     binding = dict(zip(sys.ws.variables[:n], c.u))
     A, B = _map_nested([sys.A, sys.B], lambda e: substitute(e, binding))
     ctx = derivation_context(c.ws, c.r_vars, [
-        (c.u, 1), (list(_flatten([A, B])) + c.lam + c.mu, 0)])
+        (c.u, 1), (_flatten([A, B]) + c.lam + c.mu, 0)])
     conv = lambda e: to_rational_form(e, ctx)
     U, A, B, lam, mu = (_map_nested(t, conv) for t in (c.u, A, B, c.lam, c.mu))
     out = []

@@ -215,7 +215,7 @@ class OperatorForms:
     def of(cls, op: HydroOperator) -> "OperatorForms":
         ctx = derivation_context(
             op.ws, op.variables,
-            [(list(_flatten(op.g)), 1), (list(_flatten(op.b)), 2)],
+            [(_flatten(op.g), 1), (_flatten(op.b), 2)],
         )
         # most entries are the zero Rat: no conversion
         conv = lambda e: ctx.zero if e is ex.ZERO else to_rational_form(e, ctx)
@@ -553,18 +553,28 @@ def _cyclic(i, j, r):
     return (i, j, r), (j, r, i), (r, i, j)
 
 
-def _flatten(nested):
+def _flatten(nested) -> list:
+    """The Exprs of a nest of lists, or of a bare Expr, depth first, in one
+    list: one call per list that holds lists, none per Expr."""
     if isinstance(nested, ex.Expr):
-        yield nested
-        return
+        return [nested]
+    out = []
     for item in nested:
-        yield from _flatten(item)
+        if isinstance(item, ex.Expr):
+            out.append(item)
+        else:
+            out += _flatten(item)
+    return out
 
 
 def _map_nested(nested, fn):
+    """fn applied to each leaf of a nest of lists, or to a bare leaf, in a
+    nest of the same shape; the depth may differ from item to item.  It
+    recurses only into lists, so a leaf costs one call of fn."""
     if not isinstance(nested, list):
         return fn(nested)
-    return [_map_nested(item, fn) for item in nested]
+    return [_map_nested(item, fn) if isinstance(item, list) else fn(item)
+            for item in nested]
 
 
 ALL_RELATIONS = ("a1", "a2", "a3", "a4", "a5", "a6", "a7")

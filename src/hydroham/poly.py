@@ -20,12 +20,14 @@ of the monomials holds the generators that occur.  ``terms()`` and
 ``term_new`` speak exponent tuples.
 
 A product with a single term shifts the other operand's monomials, and a
-quotient by one subtracts its exponents.  ``cancel`` shifts both operands
-by the monomial of least exponents when either is a single term, and
-otherwise divides by their gcd: the heuristic gcd of Char, Geddes and
-Gonnet (GCDHEU, J. Symbolic Comput. 7, 1989) over ZZ, after clearing
-denominators.  GCDHEU and the general exact division run on exponent
-tuples.
+quotient by one subtracts its exponents.  A power of a single term
+multiplies its monomial, a power of two terms is expanded by the binomial
+theorem, and a power of more is taken by repeated squaring.  ``cancel``
+shifts both operands by the monomial of least exponents when either is a
+single term, and otherwise divides by their gcd: the heuristic gcd of
+Char, Geddes and Gonnet (GCDHEU, J. Symbolic Comput. 7, 1989) over ZZ,
+after clearing denominators.  GCDHEU and the general exact division run
+on exponent tuples.
 """
 
 from __future__ import annotations
@@ -177,6 +179,19 @@ class Poly(dict):
         if len(self) == 1:
             (m, c), = self.items()
             return ring._new({m * k: c ** k})
+        if len(self) == 2:
+            # the binomial theorem: the k + 1 monomials are distinct and
+            # C(k, i+1) = C(k, i) (k - i) / (i + 1) is exact
+            (m1, c1), (m2, c2) = self.items()
+            powers = [1]
+            for _ in range(k):
+                powers.append(powers[-1] * c1)
+            out, binom, c = {}, 1, 1
+            for i in range(k + 1):
+                out[(k - i) * m1 + i * m2] = binom * powers[k - i] * c
+                binom = binom * (k - i) // (i + 1)
+                c *= c2
+            return ring._new(out)
         out, base = ring.one, self
         while k:
             if k & 1:

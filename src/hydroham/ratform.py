@@ -10,6 +10,14 @@ forms, which live in the same context.  Forms are reduced by
 ``Poly.cancel``, which cancels against a single term by shifting exponents
 and runs a gcd only between two sums; a sum whose numerator cancels is the
 context's zero form, reduced no further.
+
+Most forms the relations build are a single term over a single term, and
+these skip ``Poly.cancel``.  A product of two of them works on the packed
+monomials: each numerator cancels against the other's monic denominator
+by their fieldwise min, then exponents add and coefficients multiply; a
+product past the degree cap takes the general path, which raises.  A sum
+of two forms with the same single monomial over the same denominator adds
+the coefficients, which keeps the form reduced.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from itertools import combinations_with_replacement
 from math import isqrt
 
 from . import expr as ex
-from .poly import PolyRing
+from .poly import PolyRing, _fieldwise
 from .symbols import InputError, Symbol, Workspace
 
 
@@ -147,7 +155,7 @@ class RationalForm:
         if other.is_zero:
             return self
         if self.den == other.den:
-            return self._over(self.num + other.num, self.den)
+            return self._over_den(other, 1)
         return self._over(self.num * other.den + other.num * self.den,
                           self.den * other.den)
 
@@ -157,9 +165,21 @@ class RationalForm:
         if self.is_zero:
             return -other
         if self.den == other.den:
-            return self._over(self.num - other.num, self.den)
+            return self._over_den(other, -1)
         return self._over(self.num * other.den - other.num * self.den,
                           self.den * other.den)
+
+    def _over_den(self, other, sign) -> "RationalForm":
+        """self + sign * other over their common denominator.  When both
+        numerators are the same single monomial, the coefficients add and
+        the form stays reduced, so nothing is cancelled."""
+        a, b = self.num, other.num
+        if len(a) == 1 == len(b) and a.keys() == b.keys():
+            (m, c), = a.items()
+            c += sign * b[m]
+            return (RationalForm(a.ring._new({m: c}), self.den, self.ctx,
+                                 reduced=True) if c else self.ctx.zero)
+        return self._over(a + b if sign > 0 else a - b, self.den)
 
     def _over(self, num, den) -> "RationalForm":
         """num/den reduced; the context's zero form when num cancelled."""
@@ -179,14 +199,28 @@ class RationalForm:
     def __mul__(self, other):
         if self.is_zero or other.is_zero:
             return self.ctx.zero
-        one = self.ctx.ring.one
-        if self.den == one and other.den == one:
-            return RationalForm(self.num * other.num, one, self.ctx,
-                                reduced=True)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        ring = n1.ring
+        if len(n1) == len(d1) == len(n2) == len(d2) == 1:
+            # monomials over monomials: a monic denominator's coefficient
+            # is 1, and each numerator cancels against the other's
+            # denominator by the fieldwise min of the two monomials
+            (m1, c1), = n1.items()
+            (m2, c2), = n2.items()
+            (e1,), (e2,) = d1, d2
+            low1 = _fieldwise(ring, (m1, e2)) if m1 and e2 else 0
+            low2 = _fieldwise(ring, (m2, e1)) if m2 and e1 else 0
+            m, e = m1 - low1 + m2 - low2, e1 - low2 + e2 - low1
+            # past the degree cap the general path raises its ValueError
+            if m < ring._limit and e < ring._limit:
+                return RationalForm(ring._new({m: c1 * c2}),
+                                    ring._new({e: 1}), self.ctx, reduced=True)
+        if d1 == ring.one and d2 == ring.one:
+            return RationalForm(n1 * n2, d1, self.ctx, reduced=True)
         # cross-cancelled factors of two reduced forms give a reduced
         # product with a monic denominator
-        num1, den2 = self.num.cancel(other.den)
-        num2, den1 = other.num.cancel(self.den)
+        num1, den2 = n1.cancel(d2)
+        num2, den1 = n2.cancel(d1)
         return RationalForm(num1 * num2, den1 * den2, self.ctx, reduced=True)
 
     def __truediv__(self, other):

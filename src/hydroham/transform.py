@@ -141,7 +141,7 @@ def pushforward(op: HydroOperator, change: CoordinateChange) -> HydroOperator:
         raise InvalidChangeError("change arity does not match the operator")
     gv = [_map_nested(g, change.to_v) for g in op.g]
     bv = [_map_nested(b, change.to_v) for b in op.b]
-    J, conv = _jacobian(change, list(_flatten([gv, bv])))
+    J, conv = _jacobian(change, _flatten([gv, bv]))
     gv, bv = _map_nested(gv, conv), _map_nested(bv, conv)
     K = _inverse(J)
     ctx = J[0][0].ctx

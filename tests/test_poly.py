@@ -9,14 +9,15 @@ from itertools import combinations, product
 from operator import le, sub
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.orderings import grevlex
 from sympy.polys.rings import ring as sympy_ring
 
-from hydroham import poly
+from hydroham import Workspace, poly
 from hydroham.poly import HeuristicGCDFailed, PolyRing
+from hydroham.ratform import PolyContext, RationalForm
 
 # ring names as ratform gives them: variables, constants, then atoms
 NAMES = ("u1", "u2", "c1", "@a0", "@a1")
@@ -419,3 +420,142 @@ def test_total_degree_cap():
         with pytest.raises(ValueError, match="total degree must be at most "
                                              "32767"):
             make()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_binomial_powers_equal_repeated_products(n):
+    """A two-term base is raised by the binomial theorem: every power up
+    to 8 of two-term bases with int and Fraction coefficients, a constant
+    term among them, equals the repeated product term for term."""
+    ring = PolyRing(NAMES[:n])
+    monoms = [(0,) * n, (1,) + (0,) * (n - 1), (0,) * (n - 1) + (2,),
+              (3,) * n]
+    coeffs = [1, -2, Fraction(1, 3), Fraction(-5, 2)]
+    for (ma, mb), (ca, cb) in product(combinations(monoms, 2),
+                                      combinations(coeffs, 2)):
+        base = ring.term_new(ma, ca) + ring.term_new(mb, cb)
+        assert len(base) == 2
+        power = ring.one
+        for k in range(9):
+            got = base ** k
+            assert got == power and str(got) == str(power), (base, k)
+            assert got == rebuilt(got)
+            power = power * base
+
+
+# -- single-term rational forms ---------------------------------------------
+
+# two variables and a ground constant; exponents at the packed field edges
+FORM_EXPONENTS = [0, 1, 255, 256, 2 ** 14, 2 ** 15 - 2]
+
+
+def form_workspace():
+    ws = Workspace()
+    ws.add_variables("u1", "u2")
+    ws.add_constants("c1")
+    return ws.freeze()
+
+
+FORM_CTX = PolyContext(form_workspace(), [])
+FORM_SYMPY = sympy_ring(list(FORM_CTX.ring.names), QQ, grevlex)[0]
+
+form_coefficients = st.one_of(
+    st.integers(-6, 6).filter(bool),
+    st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(2, 5)))
+
+
+@st.composite
+def form_monomials(draw):
+    """An exponent tuple within the degree cap, all zero in one draw of
+    five: a ground constant."""
+    if draw(st.integers(0, 4)) == 0:
+        return (0, 0, 0)
+    m = tuple(draw(st.sampled_from(FORM_EXPONENTS)) for _ in range(3))
+    assume(sum(m) <= poly.MAX_DEGREE)
+    return m
+
+
+@st.composite
+def form_pairs(draw):
+    """Two forms, each ((num, c), (den, d)) for c num / (d den) with den
+    1 or a monomial.  In half the draws the second shares the first's
+    monomials, with its coefficient, its negation or another, so sums
+    take the fused path and some cancel."""
+    def term():
+        return draw(form_monomials()), draw(form_coefficients)
+
+    def over():
+        return ((0, 0, 0), 1) if draw(st.booleans()) else term()
+
+    (num, c), den = first = term(), over()
+    if draw(st.booleans()):
+        other = draw(st.sampled_from([c, -c, draw(form_coefficients)]))
+        return first, ((num, other), den)
+    return first, (term(), over())
+
+
+def form_of(spec):
+    """The form c num / (d den) reduced by the general path, and its
+    numerator and denominator in sympy's ring."""
+    (num, c), (den, d) = spec
+    ring = FORM_CTX.ring
+    rf = RationalForm(ring.term_new(num, c), ring.term_new(den, d), FORM_CTX)
+    return (rf, FORM_SYMPY.term_new(num, QQ(c)),
+            FORM_SYMPY.term_new(den, QQ(d)))
+
+
+def outcome(make):
+    """('ok', num, den) of the form make() returns, or ('error', message)
+    of the ValueError it raises."""
+    try:
+        rf = make()
+    except ValueError as e:
+        return "error", str(e)
+    return "ok", str(rf.num), str(rf.den)
+
+
+def sympy_outcome(num, den):
+    """num/den cancelled by sympy with a monic denominator, or the
+    ValueError message of a numerator, then denominator, past the cap."""
+    p, q = num.cancel(den)
+    p, q = p.quo_ground(q.LC), q.quo_ground(q.LC)
+    for r in (p, q):
+        degree = max((sum(m) for m in r.monoms()), default=0)
+        if degree > poly.MAX_DEGREE:
+            return ("error", f"total degree must be at most "
+                             f"{poly.MAX_DEGREE}, got {degree}")
+    return "ok", str(p), str(q)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(form_pairs())
+def test_single_term_forms_match_general_route_and_sympy(pair):
+    """Products, sums and differences of monomials over 1 or a monomial
+    take the fused paths of RationalForm: each equals the general route,
+    num and den built unreduced and then cancelled, and sympy's cancel,
+    with the same str.  A product past the degree cap raises the
+    ValueError of the numerator, then the denominator, in lowest terms;
+    a sum over different denominators is the general route, which may
+    raise before it cancels.  A sum that cancels is the context's zero."""
+    (a, an, ad), (b, bn, bd) = form_of(pair[0]), form_of(pair[1])
+    cases = [
+        (a.__mul__, an * bn, ad * bd, lambda: RationalForm(
+            a.num * b.num, a.den * b.den, FORM_CTX)),
+        (a.__add__, an * bd + bn * ad, ad * bd, lambda: RationalForm(
+            a.num * b.den + b.num * a.den, a.den * b.den, FORM_CTX)),
+        (a.__sub__, an * bd - bn * ad, ad * bd, lambda: RationalForm(
+            a.num * b.den - b.num * a.den, a.den * b.den, FORM_CTX)),
+    ]
+    for op, num, den, general in cases:
+        got, want = outcome(lambda: op(b)), outcome(general)
+        # a sum over two denominators takes the general route itself
+        general_sum = op != a.__mul__ and a.den != b.den
+        if want[0] == "ok" or not general_sum:
+            assert got == sympy_outcome(num, den), (pair, op, got)
+        if want[0] == "ok" or general_sum:
+            assert got == want, (pair, op, got, want)
+            if want[0] == "ok":
+                assert op(b) == general()
+        if not num:
+            assert op(b) is FORM_CTX.zero, (pair, op)
