@@ -196,15 +196,16 @@ class OperatorForms:
 
     G[a][i][j] = g^{ij a} and B[a][i][j][k] = b^{ij a}_k are the dense
     tables; the context holds the ring derivations d/du^k (``ctx.deriv``).
-    DG[a][i][j][k] = d_k g^{ij a} and DB[a][i][j][k][l] = d_l b^{ij a}_k
-    are built when first needed.
+    DG[a][i][j][k] = d_k g^{ij a}, DB[a][i][j][k][l] = d_l b^{ij a}_k and
+    A2, the nonzero a2 residuals, are built when first needed.
 
     ``edited`` gives the forms of an operator that differs from this one
     in a few b entries, each a rational multiple of an entry of this b (a
     sign flip, a scaling or a swap).  They share the context, the
     derivations, G and DG; their B, and their DB when first needed, are
     this B and DB with the edited entries scaled, so no entry is converted
-    or derived again."""
+    or derived again.  a2 is linear in b, so their A2 is this A2 with only
+    the keys the edits touch recomputed."""
 
     def __init__(self, ctx, G: list, B: list,
                  base: "OperatorForms | None" = None, edits=()):
@@ -240,6 +241,29 @@ class OperatorForms:
             return _edited(self._base.DB, self._edits)
         return _map_nested(self.B, self.ctx.gradient)
 
+    @cached_property
+    def A2(self) -> dict:
+        """{(a, i, j, k): d_k g^{ij a} - b^{ij a}_k - b^{ji a}_k} of the
+        nonzero a2 residuals, 0-based.  Edited forms recompute the keys
+        (a, i, j, k) and (a, j, i, k) of each edited b^{ij a}_k from their
+        own B, so the table is exact whatever the base's residuals."""
+        if self._base is None:
+            rng = range(len(self.B[0]))
+            keys = itertools.product(range(len(self.B)), rng, rng, rng)
+            table = {}
+        else:
+            keys = {key for (a, i, j, k), _src, _c in self._edits
+                    for key in ((a, i, j, k), (a, j, i, k))}
+            table = dict(self._base.A2)
+        DG, B = self.DG, self.B
+        for a, i, j, k in keys:
+            x = DG[a][i][j][k] - B[a][i][j][k] - B[a][j][i][k]
+            if x.is_zero:
+                table.pop((a, i, j, k), None)
+            else:
+                table[a, i, j, k] = x
+        return table
+
 
 def _edited(table: list, edits) -> list:
     """table with table[dst] = c * table[src] for each (dst, src, c), the
@@ -256,8 +280,9 @@ def _edited(table: list, edits) -> list:
 
 
 class MokhovChecker:
-    """Assembles a3..a7 from the operator's rational forms (``op.forms``)
-    by scattering nonzero products into tables keyed by residual indices.
+    """Reads a2 from the operator's rational forms (``op.forms``), and
+    assembles a3..a7 from them by scattering nonzero products into tables
+    keyed by residual indices.
 
     G, B, DG and DB are the forms' tables (see ``OperatorForms``), and
     C^{jr a}_{sq} = d_q b^{jr a}_s - d_s b^{jr a}_q.  The nonzero entries
@@ -283,10 +308,11 @@ class MokhovChecker:
     built only that block, the blocks before it and (be, a, i).
 
     The checker converts nothing: the forms are the operator's, converted
-    once per operator (a mutant's are its parent's, edited).  DG and DB
-    are built when first needed and kept with the forms; the checker's
-    own tables are built on first use, so a check that stops at a2 never
-    takes d b."""
+    once per operator (a mutant's are its parent's, edited).  DG, DB and
+    the a2 table are built when first needed and kept with the forms (a
+    mutant's a2 table is its parent's with the keys of its edits
+    recomputed); the checker's own tables are built on first use, so a
+    check that stops at a2 never takes d b."""
 
     def __init__(self, op: HydroOperator):
         self.op = op
@@ -399,16 +425,8 @@ class MokhovChecker:
                         yield "a1", (ALPHA_LABELS[a], i + 1, j + 1), x
 
     def residuals_a2(self):
-        DG, B = self.DG, self.B
-        rng = range(self.n)
-        for a in range(self.d):
-            for i in rng:
-                for j in rng:
-                    for k in rng:
-                        x = DG[a][i][j][k] - B[a][i][j][k] - B[a][j][i][k]
-                        if not x.is_zero:
-                            yield "a2", (ALPHA_LABELS[a], i + 1, j + 1,
-                                         k + 1), x
+        for (a, i, j, k), x in sorted(self.forms.A2.items()):
+            yield "a2", (ALPHA_LABELS[a], i + 1, j + 1, k + 1), x
 
     def residuals_a3(self):
         yield from self._walk("a3", self._a3_terms())

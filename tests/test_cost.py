@@ -36,6 +36,9 @@ MUL_CALLS = 2254
 # derivative added a zero fraction to each polynomial part and the
 # derivative of an atom was its differentiated Expr converted again.
 ADD_CALLS = 2142
+# RationalForm.__sub__ calls in the same pass: each entry's a2 table is
+# built once, over its d*n^3 keys.
+SUB_CALLS = 3326
 
 # Poly.gcd calls in the same pass: general gcds only, of two operands with
 # two or more terms each.  A cancellation against a single term shifts both
@@ -76,12 +79,17 @@ EXQUO_CALLS = 24
 # Gcds and cancellations as in the pass: 2,114 gcds and 5,299
 # cancellations before single terms cancelled without a gcd and a sum that
 # cancelled stopped being reduced, and 3,392 cancellations before products
-# and sums of single-term forms stopped cancelling.
+# and sums of single-term forms stopped cancelling; 1,385 before mutants
+# took their parent's a2 table.
 SCAN_MUTANTS, SCAN_SURVIVORS = 339, 12
 SCAN_MUL_CALLS = 1476
 SCAN_ADD_CALLS = 1147
+# 21,928 differences when each mutant subtracted its whole d*n^3 a2 table;
+# now a mutant's a2 table is its parent's with the two keys of each
+# edited entry recomputed, and each parent builds its table once.
+SCAN_SUB_CALLS = 5204
 SCAN_GCD_CALLS = 4
-SCAN_CANCEL_CALLS = 1385
+SCAN_CANCEL_CALLS = 1371
 SCAN_EXQUO_CALLS = 24     # 214 before the single-term quotient
 
 # derivation_context builds, build_context calls and to_rational_form calls
@@ -185,11 +193,12 @@ def test_no_record_built_unless_read(count_calls):
 @pytest.fixture
 def ring_ops(monkeypatch):
     """A function that starts counting RationalForm products, sums,
-    products with a zero operand, Poly.gcd and Poly.cancel calls and
-    general exact divisions, and returns the live Counter."""
+    differences, products with a zero operand, Poly.gcd and Poly.cancel
+    calls and general exact divisions, and returns the live Counter."""
     counts = Counter()
-    mul, add, gcd = RationalForm.__mul__, RationalForm.__add__, Poly.gcd
-    cancel, exquo = Poly.cancel, poly._exquo
+    mul, add, sub = (RationalForm.__mul__, RationalForm.__add__,
+                     RationalForm.__sub__)
+    gcd, cancel, exquo = Poly.gcd, Poly.cancel, poly._exquo
 
     def counted_mul(a, b):
         counts["mul"] += 1
@@ -199,6 +208,10 @@ def ring_ops(monkeypatch):
     def counted_add(a, b):
         counts["add"] += 1
         return add(a, b)
+
+    def counted_sub(a, b):
+        counts["sub"] += 1
+        return sub(a, b)
 
     def counted_gcd(p, q):
         counts["gcd"] += 1
@@ -215,6 +228,7 @@ def ring_ops(monkeypatch):
     def start():
         monkeypatch.setattr(RationalForm, "__mul__", counted_mul)
         monkeypatch.setattr(RationalForm, "__add__", counted_add)
+        monkeypatch.setattr(RationalForm, "__sub__", counted_sub)
         monkeypatch.setattr(Poly, "gcd", counted_gcd)
         monkeypatch.setattr(Poly, "cancel", counted_cancel)
         monkeypatch.setattr(poly, "_exquo", counted_exquo)
@@ -228,6 +242,7 @@ def test_verify_all_multiplications(ring_ops):
     assert all(r.ok for r in results)
     assert counts["mul"] <= 1.1 * MUL_CALLS, counts
     assert counts["add"] <= 1.1 * ADD_CALLS, counts
+    assert counts["sub"] <= 1.1 * SUB_CALLS, counts
     assert counts["gcd"] <= 1.1 * GCD_CALLS, counts
     assert counts["cancel"] <= 1.1 * CANCEL_CALLS, counts
     assert counts["exquo"] <= 1.1 * EXQUO_CALLS, counts
@@ -238,6 +253,7 @@ def test_mutation_scan_ring_operations(ring_ops):
     counts = run_scan(ring_ops)
     assert counts["mul"] <= 1.1 * SCAN_MUL_CALLS, counts
     assert counts["add"] <= 1.1 * SCAN_ADD_CALLS, counts
+    assert counts["sub"] <= 1.1 * SCAN_SUB_CALLS, counts
     assert counts["gcd"] <= 1.1 * SCAN_GCD_CALLS, counts
     assert counts["cancel"] <= 1.1 * SCAN_CANCEL_CALLS, counts
     assert counts["exquo"] <= 1.1 * SCAN_EXQUO_CALLS, counts

@@ -63,9 +63,10 @@ def test_mutation_description():
 
 
 def test_failure_at_a2_builds_no_later_table(monkeypatch):
-    """A mutant that fails a2 differentiates g but builds no d b, no C and
-    none of the tables of a3-a7: neither its checker, nor its forms, nor
-    the parent forms they were edited from."""
+    """A mutant that fails a2 differentiates g and builds the a2 table
+    (its own is its parent's with the edited keys recomputed) but builds
+    no d b, no C and none of the tables of a3-a7: neither its checker, nor
+    its forms, nor the parent forms they were edited from."""
     checkers = []
 
     class Recorded(MokhovChecker):
@@ -86,7 +87,7 @@ def test_failure_at_a2_builds_no_later_table(monkeypatch):
     assert checker.forms is mutant.forms
     assert built(checker) == set()
     assert built(mutant) == built(op) == {"forms"}
-    assert built(mutant.forms) == built(op.forms) == {"DG"}
+    assert built(mutant.forms) == built(op.forms) == {"DG", "A2"}
     assert mutant.forms.DG is op.forms.DG
 
 
@@ -187,21 +188,32 @@ def _report(report):
             for r in report.records]
 
 
+def assert_matches_scratch(mutant, op):
+    """mutant's forms, edited from op's, equal forms converted afresh from
+    the mutant's own entries, and give the same verdicts."""
+    assert mutant.forms.G is op.forms.G
+    fresh = HydroOperator(mutant.ws, mutant.d, mutant.n, mutant.g, mutant.b)
+    assert fresh.forms.ctx is not op.forms.ctx
+    assert mutant.forms.B == fresh.forms.B
+    assert mutant.forms.DB == fresh.forms.DB
+    assert mutant.forms.A2 == fresh.forms.A2
+    found = first_proven_failure(mutant)
+    assert _failure(found) == _failure(first_proven_failure(fresh))
+    if found is None:
+        assert _report(check_hamiltonian(mutant)) == \
+            _report(check_hamiltonian(fresh))
+
+
 def assert_mutants_match_scratch(op):
-    """Every mutant's forms, edited from op's, equal forms converted afresh
-    from the mutant's own entries, and give the same verdicts."""
+    """Every mutant of op, and the last mutant of each mutant (its forms
+    edited from forms that were edited themselves), matches forms
+    converted afresh."""
     for _m, mutant in mutation.mutants(op):
-        assert mutant.forms.G is op.forms.G
-        fresh = HydroOperator(mutant.ws, mutant.d, mutant.n, mutant.g,
-                              mutant.b)
-        assert fresh.forms.ctx is not op.forms.ctx
-        assert mutant.forms.B == fresh.forms.B
-        assert mutant.forms.DB == fresh.forms.DB
-        found = first_proven_failure(mutant)
-        assert _failure(found) == _failure(first_proven_failure(fresh))
-        if found is None:
-            assert _report(check_hamiltonian(mutant)) == \
-                _report(check_hamiltonian(fresh))
+        assert_matches_scratch(mutant, op)
+        chained = [m for _m, m in mutation.mutants(mutant)]
+        if chained:
+            assert chained[-1].forms._base is mutant.forms
+            assert_matches_scratch(chained[-1], op)
 
 
 @pytest.mark.parametrize("entry_id", [e.id for e in catalog.ENTRIES])
