@@ -16,8 +16,8 @@ by degree first, so one check on the largest keys bounds every field of
 a product; with the bits below S flipped they sort in grevlex order.  The
 guard bits of ((a | G) - b) & G mark each field where a >= b, so a
 fieldwise min or a divisibility test is a few int operations, and the OR
-of the monomials holds the generators that occur.  ``terms()`` and
-``term_new`` speak exponent tuples.
+of the monomials holds the generators that occur.  ``terms()``,
+``term_new`` and ``split`` speak exponent tuples.
 
 A product with a single term shifts the other operand's monomials, and a
 quotient by one subtracts its exponents.  A power of a single term
@@ -26,8 +26,9 @@ theorem, and a power of more is taken by repeated squaring.  ``cancel``
 shifts both operands by the monomial of least exponents when either is a
 single term, and otherwise divides by their gcd: the heuristic gcd of
 Char, Geddes and Gonnet (GCDHEU, J. Symbolic Comput. 7, 1989) over ZZ,
-after clearing denominators.  GCDHEU and the general exact division run
-on exponent tuples.
+after clearing denominators.  GCDHEU evaluates the first generator that
+occurs in place, with its exponents divided by their gcd s, recurses on the
+images down to integers and interpolates back at exponents 0, s, 2s, ...
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from functools import reduce
 from itertools import chain
 from math import gcd as igcd
 from math import isqrt, lcm
-from operator import add, or_, sub
+from operator import or_
 from sys import byteorder
 
 # evaluation points GCDHEU tries before it gives up
@@ -50,10 +51,6 @@ MAX_DEGREE = (1 << W - 1) - 1
 
 class HeuristicGCDFailed(ArithmeticError):
     """GCDHEU found no gcd within its HEU_GCD_MAX evaluation points."""
-
-
-def _leading(d: dict) -> tuple:
-    return min(d, key=lambda m: (-sum(m), m[::-1]))
 
 
 def _quo_coeff(a, b):
@@ -103,12 +100,6 @@ class PolyRing:
         # W = 16: each field is one native uint16 of the int's bytes
         return tuple(memoryview((m & self._low).to_bytes(
             self._shift // 8, byteorder)).cast("H"))
-
-    def _tuples(self, p: Poly) -> dict:
-        return {self._unpack(m): c for m, c in p.items()}
-
-    def _packed(self, d: dict) -> Poly:
-        return self._new({self._pack(m): c for m, c in d.items()})
 
     def term_new(self, monom: tuple, coeff) -> Poly:
         return self._new({self._pack(monom): coeff} if coeff else {})
@@ -222,6 +213,17 @@ class Poly(dict):
             acc &= ~(FIELD << i * W)
         return out
 
+    def split(self, indices) -> dict:
+        """{exponents of the generators at ``indices``: the polynomial of the
+        terms with those exponents, with those generators cleared}."""
+        ring, parts = self.ring, {}
+        mask = sum(FIELD << i * W for i in indices)
+        for m, c in self.items():
+            part = _with_degree(ring, m & mask)
+            parts.setdefault(part, {})[m - part] = c
+        return {tuple(part >> i * W & FIELD for i in indices): ring._new(p)
+                for part, p in parts.items()}
+
     def diff(self, index: int) -> Poly:
         """d/dx of the generator at ``index``."""
         ring, shift = self.ring, index * W
@@ -245,9 +247,9 @@ class Poly(dict):
                 return ring._new({m - lm: _quo_coeff(c, lc)
                                   for m, c in self.items()})
         else:
-            q = _exquo(ring._tuples(self), ring._tuples(other), integral=False)
+            q = _exquo(self, other, integral=False)
             if q is not None:
-                return ring._packed(q)
+                return q
         raise ArithmeticError(f"{other} does not divide {self}")
 
     def gcd(self, other: Poly) -> Poly:
@@ -259,9 +261,7 @@ class Poly(dict):
             return h.quo_ground(h.LC) if h else ring.zero
         if len(self) == 1 or len(other) == 1:
             return ring._new({_least_exponents(self, other): 1})
-        f, g = _cleared(ring._tuples(self)), _cleared(ring._tuples(other))
-        shrink, grow = _deflation(f, g)
-        h = ring._packed(grow(_heugcd(shrink(f), shrink(g))[0]))
+        h = _heugcd(_cleared(self), _cleared(other))[0]
         return h.quo_ground(h.LC)
 
     def cancel(self, other: Poly) -> tuple:
@@ -308,9 +308,13 @@ def _fieldwise(ring: PolyRing, monoms) -> int:
         # each field where acc >= m, its guard bit spread over its low bits
         t = ((acc | g) - m) & g
         acc ^= (acc ^ m) & (t - (t >> W - 1))
-    acc &= ring._low
-    # the total degree: field n-1 of acc * ones sums the fields
-    return acc | (acc * ring._ones << W >> ring._shift & FIELD) << ring._shift
+    return _with_degree(ring, acc & ring._low)
+
+
+def _with_degree(ring: PolyRing, low: int) -> int:
+    """The monomial with the exponent fields of ``low`` and their total."""
+    # field n-1 of low * ones sums the fields
+    return low | (low * ring._ones << W >> ring._shift & FIELD) << ring._shift
 
 
 def _least_exponents(f: Poly, g: Poly) -> int:
@@ -326,18 +330,23 @@ def _shifted(p: Poly, low: int) -> Poly:
 
 # -- exact division ------------------------------------------------------------
 
-def _exquo(f: dict, g: dict, integral: bool):
-    """f / g as a dict when g divides f exactly (over ZZ when ``integral``,
-    else over QQ), None otherwise.  With a single divisor the division
-    algorithm's remainder is unique, so it is zero exactly when g | f."""
-    lm_g = _leading(g)
+def _exquo(f: Poly, g: Poly, integral: bool):
+    """f / g when g divides f exactly (over ZZ when ``integral``, else over
+    QQ), None otherwise.  With a single divisor the division algorithm's
+    remainder is unique, so it is zero exactly when g | f.  The int order
+    is graded, so max(r) is a leading term and no term of the remainder
+    passes f's degree."""
+    guards = f.ring._guards
+    lm_g = max(g)
     lc_g = g[lm_g]
     tail = [(m, c) for m, c in g.items() if m != lm_g]
     r = dict(f)
+    get = r.get
     q = {}
     while r:
-        lm = _leading(r)
-        if any(a > b for a, b in zip(lm_g, lm)):
+        lm = max(r)
+        # lm_g divides lm when no field of (lm | G) - lm_g borrows its guard
+        if ((lm | guards) - lm_g) & guards != guards:
             return None
         if integral:
             c, rem = divmod(r.pop(lm), lc_g)
@@ -345,135 +354,107 @@ def _exquo(f: dict, g: dict, integral: bool):
                 return None
         else:
             c = _quo_coeff(r.pop(lm), lc_g)
-        mq = tuple(map(sub, lm, lm_g))
+        mq = lm - lm_g
         q[mq] = c
         for m, cg in tail:
-            m = tuple(map(add, mq, m))
-            v = r.get(m, 0) - c * cg
+            m += mq
+            v = get(m, 0) - c * cg
             if v:
                 r[m] = v
             else:
                 del r[m]
-    return q
+    return f.ring._new(q)
 
 
 # -- GCDHEU over ZZ ------------------------------------------------------------
 
-def _cleared(p: dict) -> dict:
+def _cleared(p: Poly) -> Poly:
     """p times the lcm of its coefficient denominators: integer coefficients."""
     d = lcm(*(c.denominator for c in p.values()))
-    return {m: c.numerator * (d // c.denominator) for m, c in p.items()}
+    return p.ring._new({m: c.numerator * (d // c.denominator)
+                        for m, c in p.items()})
 
 
-def _deflation(f: dict, g: dict):
-    """Maps between the exponents of f, g and those of a smaller problem:
-    generators absent from both are dropped, and each remaining exponent is
-    divided by the gcd of that generator's exponents.  The gcd commutes
-    with the substitution x -> x^J, so it can be taken in the small ring."""
-    steps = [igcd(*column) for column in zip(*f, *g)]
-    kept = [(i, s) for i, s in enumerate(steps) if s]
-
-    def shrink(p):
-        return {tuple(m[i] // s for i, s in kept): c for m, c in p.items()}
-
-    def grow(p):
-        out = {}
-        for m, c in p.items():
-            full = [0] * len(steps)
-            for (i, s), e in zip(kept, m):
-                full[i] = e * s
-            out[tuple(full)] = c
-        return out
-
-    return shrink, grow
-
-
-def _evaluate(f: dict, x: int):
-    """f with its first generator set to x: an int for one generator, else a
-    dict over the remaining generators."""
-    if len(next(iter(f))) == 1:
-        return sum(c * x ** m[0] for m, c in f.items())
+def _evaluate(f: Poly, i: int, s: int, x: int) -> Poly:
+    """f with generator i set to x^(1/s), s dividing each of its exponents:
+    field i and its share of the degree field are read and cleared."""
+    shift, top = i * W, f.ring._shift
     out = {}
+    get = out.get
     for m, c in f.items():
-        out[m[1:]] = out.get(m[1:], 0) + c * x ** m[0]
-    return {m: c for m, c in out.items() if c}
+        e = m >> shift & FIELD
+        m -= e << shift | e << top
+        out[m] = get(m, 0) + c * x ** (e // s)
+    return f.ring._new({m: c for m, c in out.items() if c})
 
 
-def _symmetric_mod(c: int, x: int) -> int:
-    c %= x
-    return c - x if c > x // 2 else c
-
-
-def _interpolate(h, x: int, n: int) -> dict:
-    """The polynomial in n generators whose value at (x, ...) is h, read off
-    the balanced base-x digits of h's coefficients, with a positive leading
-    coefficient."""
-    f = {}
-    i = 0
-    if n == 1:
-        h = {(): h}
+def _interpolate(h: Poly, x: int, i: int, s: int):
+    """The polynomial with a positive leading coefficient whose value at
+    x_i = x^(1/s) is h: the balanced base-x digits of h's coefficients go to
+    x_i's exponents 0, s, 2s, ...  None, never packed, when a term would pass
+    MAX_DEGREE, as no such polynomial divides an element of the ring."""
+    ring, half = h.ring, (x - 1) // 2
+    step = s << i * W | s << ring._shift
+    f, offset = {}, 0
     while h:
-        digits = {m: _symmetric_mod(c, x) for m, c in h.items()}
+        if max(h) + offset >= ring._limit:
+            return None
+        # balanced digits, in (-x/2, x/2]
+        digits = {m: (c + half) % x - half for m, c in h.items()}
         h = {m: (c - digits[m]) // x for m, c in h.items() if c != digits[m]}
         for m, digit in digits.items():
             if digit:
-                f[(i,) + m] = digit
-        i += 1
-    if f[_leading(f)] < 0:
-        f = {m: -c for m, c in f.items()}
-    return f
+                f[m + offset] = digit
+        offset += step
+    f = ring._new(f)
+    return -f if f.LC < 0 else f
 
 
-def _primitive(f: dict) -> dict:
-    cont = igcd(*f.values())
-    return {m: c // cont for m, c in f.items()}
-
-
-def _heugcd(f: dict, g: dict):
+def _heugcd(f: Poly, g: Poly):
     """(h, f/h, g/h) with h a gcd of the nonzero integer polynomials f, g."""
-    n = len(next(iter(f)))
     cont = igcd(*f.values(), *g.values())
-    f = {m: c // cont for m, c in f.items()}
-    g = {m: c // cont for m, c in g.items()}
+    f, g = f.quo_ground(cont), g.quo_ground(cont)
+    occurring = f.occurring() + g.occurring()
+    if not occurring:
+        # no generator occurs: f and g are coprime integers
+        return f.ring.ground_new(cont), f, g
+    i = min(occurring)
+    s = igcd(*(m >> i * W & FIELD for m in chain(f, g)))
     f_norm = max(map(abs, f.values()))
     g_norm = max(map(abs, g.values()))
     bound = 2 * min(f_norm, g_norm) + 29
     x = max(min(bound, 99 * isqrt(bound)),
-            2 * min(f_norm // abs(f[_leading(f)]),
-                    g_norm // abs(g[_leading(g)])) + 4)
+            2 * min(f_norm // abs(f.LC), g_norm // abs(g.LC)) + 4)
     for _ in range(HEU_GCD_MAX):
-        ff, gg = _evaluate(f, x), _evaluate(g, x)
+        ff, gg = _evaluate(f, i, s, x), _evaluate(g, i, s, x)
         # a zero image says nothing; try the next point
         if ff and gg:
-            found = _heugcd_candidates(f, g, ff, gg, x, n)
+            found = _heugcd_candidates(f, g, ff, gg, x, i, s)
             if found is not None:
                 h, cff, cfg = found
-                return {m: c * cont for m, c in h.items()}, cff, cfg
+                return h.mul_ground(cont), cff, cfg
         x = 73794 * x * isqrt(isqrt(x)) // 27011
     raise HeuristicGCDFailed(
         f"heuristic gcd gave up after {HEU_GCD_MAX} evaluation points")
 
 
-def _heugcd_candidates(f: dict, g: dict, ff, gg, x: int, n: int):
-    """(h, f/h, g/h) from the gcd of the images ff = f(x), gg = g(x): the
-    interpolated gcd, or a gcd got from either interpolated cofactor, the
-    first one that divides both f and g exactly; None if none does."""
-    if n == 1:
-        hh = igcd(ff, gg)
-        cff, cfg = ff // hh, gg // hh
-    else:
-        hh, cff, cfg = _heugcd(ff, gg)
-    h = _primitive(_interpolate(hh, x, n))
-    if ((cff_ := _exquo(f, h, integral=True)) is not None
-            and (cfg_ := _exquo(g, h, integral=True)) is not None):
-        return h, cff_, cfg_
-    cff = _interpolate(cff, x, n)
-    if ((h := _exquo(f, cff, integral=True)) is not None
+def _heugcd_candidates(f: Poly, g: Poly, ff, gg, x: int, i: int, s: int):
+    """(h, f/h, g/h) from the gcd of the images ff, gg of f, g at
+    x_i = x^(1/s): the interpolated gcd, or a gcd got from either
+    interpolated cofactor, the first one that divides both f and g exactly;
+    None if none does."""
+    hh, cff, cfg = _heugcd(ff, gg)
+    if (h := _interpolate(hh, x, i, s)) is not None:
+        h = h.quo_ground(igcd(*h.values()))
+        if ((cff_ := _exquo(f, h, integral=True)) is not None
+                and (cfg_ := _exquo(g, h, integral=True)) is not None):
+            return h, cff_, cfg_
+    if ((cff := _interpolate(cff, x, i, s)) is not None
+            and (h := _exquo(f, cff, integral=True)) is not None
             and (cfg_ := _exquo(g, h, integral=True)) is not None):
         return h, cff, cfg_
-    cfg = _interpolate(cfg, x, n)
-    if ((h := _exquo(g, cfg, integral=True)) is not None
+    if ((cfg := _interpolate(cfg, x, i, s)) is not None
+            and (h := _exquo(g, cfg, integral=True)) is not None
             and (cff_ := _exquo(f, h, integral=True)) is not None):
         return h, cff_, cfg
     return None
-

@@ -555,22 +555,10 @@ def coefficients_in(rf: RationalForm, param_names: list[str]):
         if name not in ctx.gen_of_name:
             raise NormalizeError(f"parameter {name!r} not in context")
         idx.append(ctx.var_names.index(name))
-    for monom, _ in rf.den.terms():
-        if any(monom[i] for i in idx):
-            raise NormalizeError("denominator depends on formal parameters")
-    buckets: dict[tuple, object] = {}
-    ring = ctx.ring
-    for monom, coeff in rf.num.terms():
-        exps = tuple(monom[i] for i in idx)
-        rest = list(monom)
-        for i in idx:
-            rest[i] = 0
-        term = ring.term_new(tuple(rest), coeff)
-        buckets[exps] = buckets.get(exps, ring.zero) + term
-    return {
-        exps: RationalForm(num, rf.den, ctx)
-        for exps, num in sorted(buckets.items())
-    }
+    if not set(idx).isdisjoint(rf.den.occurring()):
+        raise NormalizeError("denominator depends on formal parameters")
+    return {exps: RationalForm(num, rf.den, ctx)
+            for exps, num in sorted(rf.num.split(idx).items())}
 
 
 def uses_transcendental(rf: RationalForm) -> bool:

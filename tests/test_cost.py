@@ -18,7 +18,9 @@ from hydroham.cli import main
 from hydroham.operators import MetricPencil, check_hamiltonian
 from hydroham.poly import Poly
 from hydroham.ratform import RationalForm
+from hydroham.transform import pushforward
 from test_golden import CASES, _make_inputs
+from test_transform import rational_change
 
 # RationalForm.__mul__ calls in one catalog.verify_all() pass.  Down from
 # 5,084: the quotient rule no longer forms its 259 products with a zero
@@ -91,6 +93,16 @@ SCAN_SUB_CALLS = 5204
 SCAN_GCD_CALLS = 4
 SCAN_CANCEL_CALLS = 1371
 SCAN_EXQUO_CALLS = 24     # 214 before the single-term quotient
+
+# Poly.gcd, Poly.cancel and poly._exquo calls of pushforward plus
+# check_hamiltonian for T2.3/rank2_3 and T2.5/1 through u_n = v_n/(1 + v1):
+# rational coordinates, where the polynomial catalog's 4 gcds per pass
+# become hundreds.  The same 314, 1,420 and 2,174 calls were made when
+# GCDHEU and the exact division ran on exponent tuples.
+PUSHED_ENTRIES = ("T2.3/rank2_3", "T2.5/1")
+PUSHED_GCD_CALLS = 314
+PUSHED_CANCEL_CALLS = 1420
+PUSHED_EXQUO_CALLS = 2174
 
 # derivation_context builds, build_context calls and to_rational_form calls
 # (the conversion's recursion included) over the same scan.  A mutant's forms are its parent's, edited,
@@ -258,6 +270,22 @@ def test_mutation_scan_ring_operations(ring_ops):
     assert counts["cancel"] <= 1.1 * SCAN_CANCEL_CALLS, counts
     assert counts["exquo"] <= 1.1 * SCAN_EXQUO_CALLS, counts
     assert counts["zero_operand"] == 0, counts
+
+
+def test_rational_change_ring_operations(ring_ops):
+    """Gcds, cancellations and general exact divisions of two small entries
+    pushed through a rational change and checked."""
+    changes = []
+    for entry_id in PUSHED_ENTRIES:
+        op, src = catalog.instantiate(entry_id)
+        changes.append((op, rational_change(op, src, op.n)))
+    counts = ring_ops()
+    for op, change in changes:
+        pushed = pushforward(op, change)
+        assert check_hamiltonian(pushed).overall == "proven_pass"
+    assert counts["gcd"] <= 1.1 * PUSHED_GCD_CALLS, counts
+    assert counts["cancel"] <= 1.1 * PUSHED_CANCEL_CALLS, counts
+    assert counts["exquo"] <= 1.1 * PUSHED_EXQUO_CALLS, counts
 
 
 def test_mutation_scan_conversions(count_calls):

@@ -23,6 +23,7 @@ from hydroham import (
 from hydroham import expr as ex
 from hydroham.ratform import (
     NormalizeError,
+    RationalForm,
     atom_signature,
     coefficients_in,
     derivation_context,
@@ -210,10 +211,20 @@ def test_exp_argument_bound(ws3):
 def test_parameter_coefficients(ws3):
     ws = ws3.extended(["lam", "mu"])
     e = parse("(lam*u1 - mu*f)^2/u2 + lam*mu*f*u1/u2 - lam^2*u1^2/u2 + 1", ws)
-    coeffs = coefficients_in(normalize(e, ws), ["lam", "mu"])
+    rf = normalize(e, ws)
+    coeffs = coefficients_in(rf, ["lam", "mu"])
     assert {m: print_expr(ratform_to_expr(c)) for m, c in coeffs.items()} == {
         (0, 0): "1", (0, 2): "f^2/u2", (1, 1): "(-u1*f)/u2",
     }
+    # the parts times lam^a mu^b sum to the form, and hold no lam or mu
+    ctx, ring = rf.ctx, rf.ctx.ring
+    lam, mu = (ctx.var_names.index(name) for name in ("lam", "mu"))
+    total = ctx.zero
+    for (a, b), part in coeffs.items():
+        assert {lam, mu}.isdisjoint(part.num.occurring() + part.den.occurring())
+        power = ring.gens[lam] ** a * ring.gens[mu] ** b
+        total = total + part * RationalForm(power, ring.one, ctx)
+    assert total == rf
 
 
 def _alone(ws):

@@ -1,8 +1,9 @@
 """The in-package polynomial ring against sympy's ring over QQ in grevlex
 order, which serves as the oracle: arithmetic, term order, printing,
 derivatives, the monic gcd and exact quotients, also with exponents at the
-edges of the packed fields; and the guard-bit operations and the degree
-cap of the packed monomials."""
+edges of the packed fields and in rings of up to 12 generators; splits by
+generators against reconstruction; and the guard-bit operations and the
+degree cap of the packed monomials."""
 
 from fractions import Fraction
 from itertools import combinations, product
@@ -20,7 +21,8 @@ from hydroham.poly import HeuristicGCDFailed, PolyRing
 from hydroham.ratform import PolyContext, RationalForm
 
 # ring names as ratform gives them: variables, constants, then atoms
-NAMES = ("u1", "u2", "c1", "@a0", "@a1")
+NAMES = ("u1", "u2", "c1", "@a0", "@a1", "@a2", "@a3", "@a4", "@a5", "@a6",
+         "@a7", "@a8")
 
 
 def rings(n):
@@ -58,6 +60,21 @@ def occurring(q):
     """The indices of the generators to which sympy's q gives a positive
     degree."""
     return [i for i, e in enumerate(q.degrees()) if e > 0]
+
+
+def check_split(p, indices):
+    """p.split(indices) against reconstruction: each part is nonzero and
+    free of the split generators, and the parts times their monomials sum
+    to p, with the packed monomials term_new makes."""
+    ring, total = p.ring, p.ring.zero
+    for exps, part in p.split(indices).items():
+        assert part and set(indices).isdisjoint(part.occurring())
+        assert part == rebuilt(part)
+        monom = [0] * len(ring.names)
+        for i, e in zip(indices, exps):
+            monom[i] = e
+        total = total + part * ring.term_new(tuple(monom), 1)
+    assert total == p and total == rebuilt(total)
 
 
 def same(p, q):
@@ -119,6 +136,9 @@ def test_order_and_accessors_match_sympy(case):
     for i in range(n):
         assert same(a.diff(i), sa.diff(sa.ring.gens[i]))
     assert str(a) == str(sa)
+    for k in range(n + 1):
+        for indices in combinations(range(n), k):
+            check_split(a, indices)
 
 
 @st.composite
@@ -185,11 +205,6 @@ def check_gcd(ta, tb, tc, n):
         assert f.quo(h).gcd(g.quo(h)) == h.ring.one
 
 
-@settings(max_examples=150, deadline=None)
-@given(poly_pairs(count=3))
-def test_gcd_and_quotients_match_sympy(case):
-    n, (ta, tb, tc) = case
-    check_gcd(ta, tb, tc, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -197,6 +212,76 @@ def test_gcd_and_quotients_match_sympy(case):
 def test_gcd_with_large_coefficients(case):
     n, (ta, tb, tc) = case
     check_gcd(ta, tb, tc, n)
+
+
+@st.composite
+def deflatable_cases(draw):
+    """(n, three term lists) in up to 12 generators, of which the operands
+    use at most three, each with exponents that are multiples of its own
+    factor 1, 2 or 3: GCDHEU divides a generator's exponents by their gcd
+    and skips the generators that do not occur."""
+    n = draw(st.integers(1, 12))
+    used = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3,
+                         unique=True))
+    factors = [draw(st.integers(1, 3)) for _ in used]
+    big = draw(st.booleans())
+
+    def terms():
+        out = {}
+        for ks in draw(st.lists(st.tuples(*[st.integers(0, 3)] * len(used)),
+                                max_size=4, unique=True)):
+            m = [0] * n
+            for i, k, factor in zip(used, ks, factors):
+                m[i] = k * factor
+            out[tuple(m)] = draw(coefficients(big))
+        return list(out.items())
+    return n, [terms() for _ in range(3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(poly_pairs(count=3), deflatable_cases()))
+def test_gcd_and_quotients_match_sympy(case):
+    n, (ta, tb, tc) = case
+    check_gcd(ta, tb, tc, n)
+
+
+def test_interpolation_past_the_degree_cap_is_rejected(monkeypatch):
+    """An interpolated GCDHEU candidate with a term past MAX_DEGREE divides
+    nothing in the ring: _interpolate gives None, and no monomial with a
+    guard bit set is ever packed.  At s = 2^14 the third base-x digit would
+    go to exponent 2^15."""
+    ring = PolyRing(NAMES[:2])
+    s, x = 2 ** 14, 10
+    y = ring.gens[1]
+    packed = []
+    new = PolyRing._new
+
+    def recorded(self, terms):
+        packed.extend(terms)
+        return new(self, terms)
+
+    monkeypatch.setattr(PolyRing, "_new", recorded)
+    # 23 = 2*10 + 3 and 23*y - 3: two digits, exponents 0 and s
+    assert poly._interpolate(ring.ground_new(23), x, 0, s) == (
+        ring.term_new((s, 0), 2) + ring.ground_new(3))
+    assert poly._interpolate(y * ring.ground_new(23) - ring.ground_new(3), x,
+                             0, s) == (ring.term_new((s, 1), 2)
+                                       + ring.term_new((0, 1), 3)
+                                       - ring.ground_new(3))
+    # the third digit of 123, and of 100*y (digits 0, 0, 1), would go to
+    # exponent 2s = 2^15
+    assert poly._interpolate(ring.ground_new(123), x, 0, s) is None
+    assert poly._interpolate(y * ring.ground_new(100), x, 0, s) is None
+    assert all(m & ring._guards == 0 for m in packed)
+    # a gcd whose exponents reach 2s = 32766, within the cap, of a
+    # generator that is not the first
+    s = 16383
+    z = ring.term_new((0, s), 1)
+    one = ring.one
+    h = ((z + one) * (z + one + one)).gcd(
+        (z + one) * (z + one + one + one))
+    assert h == z + one
+    assert all(m & ring._guards == 0 for m in packed)
 
 
 def test_gcd_needs_a_second_evaluation_point(monkeypatch):
@@ -358,8 +443,8 @@ def edge_cases(draw):
 @given(edge_cases())
 def test_packed_fields_match_sympy(case):
     """Products, single-term quotients and cancellations, the generators
-    that occur, derivatives and term order, with exponents near the field
-    edges."""
+    that occur, derivatives, splits and term order, with exponents near the
+    field edges."""
     n, ta, tb, tt = case
     (a, sa), (b, sb), (t, st_) = build(ta, n), build(tb, n), build(tt, n)
     assert [m for m, _ in a.terms()] == [m for m, _ in sa.terms()]
@@ -379,6 +464,9 @@ def test_packed_fields_match_sympy(case):
         check_cancel(tt, ta, n)
     for i in range(n):
         assert same(a.diff(i), sa.diff(sa.ring.gens[i]))
+    for k in range(n + 1):
+        for indices in combinations(range(n), k):
+            check_split(a * b, indices)
 
 
 def test_swar_min_and_divisibility_are_fieldwise():

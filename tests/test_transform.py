@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from hydroham import Workspace, catalog, is_zero, parse
 from hydroham import expr as ex
 from hydroham.calculus import differentiate, substitute
+from hydroham.mutation import mutants
 from hydroham.operators import (
     _flatten,
     check_hamiltonian,
@@ -270,3 +272,60 @@ def test_pushforward_matches_composed_inverse_law():
                 assert e1 == e2 or is_zero(
                     e1 - e2, dst).kind == "proven_zero", \
                     (entry.id, fwd, ex.print_expr(e1))
+
+
+def rational_change(op, src, component):
+    """u_c = v_c/(1 + v_k), every other u_i = v_i, with its inverse, where
+    k is 2 for c = 1 and 1 otherwise: u_n = v_n/(1 + v1) for the last
+    component and u1 = v1/(1 + v2) for the first."""
+    n, k = op.n, 2 if component == 1 else 1
+    dst = src.derive(variables=[f"v{i}" for i in range(1, n + 1)])
+    forward = {f"u{i}": f"v{i}" for i in range(1, n + 1)}
+    inverse = {f"v{i}": f"u{i}" for i in range(1, n + 1)}
+    forward[f"u{component}"] = f"v{component}/(1 + v{k})"
+    inverse[f"v{component}"] = f"u{component}*(1 + u{k})"
+    return make_change(src, dst, forward, inverse)
+
+
+# The entries whose pushed check takes under 0.1 s under both changes of
+# test_rational_changes_keep_verdicts (21 of the 31; the slowest pushed
+# check of the other ten, APP/rk2_2D_2's under the change of the last
+# component, takes about 1 s).
+FAST_ENTRIES = [
+    "T2.2/1", "T2.2/2", "T2.3/rank0", "T2.3/rank1_1", "T2.3/rank1_2",
+    "T2.3/rank1_3", "T2.3/rank1_4", "T2.3/rank2_1", "T2.3/rank2_2",
+    "T2.3/rank2_3", "T2.5/1", "T2.5/2", "T2.6/rank1_P_1/1",
+    "T2.6/rank1_P_2/2", "T2.7/rank2_P_1/1", "T2.7/rank2_P_1/2",
+    "T2.7/rank2_P_2/2", "T2.7/rank2_P_3/1", "P_gas", "T2.7/rank2_P_4/1",
+    "T2.7/rank2_P_4/2",
+]
+CHANGE_SEED = 14
+
+
+def changed_operators():
+    """(label, operator, its workspace): the fast entries and a seeded
+    sample of their mutants, one from each of ten entries that have any."""
+    rng, drawn = random.Random(CHANGE_SEED), 0
+    for entry_id in rng.sample(FAST_ENTRIES, len(FAST_ENTRIES)):
+        op, src = catalog.instantiate(entry_id)
+        yield entry_id, op, src
+        if drawn < 10 and (pool := list(mutants(op))):
+            mutation, mutant = rng.choice(pool)
+            drawn += 1
+            yield f"{entry_id} {mutation}", mutant, src
+
+
+@pytest.mark.parametrize("component", ["last", "first"])
+def test_rational_changes_keep_verdicts(component):
+    """Change of variables keeps the verdict, a metamorphic relation: the
+    Hamiltonian property does not depend on coordinates (Dubrovin and
+    Novikov 1983), so check_hamiltonian of the pushed operator gives the
+    overall verdict of the operator itself, for the fast entries and the
+    sampled mutants under u_n = v_n/(1 + v1) and under u1 = v1/(1 + v2)."""
+    verdicts = Counter()
+    for label, op, src in changed_operators():
+        c = rational_change(op, src, op.n if component == "last" else 1)
+        want = check_hamiltonian(op).overall
+        assert check_hamiltonian(pushforward(op, c)).overall == want, label
+        verdicts[want] += 1
+    assert verdicts == {"proven_pass": 21, "fail": 10}, verdicts
