@@ -20,8 +20,7 @@ _EXPORTS = {
     "calculus": ("differentiate", "specialize", "substitute"),
     "ratform": ("NormalizeError", "RationalForm", "ZeroDenominatorError",
                 "normalize", "ratform_to_expr"),
-    "zerotest": ("InconclusiveError", "Point", "Verdict", "ZeroTestPolicy",
-                 "evaluate", "is_zero"),
+    "zerotest": ("InconclusiveError", "Verdict", "ZeroTestPolicy", "is_zero"),
     "operators": ("ConditionReport", "HydroOperator", "check_hamiltonian",
                   "generic_rank", "is_degenerate", "is_trivial_pair",
                   "pencil_compatibility", "pencil_determinant"),

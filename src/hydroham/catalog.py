@@ -48,13 +48,8 @@ class CatalogEntry:
         self.note = note
 
     def workspace(self) -> Workspace:
-        ws = Workspace()
-        ws.add_variables(*(f"u{i}" for i in range(1, self.n + 1)))
-        if self.const_slots:
-            ws.add_constants(*self.const_slots)
-        for name, args in self.func_slots:
-            ws.add_function(name, list(args))
-        return ws.freeze()
+        return Workspace.of([f"u{i}" for i in range(1, self.n + 1)],
+                            self.const_slots, self.func_slots)
 
 
 _X2 = {(0, 1, 2): "1", (0, 2, 1): "1"}          # the rank-2 1D metric
@@ -406,15 +401,24 @@ def instantiate(entry_id: str, params: dict | None = None):
         if kappa is not None:
             subs[ws.require_symbol("kappa")] = ex.Rat(Fraction(kappa))
 
+    replacements = []
+    for name, args in entry.func_slots:
+        repl = params.get(name)
+        if repl is None:
+            continue
+        if isinstance(repl, str):
+            repl = parse(repl, ws)
+        stray = sorted(s.name for s in ex.free_symbols(repl)
+                       if s.name not in args)
+        if stray:
+            raise CatalogError(f"{name} may only use its arguments "
+                               f"{', '.join(args)}; found {', '.join(stray)}")
+        replacements.append((ws.functions[name], repl))
+
     def apply_params(e: ex.Expr) -> ex.Expr:
         out = substitute(e, subs)
-        for name, _args in entry.func_slots:
-            repl = params.get(name)
-            if repl is None:
-                continue
-            if isinstance(repl, str):
-                repl = parse(repl, ws)
-            out = specialize(out, ws.functions[name], repl)
+        for fn, repl in replacements:
+            out = specialize(out, fn, repl)
         return out
 
     g_entries = {k: apply_params(e) for k, e in g_entries.items()}

@@ -420,6 +420,8 @@ def _cmd_reduction(args, policy) -> int:
     op = load_operator(read_json(args.operator))
     density = load_density(read_json(args.density), op)
     cand = load_candidate(read_json(args.candidate))
+    if args.at is not None and cand.v is None:
+        raise ValueError("--at: the candidate lists no speeds v")
     sys_ = generate_system(op, density)
     residuals = []
     if cand.m >= 2:
@@ -449,6 +451,8 @@ def _parse_at(text: str | None, m: int) -> dict:
         if name not in names:
             raise ValueError(f"--at: unknown coordinate {name!r}, expected "
                              f"one of {', '.join(names)}")
+        if name in coords:
+            raise ValueError(f"--at: {name} is given twice")
         try:
             coords[name] = Fraction(value)
         except (ValueError, ZeroDivisionError):

@@ -47,20 +47,13 @@ def _optional_list(data: dict, key: str) -> list:
     return _require(data, key, list) if key in data else []
 
 
-def _functions(data: dict) -> list:
-    """The (name, args) of the optional "functions" declarations."""
-    return [(_require(fn, "name", str), _require(fn, "args", list))
-            for fn in _optional_list(data, "functions")]
-
-
-def _workspace(data: dict, variables, constants=()) -> Workspace:
-    """A workspace of the given symbols and the file's functions."""
-    ws = Workspace()
-    ws.add_variables(*variables)
-    ws.add_constants(*constants)
-    for name, args in _functions(data):
-        ws.add_function(name, args)
-    return ws.freeze()
+def _functions(data: dict):
+    """The (name, args) of the optional "functions" declarations.  All are
+    checked when the first is asked for, which ``Workspace.of`` does after
+    it has registered the variables and constants: a file with faults in
+    both reports the fault in its symbols."""
+    yield from [(_require(fn, "name", str), _require(fn, "args", list))
+                for fn in _optional_list(data, "functions")]
 
 
 def load_operator(data: dict) -> HydroOperator:
@@ -70,8 +63,8 @@ def load_operator(data: dict) -> HydroOperator:
         raise FileFormatError(
             f"dimension must be between 1 and {len(ALPHA_LABELS)}, got {d}")
     n = _require(data, "components", int)
-    ws = _workspace(data, _require(data, "variables", list),
-                    _optional_list(data, "constants"))
+    ws = Workspace.of(_require(data, "variables", list),
+                      _optional_list(data, "constants"), _functions(data))
     if len(ws.variables) != n:
         raise FileFormatError("variables list must have `components` entries")
     metrics = _require(data, "metrics", dict)
@@ -154,7 +147,8 @@ def load_candidate(data: dict) -> ReductionCandidate:
     m = _require(data, "m", int)
     if m < 1:
         raise FileFormatError("m must be >= 1")
-    ws = _workspace(data, [f"R{i}" for i in range(1, m + 1)])
+    ws = Workspace.of([f"R{i}" for i in range(1, m + 1)],
+                      functions=_functions(data))
     u = [parse(t, ws) for t in _require(data, "u", list)]
     lam = [parse(t, ws) for t in _require(data, "lambda", list)]
     mu = [parse(t, ws) for t in _require(data, "mu", list)]
@@ -178,7 +172,7 @@ def load_lagrangian(data: dict) -> LagrangianDensity:
 def load_legendre(data: dict):
     """(h, its workspace over rho, u, v, rhot, inverse) for `legendre`."""
     from .integrability import LEGENDRE_VARS
-    ws = _workspace(data, LEGENDRE_VARS)
+    ws = Workspace.of(LEGENDRE_VARS, functions=_functions(data))
     return (parse(_require(data, "h", str), ws), ws,
             parse(_require(data, "inverse", str), ws))
 

@@ -29,9 +29,8 @@ from .symbols import InputError, Symbol, Workspace
 from .zerotest import (
     DEFAULT_POLICY,
     EvaluationError,
-    Point,
     ZeroTestPolicy,
-    evaluate,
+    form_value,
     verdict_for_ratform,
 )
 
@@ -212,10 +211,11 @@ def reduction_residual(c: ReductionCandidate, sys: QuasilinearSystem):
 def hodograph_residual(c: ReductionCandidate, point: dict, t, x, y,
                        policy: ZeroTestPolicy = DEFAULT_POLICY):
     """Residual forms over R of the commuting-flow linear system for v^i,
-    and numeric residuals v^i(R0) - x - lam^i t - mu^i y at the point."""
+    and the values of the forms v^i - x - lam^i t - mu^i y at the point
+    {name of R^i: value}: exact when rational, else reals at the policy's
+    precision."""
     if c.v is None:
         raise HamsysError("candidate carries no commuting-flow speeds v")
-    R = c.r_vars
     v, lam, mu = _speed_forms(c, c.v, c.lam, c.mu)
     # d_j v^i (lam^j - lam^i) = d_j lam^i (v^j - v^i), and the same against
     # the mu family
@@ -224,17 +224,23 @@ def hodograph_residual(c: ReductionCandidate, point: dict, t, x, y,
         for i in range(c.m) for j in range(c.m) if i != j
         for fam_name, fam in (("lam", lam), ("mu", mu))
     ]
-    pt = Point(values={R[i]: Fraction(point[R[i].name])
-                       for i in range(c.m)})
+
+    def value_of(i, key, ctx):
+        if i >= ctx.n_vars:
+            raise EvaluationError(
+                f"abstract atom {ctx.gen_expr(i)} has no assigned value")
+        if key not in point:
+            raise EvaluationError(f"no value assigned to {key}")
+        return Fraction(point[key])
+
+    T, X, Y = (to_rational_form(ex.Rat(Fraction(k)), v[0].ctx)
+               for k in (t, x, y))
     numeric = []
     for i in range(c.m):
-        expr = ex.add(
-            c.v[i], ex.neg(ex.as_expr(Fraction(x))),
-            ex.neg(ex.mul(ex.as_expr(Fraction(t)), c.lam[i])),
-            ex.neg(ex.mul(ex.as_expr(Fraction(y)), c.mu[i])),
-        )
+        form = v[i] - X - lam[i] * T - mu[i] * Y
         try:
-            numeric.append((i + 1, evaluate(expr, pt, policy.precision)))
+            numeric.append(
+                (i + 1, form_value(form, value_of, policy.precision)[0]))
         except EvaluationError as e:
             where = ", ".join(f"{k}={v}" for k, v in point.items())
             raise type(e)(f"v{i + 1} at {where}: {e}") from None

@@ -52,14 +52,6 @@ LEGENDRE_VARS = ("rho", "u", "v", "rhot")
 DIFFERENTIALS = ("da", "db", "dc")
 
 
-def lagrangian_workspace(functions=()) -> Workspace:
-    ws = Workspace()
-    ws.add_variables(*LAGRANGIAN_VARS)
-    for name, args in functions:
-        ws.add_function(name, list(args))
-    return ws.freeze()
-
-
 class LagrangianDensity:
     def __init__(self, f: ex.Expr, ws: Workspace):
         extra = ex.free_symbols(f) - set(ws.variables[:3]) - set(ws.constants)
@@ -72,7 +64,7 @@ class LagrangianDensity:
 
     @classmethod
     def from_text(cls, text: str, functions=()) -> "LagrangianDensity":
-        ws = lagrangian_workspace(functions)
+        ws = Workspace.of(LAGRANGIAN_VARS, functions=functions)
         return cls(parse(text, ws), ws)
 
     def vars(self) -> list[Symbol]:
@@ -253,9 +245,8 @@ def legendre(h: ex.Expr, ws: Workspace, inverse: ex.Expr,
         if not verdict.is_zero_verdict:
             raise IntegrabilityError(f"derivative identity {label} failed")
 
-    lag_ws = lagrangian_workspace(
-        [(fn.name, [a.name for a in fn.args]) for fn in ws.functions.values()]
-    )
+    lag_ws = Workspace.of(LAGRANGIAN_VARS, functions=[
+        (fn.name, [a.name for a in fn.args]) for fn in ws.functions.values()])
     a, b, c = (lag_ws.require_symbol(n) for n in LAGRANGIAN_VARS)
     f = substitute(h_tilde, {u: ex.Var(a), v: ex.Var(b), rhot: ex.Var(c)})
     f = ratform_to_expr(normalize(f, lag_ws))

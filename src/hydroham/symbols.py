@@ -86,6 +86,17 @@ class Workspace:
         # workspaces sharing it (see extended)
         self.signatures: dict = {}
 
+    @classmethod
+    def of(cls, variables, constants=(), functions=()) -> "Workspace":
+        """A frozen workspace of the variable and constant names, in order,
+        and the (name, argument names) function declarations."""
+        ws = cls()
+        ws.add_variables(*variables)
+        ws.add_constants(*constants)
+        for name, args in functions:
+            ws.add_function(name, list(args))
+        return ws.freeze()
+
     def _register(self, name: str):
         _check_identifier(name)
         if self.frozen:

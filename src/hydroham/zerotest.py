@@ -14,11 +14,12 @@ whose residuals are all rational never loads it.
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import expr as ex
-from .ratform import RationalForm, normalize, uses_transcendental
-from .symbols import InputError, Symbol, Workspace
+from .ratform import RationalForm, normalize, poly_to_expr, uses_transcendental
+from .symbols import InputError, Workspace
 
 
 class EvaluationError(InputError):
@@ -142,54 +143,6 @@ class ZeroTestPolicy:
 DEFAULT_POLICY = ZeroTestPolicy()
 
 
-class Point:
-    """Exact assignment of variables."""
-
-    def __init__(self, values: dict[Symbol, Fraction]):
-        self.values = values
-
-
-def evaluate(e: ex.Expr, point: Point, precision: int = 64):
-    """Exact rational value when the expression is rational, else a real at
-    the requested binary precision.  Raises SingularPointError when a
-    denominator vanishes at the point."""
-    import mpmath
-    with mpmath.workprec(precision + 16):
-        return _eval(e, point, precision)
-
-
-def _eval(e: ex.Expr, point: Point, precision: int):
-    if isinstance(e, ex.Rat):
-        return e.value
-    if isinstance(e, ex.Var):
-        try:
-            return point.values[e.symbol]
-        except KeyError:
-            raise EvaluationError(f"no value assigned to {e.symbol.name}")
-    if isinstance(e, ex.Sum):
-        return sum(_eval(t, point, precision) for t in e.terms)
-    if isinstance(e, ex.Prod):
-        out = 1
-        for f in e.factors:
-            out *= _eval(f, point, precision)
-        return out
-    if isinstance(e, ex.Pow):
-        base = _eval(e.base, point, precision)
-        if e.exponent < 0 and base == 0:
-            raise SingularPointError(f"zero base in {e}")
-        return base ** e.exponent
-    if isinstance(e, ex.Quot):
-        den = _eval(e.den, point, precision)
-        if den == 0:
-            raise SingularPointError(f"singular denominator {e.den}")
-        return _eval(e.num, point, precision) / den
-    if isinstance(e, ex.Call):
-        return _apply(e.fn, _eval(e.arg, point, precision))
-    if isinstance(e, ex.FuncAtom):
-        raise EvaluationError(f"abstract atom {e} has no assigned value")
-    raise EvaluationError(f"cannot evaluate {type(e)}")
-
-
 # -- sampling on rational forms ----------------------------------------------
 
 def _random_fraction(rng: random.Random, positive=False) -> Fraction:
@@ -199,12 +152,20 @@ def _random_fraction(rng: random.Random, positive=False) -> Fraction:
     return Fraction(num, rng.randint(1, 7))
 
 
+def _real(x):
+    """x as a real at the working precision; mpmath cannot divide a
+    Fraction by a real, nor build a real from a Fraction."""
+    if isinstance(x, Fraction):
+        import mpmath
+        return mpmath.mpf(x.numerator) / x.denominator
+    return x
+
+
 def _apply(fn: str, arg):
     """exp, ln or sqrt of a value, as a real at the working precision;
     raises outside the real domain."""
     import mpmath
-    if isinstance(arg, Fraction):
-        arg = mpmath.mpf(arg.numerator) / arg.denominator
+    arg = _real(arg)
     if fn == "exp":
         if arg > MAX_EXP_ARG:
             raise EvaluationError(f"exp argument above {MAX_EXP_ARG}")
@@ -232,39 +193,36 @@ def _positive(rf: RationalForm) -> bool:
                for _, key, arg in _gens(rf))
 
 
-def _sample_ratform(rf: RationalForm, policy: ZeroTestPolicy,
-                    rng: random.Random):
-    """(num value, num scale, values) of rf at a random point.  A value is
-    drawn for each variable and abstract atom that rf, or the argument form
-    of one of its exp/ln/sqrt generators, uses, in the order they are met;
-    values maps their names and signatures to them, so the point does not
-    depend on rf's context.  The variables are positive when one of those
-    generators is ln or sqrt.  Raises on singularity."""
-    import mpmath
-    positive = _positive(rf)
-    values = {}
+def form_value(rf: RationalForm, value_of, precision: int):
+    """(value, numerator value, numerator scale) of rf at a point; the
+    scale is the sum of the absolute values of the numerator's terms.
 
-    def value(form):
-        """(num value, num scale, den value) of the form"""
+    value_of(i, key, ctx) gives the value of generator i of rf's context, a
+    variable or an abstract atom, whose key is its name or signature; it
+    is called for each such generator that rf, or the argument form of one
+    of its exp/ln/sqrt generators, uses, in the order they are met.  An
+    exp/ln/sqrt generator is evaluated from its argument form, as a real
+    at precision + 32 bits: mpmath is loaded only when rf's context has
+    one, and a value is exact while no such generator is met.  Raises
+    SingularPointError when the denominator vanishes at the point."""
+    ctx = rf.ctx
+    if ctx.arg_forms:
+        import mpmath
+        working = mpmath.workprec(precision + 32)
+    else:
+        working = nullcontext()
+    with working:
         gens = {}
-        for i, key, arg in _gens(form):
-            if arg is not None:
-                num, _, den = value(arg)
-                gens[i] = _apply(form.ctx.gen_expr(i).fn, num / den)
-                continue
-            if key not in values:
-                values[key] = _random_fraction(
-                    rng, positive and i < form.ctx.n_vars)
-            gens[i] = values[key]
-        num, scale = _eval_poly(form.num, gens)
-        den, _ = _eval_poly(form.den, gens)
-        if _near_zero(den, 1, policy):
-            raise SingularPointError("denominator vanished at sample point")
-        return num, scale, den
-
-    with mpmath.workprec(policy.precision + 32):
-        num, scale, _ = value(rf)
-    return num, scale, values
+        for i, key, arg in _gens(rf):
+            gens[i] = value_of(i, key, ctx) if arg is None else _apply(
+                ctx.gen_expr(i).fn, form_value(arg, value_of, precision)[0])
+        num, scale = _eval_poly(rf.num, gens)
+        den, _ = _eval_poly(rf.den, gens)
+        if _near_zero(den, 1, precision):
+            raise SingularPointError("singular denominator "
+                                     f"{poly_to_expr(rf.den, ctx)}")
+        value = num / den if isinstance(den, Fraction) else _real(num) / den
+    return value, num, scale
 
 
 def _eval_poly(p, gens: dict):
@@ -281,28 +239,40 @@ def _eval_poly(p, gens: dict):
     return total, scale
 
 
-def _near_zero(value, scale, policy: ZeroTestPolicy) -> bool:
+def _near_zero(value, scale, precision: int) -> bool:
     if isinstance(value, Fraction):
         return value == 0
     import mpmath
-    tol = mpmath.mpf(2) ** (-(policy.precision // 2))
+    tol = mpmath.mpf(2) ** (-(precision // 2))
     return abs(value) <= tol * (1 + abs(scale))
 
 
 def verdict_for_ratform(rf: RationalForm,
                         policy: ZeroTestPolicy = DEFAULT_POLICY) -> Verdict:
-    """The verdict on rf.  It depends only on the form: a sample draws
-    values for what rf uses (see ``_sample_ratform``), whatever else shares
-    its context."""
+    """The verdict on rf.  A sample draws a value for each variable and
+    abstract atom that ``form_value`` meets, and the witness maps their
+    names and signatures to them: the verdict depends only on the form,
+    whatever else shares its context.  The variables are positive when
+    one of rf's exp/ln/sqrt generators, or one inside their arguments, is
+    ln or sqrt."""
     if rf.is_zero:
         return Verdict(PROVEN_ZERO)
     if not uses_transcendental(rf):
         return Verdict(PROVEN_NONZERO)
     rng = random.Random(policy.seed)
+    positive = _positive(rf)
+    values = {}
+
+    def value_of(i, key, ctx):
+        if key not in values:
+            values[key] = _random_fraction(rng, positive and i < ctx.n_vars)
+        return values[key]
+
     done = retries = 0
     while done < policy.samples:
+        values.clear()
         try:
-            value, scale, values = _sample_ratform(rf, policy, rng)
+            _, value, scale = form_value(rf, value_of, policy.precision)
         except (SingularPointError, EvaluationError):
             retries += 1
             if retries > MAX_RETRIES:
@@ -310,7 +280,7 @@ def verdict_for_ratform(rf: RationalForm,
                     "all candidate sample points hit singularities"
                 )
             continue
-        if not _near_zero(value, scale, policy):
+        if not _near_zero(value, scale, policy.precision):
             witness = {k: str(v) for k, v in values.items()}
             return Verdict(PROBABLY_NONZERO, done + 1, witness)
         done += 1

@@ -1,5 +1,6 @@
 """CLI dispatch, exit codes, deterministic JSON reports."""
 
+import copy
 import json
 import os
 import re
@@ -202,15 +203,47 @@ def test_reduction_at_point(hodograph_files, capsys):
     assert "hodograph residual at point" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("at, message", [
-    ("R1=1/0", "--at: R1=1/0 is not a rational number"),
-    ("R1=abc", "--at: R1=abc is not a rational number"),
+@pytest.mark.parametrize("v, at, value", [
+    ("(R1^2-1)/(R1-1)", "R1=1", "2"),
+    ("1/exp(R1)", "R1=0", "1.0"),
+    ("1/exp(R1)", "R1=1,t=1/3", "0.034546107838109"),
+    ("exp(R1)/3", "R1=1,t=1/3", "0.572760609486348"),
+], ids=["removable", "exp-denominator", "exp-denominator-t",
+        "exp-numerator"])
+def test_reduction_hodograph_values(hodograph_files, tmp_path, capsys, v,
+                                    at, value):
+    """The residual v - x - lam t - mu y is evaluated as a form: the
+    removable singularity of (R1^2-1)/(R1-1) at R1 = 1 is gone, and an
+    exact numerator over a real denominator divides as reals."""
+    cand = tmp_path / "v.json"
+    cand.write_text(json.dumps({
+        "m": 1, "u": ["3", "1", "4"], "lambda": ["R1"], "mu": ["R1^2"],
+        "v": [v]}))
+    assert main(["reduction", *hodograph_files[:2], str(cand),
+                 "--at", at]) == 0
+    assert f"hodograph residual at point, i=1: {value}\n" in \
+        capsys.readouterr().out
+
+
+@pytest.mark.parametrize("at, message, speeds", [
+    ("R1=1/0", "--at: R1=1/0 is not a rational number", True),
+    ("R1=abc", "--at: R1=abc is not a rational number", True),
     ("R7=1,q=2", "--at: unknown coordinate 'R7', expected one of R1, t, "
-                 "x, y"),
+                 "x, y", True),
     ("R1=1,q=2", "--at: unknown coordinate 'q', expected one of R1, t, "
-                 "x, y"),
-], ids=["zero-denominator", "not-a-number", "unknown-R", "unknown-name"])
-def test_reduction_bad_at_exits_3(hodograph_files, capsys, at, message):
+                 "x, y", True),
+    ("R1=2,R1=3", "--at: R1 is given twice", True),
+    ("R1=2", "--at: the candidate lists no speeds v", False),
+], ids=["zero-denominator", "not-a-number", "unknown-R", "unknown-name",
+        "repeated", "no-v"])
+def test_reduction_bad_at_exits_3(hodograph_files, capsys, at, message,
+                                  speeds):
+    if not speeds:
+        with open(hodograph_files[2]) as fh:
+            cand = json.load(fh)
+        del cand["v"]
+        with open(hodograph_files[2], "w") as fh:
+            json.dump(cand, fh)
     assert main(["reduction", *hodograph_files, "--at", at]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -232,6 +265,22 @@ def test_reduction_singular_point_exits_3(hodograph_files, tmp_path,
     assert captured.out == ""
     assert captured.err == \
         "input error: v1 at R1=0: singular denominator R1\n"
+
+
+def test_reduction_abstract_atom_in_v_exits_3(hodograph_files, tmp_path,
+                                              capsys):
+    """An abstract atom has no value at a point."""
+    cand = tmp_path / "atom.json"
+    cand.write_text(json.dumps({
+        "m": 1, "u": ["3", "1", "4"], "lambda": ["R1"], "mu": ["R1^2"],
+        "v": ["k(R1)"], "functions": [{"name": "k", "args": ["R1"]}],
+    }))
+    argv = ["reduction", *hodograph_files[:2], str(cand), "--at", "R1=2"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "input error: v1 at R1=2: abstract atom k has no assigned value\n"
 
 
 def test_legendre_command(tmp_path, capsys):
@@ -407,11 +456,26 @@ def test_catalog_verify_json_lists_failures_only(capsys):
     assert doc["checks"] == [] and doc["overall"] == "proven_pass"
 
 
-def test_catalog_verify_sampled_failure_claims_no_proof(capsys):
+def _edit_entry(monkeypatch, entry_id, g, b, func_slots):
+    """Stand a copy of the entry, with g and b entries replaced and the
+    given slots, in for the entry during the test.  The edits below build
+    the operators that `--set` replacements outside a slot's arguments
+    built before those became input errors."""
+    entry = copy.copy(catalog.get_entry(entry_id))
+    entry.g, entry.b = {**entry.g, **g}, {**entry.b, **b}
+    entry.func_slots = func_slots
+    monkeypatch.setitem(catalog._BY_ID, entry_id, entry)
+
+
+def test_catalog_verify_sampled_failure_claims_no_proof(capsys,
+                                                       monkeypatch):
     """A failing record that is only probabilistic is listed as itself; no
-    entry summary with a ProvenNonzero verdict is added for it."""
-    assert main(["--format", "json", "catalog", "verify", "APP/rk2_2D_1",
-                 "--set", "p=exp(u1)"]) == 1
+    entry summary with a ProvenNonzero verdict is added for it.  The entry
+    is given a fault: p(u3) is read as exp(u1), so p' is 0."""
+    _edit_entry(monkeypatch, "APP/rk2_2D_1", {(1, 1, 1): "exp(u1)"},
+                {(1, 1, 1, 3): "0"}, (("q", ("u3",)),))
+    assert main(["--format", "json", "catalog", "verify",
+                 "APP/rk2_2D_1"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert [(c["name"], c["indices"], c["verdict"]) for c in doc["checks"]] \
         == [("APP/rk2_2D_1:a2", ["y", 1, 1, 1],
@@ -419,12 +483,18 @@ def test_catalog_verify_sampled_failure_claims_no_proof(capsys):
     assert doc["overall"] == "fail"
 
 
-def test_catalog_verify_sampled_pass_is_no_proven_pass(capsys):
+def test_catalog_verify_sampled_pass_is_no_proven_pass(capsys, monkeypatch):
     """exp(2*u3) - exp(u3)^2 is zero, but its two exponentials are separate
     ring generators, so its residuals are only sampled zero: the records
-    are not listed, yet the report is a probable pass, not a proven one."""
+    are not listed, yet the report is a probable pass, not a proven one.
+    The entry's p is given the term u1*(exp(2*u3) - exp(u3)^2), with its
+    u3 derivative in p'."""
+    zero = "u1*(exp(2*u3) - exp(u3)^2)"
+    _edit_entry(monkeypatch, "APP/rk2_2D_1", {(1, 1, 1): f"p + {zero}"},
+                {(1, 1, 1, 3): f"p'/2 + {zero}"},
+                catalog.get_entry("APP/rk2_2D_1").func_slots)
     assert main(["--format", "json", "catalog", "verify", "APP/rk2_2D_1",
-                 "--set", "p=exp(u3) + u1*(exp(2*u3) - exp(u3)^2)"]) == 2
+                 "--set", "p=exp(u3)"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["checks"] == [] and doc["overall"] == "probably_pass"
     assert doc["notes"][0]["value"].startswith("probably_pass;")
@@ -441,6 +511,41 @@ def test_catalog_verify_summary_when_a_fact_contradicts_the_label(capsys):
     assert [(c["name"], c["verdict"]) for c in doc["checks"]] \
         == [("T2.7/rank2_P_2/1:summary", "ProvenNonzero")]
     assert doc["notes"][0]["value"].startswith("proven_pass;")
+
+
+@pytest.mark.parametrize("action", ["export", "verify"])
+@pytest.mark.parametrize("argv, found", [
+    (["--set", "h=u1"], "u1"),
+    (["--eps", "1", "--set", "h=eps*u2"], "eps"),
+], ids=["variable", "constant"])
+def test_catalog_set_outside_the_slot_arguments_exits_3(capsys, action,
+                                                        argv, found):
+    """h of T2.6/rank1_P_1/1 is declared over (u2, u3): a replacement in
+    other symbols is no specialization of it."""
+    assert main(["catalog", action, "T2.6/rank1_P_1/1", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("input error: h may only use its arguments "
+                            f"u2, u3; found {found}\n")
+
+
+@pytest.mark.parametrize("text, code, overall, a1", [
+    ("ln(1/exp(u1)) + u1", 2, "probably_pass", "ProbablyZero(20)"),
+    ("sqrt(1/exp(u1))", 1, "fail", "ProbablyNonzero(witness={'u1': '1'})"),
+], ids=["ln", "sqrt"])
+def test_sampled_argument_over_a_real_denominator(tmp_path, capsys, text,
+                                                  code, overall, a1):
+    """The argument form 1/exp(u1) has an exact numerator and a real
+    denominator; sampling once ended in a TypeError (exit 1, no report)."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({
+        "dimension": 1, "components": 2, "variables": ["u1", "u2"],
+        "metrics": {"x": [["1", text], ["0", "1"]]},
+        "b": {"x": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]}}))
+    assert main(["--format", "json", "check", str(path)]) == code
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["overall"] == overall
+    assert [c["verdict"] for c in doc["checks"] if c["name"] == "a1"] == [a1]
 
 
 POLICY_REPRO = ["catalog", "verify", "APP/rk2_2D_1", "--set", "p=exp(u1)"]

@@ -171,8 +171,10 @@ def test_edited_documents_keep_the_contract(workdir, edits, flags, command,
 
 IDS = ["T2.2/1", "T2.4", "APP/rk2_2D_1", "T2.7/rank2_P_6", "P_gas",
        "no/such/id"]
-SETS = ["p=exp(u1)", "p=ln(u1)", "p=sqrt(u2)", "p=u1^4", "p=0", "p=1/0",
-        "p=", "q=1", "bogus", "p=exp(u1)*exp(u2)"]
+# p and q of APP/rk2_2D_1 are declared over u3; the last replacement uses
+# u1 too, which is an input error
+SETS = ["p=exp(u3)", "p=ln(u3)", "p=sqrt(u3)", "p=u3^4", "p=0", "p=1/0",
+        "p=", "q=1", "bogus", "p=exp(u1)*exp(u3)"]
 KAPPAS = ["2", "-2/3", "0", "1/0", "x"]
 
 

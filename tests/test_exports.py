@@ -18,8 +18,7 @@ EXPORTS = {
     "calculus": ["differentiate", "specialize", "substitute"],
     "ratform": ["NormalizeError", "RationalForm", "ZeroDenominatorError",
                 "normalize", "ratform_to_expr"],
-    "zerotest": ["InconclusiveError", "Point", "Verdict", "ZeroTestPolicy",
-                 "evaluate", "is_zero"],
+    "zerotest": ["InconclusiveError", "Verdict", "ZeroTestPolicy", "is_zero"],
     "operators": ["ConditionReport", "HydroOperator", "check_hamiltonian",
                   "generic_rank", "is_degenerate", "is_trivial_pair",
                   "pencil_compatibility", "pencil_determinant"],
@@ -61,3 +60,11 @@ def test_all_lists_the_exports_and_star_binds_them():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         hydroham.no_such_name
+
+
+@pytest.mark.parametrize("name", ["evaluate", "Point"])
+def test_expr_tree_evaluator_is_gone(name):
+    """Forms are evaluated by zerotest.form_value alone."""
+    with pytest.raises(AttributeError, match=name):
+        getattr(hydroham, name)
+    assert not hasattr(importlib.import_module("hydroham.zerotest"), name)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hydroham import Point, Workspace, evaluate, is_zero, parse, print_expr
+from hydroham import Workspace, is_zero, parse, print_expr
 from hydroham import expr as ex
 from hydroham.calculus import differentiate
 from hydroham.integrability import (
@@ -21,6 +21,7 @@ from hydroham.integrability import (
     legendre,
     sym_diff,
 )
+from sympy_oracle import as_fraction, sympy_value
 
 
 def density(text, functions=()):
@@ -177,22 +178,23 @@ def test_fkt_cleared_form_matches_divided_form_numerically():
     f = density("a^4 + b^2 + c^2")
     res = fkt_residual(f)
     ws = f.ws
-    pt = Point({ws.variables[0]: Fraction(2),
-                ws.variables[1]: Fraction(1),
-                ws.variables[2]: Fraction(-1)})
-    Hval = evaluate(res.hessian, pt)
+    pt = {"a": Fraction(2), "b": Fraction(1), "c": Fraction(-1)}
+
+    def evaluate(e):
+        return as_fraction(sympy_value(print_expr(e), pt))
+
+    Hval = evaluate(res.hessian)
     assert Hval != 0
     d4 = sym_diff(f, 4)
     d3 = sym_diff(f, 3)
-    dH = [evaluate(differentiate(res.hessian, v), pt) for v in f.vars()]
+    dH = [evaluate(differentiate(res.hessian, v)) for v in f.vars()]
     ddm = det_dM(f)
     for m in d4:
         # the da^i db^j dc^k coefficient of the product d3f * dH
-        d3dH = sum(evaluate(d3[m[:x] + (m[x] - 1,) + m[x + 1:]], pt) * dH[x]
+        d3dH = sum(evaluate(d3[m[:x] + (m[x] - 1,) + m[x + 1:]]) * dH[x]
                    for x in range(3) if m[x])
-        lhs = evaluate(res.residual[m], pt) / Hval
-        rhs = (evaluate(d4[m], pt) - d3dH / Hval
-               - 3 * evaluate(ddm[m], pt) / Hval)
+        lhs = evaluate(res.residual[m]) / Hval
+        rhs = (evaluate(d4[m]) - d3dH / Hval - 3 * evaluate(ddm[m]) / Hval)
         assert lhs == rhs
 
 

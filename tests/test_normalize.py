@@ -4,16 +4,15 @@ import re
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from hydroham import (
     InconclusiveError,
-    Point,
     Workspace,
     ZeroDenominatorError,
     ZeroTestPolicy,
-    evaluate,
     is_zero,
     normalize,
     parse,
@@ -37,9 +36,17 @@ from hydroham.zerotest import (
     MIN_PRECISION,
     EvaluationError,
     SingularPointError,
+    form_value,
     verdict_for_ratform,
 )
+from sympy_oracle import sympy_value
 from test_derivation import SETTINGS, VARS, WS, exprs
+
+
+def value_at(text, ws, point, precision=64):
+    """form_value of the text's normal form at the point {name: Fraction}."""
+    rf = normalize(parse(text, ws), ws)
+    return form_value(rf, lambda i, key, ctx: point[key], precision)[0]
 
 
 def test_factor_cancellation(ws3):
@@ -57,12 +64,9 @@ def test_opaque_atom_power_collection(ws3):
     e = parse("exp(u1)*exp(u1) - exp(u1)^2", ws3)
     pol = ZeroTestPolicy(samples=5)
     for seed in range(5):
-        u1 = ws3.require_symbol("u1")
-        val = evaluate(parse("exp(u1)*exp(u1) - exp(u1)^2", ws3),
-                       Point({u1: Fraction(seed + 1, 3),
-                              ws3.require_symbol("u2"): Fraction(1),
-                              ws3.require_symbol("u3"): Fraction(1)}))
-        assert abs(val) < 1e-12
+        val = sympy_value("exp(u1)*exp(u1) - exp(u1)^2",
+                          {"u1": Fraction(seed + 1, 3)})
+        assert abs(float(val)) < 1e-12
     assert normalize(e, ws3).is_zero
 
 
@@ -85,6 +89,15 @@ def test_is_zero_transcendental_identity(ws3):
     assert v.kind == "probably_zero" and v.samples == 20
 
 
+def test_each_sample_draws_one_value_per_variable(ws3, count_calls):
+    """u1 is met in both exp arguments of every sample: one draw each."""
+    from hydroham import zerotest
+    draws = count_calls((zerotest._random_fraction, "draws", None))
+    v = is_zero(parse("exp(2*u1) - exp(u1)^2", ws3), ws3)
+    assert v.kind == "probably_zero" and v.samples == 20
+    assert draws["draws"] == 20
+
+
 def test_is_zero_transcendental_nonzero_witness(ws3):
     v = is_zero(parse("exp(2*u1) - exp(u1)^2 + u2", ws3), ws3)
     assert v.kind == "probably_nonzero"
@@ -98,26 +111,48 @@ def test_is_zero_abstract_atoms_proven(ws3):
 
 
 def test_evaluate_rational(ws3):
-    u1, u2, u3 = (ws3.require_symbol(n) for n in ("u1", "u2", "u3"))
-    p = Point({u1: Fraction(2), u2: Fraction(3), u3: Fraction(3)})
-    assert evaluate(parse("1/u1", ws3), p) == Fraction(1, 2)
+    p = {"u1": Fraction(2), "u2": Fraction(3), "u3": Fraction(3)}
+    val = value_at("1/u1", ws3, p)
+    assert val == Fraction(1, 2) and isinstance(val, Fraction)
 
 
 def test_evaluate_singularity(ws3):
-    u1, u2, u3 = (ws3.require_symbol(n) for n in ("u1", "u2", "u3"))
-    p = Point({u1: Fraction(1), u2: Fraction(3), u3: Fraction(3)})
-    assert evaluate(parse("u3*u1 - u2", ws3), p) == 0
-    with pytest.raises(SingularPointError):
-        evaluate(parse("1/(u3*u1 - u2)", ws3), p)
+    p = {"u1": Fraction(1), "u2": Fraction(3), "u3": Fraction(3)}
+    assert value_at("u3*u1 - u2", ws3, p) == 0
+    # the message names the form's monic denominator
+    with pytest.raises(SingularPointError,
+                       match="^singular denominator u1\\*u3 - u2$"):
+        value_at("2/(2*u3*u1 - 2*u2)", ws3, p)
+
+
+def test_evaluate_removable_singularity(ws3):
+    """The form of (u1^2 - 1)/(u1 - 1) is u1 + 1, so u1 = 1 is no
+    singularity."""
+    assert value_at("(u1^2 - 1)/(u1 - 1)", ws3, {"u1": Fraction(1)}) == 2
 
 
 def test_evaluate_precision(ws3):
-    u1 = ws3.require_symbol("u1")
-    p = Point({u1: Fraction(1),
-               ws3.require_symbol("u2"): Fraction(0),
-               ws3.require_symbol("u3"): Fraction(0)})
-    val = evaluate(parse("exp(u1)", ws3), p, precision=64)
+    """exp/ln/sqrt values are computed at the precision + 32 bits."""
+    val = value_at("exp(u1)", ws3, {"u1": Fraction(1)}, precision=64)
+    e = sympy_value("exp(1)", {}).evalf(60)
     assert abs(val - 2.718281828459045) < 1e-15
+    assert abs(sympy.Float(val, 60) - e) < sympy.Float(2, 60) ** -94
+
+
+def test_evaluate_asks_for_the_generators_it_meets(ws3):
+    """value_of is asked for each variable and abstract atom that the form
+    uses, and for those an argument of its exp/ln/sqrt generators uses
+    when it meets that generator, in generator order; never for an
+    exp/ln/sqrt generator."""
+    asked = []
+
+    def value_of(i, key, ctx):
+        asked.append(key)
+        return Fraction(1, 2)
+
+    rf = normalize(parse("exp(u2)*q + ln(u2 + u3) + f", ws3), ws3)
+    form_value(rf, value_of, 64)
+    assert asked == ["u2", "f[0,0](u2,u3)", "u2", "u3", "q[0](u3)"]
 
 
 def test_normalize_reproducible(ws3):
@@ -201,11 +236,9 @@ def test_nested_atoms_keep_their_signatures(ws_f1, text, kind):
 
 
 def test_exp_argument_bound(ws3):
-    u1 = ws3.require_symbol("u1")
-    e = parse("exp(u1)", ws3)
-    assert evaluate(e, Point({u1: Fraction(MAX_EXP_ARG)})) > 0
+    assert value_at("exp(u1)", ws3, {"u1": Fraction(MAX_EXP_ARG)}) > 0
     with pytest.raises(EvaluationError):
-        evaluate(e, Point({u1: Fraction(10**7)}))
+        value_at("exp(u1)", ws3, {"u1": Fraction(10**7)})
 
 
 def test_parameter_coefficients(ws3):

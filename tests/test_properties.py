@@ -2,11 +2,11 @@
 
 Each suite runs at least 1000 cases: differentiation linearity and the
 Leibniz rule, commuting mixed partials, normalize idempotence, parser
-round-trip, and evaluation consistency.  A hypothesis suite checks the
-sparse Mokhov residual assembly against a dense reference on random
-operators (d <= 3), further checks do so on explicit d = 4 operators and on
-every catalog entry, the reports' records are checked against an eager
-enumeration of every residual, a hypothesis suite checks the pencil
+round-trip, and the form evaluator against sympy.  A hypothesis suite
+checks the sparse Mokhov residual assembly against a dense reference on
+random operators (d <= 3), further checks do so on explicit d = 4 operators
+and on every catalog entry, the reports' records are checked against an
+eager enumeration of every residual, a hypothesis suite checks the pencil
 compatibility records against the pencil g_x + lam g_y checked as a 1D
 operator, and one checks the cofactor determinant against the Leibniz
 sum.
@@ -18,14 +18,13 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hydroham import (
-    Point,
     Workspace,
     differentiate,
-    evaluate,
     normalize,
     parse,
     print_expr,
@@ -45,6 +44,7 @@ from hydroham.operators import (
 )
 from hydroham.ratform import (
     Derivation,
+    NormalizeError,
     ZeroDenominatorError,
     build_context,
     coefficients_in,
@@ -57,8 +57,13 @@ from hydroham.transform import (
     pushforward,
     verify_invariance,
 )
-from hydroham.zerotest import DEFAULT_POLICY
-from hydroham.zerotest import EvaluationError, SingularPointError
+from hydroham.zerotest import (
+    DEFAULT_POLICY,
+    EvaluationError,
+    SingularPointError,
+    form_value,
+)
+from sympy_oracle import as_fraction, sympy_value
 
 N_CASES = 1000
 
@@ -165,26 +170,64 @@ def test_parser_round_trip():
         assert print_expr(again) == text, (case, text)
 
 
-def test_evaluation_consistency():
-    rng = random.Random(505)
-    from hydroham.ratform import ratform_to_expr
+def call_expr(rng: random.Random, depth: int) -> ex.Expr:
+    """A random rational expression in u1..u3 joined to exp, ln or sqrt
+    of another, which may hold calls of its own."""
+    arg = (random_expr(rng, depth - 1, atoms=False)
+           if depth == 1 or rng.random() < 0.5 else call_expr(rng, depth - 1))
+    inner = ex.call(rng.choice(["exp", "ln", "sqrt"]), arg)
+    return rng.choice([ex.add, ex.mul, ex.div])(
+        random_expr(rng, depth - 1, atoms=False), inner)
 
-    done = 0
-    case = 0
-    while done < N_CASES:
-        case += 1
-        e = generate(rng, depth=3, atoms=False)
-        nf = ratform_to_expr(normalize(e, WS))
-        point = Point({
-            v: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for v in VARS
-        })
+
+# an exact argument numerator over a real denominator, which the sampler
+# once divided as a Fraction by an mpf
+DIVISION_CASES = ["ln(1/exp(u1)) + u1", "sqrt(1/exp(u1))", "1/exp(u1)"]
+
+
+def test_evaluation_consistency():
+    """form_value against the sympy oracle on the printed expression, at
+    seeded rational points: N_CASES rational expressions, whose values
+    must be exact and equal, and N_CASES with exp/ln/sqrt whose values
+    are real, which must agree to half the working precision.  Points
+    where either side has no real value (a vanishing denominator, ln or
+    sqrt outside its domain, an exp argument past MAX_EXP_ARG) are
+    skipped: the form may be defined where the printed tree is not, as at
+    a removable singularity."""
+    rng = random.Random(505)
+    precision = 64
+    tol = sympy.Float(2, 60) ** (-(precision // 2))
+    checked = {"rational": 0, "real": 0}
+    cases = [(True, parse(t, WS)) for t in DIVISION_CASES]
+    while min(checked.values()) < N_CASES:
+        if not cases:
+            calls = checked["rational"] >= N_CASES
+            cases.append((calls, call_expr(rng, 3) if calls
+                          else random_expr(rng, 3, atoms=False)))
+        calls, e = cases.pop()
+        point = {v.name: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                 for v in VARS}
         try:
-            direct = evaluate(e, point)
-        except (SingularPointError, EvaluationError):
+            rf = normalize(e, WS)
+            got = form_value(rf, lambda i, key, ctx: point[key],
+                             precision)[0]
+        except (NormalizeError, SingularPointError, EvaluationError):
             continue
-        via_nf = evaluate(nf, point)
-        assert direct == via_nf, (case, e, point.values)
-        done += 1
+        want = sympy_value(print_expr(e), point)
+        if not calls:
+            if want.is_Rational:    # not zoo or nan
+                assert isinstance(got, Fraction), (e, point)
+                assert got == as_fraction(want), (e, point)
+                checked["rational"] += 1
+            continue
+        if not (want.is_finite and want.is_real):
+            continue
+        # exact where the calls fold or cancel, as in exp(0) or ln(1)
+        g = (sympy.Rational(got.numerator, got.denominator)
+             if isinstance(got, Fraction) else sympy.Float(got, 60))
+        w = want.evalf(60)
+        assert abs(g - w) <= tol * (1 + abs(w)), (e, point, got, w)
+        checked["real"] += not isinstance(got, Fraction)
 
 
 # -- sparse residual assembly against a dense reference ------------------------

@@ -101,6 +101,12 @@ def inputs(tmp_path_factory):
         json.dump(dump_operator(catalog.instantiate("P_gas")[0]), fh)
     with open(path / "quartic.json", "w") as fh:
         json.dump({"f": "a^4 + b^2 + c^2"}, fh)
+    with open(path / "h.json", "w") as fh:
+        json.dump({"h": "1/2*u1*(u2^2 + u3^2) + k(u1)",
+                   "functions": [{"name": "k", "args": ["u1"]}]}, fh)
+    with open(path / "cand.json", "w") as fh:
+        json.dump({"m": 1, "u": ["3", "1", "4"], "lambda": ["R1"],
+                   "mu": ["R1^2"], "v": ["R1"]}, fh)
     assert main(["catalog", "export", "T2.6/rank1_P_2/1", "--set",
                  "f=exp(u2)", "--set", "h=u2*u3",
                  "-o", str(path / "rank1_exp.json")]) == 0
@@ -109,10 +115,12 @@ def inputs(tmp_path_factory):
 
 def test_rational_commands_load_no_third_party_module(inputs, capsys):
     commands = [["check", "gas.json"], ["pencil", "gas.json"],
-                ["fkt", "quartic.json"], ["catalog", "verify", CHECK_ENTRY]]
+                ["fkt", "quartic.json"], ["catalog", "verify", CHECK_ENTRY],
+                ["reduction", "gas.json", "h.json", "cand.json",
+                 "--at", "R1=2,t=1/3"]]
     result = _cold(commands, inputs)
     assert result["after_import"] == []
-    assert [row[0] for row in result["rows"]] == [0, 0, 1, 0]
+    assert [row[0] for row in result["rows"]] == [0, 0, 1, 0, 0]
     for argv, row in zip(commands, result["rows"]):
         assert row[3] == [], argv
 
