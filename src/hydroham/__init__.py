@@ -17,7 +17,6 @@ _EXPORTS = {
     "symbols": ("FunctionSymbol", "Symbol", "SymbolError", "Workspace"),
     "expr": ("Expr", "print_expr"),
     "parser": ("ParseError", "UnknownSymbolError", "parse"),
-    "calculus": ("differentiate", "specialize", "substitute"),
     "ratform": ("NormalizeError", "RationalForm", "ZeroDenominatorError",
                 "normalize", "ratform_to_expr"),
     "zerotest": ("InconclusiveError", "Verdict", "ZeroTestPolicy", "is_zero"),

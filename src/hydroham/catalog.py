@@ -14,7 +14,6 @@ import random
 from fractions import Fraction
 
 from . import expr as ex
-from .calculus import specialize, substitute
 from .operators import (
     ConditionReport,
     check_hamiltonian,
@@ -24,6 +23,13 @@ from .operators import (
     operator_from_entries,
 )
 from .parser import parse
+from .ratform import (
+    composed,
+    derivation_context,
+    matrix_forms,
+    ratform_to_expr,
+    to_rational_form,
+)
 from .symbols import InputError, Workspace
 from .zerotest import DEFAULT_POLICY, ZeroTestPolicy
 
@@ -384,10 +390,7 @@ def instantiate(entry_id: str, params: dict | None = None):
     if extra:
         raise CatalogError(f"unknown parameters {sorted(extra)} for {entry_id}")
 
-    g_entries = {k: parse(v, ws) for k, v in entry.g.items()}
-    b_entries = {k: parse(v, ws) for k, v in entry.b.items()}
-
-    subs = {}
+    values = {}
     if "eps" in entry.const_slots:
         eps = params.get("eps", DEFAULT_EPS)
         if eps is None:
@@ -395,34 +398,38 @@ def instantiate(entry_id: str, params: dict | None = None):
         eps = Fraction(eps)
         if eps not in (0, 1):
             raise CatalogError("eps must be 0 or 1")
-        subs[ws.require_symbol("eps")] = ex.Rat(eps)
+        values["eps"] = eps
     if "kappa" in entry.const_slots:
         kappa = params.get("kappa", DEFAULT_KAPPA)
         if kappa is not None:
-            subs[ws.require_symbol("kappa")] = ex.Rat(Fraction(kappa))
+            values["kappa"] = Fraction(kappa)
+    # the constants are bound as the entry text is parsed
+    entries = {k: parse(v, ws, values)
+               for k, v in {**entry.g, **entry.b}.items()}
 
-    replacements = []
+    functions = {}
     for name, args in entry.func_slots:
         repl = params.get(name)
         if repl is None:
             continue
         if isinstance(repl, str):
             repl = parse(repl, ws)
-        stray = sorted(s.name for s in ex.free_symbols(repl)
-                       if s.name not in args)
+        stray = sorted({s.name for s in ex.free_symbols(repl)
+                        if s.name not in args} | {
+            a.func.name for a in ex.atoms(repl) if isinstance(a, ex.FuncAtom)})
         if stray:
             raise CatalogError(f"{name} may only use its arguments "
                                f"{', '.join(args)}; found {', '.join(stray)}")
-        replacements.append((ws.functions[name], repl))
-
-    def apply_params(e: ex.Expr) -> ex.Expr:
-        out = substitute(e, subs)
-        for fn, repl in replacements:
-            out = specialize(out, fn, repl)
-        return out
-
-    g_entries = {k: apply_params(e) for k, e in g_entries.items()}
-    b_entries = {k: apply_params(e) for k, e in b_entries.items()}
+        fn = ws.functions[name]
+        ctx = derivation_context(ws, fn.args, [([repl], 0)])
+        functions[name] = to_rational_form(repl, ctx)
+    if functions:
+        # each slot's atoms become derivatives of its form, in the ring
+        forms = matrix_forms(ws, [list(entries.values())])[0]
+        entries = dict(zip(entries, map(ratform_to_expr,
+                                        composed(forms, functions, ws))))
+    g_entries = {k: e for k, e in entries.items() if len(k) == 3}
+    b_entries = {k: e for k, e in entries.items() if len(k) == 4}
     op = operator_from_entries(ws, entry.d, entry.n, g_entries, b_entries)
     return op, ws
 

@@ -24,42 +24,13 @@ class ExprError(Exception):
 class Expr:
     __slots__ = ("_hash",)
 
-    # -- convenience algebra ------------------------------------------------
-    def __add__(self, other):
-        return add(self, as_expr(other))
-
-    def __radd__(self, other):
-        return add(as_expr(other), self)
-
     def __sub__(self, other):
         return add(self, neg(as_expr(other)))
-
-    def __rsub__(self, other):
-        return add(as_expr(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, as_expr(other))
-
-    def __rmul__(self, other):
-        return mul(as_expr(other), self)
-
-    def __truediv__(self, other):
-        return div(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return div(as_expr(other), self)
-
-    def __pow__(self, k):
-        return pow_(self, k)
-
-    def __neg__(self):
-        return neg(self)
 
     def __str__(self):
         return print_expr(self)
 
-    def __repr__(self):
-        return print_expr(self)
+    __repr__ = __str__
 
     def key(self) -> tuple:
         raise NotImplementedError

@@ -12,7 +12,6 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import expr as ex
-from .calculus import substitute
 from .operators import (
     HydroOperator,
     MetricPencil,
@@ -21,7 +20,9 @@ from .operators import (
     is_trivial_pair,
 )
 from .ratform import (
+    composed,
     derivation_context,
+    matrix_forms,
     ratform_to_expr,
     to_rational_form,
 )
@@ -67,9 +68,10 @@ class QuasilinearSystem:
         self.A, self.B = A, B  # n x n Exprs
 
 
-# A, B, the metrics G and d2h[j][k] = d_k d_j h as rational forms of one
-# derivation context, which holds G to first order
-_SystemForms = namedtuple("_SystemForms", "ws A B G d2h")
+# A, B, the operator's metrics G and coefficients b, and d2h[j][k] =
+# d_k d_j h as rational forms of one derivation context, which holds G to
+# first order
+_SystemForms = namedtuple("_SystemForms", "ws A B G b d2h")
 
 
 def _system_forms(op: HydroOperator,
@@ -103,7 +105,7 @@ def _system_forms(op: HydroOperator,
         return [[sum((G[alpha][i][j] * d2h[j][k] + B[alpha][i][j][k] * dh[j]
                       for j in rng), zero) for k in rng] for i in rng]
 
-    return _SystemForms(ws, matrix(0), matrix(1), G, d2h)
+    return _SystemForms(ws, matrix(0), matrix(1), G, B, d2h)
 
 
 def generate_system(op: HydroOperator,
@@ -192,12 +194,14 @@ def reduction_residual(c: ReductionCandidate, sys: QuasilinearSystem):
     """(E + lam^i A + mu^i B) d_i u after substituting u = u(R); n*m
     rational forms of one derivation context over R."""
     n = sys.n
-    binding = dict(zip(sys.ws.variables[:n], c.u))
-    A, B = _map_nested([sys.A, sys.B], lambda e: substitute(e, binding))
-    ctx = derivation_context(c.ws, c.r_vars, [
-        (c.u, 1), (_flatten([A, B]) + c.lam + c.mu, 0)])
+    pulled = iter(composed(
+        matrix_forms(sys.ws, [_flatten([sys.A, sys.B])])[0],
+        {u.name: e for u, e in zip(sys.ws.variables[:n], c.u)}, c.ws,
+        c.r_vars, [(c.u, 1), (c.lam + c.mu, 0)]))
+    A, B = _map_nested([sys.A, sys.B], lambda _: next(pulled))
+    ctx = A[0][0].ctx
     conv = lambda e: to_rational_form(e, ctx)
-    U, A, B, lam, mu = (_map_nested(t, conv) for t in (c.u, A, B, c.lam, c.mu))
+    U, lam, mu = (_map_nested(t, conv) for t in (c.u, c.lam, c.mu))
     out = []
     for i, d in enumerate(ctx.deriv):
         du = [d(x) for x in U]
@@ -293,7 +297,7 @@ def classify_operator_shape(op: HydroOperator,
         if row is None:
             break
         frozen_names.append(current.ws.variables[row].name)
-        current = _freeze_component(current, row)
+        current = _freeze_component(current, row, forms)
 
     n = current.n
     if n == 2:
@@ -318,9 +322,9 @@ def _freezable_row(forms: _SystemForms, zero) -> int | None:
 _FROZEN_PREFIX = "c"
 
 
-def _freeze_component(op: HydroOperator, index: int):
+def _freeze_component(op: HydroOperator, index: int, forms: _SystemForms):
     """Remove component `index`, replacing the variable by a fresh formal
-    constant in the remaining entries."""
+    constant in the remaining entries: their forms, composed in the ring."""
     old_ws = op.ws
     keep = [i for i in range(op.n) if i != index]
     frozen_sym = old_ws.variables[index]
@@ -332,12 +336,14 @@ def _freeze_component(op: HydroOperator, index: int):
         constants=[s.name for s in old_ws.constants] + [const_name],
     )
 
-    binding = {frozen_sym: ex.Var(ws.require_symbol(const_name))}
-    sub = lambda e: substitute(e, binding)
-    g = [[[sub(op.g[a][i][j]) for j in keep] for i in keep]
+    g = [[[forms.G[a][i][j] for j in keep] for i in keep]
          for a in range(op.d)]
-    b = [[[[sub(op.b[a][i][j][k]) for k in keep] for j in keep]
+    b = [[[[forms.b[a][i][j][k] for k in keep] for j in keep]
           for i in keep] for a in range(op.d)]
+    frozen = iter(composed(
+        _flatten([g, b]),
+        {frozen_sym.name: ex.Var(ws.require_symbol(const_name))}, ws))
+    g, b = _map_nested([g, b], lambda _: ratform_to_expr(next(frozen)))
     return HydroOperator(ws, op.d, len(keep), g, b)
 
 

@@ -18,13 +18,12 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import expr as ex
-from .calculus import differentiate, substitute
 from .parser import parse
 from .ratform import (
     coefficients_in,
+    composed,
     derivation_context,
     det,
-    normalize,
     ratform_to_expr,
     to_rational_form,
 )
@@ -32,7 +31,6 @@ from .symbols import InputError, Symbol, Workspace
 from .zerotest import (
     DEFAULT_POLICY,
     ZeroTestPolicy,
-    is_zero,
     verdict_for_ratform,
 )
 
@@ -224,30 +222,36 @@ def legendre(h: ex.Expr, ws: Workspace, inverse: ex.Expr,
     h~_u = h_u, h~_v = h_v and the verdicts that verified them.
     """
     rho, u, v, rhot = (ws.require_symbol(n) for n in LEGENDRE_VARS)
-    h_rho = differentiate(h, rho)
-    sub_inv = {rho: inverse}
-    check = substitute(h_rho, sub_inv) - ex.Var(rhot)
-    if not is_zero(check, ws, policy).is_zero_verdict:
+    if rho in ex.free_symbols(inverse):
+        raise IntegrabilityError("inverse may not use rho")
+    ctx = derivation_context(ws, [rho, u, v, rhot],
+                             [([h], 2), ([inverse], 1)])
+    H, INV, RHO, RHOT = (to_rational_form(e, ctx)
+                         for e in (h, inverse, ex.Var(rho), ex.Var(rhot)))
+    dH = ctx.gradient(H)
+    F = H - RHO * dH[0]
+    dF, dI = ctx.gradient(F), ctx.gradient(INV)
+    # one composition, rho -> inverse: inverse holds no rho, so d/dx of
+    # F o inverse is (F_x + F_rho * inverse_x) o inverse
+    d_rhot, d_u, d_v = (dF[k] + dF[0] * dI[k] for k in (3, 1, 2))
+    check, h_tilde, *residuals = composed(
+        [dH[0] - RHOT, F, d_rhot + INV, d_u - dH[1], d_v - dH[2]],
+        {"rho": inverse}, ws)
+    if not verdict_for_ratform(check, policy).is_zero_verdict:
         raise IntegrabilityError(
             "inverse does not satisfy h_rho(inverse, u, v) = rhot"
         )
-    h_tilde = substitute(h - ex.Var(rho) * h_rho, sub_inv)
-
-    residuals = [
-        ("h~_rhot + rho", differentiate(h_tilde, rhot) + inverse),
-        ("h~_u - h_u", differentiate(h_tilde, u)
-         - substitute(differentiate(h, u), sub_inv)),
-        ("h~_v - h_v", differentiate(h_tilde, v)
-         - substitute(differentiate(h, v), sub_inv)),
-    ]
-    checked = [(label, r, is_zero(r, ws, policy)) for label, r in residuals]
+    checked = [(label, ratform_to_expr(r), verdict_for_ratform(r, policy))
+               for label, r in zip(("h~_rhot + rho", "h~_u - h_u",
+                                    "h~_v - h_v"), residuals)]
     for label, _, verdict in checked:
         if not verdict.is_zero_verdict:
             raise IntegrabilityError(f"derivative identity {label} failed")
 
     lag_ws = Workspace.of(LAGRANGIAN_VARS, functions=[
         (fn.name, [a.name for a in fn.args]) for fn in ws.functions.values()])
-    a, b, c = (lag_ws.require_symbol(n) for n in LAGRANGIAN_VARS)
-    f = substitute(h_tilde, {u: ex.Var(a), v: ex.Var(b), rhot: ex.Var(c)})
-    f = ratform_to_expr(normalize(f, lag_ws))
-    return LegendreResult(LagrangianDensity(f, lag_ws), checked)
+    f, = composed([h_tilde], {
+        n: ex.Var(lag_ws.require_symbol(m))
+        for n, m in zip(("u", "v", "rhot"), LAGRANGIAN_VARS)}, lag_ws)
+    return LegendreResult(LagrangianDensity(ratform_to_expr(f), lag_ws),
+                          checked)

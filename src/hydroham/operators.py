@@ -572,16 +572,16 @@ def _cyclic(i, j, r):
 
 
 def _flatten(nested) -> list:
-    """The Exprs of a nest of lists, or of a bare Expr, depth first, in one
-    list: one call per list that holds lists, none per Expr."""
-    if isinstance(nested, ex.Expr):
+    """The leaves of a nest of lists, or a bare leaf, depth first, in one
+    list: one call per list that holds lists, none per leaf."""
+    if not isinstance(nested, list):
         return [nested]
     out = []
     for item in nested:
-        if isinstance(item, ex.Expr):
-            out.append(item)
-        else:
+        if isinstance(item, list):
             out += _flatten(item)
+        else:
+            out.append(item)
     return out
 
 

@@ -101,11 +101,11 @@ MAX_DEPTH = 100
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], workspace: Workspace):
+    def __init__(self, tokens: list[Token], workspace: Workspace, values):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
-        self.ws = workspace
+        self.ws, self.values = workspace, values
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -219,7 +219,8 @@ class _Parser:
         if isinstance(target, Symbol):
             if tok.primes:
                 raise ParseError(f"{name!r} is not a function", tok.offset)
-            return ex.Var(target)
+            return (ex.Rat(self.values[name]) if name in self.values
+                    else ex.Var(target))
 
         if isinstance(target, FunctionSymbol):
             deriv = [0] * len(target.args)
@@ -251,10 +252,11 @@ class _Parser:
         raise UnknownSymbolError(name, tok.offset, self.ws)
 
 
-def parse(text: str, workspace: Workspace) -> ex.Expr:
+def parse(text: str, workspace: Workspace, values=None) -> ex.Expr:
     """Parse ``text`` over the workspace's symbols; parse-print-parse is a
-    fixed point."""
+    fixed point.  ``values`` maps symbol names to rationals, which their
+    occurrences parse as."""
     if not isinstance(text, str):
         raise ParseError("expected an expression string, got "
                          f"{type(text).__name__}", 0)
-    return _Parser(tokenize(text), workspace).parse()
+    return _Parser(tokenize(text), workspace, values or {}).parse()

@@ -84,6 +84,8 @@ class PolyContext:
                                 reduced=True)
         self.deriv: list = []
         self._args: dict[int, tuple] = {}
+        # {signature: atom} of the atoms compose met that this context lacks
+        self.missing: dict = {}
 
     def gradient(self, rf) -> list:
         """[d(rf) for d in deriv]; a zero form is its own gradient."""
@@ -118,6 +120,56 @@ class PolyContext:
             name = self.var_names[index]
             return ex.Var(self.ws.require_symbol(name))
         return self.atom_exprs[self.atom_sigs[index - self.n_vars]]
+
+    def compose(self, rf, images: dict, target: "PolyContext"):
+        """The image in target of a form rf of this context under the ring
+        map that sends a variable or constant to images[its name], a form
+        of target (else to target's generator of that name), an exp/ln/sqrt
+        atom to the atom over its composed argument, and an abstract atom
+        f_J(args) to f_J over the composed arguments or, if images[f's
+        name] is a form r of a derivation context over f's arguments, to
+        d^J r composed at them.  Nested atoms compose innermost first, and
+        a new atom is signed from its composed argument forms.  If target
+        lacks an atom, it joins ``target.missing`` and the image is None.
+        images keeps the generator images, keyed by (context, index)."""
+        if rf.is_zero:
+            return target.zero
+        gens = {}
+        for i in set(rf.num.occurring() + rf.den.occurring()):
+            if (self, i) not in images:
+                images[self, i] = self._image(i, images, target)
+            gens[i] = images[self, i]
+            if gens[i] is None:
+                return None
+        num, den = _evaluate(rf.num, gens, target.ring)
+        dnum, dden = _evaluate(rf.den, gens, target.ring)
+        return RationalForm(num * dden, den * dnum, target)
+
+    def _image(self, i: int, images: dict, target: "PolyContext"):
+        atom = self.gen_expr(i)
+        if i < self.n_vars:
+            image = images.get(atom.symbol.name)
+            return image or to_rational_form(atom, target)
+        args = [self.compose(a, images, target) for a in self.args(i)]
+        if None in args:
+            return None
+        r = isinstance(atom, ex.FuncAtom) and images.get(atom.func.name)
+        if r:
+            for t, order in enumerate(atom.deriv):
+                for _ in range(order):
+                    r = r.ctx.deriv[t](r)
+            return r.ctx.compose(r, {a.name: x for a, x in zip(
+                atom.func.args, args)}, target)
+        exprs = [ratform_to_expr(x) for x in args]
+        for e, x in zip(exprs, args):
+            target.ws.signatures["arg", e.key()] = _canonical_string(x)
+        image = (ex.Call(atom.fn, exprs[0]) if isinstance(atom, ex.Call)
+                 else ex.FuncAtom(atom.func, exprs, atom.deriv))
+        sig = atom_signature(image, target.ws)
+        if isinstance(sig, str) and sig not in target.gen_of_sig:
+            target.missing[sig] = image
+            return None
+        return to_rational_form(image, target)
 
 
 class RationalForm:
@@ -252,9 +304,10 @@ def atom_signature(atom: ex.Expr, ws: Workspace) -> str | Fraction:
     equality of its arguments, or the atom's value when it is rational.
 
     Signatures are kept in the workspace's table, and so is the string of
-    each argument of an abstract atom: f, f_1, f_11, ... normalize their
-    arguments once per table.  A stored string stays valid: it prints only
-    the symbols it uses, so appending symbols cannot change it.  ln of a
+    each atom's argument: f, f_1, f_11, ... normalize their arguments once
+    per table, and a composed atom's come from its argument forms.  A
+    stored string stays valid: it prints only the symbols it uses, so
+    appending symbols cannot change it.  ln of a
     rational constant <= 0 and sqrt of one < 0 are not real, so they are
     input errors.  exp(0), ln(1) and sqrt(p/q) for squares p and q are
     rational: their value stands for them, so they take no generator and a
@@ -264,11 +317,11 @@ def atom_signature(atom: ex.Expr, ws: Workspace) -> str | Fraction:
     if sig is not None:
         return sig
     if isinstance(atom, ex.Call):
-        arg = _normalize(atom.arg, ws)
-        sig = f"{atom.fn}({_canonical_string(arg)})"
-        # a constant argument: no generator occurs
-        if not (arg.num.occurring() or arg.den.occurring()):
-            c = Fraction(arg.num.LC)
+        arg = _argument_string(atom.arg, ws)
+        sig = f"{atom.fn}({arg})"
+        # a constant argument prints as its value
+        if arg.lstrip("-").replace("/", "").isdigit():
+            c = Fraction(arg)
             if atom.fn != "exp" and (c < 0 or atom.fn == "ln" and not c):
                 raise NormalizeError(f"{sig} is outside the real domain")
             if atom.fn == "sqrt":
@@ -399,6 +452,44 @@ def to_rational_form(e: ex.Expr, ctx: PolyContext) -> RationalForm:
     raise NormalizeError(f"cannot normalize {type(e)}")
 
 
+def composed(forms: list, images: dict, ws: Workspace, variables=(),
+             parts=()) -> list:
+    """The forms, of one context, composed (``PolyContext.compose``) into
+    one derivation context over ws, built from the parts and the images:
+    images maps a name to an Expr over ws, a variable's or constant's
+    image, or to a form that specializes an abstract function.  The
+    context is built again with the atoms it lacked, once per level of
+    nesting, until it holds them all."""
+    exprs = [x for x in images.values() if isinstance(x, ex.Expr)]
+    atoms: list = []
+    while True:
+        target = derivation_context(ws, variables,
+                                    [*parts, (exprs, 0), (atoms, 0)])
+        imgs = {name: to_rational_form(x, target)
+                if isinstance(x, ex.Expr) else x for name, x in images.items()}
+        out = [rf.ctx.compose(rf, imgs, target) for rf in forms]
+        if not target.missing:
+            return out
+        atoms += target.missing.values()
+
+
+def _evaluate(p, gens: dict, ring) -> tuple:
+    """(P, D) with p(gens) = P/D in ring, for gens {index: form}: D is the
+    product of each generator's denominator to its degree in p, so the
+    terms of P add as polynomials."""
+    terms = p.terms()
+    top = {i: max(m[i] for m, _ in terms) for i in gens}
+    num, den = ring.zero, ring.one
+    for m, c in terms:
+        term = ring.ground_new(c)
+        for i, g in gens.items():
+            term = term * g.num ** m[i] * g.den ** (top[i] - m[i])
+        num = num + term
+    for i, g in gens.items():
+        den = den * g.den ** top[i]
+    return num, den
+
+
 def matrix_forms(ws: Workspace, rows) -> list:
     """A matrix of Exprs as rational forms of one context, built from its
     entries."""
@@ -521,19 +612,10 @@ def det(rows) -> RationalForm:
 
 # -- back-conversion and parameter extraction --------------------------------
 
-def _monom_expr(ctx: PolyContext, monom) -> ex.Expr:
-    factors = []
-    for i, p in enumerate(monom):
-        if p:
-            factors.append(ex.pow_(ctx.gen_expr(i), p))
-    return ex.mul(*factors) if factors else ex.ONE
-
-
 def poly_to_expr(p, ctx: PolyContext) -> ex.Expr:
-    terms = []
-    for monom, coeff in p.terms():
-        terms.append(ex.mul(ex.Rat(Fraction(coeff)), _monom_expr(ctx, monom)))
-    return ex.add(*terms)
+    return ex.add(*(ex.mul(ex.Rat(Fraction(c)), *(
+        ex.pow_(ctx.gen_expr(i), e) for i, e in enumerate(m) if e))
+        for m, c in p.terms()))
 
 
 def ratform_to_expr(rf: RationalForm) -> ex.Expr:

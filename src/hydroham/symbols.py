@@ -97,39 +97,30 @@ class Workspace:
             ws.add_function(name, list(args))
         return ws.freeze()
 
-    def _register(self, name: str):
+    def _register(self, name: str, obj):
         _check_identifier(name)
         if self.frozen:
             raise SymbolError(f"workspace is frozen; cannot register {name!r}")
         if name in self._by_name:
             raise SymbolError(f"symbol {name!r} already registered")
+        self._by_name[name] = obj
+        return obj
 
     def add_variables(self, *names: str) -> list[Symbol]:
-        out = []
-        for name in names:
-            self._register(name)
-            sym = Symbol(name, VARIABLE)
-            self.variables.append(sym)
-            self._by_name[name] = sym
-            out.append(sym)
-        return out
+        return self._add(self.variables, names, VARIABLE)
 
     def add_constants(self, *names: str) -> list[Symbol]:
-        out = []
+        return self._add(self.constants, names, CONSTANT)
+
+    def _add(self, table: list, names, kind: str) -> list[Symbol]:
         for name in names:
-            self._register(name)
-            sym = Symbol(name, CONSTANT)
-            self.constants.append(sym)
-            self._by_name[name] = sym
-            out.append(sym)
-        return out
+            table.append(self._register(name, Symbol(name, kind)))
+        return table[len(table) - len(names):]
 
     def add_function(self, name: str, arg_names: list[str]) -> FunctionSymbol:
-        self._register(name)
-        args = tuple(self.require_symbol(a) for a in arg_names)
-        fn = FunctionSymbol(name, args)
-        self.functions[name] = fn
-        self._by_name[name] = fn
+        self._register(name, None)
+        fn = FunctionSymbol(name, tuple(map(self.require_symbol, arg_names)))
+        self.functions[name] = self._by_name[name] = fn
         return fn
 
     def freeze(self) -> "Workspace":
@@ -172,9 +163,7 @@ class Workspace:
             [s.name for s in self.constants] if constants is None
             else constants))
         for fn in self.functions.values():
-            ws._register(fn.name)
-            ws.functions[fn.name] = fn
-            ws._by_name[fn.name] = fn
+            ws.functions[fn.name] = ws._register(fn.name, fn)
         for name, args in functions:
             ws.add_function(name, list(args))
         return ws.freeze()

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 
 from . import expr as ex
-from .calculus import substitute
 from .operators import (
     ALPHA_LABELS,
     ConditionReport,
@@ -23,6 +22,7 @@ from .operators import (
     check_hamiltonian,
 )
 from .ratform import (
+    composed,
     derivation_context,
     det,
     matrix_forms,
@@ -33,7 +33,6 @@ from .symbols import InputError, Symbol, Workspace
 from .zerotest import (
     DEFAULT_POLICY,
     ZeroTestPolicy,
-    is_zero,
     verdict_for_ratform,
 )
 
@@ -65,25 +64,27 @@ class CoordinateChange:
     def v_vars(self) -> list[Symbol]:
         return self.dst_ws.variables[: self.n]
 
-    def to_v(self, e: ex.Expr) -> ex.Expr:
-        """Express a u-side expression in v coordinates."""
-        return substitute(e, dict(zip(self.u_vars, self.forward)))
-
     def inverted(self) -> "CoordinateChange":
         return CoordinateChange(self.dst_ws, self.src_ws, self.inverse,
                                 self.forward)
 
     def validate(self, policy: ZeroTestPolicy = DEFAULT_POLICY):
-        """Checks phi(phi^{-1}(u)) = u, phi^{-1}(phi(v)) = v and det J != 0."""
+        """Checks phi(phi^{-1}(u)) = u, phi^{-1}(phi(v)) = v and det J != 0;
+        each map is composed with the other in the ring."""
+        J = None
         for change, label in ((self, "forward o inverse"),
                               (self.inverted(), "inverse o forward")):
-            back = dict(zip(change.v_vars, change.inverse))
-            for phi, u in zip(change.forward, change.u_vars):
-                residual = substitute(phi, back) - ex.Var(u)
-                if not is_zero(residual, change.src_ws, policy).is_zero_verdict:
+            ctx = derivation_context(change.dst_ws, change.v_vars,
+                                     [(change.forward, 1)])
+            phi = [to_rational_form(x, ctx) for x in change.forward]
+            back = composed(phi, _images(change.v_vars, change.inverse),
+                            change.src_ws)
+            for rf, u in zip(back, change.u_vars):
+                residual = rf - to_rational_form(ex.Var(u), rf.ctx)
+                if not verdict_for_ratform(residual, policy).is_zero_verdict:
                     raise InvalidChangeError(
                         f"{label} is not the identity on {u.name}")
-        J = _jacobian(self, [])[0]
+            J = J or [ctx.gradient(x) for x in phi]
         if verdict_for_ratform(det(J), policy).is_zero_verdict:
             raise InvalidChangeError("Jacobian determinant vanishes identically")
         return self
@@ -102,14 +103,8 @@ def coordinate_change(
     return CoordinateChange(src_ws, dst_ws, fwd, inv).validate(policy)
 
 
-def _jacobian(change: CoordinateChange, exprs):
-    """J^i_k = d phi^i / d v^k in one derivation context over the v side,
-    which holds phi to second order and ``exprs`` at order 0.  Returns J and
-    the conversion of an Expr into the context."""
-    ctx = derivation_context(change.dst_ws, change.v_vars,
-                             [(change.forward, 2), (exprs, 0)])
-    conv = lambda e: to_rational_form(e, ctx)
-    return [ctx.gradient(conv(phi)) for phi in change.forward], conv
+def _images(symbols, exprs) -> dict:
+    return {s.name: e for s, e in zip(symbols, exprs)}
 
 
 def _inverse(J):
@@ -139,12 +134,15 @@ def pushforward(op: HydroOperator, change: CoordinateChange) -> HydroOperator:
     n = op.n
     if change.n != n:
         raise InvalidChangeError("change arity does not match the operator")
-    gv = [_map_nested(g, change.to_v) for g in op.g]
-    bv = [_map_nested(b, change.to_v) for b in op.b]
-    J, conv = _jacobian(change, _flatten([gv, bv]))
-    gv, bv = _map_nested(gv, conv), _map_nested(bv, conv)
+    # g o phi and b o phi in a context that holds phi to second order
+    pulled = iter(composed(
+        matrix_forms(op.ws, [_flatten([op.g, op.b])])[0],
+        _images(change.u_vars, change.forward), change.dst_ws,
+        change.v_vars, [(change.forward, 2)]))
+    gv, bv = _map_nested([op.g, op.b], lambda _: next(pulled))
+    ctx = gv[0][0][0].ctx
+    J = [ctx.gradient(to_rational_form(phi, ctx)) for phi in change.forward]
     K = _inverse(J)
-    ctx = J[0][0].ctx
     # DK[k][j][q] = d_k K^j_q
     DK = [_map_nested(K, d) for d in ctx.deriv]
     zero = ctx.zero
@@ -172,18 +170,21 @@ def pushforward(op: HydroOperator, change: CoordinateChange) -> HydroOperator:
 def operator_difference_records(
         op1: HydroOperator, op2: HydroOperator,
         policy: ZeroTestPolicy = DEFAULT_POLICY) -> list[ResidualRecord]:
-    """Entrywise roundtrip residuals op1 - op2 (same shape and names), the
-    entries of both operators converted into one context."""
+    """Entrywise roundtrip residuals op1 - op2 (same shape), with the
+    variables of op2 read as those of op1 in order: op2's entries are
+    composed into a context over op1's workspace that holds op1's."""
     if (op1.d, op1.n) != (op2.d, op2.n):
         raise InvalidChangeError("operator shapes differ")
-    rename = dict(zip(op2.variables, (ex.Var(v) for v in op1.variables)))
     rng = range(op1.n)
     # keys in the order of HydroOperator.entries()
     keys = [(ALPHA_LABELS[a], part, i + 1, j + 1) + k
             for a in range(op1.d) for i in rng for j in rng
             for part, k in [("g", ())] + [("b", (r + 1,)) for r in rng]]
-    f1, f2 = matrix_forms(op1.ws, [
-        list(op1.entries()), [substitute(e, rename) for e in op2.entries()]])
+    e1 = list(op1.entries())
+    f2 = composed(matrix_forms(op2.ws, [list(op2.entries())])[0],
+                  _images(op2.variables, map(ex.Var, op1.variables)),
+                  op1.ws, parts=[(e1, 0)])
+    f1 = [to_rational_form(e, f2[0].ctx) for e in e1]
     return [_record("roundtrip", idx, x - y, policy)
             for idx, x, y in zip(keys, f1, f2)]
 

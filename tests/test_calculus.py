@@ -1,15 +1,8 @@
 """Differentiation and substitution contracts."""
 
-from hydroham import (
-    Workspace,
-    differentiate,
-    is_zero,
-    parse,
-    print_expr,
-    specialize,
-    substitute,
-)
+from hydroham import Workspace, is_zero, parse, print_expr
 from hydroham import expr as ex
+from hydroham.calculus import differentiate, specialize, substitute
 
 
 def zeroed(e, ws):

@@ -206,8 +206,8 @@ def test_reduction_at_point(hodograph_files, capsys):
 @pytest.mark.parametrize("v, at, value", [
     ("(R1^2-1)/(R1-1)", "R1=1", "2"),
     ("1/exp(R1)", "R1=0", "1.0"),
-    ("1/exp(R1)", "R1=1,t=1/3", "0.034546107838109"),
-    ("exp(R1)/3", "R1=1,t=1/3", "0.572760609486348"),
+    ("1/exp(R1)", "R1=1,t=1/3", "0.0345461078381089883"),
+    ("exp(R1)/3", "R1=1,t=1/3", "0.572760609486348412"),
 ], ids=["removable", "exp-denominator", "exp-denominator-t",
         "exp-numerator"])
 def test_reduction_hodograph_values(hodograph_files, tmp_path, capsys, v,
@@ -223,6 +223,31 @@ def test_reduction_hodograph_values(hodograph_files, tmp_path, capsys, v,
                  "--at", at]) == 0
     assert f"hodograph residual at point, i=1: {value}\n" in \
         capsys.readouterr().out
+
+
+def test_reduction_value_digits_follow_precision(hodograph_files, tmp_path,
+                                                 capsys):
+    """An inexact hodograph value prints the digits its precision carries:
+    e/3 at 200 bits agrees with a 300-bit reference to 60 digits, at 24
+    bits to 6 (both printed 15 digits once, whatever the precision)."""
+    import mpmath
+
+    cand = tmp_path / "v.json"
+    cand.write_text(json.dumps({
+        "m": 1, "u": ["3", "1", "4"], "lambda": ["R1"], "mu": ["R1^2"],
+        "v": ["exp(R1)/3"]}))
+    with mpmath.workprec(300):
+        exact = mpmath.e / 3
+    correct = {}
+    for bits in (24, 200):
+        assert main(["--precision", str(bits), "reduction",
+                     *hodograph_files[:2], str(cand), "--at", "R1=1"]) == 0
+        out = capsys.readouterr().out
+        text = out.split("hodograph residual at point, i=1: ")[1].split()[0]
+        with mpmath.workprec(300):
+            error = abs(mpmath.mpf(text) - exact)
+        correct[bits] = int(-mpmath.log10(error))
+    assert correct[24] >= 6 and correct[200] >= 59, correct
 
 
 @pytest.mark.parametrize("at, message, speeds", [

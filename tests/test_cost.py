@@ -98,11 +98,14 @@ SCAN_EXQUO_CALLS = 24     # 214 before the single-term quotient
 # check_hamiltonian for T2.3/rank2_3 and T2.5/1 through u_n = v_n/(1 + v1):
 # rational coordinates, where the polynomial catalog's 4 gcds per pass
 # become hundreds.  The same 314, 1,420 and 2,174 calls were made when
-# GCDHEU and the exact division ran on exponent tuples.
+# GCDHEU and the exact division ran on exponent tuples, and when the
+# entries were substituted on Expr trees and normalized; composed in the
+# ring, each entry's image is one quotient over the powers of the images'
+# denominators.
 PUSHED_ENTRIES = ("T2.3/rank2_3", "T2.5/1")
-PUSHED_GCD_CALLS = 314
-PUSHED_CANCEL_CALLS = 1420
-PUSHED_EXQUO_CALLS = 2174
+PUSHED_GCD_CALLS = 308
+PUSHED_CANCEL_CALLS = 1398
+PUSHED_EXQUO_CALLS = 2158
 
 # derivation_context builds, build_context calls and to_rational_form calls
 # (the conversion's recursion included) over the same scan.  A mutant's forms are its parent's, edited,
@@ -158,10 +161,14 @@ SCAN_RING_GENS = 25
 # identities again).  The arguments of abstract atoms are normalized once
 # per workspace: dispersion over exp(k(u1)) made 18 builds,
 # system --classify 33 and transform over abstract atoms 55 when each
-# partial derivative normalized its arguments again.
-CLI_BUILDS = {"fkt-quartic": 0, "transform-emit": 7, "legendre": 5,
+# partial derivative normalized its arguments again.  Compositions are
+# taken in the ring, and a composed atom is signed from its argument forms:
+# transform made 7 builds (12 over abstract atoms) when it substituted on
+# Expr trees and tested each identity of phi and its inverse as an Expr,
+# and legendre 5 when it normalized its identities and its density.
+CLI_BUILDS = {"fkt-quartic": 0, "transform-emit": 3, "legendre": 0,
               "dispersion-abstract-exp": 4, "system-classify": 4,
-              "transform-abstract-emit": 12}
+              "transform-abstract-emit": 5}
 
 # build_context calls of is_zero on SAMPLED_EXPR, whose context holds three
 # exp/ln atoms: one for the expression and one for each atom's argument,
@@ -311,12 +318,14 @@ def test_verify_all_conversions(count_calls):
         (ratform.derivation_context, "contexts", None),
         (ratform.build_context, "builds", None),
         (ratform.to_rational_form, "conversions", None),
+        (calculus.differentiate, "differentiations", "hydroham.calculus"),
     )
     results = catalog.verify_all()
     assert all(r.ok for r in results)
     assert counts["contexts"] == VERIFY_ALL_CONTEXTS, counts
     assert counts["builds"] <= 1.1 * VERIFY_ALL_BUILDS, counts
     assert counts["conversions"] <= 1.1 * VERIFY_ALL_CONVERSIONS, counts
+    assert counts["differentiations"] == 0, counts
 
 
 def test_atom_arguments_normalized_once(count_calls):
@@ -428,9 +437,12 @@ def test_sampled_verdict_builds(count_calls):
 def test_cli_context_builds(name, count_calls, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _make_inputs()
-    counts = count_calls((ratform.build_context, "builds", None))
+    counts = count_calls(
+        (ratform.build_context, "builds", None),
+        (calculus.differentiate, "differentiations", "hydroham.calculus"))
     main(["--format", "json"] + CASES[name])
     assert counts["builds"] <= 1.1 * CLI_BUILDS[name], counts
+    assert counts["differentiations"] == 0, counts
 
 
 def test_pencil_compatibility_checks_once(count_calls, tmp_path, monkeypatch):

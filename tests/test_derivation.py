@@ -13,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from hydroham import Workspace, catalog, differentiate, mutation, normalize, parse
+from hydroham import Workspace, catalog, mutation, normalize, parse
+from hydroham.calculus import differentiate
 from hydroham import expr as ex
 from hydroham.operators import MokhovChecker
 from hydroham.ratform import (

@@ -101,7 +101,7 @@ GOLDEN = {
         "95b17441b9c374608ece8fe2df264b4a2d827562076a0e143da914fd9b0a371d"),
     "transform-abstract-emit": (0, 357058,
         "62ec5425d96c8e725222b9fd1879aeb36777d14913da7ce287a6ad03d8c62039",
-        "61910f537b4479b7237018c367b0274dcf8c6591e24eaaf5e32a91f278f63e3e"),
+        "f671dbc5cd28b3109d487606bb34d2a97114a514b3f7c1fe3a41e5e189b82c88"),
     "transform-emit": (0, 357042,
         "c3e8fc3d8e493db270928d51de22a9461a8bc06c64de945fe4131552e5444867",
         "476d97d6cebce424ab42af6470587c3de874ef0a5fb48b7f0295779dd85201ea"),

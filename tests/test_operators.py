@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from hydroham import Workspace, differentiate, parse
+from hydroham import Workspace, parse
+from hydroham.calculus import differentiate
 from hydroham import expr as ex
 from hydroham.operators import (
     ConditionReport,

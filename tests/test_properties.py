@@ -24,12 +24,12 @@ from hypothesis import strategies as st
 
 from hydroham import (
     Workspace,
-    differentiate,
     normalize,
     parse,
     print_expr,
 )
 from hydroham import catalog, mutation
+from hydroham.calculus import differentiate
 from hydroham import expr as ex
 from hydroham.fileio import load_change
 from hydroham.operators import (

@@ -104,6 +104,12 @@ def inputs(tmp_path_factory):
     with open(path / "h.json", "w") as fh:
         json.dump({"h": "1/2*u1*(u2^2 + u3^2) + k(u1)",
                    "functions": [{"name": "k", "args": ["u1"]}]}, fh)
+    with open(path / "shear.json", "w") as fh:
+        json.dump({"forward": {"u1": "v1", "u2": "v2", "u3": "v3 + v1"},
+                   "inverse": {"v1": "u1", "v2": "u2", "v3": "u3 - u1"}}, fh)
+    with open(path / "legendre.json", "w") as fh:
+        json.dump({"h": "1/2*rho*(u^2 + v^2) + 1/2*rho^2",
+                   "inverse": "rhot - 1/2*(u^2 + v^2)"}, fh)
     with open(path / "cand.json", "w") as fh:
         json.dump({"m": 1, "u": ["3", "1", "4"], "lambda": ["R1"],
                    "mu": ["R1^2"], "v": ["R1"]}, fh)
@@ -136,18 +142,33 @@ def test_sampled_verdict_imports_mpmath_when_needed(inputs):
 
 # hydroham submodules a command must not load: each imports its domain
 # module in its handler, and a file loader imports only what it builds;
-# derivatives are taken in the ring, so check and pencil need no calculus
+# derivatives and compositions are taken in the ring, so no command loads
+# calculus
 NOT_LOADED = {
     "check": {"transform", "hamsys", "integrability", "catalog", "calculus"},
     "pencil": {"transform", "hamsys", "integrability", "catalog",
                "calculus"},
-    "fkt": {"operators", "transform", "hamsys", "catalog"},
-    "catalog": {"transform", "hamsys", "integrability"},
+    "fkt": {"operators", "transform", "hamsys", "catalog", "calculus"},
+    "catalog": {"transform", "hamsys", "integrability", "calculus"},
+    "catalog-export-set": {"transform", "hamsys", "integrability",
+                           "calculus"},
+    "transform": {"hamsys", "integrability", "catalog", "calculus"},
+    "system-classify": {"transform", "integrability", "catalog",
+                        "calculus"},
+    "reduction": {"transform", "integrability", "catalog", "calculus"},
+    "legendre": {"operators", "transform", "hamsys", "catalog", "calculus"},
 }
 COMMANDS = {"check": ["check", "gas.json"],
             "pencil": ["pencil", "gas.json", "--compatibility"],
             "fkt": ["fkt", "quartic.json"],
-            "catalog": ["catalog", "verify", CHECK_ENTRY]}
+            "catalog": ["catalog", "verify", CHECK_ENTRY],
+            "catalog-export-set": ["catalog", "export", "T2.6/rank1_P_2/1",
+                                   "--set", "f=exp(u2)", "--set", "h=u2*u3"],
+            "transform": ["transform", "gas.json", "shear.json"],
+            "system-classify": ["system", "gas.json", "h.json",
+                                "--classify"],
+            "reduction": ["reduction", "gas.json", "h.json", "cand.json"],
+            "legendre": ["legendre", "legendre.json"]}
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -158,7 +179,7 @@ def test_command_loads_only_its_modules(inputs, name):
     code, _size, _digest, _third, own, heavy = result["rows"][0]
     assert code in (0, 1), code
     assert NOT_LOADED[name].isdisjoint(own), own
-    assert "operators" in own or name == "fkt", own
+    assert "operators" in own or name in ("fkt", "legendre"), own
     assert heavy == [], heavy
 
 

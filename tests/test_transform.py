@@ -232,15 +232,16 @@ def reference_pushforward(op, c):
     """The pushforward law on Expr trees with K = d(phi^{-1})/du o phi,
     differentiated and composed term by term."""
     rng = range(op.n)
+    to_v = lambda e: substitute(e, dict(zip(c.u_vars, c.forward)))
     J = [[differentiate(phi, v) for v in c.v_vars] for phi in c.forward]
-    K = [[c.to_v(differentiate(psi, u)) for u in c.u_vars]
+    K = [[to_v(differentiate(psi, u)) for u in c.u_vars]
          for psi in c.inverse]
     DK = [[[differentiate(K[j][q], v) for q in rng] for j in rng]
           for v in c.v_vars]
     g_all, b_all = [], []
     for a in range(op.d):
-        g = [[c.to_v(e) for e in row] for row in op.g[a]]
-        b = [[[c.to_v(e) for e in row] for row in m] for m in op.b[a]]
+        g = [[to_v(e) for e in row] for row in op.g[a]]
+        b = [[[to_v(e) for e in row] for row in m] for m in op.b[a]]
         g_all.append([[_sum_of_products(
             (K[i][p], K[j][q], g[p][q]) for p in rng for q in rng)
             for j in rng] for i in rng])
