@@ -392,17 +392,13 @@ def instantiate(entry_id: str, params: dict | None = None):
 
     values = {}
     if "eps" in entry.const_slots:
-        eps = params.get("eps", DEFAULT_EPS)
-        if eps is None:
-            eps = DEFAULT_EPS
-        eps = Fraction(eps)
-        if eps not in (0, 1):
+        eps = params.get("eps")
+        values["eps"] = Fraction(DEFAULT_EPS if eps is None else eps)
+        if values["eps"] not in (0, 1):
             raise CatalogError("eps must be 0 or 1")
-        values["eps"] = eps
-    if "kappa" in entry.const_slots:
-        kappa = params.get("kappa", DEFAULT_KAPPA)
-        if kappa is not None:
-            values["kappa"] = Fraction(kappa)
+    kappa = params.get("kappa", DEFAULT_KAPPA)
+    if "kappa" in entry.const_slots and kappa is not None:
+        values["kappa"] = Fraction(kappa)
     # the constants are bound as the entry text is parsed
     entries = {k: parse(v, ws, values)
                for k, v in {**entry.g, **entry.b}.items()}
@@ -420,9 +416,8 @@ def instantiate(entry_id: str, params: dict | None = None):
         if stray:
             raise CatalogError(f"{name} may only use its arguments "
                                f"{', '.join(args)}; found {', '.join(stray)}")
-        fn = ws.functions[name]
-        ctx = derivation_context(ws, fn.args, [([repl], 0)])
-        functions[name] = to_rational_form(repl, ctx)
+        functions[name] = to_rational_form(repl, derivation_context(
+            ws, ws.functions[name].args, [([repl], 0)]))
     if functions:
         # each slot's atoms become derivatives of its form, in the ring
         forms = matrix_forms(ws, [list(entries.values())])[0]

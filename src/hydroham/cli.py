@@ -438,11 +438,9 @@ def _cmd_reduction(args, policy) -> int:
         residuals += [("hodograph", *c) for c in symbolic]
     _add_report_records(report, (_record(*r, policy) for r in residuals))
     for i, value in numeric:
-        if not isinstance(value, Fraction):
-            # an inexact value, printed to the digits the precision carries
-            from mpmath import nstr
-            from mpmath.libmp import prec_to_dps
-            value = nstr(value, prec_to_dps(policy.precision))
+        if not isinstance(value, Fraction):    # to the precision's digits
+            from mpmath import libmp, nstr
+            value = nstr(value, libmp.prec_to_dps(policy.precision))
         report.note(f"hodograph residual at point, i={i}", str(value))
     return report.finish()
 

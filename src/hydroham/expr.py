@@ -175,51 +175,36 @@ def as_expr(x) -> Expr:
 # -- smart constructors ------------------------------------------------------
 
 def add(*terms) -> Expr:
-    flat = []
-    const = Fraction(0)
-    for t in terms:
-        t = as_expr(t)
-        if isinstance(t, Sum):
-            parts = t.terms
-        else:
-            parts = (t,)
-        for p in parts:
-            if isinstance(p, Rat):
-                const += p.value
-            else:
-                flat.append(p)
+    flat, const = _fold(terms, Sum, Fraction(0), lambda x, y: x + y)
     if const != 0:
         flat.append(Rat(const))
-    if not flat:
-        return ZERO
-    if len(flat) == 1:
-        return flat[0]
-    return Sum(flat)
+    return _node(Sum, flat, ZERO)
 
 
 def mul(*factors) -> Expr:
-    flat = []
-    coeff = Fraction(1)
-    for f in factors:
-        f = as_expr(f)
-        if isinstance(f, Prod):
-            parts = f.factors
-        else:
-            parts = (f,)
-        for p in parts:
-            if isinstance(p, Rat):
-                coeff *= p.value
-            else:
-                flat.append(p)
+    flat, coeff = _fold(factors, Prod, Fraction(1), lambda x, y: x * y)
     if coeff == 0:
         return ZERO
     if coeff != 1:
         flat.insert(0, Rat(coeff))
-    if not flat:
-        return ONE
-    if len(flat) == 1:
-        return flat[0]
-    return Prod(flat)
+    return _node(Prod, flat, ONE)
+
+
+def _fold(items, node, acc, op) -> tuple:
+    """The operands of the items, those of a ``node`` spliced in, apart
+    from the rational ones, which op folds into acc."""
+    flat = []
+    for item in map(as_expr, items):
+        for x in children(item) if isinstance(item, node) else (item,):
+            if isinstance(x, Rat):
+                acc = op(acc, x.value)
+            else:
+                flat.append(x)
+    return flat, acc
+
+
+def _node(cls, flat: list, empty: Expr) -> Expr:
+    return cls(flat) if len(flat) > 1 else flat[0] if flat else empty
 
 
 def neg(e) -> Expr:
@@ -245,8 +230,7 @@ def pow_(base, exponent: int) -> Expr:
 
 
 def div(num, den) -> Expr:
-    num = as_expr(num)
-    den = as_expr(den)
+    num, den = as_expr(num), as_expr(den)
     if isinstance(den, Rat):
         if den.value == 0:
             raise ZeroDivisionError("division by zero")
@@ -286,32 +270,24 @@ def children(e: Expr) -> tuple:
     raise ExprError(f"unknown node {type(e)}")
 
 
-def free_symbols(e: Expr) -> set[Symbol]:
-    out: set[Symbol] = set()
+def _nodes(e: Expr):
+    """The nodes of e, each parent before its children."""
     stack = [e]
     while stack:
         node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.symbol)
-        else:
-            stack.extend(children(node))
-    return out
+        yield node
+        stack.extend(children(node))
+
+
+def free_symbols(e: Expr) -> set[Symbol]:
+    return {node.symbol for node in _nodes(e) if isinstance(node, Var)}
 
 
 def atoms(e: Expr) -> list[Expr]:
-    """All opaque atoms (Call and FuncAtom nodes), outermost first."""
-    out = []
-    seen = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Call, FuncAtom)):
-            k = node.key()
-            if k not in seen:
-                seen.add(k)
-                out.append(node)
-        stack.extend(children(node))
-    return out
+    """All opaque atoms (Call and FuncAtom nodes), outermost first, one
+    per key."""
+    return list({node.key(): node for node in _nodes(e)
+                 if isinstance(node, (Call, FuncAtom))}.values())
 
 
 # -- printing ----------------------------------------------------------------

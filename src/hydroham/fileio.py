@@ -149,9 +149,8 @@ def load_candidate(data: dict) -> ReductionCandidate:
         raise FileFormatError("m must be >= 1")
     ws = Workspace.of([f"R{i}" for i in range(1, m + 1)],
                       functions=_functions(data))
-    u = [parse(t, ws) for t in _require(data, "u", list)]
-    lam = [parse(t, ws) for t in _require(data, "lambda", list)]
-    mu = [parse(t, ws) for t in _require(data, "mu", list)]
+    u, lam, mu = ([parse(t, ws) for t in _require(data, key, list)]
+                  for key in ("u", "lambda", "mu"))
     if len(lam) != m or len(mu) != m:
         raise FileFormatError("lambda and mu must each list m speeds")
     v = None

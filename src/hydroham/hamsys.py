@@ -68,9 +68,8 @@ class QuasilinearSystem:
         self.A, self.B = A, B  # n x n Exprs
 
 
-# A, B, the operator's metrics G and coefficients b, and d2h[j][k] =
-# d_k d_j h as rational forms of one derivation context, which holds G to
-# first order
+# A, B, the operator's G and b, and d2h[j][k] = d_k d_j h as rational
+# forms of one derivation context, which holds G to first order
 _SystemForms = namedtuple("_SystemForms", "ws A B G b d2h")
 
 

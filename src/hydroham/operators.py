@@ -100,10 +100,7 @@ def _entries(g, b):
 
 
 def zero_operator(ws: Workspace, d: int, n: int) -> HydroOperator:
-    g = [[[ex.ZERO] * n for _ in range(n)] for _ in range(d)]
-    b = [[[[ex.ZERO] * n for _ in range(n)] for _ in range(n)]
-         for _ in range(d)]
-    return HydroOperator(ws, d, n, g, b)
+    return operator_from_entries(ws, d, n)
 
 
 def operator_from_entries(ws: Workspace, d: int, n: int, g_entries=None,
@@ -180,10 +177,8 @@ class ConditionReport:
         return overall_result(r.verdict.kind for r in self.nonzero)
 
     def failures(self) -> list[ResidualRecord]:
-        return [
-            r for r in self.nonzero
-            if r.verdict.kind in (PROVEN_NONZERO, PROBABLY_NONZERO)
-        ]
+        return [r for r in self.nonzero
+                if r.verdict.kind in (PROVEN_NONZERO, PROBABLY_NONZERO)]
 
 
 # -- the checker ----------------------------------------------------------------

@@ -48,13 +48,6 @@ _GEN_NAME = re.compile(r"@a(\d+)")
 _TRANSCENDENTAL = re.compile(r"(?<![\w@])(exp|ln|sqrt)\(")
 
 
-def _get_ring(names: tuple[str, ...]):
-    hit = _RING_CACHE.get(names)
-    if hit is None:
-        hit = _RING_CACHE[names] = PolyRing(names)
-    return hit
-
-
 class PolyContext:
     """A fixed ring over the workspace symbols plus discovered atoms, with
     its zero and one forms.  ``deriv`` holds the derivations d/dv of the
@@ -73,19 +66,18 @@ class PolyContext:
         names = self.var_names + tuple(
             f"@a{i}" for i in range(len(self.atom_sigs))
         )
-        self.ring = _get_ring(names)
+        self.ring = _RING_CACHE.get(names) or _RING_CACHE.setdefault(
+            names, PolyRing(names))
         gens = self.ring.gens
         self.gen_of_name = dict(zip(self.var_names, gens))
         self.gen_of_sig = dict(zip(self.atom_sigs, gens[len(self.var_names):]))
         self.n_vars = len(self.var_names)
-        self.zero = RationalForm(self.ring.zero, self.ring.one, self,
-                                 reduced=True)
-        self.one = RationalForm(self.ring.one, self.ring.one, self,
-                                reduced=True)
+        self.zero, self.one = (RationalForm(p, self.ring.one, self,
+                                            reduced=True)
+                               for p in (self.ring.zero, self.ring.one))
         self.deriv: list = []
         self._args: dict[int, tuple] = {}
-        # {signature: atom} of the atoms compose met that this context lacks
-        self.missing: dict = {}
+        self.missing: dict = {}     # {signature: atom} that compose lacked
 
     def gradient(self, rf) -> list:
         """[d(rf) for d in deriv]; a zero form is its own gradient."""
@@ -122,16 +114,14 @@ class PolyContext:
         return self.atom_exprs[self.atom_sigs[index - self.n_vars]]
 
     def compose(self, rf, images: dict, target: "PolyContext"):
-        """The image in target of a form rf of this context under the ring
-        map that sends a variable or constant to images[its name], a form
-        of target (else to target's generator of that name), an exp/ln/sqrt
-        atom to the atom over its composed argument, and an abstract atom
-        f_J(args) to f_J over the composed arguments or, if images[f's
-        name] is a form r of a derivation context over f's arguments, to
-        d^J r composed at them.  Nested atoms compose innermost first, and
-        a new atom is signed from its composed argument forms.  If target
-        lacks an atom, it joins ``target.missing`` and the image is None.
-        images keeps the generator images, keyed by (context, index)."""
+        """rf's image in target under the ring map that sends a variable
+        to images[its name] (else to target's generator of that name), an
+        exp/ln/sqrt atom to the atom over its composed argument, and
+        f_J(args) to f_J over the composed arguments or, where images[f]
+        is a form r over f's declared arguments, to d^J r composed at
+        them.  Nested atoms compose innermost first.  An atom that target
+        lacks joins ``target.missing``, and its image is None.  images
+        keeps the generator images, keyed by (context, index)."""
         if rf.is_zero:
             return target.zero
         gens = {}
@@ -141,9 +131,10 @@ class PolyContext:
             gens[i] = images[self, i]
             if gens[i] is None:
                 return None
-        num, den = _evaluate(rf.num, gens, target.ring)
-        dnum, dden = _evaluate(rf.den, gens, target.ring)
-        return RationalForm(num * dden, den * dnum, target)
+        terms = [rf.num.terms(), rf.den.terms()]
+        top = {i: max(m[i] for t in terms for m, _ in t) for i in gens}
+        return RationalForm(*(_evaluate(t, gens, top, target.ring)
+                              for t in terms), target)
 
     def _image(self, i: int, images: dict, target: "PolyContext"):
         atom = self.gen_expr(i)
@@ -303,15 +294,14 @@ def atom_signature(atom: ex.Expr, ws: Workspace) -> str | Fraction:
     """A canonical string identifying an atom up to rational-function
     equality of its arguments, or the atom's value when it is rational.
 
-    Signatures are kept in the workspace's table, and so is the string of
-    each atom's argument: f, f_1, f_11, ... normalize their arguments once
-    per table, and a composed atom's come from its argument forms.  A
-    stored string stays valid: it prints only the symbols it uses, so
-    appending symbols cannot change it.  ln of a
-    rational constant <= 0 and sqrt of one < 0 are not real, so they are
-    input errors.  exp(0), ln(1) and sqrt(p/q) for squares p and q are
-    rational: their value stands for them, so they take no generator and a
-    signature over them names the value."""
+    Signatures are kept in the workspace's table, and so is the string of each
+    atom's argument: f, f_1, f_11, ... normalize their arguments once per
+    table, and a composed atom's come from its argument forms.  A stored string
+    stays valid: it prints only the symbols it uses, so appending symbols
+    cannot change it.  ln of a rational constant <= 0 and sqrt of one < 0 are
+    not real, so they are input errors.  exp(0), ln(1) and sqrt(p/q) for
+    squares p and q are rational: their value stands for them, so they take no
+    generator and a signature over them names the value."""
     key = atom.key()
     sig = ws.signatures.get(key)
     if sig is not None:
@@ -420,10 +410,7 @@ def to_rational_form(e: ex.Expr, ctx: PolyContext) -> RationalForm:
             raise NormalizeError(f"symbol {e.symbol.name!r} not in context")
         return RationalForm(gen, ring.one, ctx, reduced=True)
     if isinstance(e, ex.Sum):
-        out = ctx.zero
-        for t in e.terms:
-            out = out + to_rational_form(t, ctx)
-        return out
+        return sum((to_rational_form(t, ctx) for t in e.terms), ctx.zero)
     if isinstance(e, ex.Prod):
         out = ctx.one
         for f in e.factors:
@@ -454,12 +441,10 @@ def to_rational_form(e: ex.Expr, ctx: PolyContext) -> RationalForm:
 
 def composed(forms: list, images: dict, ws: Workspace, variables=(),
              parts=()) -> list:
-    """The forms, of one context, composed (``PolyContext.compose``) into
-    one derivation context over ws, built from the parts and the images:
-    images maps a name to an Expr over ws, a variable's or constant's
-    image, or to a form that specializes an abstract function.  The
-    context is built again with the atoms it lacked, once per level of
-    nesting, until it holds them all."""
+    """The forms, of one context, composed into a derivation context over
+    ws built from the parts and the images, which map a name to an Expr
+    over ws or to a form that specializes a function.  The context is
+    built again with the atoms it lacked, once per level of nesting."""
     exprs = [x for x in images.values() if isinstance(x, ex.Expr)]
     atoms: list = []
     while True:
@@ -473,21 +458,17 @@ def composed(forms: list, images: dict, ws: Workspace, variables=(),
         atoms += target.missing.values()
 
 
-def _evaluate(p, gens: dict, ring) -> tuple:
-    """(P, D) with p(gens) = P/D in ring, for gens {index: form}: D is the
-    product of each generator's denominator to its degree in p, so the
-    terms of P add as polynomials."""
-    terms = p.terms()
-    top = {i: max(m[i] for m, _ in terms) for i in gens}
-    num, den = ring.zero, ring.one
+def _evaluate(terms, gens: dict, top: dict, ring):
+    """The polynomial of the terms at gens {index: form} times each
+    generator's denominator to the power top[index]: no fraction is
+    added."""
+    out = ring.zero
     for m, c in terms:
         term = ring.ground_new(c)
         for i, g in gens.items():
             term = term * g.num ** m[i] * g.den ** (top[i] - m[i])
-        num = num + term
-    for i, g in gens.items():
-        den = den * g.den ** top[i]
-    return num, den
+        out = out + term
+    return out
 
 
 def matrix_forms(ws: Workspace, rows) -> list:

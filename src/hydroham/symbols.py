@@ -64,14 +64,6 @@ class FunctionSymbol:
         return f"{self.name}({', '.join(a.name for a in self.args)})"
 
 
-def _check_identifier(name: str):
-    if not (isinstance(name, str) and name[:1].isalpha()
-            and all(c.isalnum() or c == "_" for c in name)):
-        raise SymbolError(f"invalid identifier {name!r}")
-    if name in RESERVED_NAMES:
-        raise SymbolError(f"{name!r} is a reserved operator symbol")
-
-
 class Workspace:
     """Ordered registry of symbols.  Registration freezes before use."""
 
@@ -98,7 +90,11 @@ class Workspace:
         return ws.freeze()
 
     def _register(self, name: str, obj):
-        _check_identifier(name)
+        if not (isinstance(name, str) and name[:1].isalpha()
+                and all(c.isalnum() or c == "_" for c in name)):
+            raise SymbolError(f"invalid identifier {name!r}")
+        if name in RESERVED_NAMES:
+            raise SymbolError(f"{name!r} is a reserved operator symbol")
         if self.frozen:
             raise SymbolError(f"workspace is frozen; cannot register {name!r}")
         if name in self._by_name:
@@ -140,9 +136,8 @@ class Workspace:
         return sym
 
     def registered_names(self) -> list[str]:
-        return [s.name for s in self.variables] + [
-            s.name for s in self.constants
-        ] + list(self.functions)
+        return ([s.name for s in self.variables + self.constants]
+                + list(self.functions))
 
     def derive(self, variables=None, constants=None,
                functions=()) -> "Workspace":

@@ -77,8 +77,8 @@ class CoordinateChange:
             ctx = derivation_context(change.dst_ws, change.v_vars,
                                      [(change.forward, 1)])
             phi = [to_rational_form(x, ctx) for x in change.forward]
-            back = composed(phi, _images(change.v_vars, change.inverse),
-                            change.src_ws)
+            back = composed(phi, {v.name: x for v, x in zip(
+                change.v_vars, change.inverse)}, change.src_ws)
             for rf, u in zip(back, change.u_vars):
                 residual = rf - to_rational_form(ex.Var(u), rf.ctx)
                 if not verdict_for_ratform(residual, policy).is_zero_verdict:
@@ -101,10 +101,6 @@ def coordinate_change(
     fwd = [forward[name] for name in u_names[: len(forward)]]
     inv = [inverse[name] for name in v_names[: len(inverse)]]
     return CoordinateChange(src_ws, dst_ws, fwd, inv).validate(policy)
-
-
-def _images(symbols, exprs) -> dict:
-    return {s.name: e for s, e in zip(symbols, exprs)}
 
 
 def _inverse(J):
@@ -137,8 +133,8 @@ def pushforward(op: HydroOperator, change: CoordinateChange) -> HydroOperator:
     # g o phi and b o phi in a context that holds phi to second order
     pulled = iter(composed(
         matrix_forms(op.ws, [_flatten([op.g, op.b])])[0],
-        _images(change.u_vars, change.forward), change.dst_ws,
-        change.v_vars, [(change.forward, 2)]))
+        {u.name: x for u, x in zip(change.u_vars, change.forward)},
+        change.dst_ws, change.v_vars, [(change.forward, 2)]))
     gv, bv = _map_nested([op.g, op.b], lambda _: next(pulled))
     ctx = gv[0][0][0].ctx
     J = [ctx.gradient(to_rational_form(phi, ctx)) for phi in change.forward]
@@ -181,9 +177,9 @@ def operator_difference_records(
             for a in range(op1.d) for i in rng for j in rng
             for part, k in [("g", ())] + [("b", (r + 1,)) for r in rng]]
     e1 = list(op1.entries())
-    f2 = composed(matrix_forms(op2.ws, [list(op2.entries())])[0],
-                  _images(op2.variables, map(ex.Var, op1.variables)),
-                  op1.ws, parts=[(e1, 0)])
+    f2 = composed(matrix_forms(op2.ws, [list(op2.entries())])[0], {
+        v.name: ex.Var(u) for u, v in zip(op1.variables, op2.variables)},
+        op1.ws, parts=[(e1, 0)])
     f1 = [to_rational_form(e, f2[0].ctx) for e in e1]
     return [_record("roundtrip", idx, x - y, policy)
             for idx, x, y in zip(keys, f1, f2)]

@@ -542,11 +542,13 @@ def test_catalog_verify_summary_when_a_fact_contradicts_the_label(capsys):
 @pytest.mark.parametrize("argv, found", [
     (["--set", "h=u1"], "u1"),
     (["--eps", "1", "--set", "h=eps*u2"], "eps"),
-], ids=["variable", "constant"])
+    (["--set", "h=exp(h_2)"], "h"),
+], ids=["variable", "constant", "function"])
 def test_catalog_set_outside_the_slot_arguments_exits_3(capsys, action,
                                                         argv, found):
     """h of T2.6/rank1_P_1/1 is declared over (u2, u3): a replacement in
-    other symbols is no specialization of it."""
+    other symbols, or over an abstract function, is no specialization of
+    it."""
     assert main(["catalog", action, "T2.6/rank1_P_1/1", *argv]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

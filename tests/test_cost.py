@@ -103,9 +103,9 @@ SCAN_EXQUO_CALLS = 24     # 214 before the single-term quotient
 # ring, each entry's image is one quotient over the powers of the images'
 # denominators.
 PUSHED_ENTRIES = ("T2.3/rank2_3", "T2.5/1")
-PUSHED_GCD_CALLS = 308
+PUSHED_GCD_CALLS = 306
 PUSHED_CANCEL_CALLS = 1398
-PUSHED_EXQUO_CALLS = 2158
+PUSHED_EXQUO_CALLS = 2130
 
 # derivation_context builds, build_context calls and to_rational_form calls
 # (the conversion's recursion included) over the same scan.  A mutant's forms are its parent's, edited,
