@@ -167,8 +167,6 @@ def as_expr(x) -> Expr:
         return x
     if isinstance(x, (int, Fraction)):
         return Rat(x)
-    if isinstance(x, Symbol):
-        return Var(x)
     raise ExprError(f"cannot coerce {x!r} to Expr")
 
 

@@ -177,8 +177,10 @@ class ConditionReport:
         return overall_result(r.verdict.kind for r in self.nonzero)
 
     def failures(self) -> list[ResidualRecord]:
-        return [r for r in self.nonzero
-                if r.verdict.kind in (PROVEN_NONZERO, PROBABLY_NONZERO)]
+        return [
+            r for r in self.nonzero
+            if r.verdict.kind in (PROVEN_NONZERO, PROBABLY_NONZERO)
+        ]
 
 
 # -- the checker ----------------------------------------------------------------

@@ -72,9 +72,10 @@ class PolyContext:
         self.gen_of_name = dict(zip(self.var_names, gens))
         self.gen_of_sig = dict(zip(self.atom_sigs, gens[len(self.var_names):]))
         self.n_vars = len(self.var_names)
-        self.zero, self.one = (RationalForm(p, self.ring.one, self,
-                                            reduced=True)
-                               for p in (self.ring.zero, self.ring.one))
+        self.zero = RationalForm(self.ring.zero, self.ring.one, self,
+                                 reduced=True)
+        self.one = RationalForm(self.ring.one, self.ring.one, self,
+                                reduced=True)
         self.deriv: list = []
         self._args: dict[int, tuple] = {}
         self.missing: dict = {}     # {signature: atom} that compose lacked
@@ -118,10 +119,10 @@ class PolyContext:
         to images[its name] (else to target's generator of that name), an
         exp/ln/sqrt atom to the atom over its composed argument, and
         f_J(args) to f_J over the composed arguments or, where images[f]
-        is a form r over f's declared arguments, to d^J r composed at
-        them.  Nested atoms compose innermost first.  An atom that target
-        lacks joins ``target.missing``, and its image is None.  images
-        keeps the generator images, keyed by (context, index)."""
+        is a form r of a derivation context over f's arguments, to d^J r
+        composed at them.  Nested atoms compose innermost first.  An atom
+        that target lacks joins ``target.missing``; its image is None.
+        images keeps the generator images, keyed by (context, index)."""
         if rf.is_zero:
             return target.zero
         gens = {}
@@ -459,9 +460,8 @@ def composed(forms: list, images: dict, ws: Workspace, variables=(),
 
 
 def _evaluate(terms, gens: dict, top: dict, ring):
-    """The polynomial of the terms at gens {index: form} times each
-    generator's denominator to the power top[index]: no fraction is
-    added."""
+    """The polynomial of the terms at gens {index: form}, times each
+    generator's denominator to the power top[index]: a polynomial."""
     out = ring.zero
     for m, c in terms:
         term = ring.ground_new(c)
