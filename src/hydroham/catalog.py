@@ -16,6 +16,8 @@ from fractions import Fraction
 from . import expr as ex
 from .operators import (
     ConditionReport,
+    HydroOperator,
+    OperatorForms,
     check_hamiltonian,
     generic_rank,
     is_degenerate,
@@ -23,13 +25,7 @@ from .operators import (
     operator_from_entries,
 )
 from .parser import parse
-from .ratform import (
-    composed,
-    derivation_context,
-    matrix_forms,
-    ratform_to_expr,
-    to_rational_form,
-)
+from .ratform import derivation_context, to_rational_form
 from .symbols import InputError, Workspace
 from .zerotest import DEFAULT_POLICY, ZeroTestPolicy
 
@@ -418,14 +414,13 @@ def instantiate(entry_id: str, params: dict | None = None):
                                f"{', '.join(args)}; found {', '.join(stray)}")
         functions[name] = to_rational_form(repl, derivation_context(
             ws, ws.functions[name].args, [([repl], 0)]))
-    if functions:
-        # each slot's atoms become derivatives of its form, in the ring
-        forms = matrix_forms(ws, [list(entries.values())])[0]
-        entries = dict(zip(entries, map(ratform_to_expr,
-                                        composed(forms, functions, ws))))
     g_entries = {k: e for k, e in entries.items() if len(k) == 3}
     b_entries = {k: e for k, e in entries.items() if len(k) == 4}
     op = operator_from_entries(ws, entry.d, entry.n, g_entries, b_entries)
+    if functions:
+        # each slot's atoms become derivatives of its form, in the ring
+        op = HydroOperator.of_forms(ws, op.d, op.n, OperatorForms.composed(
+            [op.forms.G, op.forms.B], functions, ws, op.n))
     return op, ws
 
 

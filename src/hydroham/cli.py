@@ -465,11 +465,7 @@ def _parse_at(text: str | None, m: int) -> dict:
 
 
 def _cmd_fkt(args, policy) -> int:
-    from .integrability import (
-        DegenerateLagrangianError,
-        euler_lagrange_fluxes,
-        fkt_residual,
-    )
+    from .integrability import DegenerateLagrangianError, fkt_residual
     report = Report(args, [args.density])
     density = load_lagrangian(read_json(args.density))
     try:
@@ -487,9 +483,8 @@ def _cmd_fkt(args, policy) -> int:
         m, coeff = first
         report.note(f"first failing coefficient da^{m[0]} db^{m[1]} dc^{m[2]}",
                     ex.print_expr(coeff))
-    fluxes = euler_lagrange_fluxes(density)
     report.note("euler-lagrange fluxes",
-                "(" + ", ".join(ex.print_expr(e) for e in fluxes) + ")")
+                "(" + ", ".join(map(ex.print_expr, result.fluxes)) + ")")
     return report.finish()
 
 

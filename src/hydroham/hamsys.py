@@ -8,21 +8,20 @@ the structural classifier for systems generated with an abstract density.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 
 from . import expr as ex
 from .operators import (
     HydroOperator,
     MetricPencil,
-    _flatten,
+    OperatorForms,
     _map_nested,
     is_trivial_pair,
 )
 from .ratform import (
     composed,
     derivation_context,
-    matrix_forms,
     ratform_to_expr,
     to_rational_form,
 )
@@ -63,18 +62,22 @@ class HamiltonianDensity:
 
 
 class QuasilinearSystem:
-    def __init__(self, ws: Workspace, n: int, A: list, B: list):
-        self.ws, self.n = ws, n
-        self.A, self.B = A, B  # n x n Exprs
+    """u_t + A u_x + B u_y = 0 as rational forms of one derivation context
+    over the workspace: ``matrices`` [A, B] and d2h[j][k] = d_k d_j h.
+    A and B are printed to Exprs when first read."""
+
+    def __init__(self, ws: Workspace, n: int, matrices: list, d2h: list):
+        self.ws, self.n, self.matrices, self.d2h = ws, n, matrices, d2h
+
+    A = cached_property(lambda s: _map_nested(s.matrices[0], ratform_to_expr))
+    B = cached_property(lambda s: _map_nested(s.matrices[1], ratform_to_expr))
 
 
-# A, B, the operator's G and b, and d2h[j][k] = d_k d_j h as rational
-# forms of one derivation context, which holds G to first order
-_SystemForms = namedtuple("_SystemForms", "ws A B G b d2h")
-
-
-def _system_forms(op: HydroOperator,
-                  h: HamiltonianDensity | ex.Expr) -> _SystemForms:
+def generate_system(op: HydroOperator,
+                    h: HamiltonianDensity | ex.Expr) -> QuasilinearSystem:
+    """A^i_k = sum_j (g^{ij,x} h_{u^j u^k} + b^{ij,x}_k h_{u^j}); B from the
+    y part.  d = 1 operators get B = 0.  The operator's forms are moved to
+    one ring with h, where h is differentiated and the products taken."""
     if op.d > 2:
         raise HamsysError("system generation supports d <= 2")
     if isinstance(h, HamiltonianDensity):
@@ -82,18 +85,15 @@ def _system_forms(op: HydroOperator,
     else:
         ws, h_expr = op.ws, h
     n = op.n
-    vars_ = ws.variables[:n]
     bad = ex.free_symbols(h_expr) - set(ws.variables) - set(ws.constants)
     if bad:
         raise HamsysError(
             f"density uses unregistered symbols {sorted(s.name for s in bad)}"
         )
-    ctx = derivation_context(ws, vars_, [
-        ([h_expr], 2), (_flatten(op.g), 1), (_flatten(op.b), 0),
-    ])
-    conv = lambda e: to_rational_form(e, ctx)
-    G, B = _map_nested(op.g, conv), _map_nested(op.b, conv)
-    dh = ctx.gradient(conv(h_expr))
+    G, B = composed([op.forms.G, op.forms.B], {}, ws, ws.variables[:n],
+                    [([h_expr], 2)])
+    ctx = G[0][0][0].ctx
+    dh = ctx.gradient(to_rational_form(h_expr, ctx))
     d2h = [ctx.gradient(dh_j) for dh_j in dh]
     zero = ctx.zero
     rng = range(n)
@@ -104,18 +104,7 @@ def _system_forms(op: HydroOperator,
         return [[sum((G[alpha][i][j] * d2h[j][k] + B[alpha][i][j][k] * dh[j]
                       for j in rng), zero) for k in rng] for i in rng]
 
-    return _SystemForms(ws, matrix(0), matrix(1), G, B, d2h)
-
-
-def generate_system(op: HydroOperator,
-                    h: HamiltonianDensity | ex.Expr) -> QuasilinearSystem:
-    """A^i_k = sum_j (g^{ij,x} h_{u^j u^k} + b^{ij,x}_k h_{u^j}); B from the
-    y part.  d = 1 operators get B = 0.  The derivatives of h and the
-    products are taken in one ring holding h and the operator entries."""
-    forms = _system_forms(op, h)
-    return QuasilinearSystem(forms.ws, op.n,
-                             _map_nested(forms.A, ratform_to_expr),
-                             _map_nested(forms.B, ratform_to_expr))
+    return QuasilinearSystem(ws, n, [matrix(0), matrix(1)], d2h)
 
 
 DISPERSION_PARAMS = ("lam", "mu")
@@ -132,7 +121,7 @@ class DispersionRelation:
 def dispersion(sys: QuasilinearSystem) -> DispersionRelation:
     """det(E + lam A + mu B) expanded as a polynomial in the formal
     constants lam, mu."""
-    pencil = MetricPencil(sys.ws, DISPERSION_PARAMS, [sys.A, sys.B], unit=1)
+    pencil = MetricPencil(sys.ws, DISPERSION_PARAMS, sys.matrices, unit=1)
     return DispersionRelation(
         pencil.ws, pencil.params, ratform_to_expr(pencil.determinant),
         {exps: ratform_to_expr(c)
@@ -193,14 +182,12 @@ def reduction_residual(c: ReductionCandidate, sys: QuasilinearSystem):
     """(E + lam^i A + mu^i B) d_i u after substituting u = u(R); n*m
     rational forms of one derivation context over R."""
     n = sys.n
-    pulled = iter(composed(
-        matrix_forms(sys.ws, [_flatten([sys.A, sys.B])])[0],
-        {u.name: e for u, e in zip(sys.ws.variables[:n], c.u)}, c.ws,
-        c.r_vars, [(c.u, 1), (c.lam + c.mu, 0)]))
-    A, B = _map_nested([sys.A, sys.B], lambda _: next(pulled))
+    A, B = composed(
+        sys.matrices, {u.name: e for u, e in zip(sys.ws.variables[:n], c.u)},
+        c.ws, c.r_vars, [(c.u, 1), (c.lam + c.mu, 0)])
     ctx = A[0][0].ctx
-    conv = lambda e: to_rational_form(e, ctx)
-    U, lam, mu = (_map_nested(t, conv) for t in (c.u, c.lam, c.mu))
+    U, lam, mu = _map_nested([c.u, c.lam, c.mu],
+                             lambda e: to_rational_form(e, ctx))
     out = []
     for i, d in enumerate(ctx.deriv):
         du = [d(x) for x in U]
@@ -283,37 +270,37 @@ def classify_operator_shape(op: HydroOperator,
     frozen_names: list[str] = []
     current = op
     while True:
-        forms = _system_forms(current, HamiltonianDensity.abstract(
+        sys_ = generate_system(current, HamiltonianDensity.abstract(
             current.ws, current.n))
         if current.n == 1:
             # a zero row freezes the last component (fully trivial system);
             # a surviving transport row is the reduced outcome itself
-            if zero(forms.A[0][0]) and zero(forms.B[0][0]):
+            if all(zero(m[0][0]) for m in sys_.matrices):
                 frozen_names.append(current.ws.variables[0].name)
                 return ShapeResult(TRIVIAL, frozen=frozen_names)
             return ShapeResult(TRANSPORT_1D, frozen=frozen_names)
-        row = _freezable_row(forms, zero)
+        row = _freezable_row(sys_, zero)
         if row is None:
             break
         frozen_names.append(current.ws.variables[row].name)
-        current = _freeze_component(current, row, forms)
+        current = _freeze_component(current, row)
 
     n = current.n
     if n == 2:
-        form = _decoupled_form(current, forms, zero, policy)
+        form = _decoupled_form(current, zero, policy)
         return ShapeResult(DECOUPLED_2C, form, frozen_names)
-    if n == 3 and _is_euler_lagrange(forms, zero):
+    if n == 3 and _is_euler_lagrange(sys_, zero):
         return ShapeResult(EULER_LAGRANGE, frozen=frozen_names)
     return ShapeResult(UNCLASSIFIED, frozen=frozen_names)
 
 
-def _freezable_row(forms: _SystemForms, zero) -> int | None:
+def _freezable_row(sys_: QuasilinearSystem, zero) -> int | None:
     """First row i with A^i_k = B^i_k = 0 for every k != i (so the row reads
     u^i_t + phi u^i_x + psi u^i_y = 0)."""
-    n = len(forms.A)
+    n = sys_.n
     for i in range(n):
         if all(zero(m[i][k]) for k in range(n) if k != i
-               for m in (forms.A, forms.B)):
+               for m in sys_.matrices):
             return i
     return None
 
@@ -321,7 +308,7 @@ def _freezable_row(forms: _SystemForms, zero) -> int | None:
 _FROZEN_PREFIX = "c"
 
 
-def _freeze_component(op: HydroOperator, index: int, forms: _SystemForms):
+def _freeze_component(op: HydroOperator, index: int) -> HydroOperator:
     """Remove component `index`, replacing the variable by a fresh formal
     constant in the remaining entries: their forms, composed in the ring."""
     old_ws = op.ws
@@ -335,18 +322,16 @@ def _freeze_component(op: HydroOperator, index: int, forms: _SystemForms):
         constants=[s.name for s in old_ws.constants] + [const_name],
     )
 
-    g = [[[forms.G[a][i][j] for j in keep] for i in keep]
+    G, B = op.forms.G, op.forms.B
+    g = [[[G[a][i][j] for j in keep] for i in keep] for a in range(op.d)]
+    b = [[[[B[a][i][j][k] for k in keep] for j in keep] for i in keep]
          for a in range(op.d)]
-    b = [[[[forms.b[a][i][j][k] for k in keep] for j in keep]
-          for i in keep] for a in range(op.d)]
-    frozen = iter(composed(
-        _flatten([g, b]),
-        {frozen_sym.name: ex.Var(ws.require_symbol(const_name))}, ws))
-    g, b = _map_nested([g, b], lambda _: ratform_to_expr(next(frozen)))
-    return HydroOperator(ws, op.d, len(keep), g, b)
+    return HydroOperator.of_forms(ws, op.d, len(keep), OperatorForms.composed(
+        [g, b], {frozen_sym.name: ex.Var(ws.require_symbol(const_name))}, ws,
+        len(keep)))
 
 
-def _decoupled_form(op: HydroOperator, forms: _SystemForms, zero, policy):
+def _decoupled_form(op: HydroOperator, zero, policy):
     """Invariants of the frozen 2x2 pair: proportional pair -> "1d" (a d = 1
     operator is a pair with zero y-part, proportional with xi = 0);
     non-constant metrics -> Mokhov form 3; else the pencil-determinant
@@ -354,7 +339,7 @@ def _decoupled_form(op: HydroOperator, forms: _SystemForms, zero, policy):
     form (double root)."""
     if op.d == 1 or is_trivial_pair(op, policy).trivial:
         return "1d"
-    if any(not zero(d(e)) for g in forms.G for row in g for e in row
+    if any(not zero(d(e)) for g in op.forms.G for row in g for e in row
            for d in e.ctx.deriv):
         return 3
     # det(lam1 g_x + lam2 g_y) = c20 lam1^2 + c11 lam1 lam2 + c02 lam2^2
@@ -365,18 +350,19 @@ def _decoupled_form(op: HydroOperator, forms: _SystemForms, zero, policy):
     return 2 if zero(c11 * c11 - (c20 * c02).scaled(4)) else 1
 
 
-def _is_euler_lagrange(forms: _SystemForms, zero) -> bool:
+def _is_euler_lagrange(sys_: QuasilinearSystem, zero) -> bool:
     """Does the abstract-h system match the potential three-component form
     u1_t + (h_2)_x + (h_3)_y, u2_t + (h_1)_x, u3_t + (h_1)_y up to row-wise
     multiples of the potentiality combination u2_y - u3_x?"""
     # per row, the 0-based j of the x- and y-flux h_{j+1}, whose d_k is
     # d2h[j][k]
     targets = [(1, 2), (0, None), (None, 0)]
+    A, B = sys_.matrices
     for row, (fx, fy) in enumerate(targets):
-        dA = [forms.A[row][k] if fx is None
-              else forms.A[row][k] - forms.d2h[fx][k] for k in range(3)]
-        dB = [forms.B[row][k] if fy is None
-              else forms.B[row][k] - forms.d2h[fy][k] for k in range(3)]
+        dA = [A[row][k] if fx is None else A[row][k] - sys_.d2h[fx][k]
+              for k in range(3)]
+        dB = [B[row][k] if fy is None else B[row][k] - sys_.d2h[fy][k]
+              for k in range(3)]
         # residual row must be c(u) * (u2_y - u3_x): only dA[2] and dB[1]
         # may survive, with dB[1] = -dA[2]
         survivors = (dA[0], dA[1], dB[0], dB[2], dB[1] + dA[2])

@@ -155,10 +155,12 @@ def _exprs(forms: dict) -> dict:
 
 
 class FktResult:
-    def __init__(self, residual: dict, verdicts: dict, hessian: ex.Expr):
+    def __init__(self, residual: dict, verdicts: dict, hessian: ex.Expr,
+                 fluxes: tuple):
         self.residual = residual  # multi-index -> Expr
         self.verdicts = verdicts  # multi-index -> Verdict
         self.hessian = hessian
+        self.fluxes = fluxes      # (f_a, f_b, f_c), the Euler-Lagrange fluxes
 
     @property
     def integrable(self) -> bool:
@@ -192,7 +194,8 @@ def fkt_residual(density: LagrangianDensity,
     dm = ring.det_dM()
     residual = ring.split(H * ring.D(d3) - d3 * ring.D(H) - (dm + dm + dm), 4)
     verdicts = {m: verdict_for_ratform(c, policy) for m, c in residual.items()}
-    return FktResult(_exprs(residual), verdicts, ratform_to_expr(H))
+    return FktResult(_exprs(residual), verdicts, ratform_to_expr(H),
+                     tuple(map(ratform_to_expr, ring.M[0][1:])))
 
 
 def euler_lagrange_fluxes(density: LagrangianDensity):

@@ -18,8 +18,11 @@ from functools import cached_property, partial
 
 from . import expr as ex
 from .ratform import (
+    _flatten,
+    _map_nested,
     build_context,
     coefficients_in,
+    composed,
     derivation_context,
     det,
     ratform_to_expr,
@@ -47,7 +50,10 @@ class OperatorError(InputError):
 
 
 class HydroOperator:
-    """Dense coefficient bundle; entries are Exprs over the workspace."""
+    """Dense coefficient bundle g[alpha][i][j], b[alpha][i][j][k].  An
+    operator read from input is given Exprs and converts them into
+    ``forms`` when first needed; one made in the ring (``of_forms``) is
+    given its forms and prints g and b from them when first read."""
 
     def __init__(self, ws: Workspace, d: int, n: int, g: list, b: list):
         if d < 1 or n < 1:
@@ -56,10 +62,9 @@ class HydroOperator:
             raise OperatorError("workspace lacks the operator variables")
         if len(g) != d or len(b) != d:
             raise OperatorError("metric/coefficient arrays must have d slices")
-        # g[alpha][i][j] and b[alpha][i][j][k] are Exprs
         self.ws, self.d, self.n, self.g, self.b = ws, d, n, g, b
         allowed = set(ws.variables) | set(ws.constants)
-        for e in self.entries():
+        for e in _entries(g, b):
             if isinstance(e, ex.Rat):   # most entries are 0: no symbols
                 continue
             bad = ex.free_symbols(e) - allowed
@@ -68,18 +73,32 @@ class HydroOperator:
                     f"entry {e} uses unregistered symbols {sorted(s.name for s in bad)}"
                 )
 
+    @classmethod
+    def of_forms(cls, ws: Workspace, d: int, n: int,
+                 forms: "OperatorForms") -> "HydroOperator":
+        """The operator whose entries are ``forms``, not checked again."""
+        op = cls.__new__(cls)
+        op.ws, op.d, op.n, op.forms = ws, d, n, forms
+        return op
+
+    # the Exprs of an operator made by of_forms, printed when first read
+    g = cached_property(lambda op: _map_nested(op.forms.G, ratform_to_expr))
+    b = cached_property(lambda op: _map_nested(op.forms.B, ratform_to_expr))
+
     @property
     def variables(self) -> list[Symbol]:
         return self.ws.variables[: self.n]
-
-    def entries(self):
-        return _entries(self.g, self.b)
 
     @cached_property
     def forms(self) -> "OperatorForms":
         """g and b as rational forms of one derivation context, built when
         first needed and then shared by every checker of this operator."""
-        return OperatorForms.of(self)
+        ctx = derivation_context(self.ws, self.variables, [
+            (_flatten(self.g), 1), (_flatten(self.b), 2)])
+        # most entries are the zero Rat: no conversion
+        conv = lambda e: ctx.zero if e is ex.ZERO else to_rational_form(e, ctx)
+        return OperatorForms(ctx, _map_nested(self.g, conv),
+                             _map_nested(self.b, conv))
 
     @cached_property
     def pencil(self) -> "MetricPencil":
@@ -210,14 +229,13 @@ class OperatorForms:
         self._base, self._edits = base, edits
 
     @classmethod
-    def of(cls, op: HydroOperator) -> "OperatorForms":
-        ctx = derivation_context(
-            op.ws, op.variables,
-            [(_flatten(op.g), 1), (_flatten(op.b), 2)],
-        )
-        # most entries are the zero Rat: no conversion
-        conv = lambda e: ctx.zero if e is ex.ZERO else to_rational_form(e, ctx)
-        return cls(ctx, _map_nested(op.g, conv), _map_nested(op.b, conv))
+    def composed(cls, tables: list, images: dict, ws: Workspace, n: int,
+                 parts=()) -> "OperatorForms":
+        """[G, B] composed under images (``ratform.composed``) into a
+        derivation context over the first n variables of ws that holds the
+        atoms it adds to second order, as the relations differentiate b."""
+        G, B = composed(tables, images, ws, ws.variables[:n], parts, 2)
+        return cls(G[0][0][0].ctx, G, B)
 
     def edited(self, edits) -> "OperatorForms":
         """The forms with B[dst] = c * B[src] for each (dst, src, c) in
@@ -568,30 +586,6 @@ def _cyclic(i, j, r):
     return (i, j, r), (j, r, i), (r, i, j)
 
 
-def _flatten(nested) -> list:
-    """The leaves of a nest of lists, or a bare leaf, depth first, in one
-    list: one call per list that holds lists, none per leaf."""
-    if not isinstance(nested, list):
-        return [nested]
-    out = []
-    for item in nested:
-        if isinstance(item, list):
-            out += _flatten(item)
-        else:
-            out.append(item)
-    return out
-
-
-def _map_nested(nested, fn):
-    """fn applied to each leaf of a nest of lists, or to a bare leaf, in a
-    nest of the same shape; the depth may differ from item to item.  It
-    recurses only into lists, so a leaf costs one call of fn."""
-    if not isinstance(nested, list):
-        return fn(nested)
-    return [_map_nested(item, fn) if isinstance(item, list) else fn(item)
-            for item in nested]
-
-
 ALL_RELATIONS = ("a1", "a2", "a3", "a4", "a5", "a6", "a7")
 
 
@@ -628,27 +622,29 @@ PENCIL_PARAMS = ("lam1", "lam2", "lam3", "lam4")
 
 
 class MetricPencil:
-    """The linear matrix pencil unit*E + sum_a lam_a M_a, the formal
-    constants lam_a named by ``names`` and added to ``ws``, as rational forms
-    of one context built from the entries of the M_a.  ``of(op)`` is the
-    metric pencil sum_alpha lam_alpha g^alpha."""
+    """The linear matrix pencil unit*E + sum_a lam_a M_a (forms of one
+    context), the formal constants lam_a named by ``names`` and added to
+    ``ws``.  ``of(op)`` is the metric pencil sum_alpha lam_alpha g^alpha."""
 
     def __init__(self, ws: Workspace, names, matrices: list, unit=0):
         self.ws = ws.extended(list(names))
         self.params = self.ws.constants[len(ws.constants):]  # the lambdas
-        ctx = build_context(self.ws, _flatten(matrices))
+        src = matrices[0][0][0].ctx
+        used = {i for rf in _flatten(matrices) if not rf.is_zero
+                for p in (rf.num, rf.den) for i in p.occurring()}
+        ctx = build_context(self.ws, [src.gen_expr(i) for i in used])
         lams = [to_rational_form(ex.Var(p), ctx) for p in self.params]
         diag = ctx.one.scaled(unit) if unit else ctx.zero
-        rng = range(len(matrices[0]))
-        self.matrix = [[sum((lam * to_rational_form(m[i][j], ctx)
+        rng, images = range(len(matrices[0])), {}
+        self.matrix = [[sum((lam * src.compose(m[i][j], images, ctx)
                              for lam, m in zip(lams, matrices)
-                             if m[i][j] != ex.ZERO),
+                             if not m[i][j].is_zero),
                             diag if i == j else ctx.zero) for j in rng]
                        for i in rng]
 
     @classmethod
     def of(cls, op: HydroOperator) -> "MetricPencil":
-        return cls(op.ws, PENCIL_PARAMS[: op.d], op.g)
+        return cls(op.ws, PENCIL_PARAMS[: op.d], op.forms.G)
 
     @cached_property
     def determinant(self):
@@ -732,9 +728,9 @@ def is_trivial_pair(op: HydroOperator,
                     policy: ZeroTestPolicy = DEFAULT_POLICY) -> TrivialityResult:
     """Is the 2D operator identically zero, or its y-part a constant
     multiple of its x-part (g~ = xi g, b~ = xi b)?  The entries are the
-    operator's forms (``op.forms``), paired in the order of
-    ``op.entries()``; pairs of zero entries are skipped.  xi and d xi/du
-    are forms of the same context."""
+    operator's forms (``op.forms``), paired in the order of ``_entries``;
+    pairs of zero entries are skipped.  xi and d xi/du are forms of the
+    same context."""
     if op.d != 2:
         raise OperatorError("triviality is defined for d = 2 operators")
     ctx = op.forms.ctx

@@ -142,21 +142,25 @@ class PolyContext:
         if i < self.n_vars:
             image = images.get(atom.symbol.name)
             return image or to_rational_form(atom, target)
-        args = [self.compose(a, images, target) for a in self.args(i)]
-        if None in args:
-            return None
-        r = isinstance(atom, ex.FuncAtom) and images.get(atom.func.name)
-        if r:
-            for t, order in enumerate(atom.deriv):
-                for _ in range(order):
-                    r = r.ctx.deriv[t](r)
-            return r.ctx.compose(r, {a.name: x for a, x in zip(
-                atom.func.args, args)}, target)
-        exprs = [ratform_to_expr(x) for x in args]
-        for e, x in zip(exprs, args):
-            target.ws.signatures["arg", e.key()] = _canonical_string(x)
-        image = (ex.Call(atom.fn, exprs[0]) if isinstance(atom, ex.Call)
-                 else ex.FuncAtom(atom.func, exprs, atom.deriv))
+        names = {s.name for s in ex.free_symbols(atom)} | {
+            a.func.name for a in ex.atoms(atom) if isinstance(a, ex.FuncAtom)}
+        image = atom    # an atom that no image touches is its own image
+        if not names.isdisjoint(images):
+            args = [self.compose(a, images, target) for a in self.args(i)]
+            if None in args:
+                return None
+            r = isinstance(atom, ex.FuncAtom) and images.get(atom.func.name)
+            if r:
+                for t, order in enumerate(atom.deriv):
+                    for _ in range(order):
+                        r = r.ctx.deriv[t](r)
+                return r.ctx.compose(r, {a.name: x for a, x in zip(
+                    atom.func.args, args)}, target)
+            exprs = [ratform_to_expr(x) for x in args]
+            for e, x in zip(exprs, args):
+                target.ws.signatures["arg", e.key()] = _canonical_string(x)
+            image = (ex.Call(atom.fn, exprs[0]) if isinstance(atom, ex.Call)
+                     else ex.FuncAtom(atom.func, exprs, atom.deriv))
         sig = atom_signature(image, target.ws)
         if isinstance(sig, str) and sig not in target.gen_of_sig:
             target.missing[sig] = image
@@ -441,22 +445,47 @@ def to_rational_form(e: ex.Expr, ctx: PolyContext) -> RationalForm:
 
 
 def composed(forms: list, images: dict, ws: Workspace, variables=(),
-             parts=()) -> list:
-    """The forms, of one context, composed into a derivation context over
-    ws built from the parts and the images, which map a name to an Expr
-    over ws or to a form that specializes a function.  The context is
-    built again with the atoms it lacked, once per level of nesting."""
+             parts=(), order=0) -> list:
+    """The forms, a nest of lists, composed into a derivation context over
+    ws built from the parts and the images, in a nest of the same shape.
+    The images map a name to an Expr over ws or to a form that specializes
+    a function.  The context is built again with the atoms it lacked,
+    closed to the given order, once per level of nesting."""
     exprs = [x for x in images.values() if isinstance(x, ex.Expr)]
-    atoms: list = []
+    flat, atoms = _flatten(forms), []
     while True:
         target = derivation_context(ws, variables,
-                                    [*parts, (exprs, 0), (atoms, 0)])
+                                    [*parts, (exprs, 0), (atoms, order)])
         imgs = {name: to_rational_form(x, target)
                 if isinstance(x, ex.Expr) else x for name, x in images.items()}
-        out = [rf.ctx.compose(rf, imgs, target) for rf in forms]
+        out = iter([rf.ctx.compose(rf, imgs, target) for rf in flat])
         if not target.missing:
-            return out
+            return _map_nested(forms, lambda _: next(out))
         atoms += target.missing.values()
+
+
+def _flatten(nested) -> list:
+    """The leaves of a nest of lists, or a bare leaf, depth first, in one
+    list: one call per list that holds lists, none per leaf."""
+    if not isinstance(nested, list):
+        return [nested]
+    out = []
+    for item in nested:
+        if isinstance(item, list):
+            out += _flatten(item)
+        else:
+            out.append(item)
+    return out
+
+
+def _map_nested(nested, fn):
+    """fn applied to each leaf of a nest of lists, or to a bare leaf, in a
+    nest of the same shape; the depth may differ from item to item.  It
+    recurses only into lists, so a leaf costs one call of fn."""
+    if not isinstance(nested, list):
+        return fn(nested)
+    return [_map_nested(item, fn) if isinstance(item, list) else fn(item)
+            for item in nested]
 
 
 def _evaluate(terms, gens: dict, top: dict, ring):
@@ -469,13 +498,6 @@ def _evaluate(terms, gens: dict, top: dict, ring):
             term = term * g.num ** m[i] * g.den ** (top[i] - m[i])
         out = out + term
     return out
-
-
-def matrix_forms(ws: Workspace, rows) -> list:
-    """A matrix of Exprs as rational forms of one context, built from its
-    entries."""
-    ctx = build_context(ws, [e for row in rows for e in row])
-    return [[to_rational_form(e, ctx) for e in row] for row in rows]
 
 
 def _normalize(e: ex.Expr, ws: Workspace) -> RationalForm:

@@ -15,8 +15,9 @@ from .operators import (
     ALPHA_LABELS,
     ConditionReport,
     HydroOperator,
+    OperatorForms,
     ResidualRecord,
-    _flatten,
+    _entries,
     _map_nested,
     _record,
     check_hamiltonian,
@@ -25,8 +26,6 @@ from .ratform import (
     composed,
     derivation_context,
     det,
-    matrix_forms,
-    ratform_to_expr,
     to_rational_form,
 )
 from .symbols import InputError, Symbol, Workspace
@@ -130,13 +129,13 @@ def pushforward(op: HydroOperator, change: CoordinateChange) -> HydroOperator:
     n = op.n
     if change.n != n:
         raise InvalidChangeError("change arity does not match the operator")
-    # g o phi and b o phi in a context that holds phi to second order
-    pulled = iter(composed(
-        matrix_forms(op.ws, [_flatten([op.g, op.b])])[0],
+    # g o phi and b o phi in a context that holds phi to fourth order:
+    # bhat holds d^2 phi, and a7 takes two more derivatives of it
+    pulled = OperatorForms.composed(
+        [op.forms.G, op.forms.B],
         {u.name: x for u, x in zip(change.u_vars, change.forward)},
-        change.dst_ws, change.v_vars, [(change.forward, 2)]))
-    gv, bv = _map_nested([op.g, op.b], lambda _: next(pulled))
-    ctx = gv[0][0][0].ctx
+        change.dst_ws, n, [(change.forward, 4)])
+    gv, bv, ctx = pulled.G, pulled.B, pulled.ctx
     J = [ctx.gradient(to_rational_form(phi, ctx)) for phi in change.forward]
     K = _inverse(J)
     # DK[k][j][q] = d_k K^j_q
@@ -158,31 +157,33 @@ def pushforward(op: HydroOperator, change: CoordinateChange) -> HydroOperator:
             sum((KbJ[i][q][k] * K[j][q] + Kg[i][q] * DK[k][j][q]
                  for q in rng), zero)
             for k in rng] for j in rng] for i in rng])
-    return HydroOperator(change.dst_ws, op.d, n,
-                         _map_nested(g_all, ratform_to_expr),
-                         _map_nested(b_all, ratform_to_expr))
+    return HydroOperator.of_forms(change.dst_ws, op.d, n,
+                                  OperatorForms(ctx, g_all, b_all))
 
 
 def operator_difference_records(
         op1: HydroOperator, op2: HydroOperator,
         policy: ZeroTestPolicy = DEFAULT_POLICY) -> list[ResidualRecord]:
     """Entrywise roundtrip residuals op1 - op2 (same shape), with the
-    variables of op2 read as those of op1 in order: op2's entries are
-    composed into a context over op1's workspace that holds op1's."""
+    variables of op2 read as those of op1 in order: both operators' forms
+    are composed into one context over op1's workspace."""
     if (op1.d, op1.n) != (op2.d, op2.n):
         raise InvalidChangeError("operator shapes differ")
+    rename = {v.name: ex.Var(u) for u, v in zip(op1.variables, op2.variables)
+              if u.name != v.name}
+    if not rename.keys().isdisjoint(op1.forms.ctx.var_names):
+        raise InvalidChangeError("op2's variables name other symbols of "
+                                 "op1's workspace")
     rng = range(op1.n)
-    # keys in the order of HydroOperator.entries()
+    # keys in the order of the entries
     keys = [(ALPHA_LABELS[a], part, i + 1, j + 1) + k
             for a in range(op1.d) for i in rng for j in rng
             for part, k in [("g", ())] + [("b", (r + 1,)) for r in rng]]
-    e1 = list(op1.entries())
-    f2 = composed(matrix_forms(op2.ws, [list(op2.entries())])[0], {
-        v.name: ex.Var(u) for u, v in zip(op1.variables, op2.variables)},
-        op1.ws, parts=[(e1, 0)])
-    f1 = [to_rational_form(e, f2[0].ctx) for e in e1]
+    forms = composed([x for op in (op1, op2)
+                      for x in _entries(op.forms.G, op.forms.B)],
+                     rename, op1.ws)
     return [_record("roundtrip", idx, x - y, policy)
-            for idx, x, y in zip(keys, f1, f2)]
+            for idx, x, y in zip(keys, forms, forms[len(keys):])]
 
 
 class InvarianceReport(ConditionReport):

@@ -121,6 +121,32 @@ def test_transform_emit_pushes_forward_twice(tmp_path, gas_file, capsys,
     assert json.loads(emitted.read_text()) == dump_operator(pushed)
 
 
+def test_transform_through_an_abstract_function(tmp_path, capsys):
+    """u1 = v1 + f(v2) puts f' in the pushed metric and f'' in its b, and
+    a7 differentiates b twice more: the pushed forms hold f to fourth
+    order (to second order, f'''(v2) was not in their context)."""
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({
+        "dimension": 1, "components": 2, "variables": ["u1", "u2"],
+        "functions": [{"name": "f", "args": ["u2"]}],
+        "metrics": {"x": [["1", "0"], ["0", "1"]]},
+        "b": {"x": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]}}))
+    change = tmp_path / "change.json"
+    change.write_text(json.dumps({
+        "forward": {"u1": "v1 + f(v2)", "u2": "v2"},
+        "inverse": {"v1": "u1 - f(u2)", "v2": "u2"}}))
+    emitted = tmp_path / "pushed.json"
+    assert main(["--format", "json", "transform", str(op), str(change),
+                 "--emit", str(emitted)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["overall"] == "proven_pass" and len(doc["checks"]) == 101
+    pushed = json.loads(emitted.read_text())
+    assert pushed["metrics"]["x"] == [["f'(v2)^2 + 1", "-f'(v2)"],
+                                      ["-f'(v2)", "1"]]
+    assert pushed["b"]["x"] == [[["0", "f'(v2)*f''(v2)"], ["0", "0"]],
+                                [["0", "-f''(v2)"], ["0", "0"]]]
+
+
 def test_pencil_command(gas_file, capsys):
     assert main(["pencil", gas_file, "--compatibility"]) == 0
     out = capsys.readouterr().out

@@ -166,9 +166,23 @@ SCAN_RING_GENS = 25
 # transform made 7 builds (12 over abstract atoms) when it substituted on
 # Expr trees and tested each identity of phi and its inverse as an Expr,
 # and legendre 5 when it normalized its identities and its density.
-CLI_BUILDS = {"fkt-quartic": 0, "transform-emit": 3, "legendre": 0,
+# Operators and systems made in the ring are handed on as their forms:
+# transform made 3 builds (5 over abstract atoms) when pushforward and the
+# round trip converted the printed entries of each operator again, and
+# reduction 3 when it converted the printed A and B of the system again.
+CLI_BUILDS = {"fkt-quartic": 0, "transform-emit": 0, "legendre": 0,
               "dispersion-abstract-exp": 4, "system-classify": 4,
-              "transform-abstract-emit": 5}
+              "transform-abstract-emit": 2, "reduction-candidate": 2}
+
+# Top-level to_rational_form calls (its recursion not counted) of the
+# golden transform-emit case: 334 when both pushforwards and the round
+# trip converted printed entries again.
+TRANSFORM_EMIT_CONVERSIONS = 104
+
+# derivation_context calls of one CLI command, by golden case: fkt prints
+# the Euler-Lagrange fluxes from the gradient its ring holds (2 when it
+# built a second ring for them).
+CLI_CONTEXTS = {"fkt-quartic": 1, "fkt-nondiagonal": 1}
 
 # build_context calls of is_zero on SAMPLED_EXPR, whose context holds three
 # exp/ln atoms: one for the expression and one for each atom's argument,
@@ -406,13 +420,13 @@ def test_classifier_builds_one_system_per_step(monkeypatch):
     P_gas is classified from one system; it took two when the
     Euler-Lagrange test generated the system again."""
     sizes = []
-    build = hamsys._system_forms
+    build = hamsys.generate_system
 
     def counted(op, h):
         sizes.append(op.n)
         return build(op, h)
 
-    monkeypatch.setattr(hamsys, "_system_forms", counted)
+    monkeypatch.setattr(hamsys, "generate_system", counted)
     for entry in catalog.ENTRIES:
         sizes.clear()
         hamsys.classify_operator_shape(catalog.instantiate(entry.id)[0])
@@ -443,6 +457,36 @@ def test_cli_context_builds(name, count_calls, tmp_path, monkeypatch):
     main(["--format", "json"] + CASES[name])
     assert counts["builds"] <= 1.1 * CLI_BUILDS[name], counts
     assert counts["differentiations"] == 0, counts
+
+
+def test_transform_converts_no_printed_entry(rebind, tmp_path, monkeypatch):
+    """pushforward composes the operator's forms and hands the pushed
+    operator on as forms, so neither its check, nor the push back, nor the
+    round trip converts a printed entry."""
+    monkeypatch.chdir(tmp_path)
+    _make_inputs()
+    convert, depth, calls = ratform.to_rational_form, [0], [0]
+
+    def top_level(*args):
+        calls[0] += not depth[0]
+        depth[0] += 1
+        try:
+            return convert(*args)
+        finally:
+            depth[0] -= 1
+
+    rebind(convert, top_level)    # in ratform too, so recursion is seen
+    assert main(["--format", "json"] + CASES["transform-emit"]) == 0
+    assert 0 < calls[0] <= 1.1 * TRANSFORM_EMIT_CONVERSIONS, calls
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CONTEXTS))
+def test_cli_derivation_contexts(name, count_calls, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _make_inputs()
+    counts = count_calls((ratform.derivation_context, "contexts", None))
+    main(["--format", "json"] + CASES[name])
+    assert counts["contexts"] <= CLI_CONTEXTS[name], counts
 
 
 def test_pencil_compatibility_checks_once(count_calls, tmp_path, monkeypatch):

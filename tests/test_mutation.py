@@ -86,7 +86,8 @@ def test_failure_at_a2_builds_no_later_table(monkeypatch):
     checker, = checkers
     assert checker.forms is mutant.forms
     assert built(checker) == set()
-    assert built(mutant) == built(op) == {"forms"}
+    # an operator built from Exprs is given g and b at construction
+    assert built(mutant) == built(op) == {"g", "b", "forms"}
     assert built(mutant.forms) == built(op.forms) == {"DG", "A2"}
     assert mutant.forms.DG is op.forms.DG
 

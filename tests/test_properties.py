@@ -49,7 +49,6 @@ from hydroham.ratform import (
     build_context,
     coefficients_in,
     det,
-    matrix_forms,
     to_rational_form,
 )
 from hydroham.transform import (
@@ -582,6 +581,7 @@ def rational_matrices(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(rational_matrices())
 def test_det_matches_leibniz_sum(matrix):
-    rows = matrix_forms(WS, matrix)
+    ctx = build_context(WS, [e for row in matrix for e in row])
+    rows = [[to_rational_form(e, ctx) for e in row] for row in matrix]
     got, want = det(rows), leibniz_det(rows)
     assert (got.num, got.den) == (want.num, want.den)

@@ -12,6 +12,7 @@ from hydroham import expr as ex
 from hydroham.calculus import differentiate, substitute
 from hydroham.mutation import mutants
 from hydroham.operators import (
+    HydroOperator,
     _flatten,
     check_hamiltonian,
     operator_from_entries,
@@ -64,6 +65,21 @@ def test_identity_change_is_identity():
     pushed = pushforward(op, c)
     records = operator_difference_records(pushed, op)
     assert all(r.verdict.is_zero_verdict for r in records)
+
+
+def test_difference_of_operators_over_permuted_variables_raises():
+    """Both operators' forms are composed under one renaming of op2's
+    variables to op1's, which cannot also keep op1's u1 and u2 when op2
+    reads them as (u2, u1)."""
+    src, _dst = make_pair(2)
+    swapped = Workspace()
+    swapped.add_variables("u2", "u1")
+    swapped.freeze()
+    op = operator_from_entries(src, 1, 2, {(0, 1, 1): parse("u1", src)})
+    again = operator_from_entries(swapped, 1, 2,
+                                  {(0, 1, 1): parse("u2", swapped)})
+    with pytest.raises(InvalidChangeError, match="other symbols"):
+        operator_difference_records(op, again)
 
 
 def test_linear_change_keeps_b_zero():
@@ -322,11 +338,24 @@ def test_rational_changes_keep_verdicts(component):
     Hamiltonian property does not depend on coordinates (Dubrovin and
     Novikov 1983), so check_hamiltonian of the pushed operator gives the
     overall verdict of the operator itself, for the fast entries and the
-    sampled mutants under u_n = v_n/(1 + v1) and under u1 = v1/(1 + v2)."""
+    sampled mutants under u_n = v_n/(1 + v1) and under u1 = v1/(1 + v2).
+    The pushed operator is checked on the forms pushforward made; the
+    operator read from its printed g and b gives the same records
+    (relation, indices, printed residual, verdict)."""
+    def records(report):
+        return [(r.relation, r.indices, ex.print_expr(r.residual), r.verdict)
+                for r in report.records]
+
     verdicts = Counter()
     for label, op, src in changed_operators():
         c = rational_change(op, src, op.n if component == "last" else 1)
         want = check_hamiltonian(op).overall
-        assert check_hamiltonian(pushforward(op, c)).overall == want, label
+        pushed = pushforward(op, c)
+        report = check_hamiltonian(pushed)
+        assert report.overall == want, label
         verdicts[want] += 1
+        again = HydroOperator(pushed.ws, pushed.d, pushed.n, pushed.g,
+                              pushed.b)
+        assert records(report) == records(check_hamiltonian(again)), label
     assert verdicts == {"proven_pass": 21, "fail": 10}, verdicts
+
