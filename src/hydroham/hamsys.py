@@ -73,11 +73,16 @@ class QuasilinearSystem:
     B = cached_property(lambda s: _map_nested(s.matrices[1], ratform_to_expr))
 
 
+# the formal parameters of the dispersion relation det(E + lam A + mu B)
+DISPERSION_PARAMS = ("lam", "mu")
+
+
 def generate_system(op: HydroOperator,
                     h: HamiltonianDensity | ex.Expr) -> QuasilinearSystem:
     """A^i_k = sum_j (g^{ij,x} h_{u^j u^k} + b^{ij,x}_k h_{u^j}); B from the
     y part.  d = 1 operators get B = 0.  The operator's forms are moved to
-    one ring with h, where h is differentiated and the products taken."""
+    one ring with h and the dispersion parameters, where h is
+    differentiated and the products taken."""
     if op.d > 2:
         raise HamsysError("system generation supports d <= 2")
     if isinstance(h, HamiltonianDensity):
@@ -91,7 +96,7 @@ def generate_system(op: HydroOperator,
             f"density uses unregistered symbols {sorted(s.name for s in bad)}"
         )
     G, B = composed([op.forms.G, op.forms.B], {}, ws, ws.variables[:n],
-                    [([h_expr], 2)])
+                    [([h_expr], 2)], params=DISPERSION_PARAMS)
     ctx = G[0][0][0].ctx
     dh = ctx.gradient(to_rational_form(h_expr, ctx))
     d2h = [ctx.gradient(dh_j) for dh_j in dh]
@@ -107,23 +112,20 @@ def generate_system(op: HydroOperator,
     return QuasilinearSystem(ws, n, [matrix(0), matrix(1)], d2h)
 
 
-DISPERSION_PARAMS = ("lam", "mu")
-
-
 class DispersionRelation:
-    def __init__(self, ws: Workspace, params: list[Symbol], det: ex.Expr,
+    def __init__(self, params: tuple[Symbol, ...], det: ex.Expr,
                  coefficients: dict):
-        self.ws, self.params, self.det = ws, params, det
+        self.params, self.det = params, det
         # (i, j) exponents of (lam, mu) -> Expr
         self.coefficients = coefficients
 
 
 def dispersion(sys: QuasilinearSystem) -> DispersionRelation:
     """det(E + lam A + mu B) expanded as a polynomial in the formal
-    constants lam, mu."""
-    pencil = MetricPencil(sys.ws, DISPERSION_PARAMS, sys.matrices, unit=1)
+    parameters lam, mu of the system's ring."""
+    pencil = MetricPencil(sys.matrices, unit=1)
     return DispersionRelation(
-        pencil.ws, pencil.params, ratform_to_expr(pencil.determinant),
+        pencil.params, ratform_to_expr(pencil.determinant),
         {exps: ratform_to_expr(c)
          for exps, c in pencil.det_coefficients.items()})
 

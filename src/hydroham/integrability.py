@@ -5,10 +5,10 @@ Hamiltonian densities.
 The test is run in denominator-cleared form H*d4f - d3f*dH - 3*det(dM),
 a homogeneous quartic in the differentials (da, db, dc); the density is
 integrable iff all 15 coefficients vanish.  The differentials are formal
-constants of an extended workspace, and the calculus is done in one ring
-over it: the partials are ring derivations, D = da*d/da + db*d/db + dc*d/dc
-is a ring map, the determinants come from `ratform.det`, and each form is
-split by `coefficients_in`.  The clearing by H is valid off the H = 0
+parameters of the one ring the calculus is done in: the partials are ring
+derivations, D = da*d/da + db*d/db + dc*d/dc is a ring map, the
+determinants come from `ratform.det`, and each form is split by
+`coefficients_in`.  The clearing by H is valid off the H = 0
 locus; densities with identically vanishing Hessian determinant are
 rejected as inapplicable.
 """
@@ -46,7 +46,7 @@ class DegenerateLagrangianError(IntegrabilityError):
 LAGRANGIAN_VARS = ("a", "b", "c")
 # the variables of a Hamiltonian density h(rho, u, v) and rho_t = h_rho
 LEGENDRE_VARS = ("rho", "u", "v", "rhot")
-# formal constants for the differentials; D = da*d/da + db*d/db + dc*d/dc
+# formal parameters for the differentials; D = da*d/da + db*d/db + dc*d/dc
 DIFFERENTIALS = ("da", "db", "dc")
 
 
@@ -76,17 +76,16 @@ def _multi_indices(order: int):
 
 
 class _Ring:
-    """The density's workspace extended by the formal constants
-    (da, db, dc), in one ring whose atoms are closed under partial
-    derivatives of f up to the given order."""
+    """One ring over the density's workspace and the formal parameters
+    (da, db, dc), whose atoms are closed under partial derivatives of f up
+    to the given order."""
 
     def __init__(self, density: LagrangianDensity, order: int):
-        ws = density.ws.extended(list(DIFFERENTIALS))
-        self.names = [c.name for c in ws.constants[-3:]]
-        self.ctx = derivation_context(ws, density.vars(),
-                                      [([density.f], order)])
-        self.dvars = [to_rational_form(ex.Var(c), self.ctx)
-                      for c in ws.constants[-3:]]
+        self.ctx = derivation_context(density.ws, density.vars(),
+                                      [([density.f], order)], DIFFERENTIALS)
+        self.names = [p.name for p in self.ctx.params]
+        self.dvars = [to_rational_form(ex.Var(p), self.ctx)
+                      for p in self.ctx.params]
         self.f = to_rational_form(density.f, self.ctx)
 
     def D(self, rf, times: int = 1):

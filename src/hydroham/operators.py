@@ -20,7 +20,6 @@ from . import expr as ex
 from .ratform import (
     _flatten,
     _map_nested,
-    build_context,
     coefficients_in,
     composed,
     derivation_context,
@@ -43,6 +42,9 @@ from .zerotest import (
 )
 
 ALPHA_LABELS = ("x", "y", "z", "w")
+# the formal parameters of the metric pencil, one per alpha; each
+# operator's forms hold the first d of them (see MetricPencil)
+PENCIL_PARAMS = ("lam1", "lam2", "lam3", "lam4")
 
 
 class OperatorError(InputError):
@@ -92,9 +94,11 @@ class HydroOperator:
     @cached_property
     def forms(self) -> "OperatorForms":
         """g and b as rational forms of one derivation context, built when
-        first needed and then shared by every checker of this operator."""
+        first needed and then shared by every checker of this operator and
+        by its pencil, whose lambdas are the context's parameters."""
         ctx = derivation_context(self.ws, self.variables, [
-            (_flatten(self.g), 1), (_flatten(self.b), 2)])
+            (_flatten(self.g), 1), (_flatten(self.b), 2)],
+            PENCIL_PARAMS[:self.d])
         # most entries are the zero Rat: no conversion
         conv = lambda e: ctx.zero if e is ex.ZERO else to_rational_form(e, ctx)
         return OperatorForms(ctx, _map_nested(self.g, conv),
@@ -232,9 +236,11 @@ class OperatorForms:
     def composed(cls, tables: list, images: dict, ws: Workspace, n: int,
                  parts=()) -> "OperatorForms":
         """[G, B] composed under images (``ratform.composed``) into a
-        derivation context over the first n variables of ws that holds the
-        atoms it adds to second order, as the relations differentiate b."""
-        G, B = composed(tables, images, ws, ws.variables[:n], parts, 2)
+        derivation context over the first n variables of ws and the
+        pencil's parameters that holds the atoms it adds to second order,
+        as the relations differentiate b."""
+        G, B = composed(tables, images, ws, ws.variables[:n], parts, 2,
+                        PENCIL_PARAMS[:len(tables[0])])
         return cls(G[0][0][0].ctx, G, B)
 
     def edited(self, edits) -> "OperatorForms":
@@ -618,33 +624,25 @@ def check_hamiltonian(op: HydroOperator,
 
 # -- metric pencil analysis ----------------------------------------------------
 
-PENCIL_PARAMS = ("lam1", "lam2", "lam3", "lam4")
-
-
 class MetricPencil:
-    """The linear matrix pencil unit*E + sum_a lam_a M_a (forms of one
-    context), the formal constants lam_a named by ``names`` and added to
-    ``ws``.  ``of(op)`` is the metric pencil sum_alpha lam_alpha g^alpha."""
+    """The linear matrix pencil unit*E + sum_a lam_a M_a, the M_a being
+    forms of one context whose parameters are the lam_a (``params``).
+    ``of(op)`` is the metric pencil sum_alpha lam_alpha g^alpha."""
 
-    def __init__(self, ws: Workspace, names, matrices: list, unit=0):
-        self.ws = ws.extended(list(names))
-        self.params = self.ws.constants[len(ws.constants):]  # the lambdas
-        src = matrices[0][0][0].ctx
-        used = {i for rf in _flatten(matrices) if not rf.is_zero
-                for p in (rf.num, rf.den) for i in p.occurring()}
-        ctx = build_context(self.ws, [src.gen_expr(i) for i in used])
+    def __init__(self, matrices: list, unit=0):
+        ctx = matrices[0][0][0].ctx
+        self.params = ctx.params
         lams = [to_rational_form(ex.Var(p), ctx) for p in self.params]
         diag = ctx.one.scaled(unit) if unit else ctx.zero
-        rng, images = range(len(matrices[0])), {}
-        self.matrix = [[sum((lam * src.compose(m[i][j], images, ctx)
-                             for lam, m in zip(lams, matrices)
+        rng = range(len(matrices[0]))
+        self.matrix = [[sum((lam * m[i][j] for lam, m in zip(lams, matrices)
                              if not m[i][j].is_zero),
                             diag if i == j else ctx.zero) for j in rng]
                        for i in rng]
 
     @classmethod
     def of(cls, op: HydroOperator) -> "MetricPencil":
-        return cls(op.ws, PENCIL_PARAMS[: op.d], op.forms.G)
+        return cls(op.forms.G)
 
     @cached_property
     def determinant(self):

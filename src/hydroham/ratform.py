@@ -1,7 +1,8 @@
 """Canonical rational forms: fractions of multivariate polynomials.
 
 The extended variable set is the workspace's variables and constants in
-registration order, followed by one opaque generator per distinct atom
+registration order, then the context's formal parameters (the pencil's
+lambdas, say), followed by one opaque generator per distinct atom
 (abstract-function derivative atoms and exp/ln/sqrt applications), ordered
 by a canonical signature.  Monomial order is graded reverse lexicographic.
 Polynomial arithmetic and derivatives are done in the sparse rings over QQ
@@ -30,7 +31,7 @@ from math import isqrt
 
 from . import expr as ex
 from .poly import PolyRing, _fieldwise
-from .symbols import InputError, Symbol, Workspace
+from .symbols import CONSTANT, InputError, Symbol, Workspace
 
 
 class NormalizeError(InputError):
@@ -49,16 +50,28 @@ _TRANSCENDENTAL = re.compile(r"(?<![\w@])(exp|ln|sqrt)\(")
 
 
 class PolyContext:
-    """A fixed ring over the workspace symbols plus discovered atoms, with
-    its zero and one forms.  ``deriv`` holds the derivations d/dv of the
-    context, one per variable, when ``derivation_context`` built it, and is
-    empty otherwise."""
+    """A fixed ring over the workspace symbols, formal parameters and
+    discovered atoms, with its zero and one forms.  ``params`` holds the
+    parameters' constants, which come after the workspace's symbols; one
+    whose name the workspace or an earlier parameter holds takes the first
+    free numeric suffix (lam1 -> lam11).  ``deriv`` holds the derivations
+    d/dv of the context, one per variable, when ``derivation_context``
+    built it, and is empty otherwise."""
 
-    def __init__(self, ws: Workspace, atom_entries: list[tuple[str, ex.Expr]]):
+    def __init__(self, ws: Workspace, atom_entries: list[tuple[str, ex.Expr]],
+                 params=()):
         self.ws = ws
-        self.var_names = tuple(s.name for s in ws.variables) + tuple(
-            s.name for s in ws.constants
-        )
+        symbols = ws.variables + ws.constants
+        for base in params:
+            name, k = base, 0
+            while (ws.lookup(name) is not None
+                   or name in (s.name for s in symbols)):
+                k += 1
+                name = f"{base}{k}"
+            symbols.append(Symbol(name, CONSTANT))
+        self.symbols = tuple(symbols)
+        self.params = self.symbols[len(symbols) - len(params):]
+        self.var_names = tuple(s.name for s in symbols)
         # atoms sorted by signature for a reproducible order
         atom_entries = sorted(atom_entries, key=lambda kv: kv[0])
         self.atom_sigs = tuple(sig for sig, _ in atom_entries)
@@ -110,8 +123,7 @@ class PolyContext:
     def gen_expr(self, index: int) -> ex.Expr:
         """The Expr a ring generator stands for."""
         if index < self.n_vars:
-            name = self.var_names[index]
-            return ex.Var(self.ws.require_symbol(name))
+            return ex.Var(self.symbols[index])
         return self.atom_exprs[self.atom_sigs[index - self.n_vars]]
 
     def compose(self, rf, images: dict, target: "PolyContext"):
@@ -120,8 +132,9 @@ class PolyContext:
         exp/ln/sqrt atom to the atom over its composed argument, and
         f_J(args) to f_J over the composed arguments or, where images[f]
         is a form r of a derivation context over f's arguments, to d^J r
-        composed at them.  Nested atoms compose innermost first.  An atom
-        that target lacks joins ``target.missing``; its image is None.
+        composed at them.  Nested atoms compose innermost first.  Each atom
+        of rf that target lacks joins ``target.missing``, and rf's image is
+        then None.
         images keeps the generator images, keyed by (context, index)."""
         if rf.is_zero:
             return target.zero
@@ -130,8 +143,8 @@ class PolyContext:
             if (self, i) not in images:
                 images[self, i] = self._image(i, images, target)
             gens[i] = images[self, i]
-            if gens[i] is None:
-                return None
+        if None in gens.values():
+            return None
         terms = [rf.num.terms(), rf.den.terms()]
         top = {i: max(m[i] for t in terms for m, _ in t) for i in gens}
         return RationalForm(*(_evaluate(t, gens, top, target.ring)
@@ -370,7 +383,8 @@ def build_context(ws: Workspace, exprs) -> PolyContext:
     return PolyContext(ws, list(entries.items()))
 
 
-def derivation_context(ws: Workspace, variables, parts) -> PolyContext:
+def derivation_context(ws: Workspace, variables, parts,
+                       params=()) -> PolyContext:
     """A context whose atoms are closed under partial derivatives, with its
     derivations d/dv for the v in ``variables`` (``ctx.deriv``).
 
@@ -379,6 +393,7 @@ def derivation_context(ws: Workspace, variables, parts) -> PolyContext:
     an abstract atom up to that order, taken in the arguments that hold one
     of ``variables``: these are the atoms the chain rule of ``Derivation``
     meets up to that order.  The first atom of a signature stands for it.
+    ``params`` names the formal parameters (see ``PolyContext``).
     """
     vs = set(variables)
     entries: dict[str, ex.Expr] = {}
@@ -394,7 +409,7 @@ def derivation_context(ws: Workspace, variables, parts) -> PolyContext:
                     partial = ex.FuncAtom(atom.func, atom.args, [
                         d + picks.count(t) for t, d in enumerate(atom.deriv)])
                     entries.setdefault(atom_signature(partial, ws), partial)
-    ctx = PolyContext(ws, list(entries.items()))
+    ctx = PolyContext(ws, list(entries.items()), params)
     ctx.deriv = [Derivation(ctx, v) for v in variables]
     return ctx
 
@@ -445,17 +460,19 @@ def to_rational_form(e: ex.Expr, ctx: PolyContext) -> RationalForm:
 
 
 def composed(forms: list, images: dict, ws: Workspace, variables=(),
-             parts=(), order=0) -> list:
+             parts=(), order=0, params=()) -> list:
     """The forms, a nest of lists, composed into a derivation context over
-    ws built from the parts and the images, in a nest of the same shape.
-    The images map a name to an Expr over ws or to a form that specializes
-    a function.  The context is built again with the atoms it lacked,
-    closed to the given order, once per level of nesting."""
+    ws and the params built from the parts and the images, in a nest of
+    the same shape.  The images map a name to an Expr over ws or to a form
+    that specializes a function.  The context is built again with the
+    atoms it lacked, closed to the given order, once per level of
+    nesting."""
     exprs = [x for x in images.values() if isinstance(x, ex.Expr)]
     flat, atoms = _flatten(forms), []
     while True:
         target = derivation_context(ws, variables,
-                                    [*parts, (exprs, 0), (atoms, order)])
+                                    [*parts, (exprs, 0), (atoms, order)],
+                                    params)
         imgs = {name: to_rational_form(x, target)
                 if isinstance(x, ex.Expr) else x for name, x in images.items()}
         out = iter([rf.ctx.compose(rf, imgs, target) for rf in flat])

@@ -74,8 +74,7 @@ class Workspace:
         self.frozen = False
         self._by_name: dict[str, object] = {}
         # atom key -> canonical signature (or rational value), filled by
-        # ratform.atom_signature; "symbols" -> the symbol sequence of the
-        # workspaces sharing it (see extended)
+        # ratform.atom_signature
         self.signatures: dict = {}
 
     @classmethod
@@ -162,27 +161,3 @@ class Workspace:
         for name, args in functions:
             ws.add_function(name, list(args))
         return ws.freeze()
-
-    def extended(self, extra_constants: list[str]) -> "Workspace":
-        """A derived workspace with additional constants (formal
-        parameters); a name already in use gets a numeric suffix.
-
-        It shares this workspace's table of atom signatures: a signature
-        prints only the symbols it uses, in registration order, so it is
-        the same in all workspaces whose symbol lists are prefixes of one
-        sequence, which the table records.  Other orders get a new table."""
-        names = [s.name for s in self.constants]
-        for name in extra_constants:
-            base, n = name, 0
-            while self.lookup(name) is not None or name in names:
-                n += 1
-                name = f"{base}{n}"
-            names.append(name)
-        ws = self.derive(constants=names)
-        order = tuple(s.name for s in ws.variables + ws.constants)
-        seen = self.signatures.setdefault(
-            "symbols", order[:len(order) - len(extra_constants)])
-        if order[:len(seen)] == seen or seen[:len(order)] == order:
-            self.signatures["symbols"] = max(seen, order, key=len)
-            ws.signatures = self.signatures
-        return ws

@@ -171,7 +171,7 @@ def operator_difference_records(
         raise InvalidChangeError("operator shapes differ")
     rename = {v.name: ex.Var(u) for u, v in zip(op1.variables, op2.variables)
               if u.name != v.name}
-    if not rename.keys().isdisjoint(op1.forms.ctx.var_names):
+    if not rename.keys().isdisjoint(op1.ws.registered_names()):
         raise InvalidChangeError("op2's variables name other symbols of "
                                  "op1's workspace")
     rng = range(op1.n)

@@ -153,6 +153,28 @@ def test_pencil_command(gas_file, capsys):
     assert "degenerate: True" in out and "generic rank: 2" in out
 
 
+def test_pencil_parameters_clashing_with_operator_names(tmp_path, capsys):
+    """The pencil's lambdas are named lam1, lam2 unless the operator holds
+    the name: here lam1 is a constant and lam2 a variable, so they are
+    lam11 and lam21, and the operator's own lam1 and lam2 print as
+    themselves in the coefficients and the certificate."""
+    zero = [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
+    path = tmp_path / "clash.json"
+    path.write_text(json.dumps({
+        "dimension": 2, "components": 2, "variables": ["lam2", "u2"],
+        "constants": ["lam1"],
+        "metrics": {"x": [["1", "0"], ["0", "0"]],
+                    "y": [["lam1", "0"], ["0", "lam2"]]},
+        "b": {"x": zero, "y": zero}}))
+    assert main(["--format", "json", "pencil", str(path)]) == 0
+    notes = {n["key"]: n["value"]
+             for n in json.loads(capsys.readouterr().out)["notes"]}
+    assert notes["det coefficient lam^(0, 2)"] == "lam2*lam1"
+    assert notes["det coefficient lam^(1, 1)"] == "lam2"
+    assert notes["certificate"] == "lam2*lam1*lam21^2"
+    assert notes["generic rank"] == 2
+
+
 def test_pencil_compatibility_of_a_1d_operator_exits_3(tmp_path, capsys):
     """The x/y pair check needs d = 2.  On a d = 1 export the flag is an
     input error: one line, no report.  It used to be dropped without a

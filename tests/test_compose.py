@@ -12,8 +12,9 @@ from fractions import Fraction
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from hydroham import normalize, parse
+from hydroham import Workspace, normalize, parse
 from hydroham import expr as ex
+from hydroham.expr import print_expr
 from hydroham.calculus import specialize, substitute
 from hydroham.ratform import (
     NormalizeError,
@@ -21,6 +22,7 @@ from hydroham.ratform import (
     build_context,
     composed,
     derivation_context,
+    ratform_to_expr,
     to_rational_form,
 )
 from test_derivation import SETTINGS, WS, _div, _extend, _pow, leaves
@@ -125,3 +127,18 @@ def test_composition_matches_tree_substitution(e, bindings, functions):
         assume(not functions)
         raise
     assert _canonical_string(got) == _canonical_string(want)
+
+
+def test_composition_builds_one_target_per_level(count_calls):
+    """f*h under u3 -> u3 + u1 lacks both composed atoms in the first
+    target, one level of nesting: the target is built again once, with
+    both (3 builds when compose stopped at the first atom it lacked and
+    found the second only in a third round)."""
+    ws = Workspace.of(["u1", "u2", "u3"],
+                      functions=[("f", ["u2", "u3"]), ("h", ["u2", "u3"])])
+    e = parse("f*h", ws)
+    form = to_rational_form(e, build_context(ws, [e]))
+    counts = count_calls((derivation_context, "contexts", None))
+    out, = composed([form], {"u3": parse("u3 + u1", ws)}, ws)
+    assert counts["contexts"] == 2, counts
+    assert print_expr(ratform_to_expr(out)) == "f(u2, u1 + u3)*h(u2, u1 + u3)"

@@ -136,17 +136,21 @@ SCAN_BUILDS = 13
 # when each partial f_J(args) normalized its arguments in a one-expression
 # ring of its own (200 of them), and the metric pencil's workspace signed
 # the atoms of g again; now the arguments' canonical strings are kept in
-# the workspace's table, which the pencil's extended workspace shares.
-# The 1,551 zero entries of the dense tables are not converted.
+# the workspace's table.  Down from 44: the lambdas are parameters of each
+# operator's context, so the pencil takes g's forms as they are, where it
+# built a ring of its own over an extended workspace (31 builds) and
+# composed g into it.  The 1,551 zero entries of the dense tables are not
+# converted.
 VERIFY_ALL_CONTEXTS = 31
-VERIFY_ALL_BUILDS = 44
+VERIFY_ALL_BUILDS = 13
 VERIFY_ALL_CONVERSIONS = 976
 
 # The largest ring built, len(ctx.ring.gens) over the build_context and
 # derivation_context calls (the latter built its ring with the former), in
 # one catalog.verify_all() pass and in the mutation scan: 25 in both,
 # the ring of APP/rank1_sol1 (d = 2, n = 3), its three variables and 22
-# abstract atoms.
+# abstract atoms.  Its forms now hold the pencil's lam1 and lam2 as well,
+# so the largest ring has 27 generators, within the bound.
 VERIFY_ALL_RING_GENS = 25
 SCAN_RING_GENS = 25
 
@@ -170,19 +174,36 @@ SCAN_RING_GENS = 25
 # transform made 3 builds (5 over abstract atoms) when pushforward and the
 # round trip converted the printed entries of each operator again, and
 # reduction 3 when it converted the printed A and B of the system again.
+# A pencil's lambdas, and the dispersion relation's lam and mu, are
+# parameters of the ring that holds its matrices: pencil, catalog verify
+# and dispersion each made one build more when every pencil built a ring
+# of its own (dispersion over abstract atoms made 3, under a bound of 4).
 CLI_BUILDS = {"fkt-quartic": 0, "transform-emit": 0, "legendre": 0,
-              "dispersion-abstract-exp": 4, "system-classify": 4,
-              "transform-abstract-emit": 2, "reduction-candidate": 2}
+              "dispersion": 1, "dispersion-abstract-exp": 2,
+              "system-classify": 4, "transform-abstract-emit": 2,
+              "reduction-candidate": 2, "pencil-exp-witness": 1,
+              "pencil-compatibility": 0, "catalog-verify": 0}
 
 # Top-level to_rational_form calls (its recursion not counted) of the
 # golden transform-emit case: 334 when both pushforwards and the round
 # trip converted printed entries again.
 TRANSFORM_EMIT_CONVERSIONS = 104
 
-# derivation_context calls of one CLI command, by golden case: fkt prints
-# the Euler-Lagrange fluxes from the gradient its ring holds (2 when it
-# built a second ring for them).
-CLI_CONTEXTS = {"fkt-quartic": 1, "fkt-nondiagonal": 1}
+# derivation_context calls of one CLI command, by golden case (every
+# case), recorded when the bound was set.  fkt prints the Euler-Lagrange
+# fluxes from the gradient its ring holds (2 when it built a second ring
+# for them).  transform validates the change (a context for each map and
+# one for its image, in each direction), composes the operator into the
+# v side and pushes it back; over abstract atoms each composition builds
+# its target again once for the atoms it lacked (3 times for the push
+# back when compose stopped at the first atom it lacked).  A system is
+# composed into the ring of h, which is built again for the operator's
+# atoms; reduction then composes it into a ring over R.
+CLI_CONTEXTS = {name: 1 for name in CASES} | {
+    "transform-abstract-emit": 11, "transform-emit": 8,
+    "transform-mobius-emit": 8, "reduction-candidate": 6,
+    "system-classify": 3, "system-abstract-exp": 3,
+    "dispersion-abstract-exp": 3, "legendre": 3, "dispersion": 2}
 
 # build_context calls of is_zero on SAMPLED_EXPR, whose context holds three
 # exp/ln atoms: one for the expression and one for each atom's argument,
@@ -355,14 +376,18 @@ def test_atom_arguments_normalized_once(count_calls):
 
 
 def test_pencil_signs_no_atom_again(count_calls):
-    """The metric pencil's workspace shares the operator's signature table,
-    so building the pencil after the forms normalizes nothing (2 when the
-    atoms of g were signed again)."""
+    """The lambdas are parameters of the operator's context, so building
+    the pencil after the forms builds no ring, signs no atom and composes
+    nothing (one build when the pencil had a ring of its own, and 2
+    normalizations when that ring signed the atoms of g again)."""
     op = catalog.instantiate("APP/rank1_sol1")[0]
     op.forms
-    counts = count_calls((ratform._normalize, "normalizations", None))
+    counts = count_calls((ratform._normalize, "normalizations", None),
+                         (ratform.build_context, "builds", None),
+                         (ratform.derivation_context, "contexts", None))
     MetricPencil.of(op)
     assert counts["normalizations"] == 0, counts
+    assert counts["builds"] == counts["contexts"] == 0, counts
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hydroham import Workspace, catalog, mutation, normalize, parse
 from hydroham.calculus import differentiate
 from hydroham import expr as ex
-from hydroham.operators import MokhovChecker
+from hydroham.operators import PENCIL_PARAMS, MokhovChecker
 from hydroham.ratform import (
     ZeroDenominatorError,
     build_context,
@@ -208,7 +208,8 @@ def test_sub_equals_add_of_negation(a, b):
 
 def _expr_tables(op):
     """dg, db and d2b by calculus.differentiate, as the checker once built
-    them, converted over a context of all their atoms."""
+    them, converted over a context of all their atoms and of the pencil's
+    parameters, as the operator's forms are."""
     n, d, vs = op.n, op.d, op.variables
     R = range(n)
     dg = [[[[differentiate(op.g[a][i][j], vs[k]) for k in R] for j in R]
@@ -228,7 +229,7 @@ def _expr_tables(op):
             flat.append(t)
     for table in (op.g, dg, op.b, db, d2b):
         collect(table)
-    ctx = build_context(op.ws, flat)
+    ctx = derivation_context(op.ws, (), [(flat, 0)], PENCIL_PARAMS[:d])
 
     def conv(t):
         if isinstance(t, list):

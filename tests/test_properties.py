@@ -468,7 +468,7 @@ def test_survivor_records_match_eager_enumeration():
 def _pencil_operator(op):
     """The 1D operator g_x + lam g_y, b_x + lam b_y of a 2D operator, over
     its workspace with the constant lam added."""
-    ws = op.ws.extended(["lam"])
+    ws = op.ws.derive(constants=[s.name for s in op.ws.constants] + ["lam"])
     lam = ex.Var(ws.constants[-1])
 
     def combine(x, y):

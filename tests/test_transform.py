@@ -70,7 +70,8 @@ def test_identity_change_is_identity():
 def test_difference_of_operators_over_permuted_variables_raises():
     """Both operators' forms are composed under one renaming of op2's
     variables to op1's, which cannot also keep op1's u1 and u2 when op2
-    reads them as (u2, u1)."""
+    reads them as (u2, u1), nor keep op1's function f when op2 names a
+    variable f (renamed to u1, f(u1) - f read as proven zero)."""
     src, _dst = make_pair(2)
     swapped = Workspace()
     swapped.add_variables("u2", "u1")
@@ -78,6 +79,13 @@ def test_difference_of_operators_over_permuted_variables_raises():
     op = operator_from_entries(src, 1, 2, {(0, 1, 1): parse("u1", src)})
     again = operator_from_entries(swapped, 1, 2,
                                   {(0, 1, 1): parse("u2", swapped)})
+    with pytest.raises(InvalidChangeError, match="other symbols"):
+        operator_difference_records(op, again)
+    with_f = Workspace.of(["u1"], functions=[("f", ["u1"])])
+    over_f = Workspace.of(["f"])
+    op = operator_from_entries(with_f, 1, 1, {(0, 1, 1): parse("f", with_f)})
+    again = operator_from_entries(over_f, 1, 1,
+                                  {(0, 1, 1): parse("f", over_f)})
     with pytest.raises(InvalidChangeError, match="other symbols"):
         operator_difference_records(op, again)
 
