@@ -308,14 +308,16 @@ def _write(path: str, text: str):
         raise InputError(f"cannot write {path}: {e.strerror}") from None
 
 
-def _parse_catalog_params(args, entry) -> dict:
+def _parse_catalog_params(args, entries) -> list[dict]:
+    """Each entry's defaults with the slots --eps, --kappa and --set bind;
+    over several entries a flag binds only the entries holding its slot."""
     from . import catalog
-    params = catalog.default_params(entry)
+    flags = {}
     if args.eps is not None:
-        params["eps"] = Fraction(args.eps)
+        flags["eps"] = Fraction(args.eps)
     if args.kappa is not None:
         try:
-            params["kappa"] = Fraction(args.kappa)
+            flags["kappa"] = Fraction(args.kappa)
         except (ValueError, ZeroDivisionError):
             raise FileFormatError(f"--kappa: {args.kappa} is not a rational "
                                   "number") from None
@@ -323,8 +325,15 @@ def _parse_catalog_params(args, entry) -> dict:
         name, _, text = binding.partition("=")
         if not text:
             raise FileFormatError(f"--set expects NAME=EXPR, got {binding!r}")
-        params[name] = text
-    return params
+        flags[name] = text
+    out = [catalog.default_params(entry) for entry in entries]
+    for params in out:
+        params.update((k, v) for k, v in flags.items()
+                      if k in params or len(out) == 1)
+    if unknown := sorted(set(flags).difference(*out)):
+        raise FileFormatError(f"unknown parameters {unknown} for every "
+                              "catalog entry")
+    return out
 
 
 def _cmd_catalog(args, policy) -> int:
@@ -340,9 +349,8 @@ def _cmd_catalog(args, policy) -> int:
     if args.action in ("show", "export"):
         if not args.id:
             raise FileFormatError(f"catalog {args.action} needs an entry id")
-        entry = catalog.get_entry(args.id)
-        op, _ws = catalog.instantiate(args.id,
-                                      _parse_catalog_params(args, entry))
+        params, = _parse_catalog_params(args, [catalog.get_entry(args.id)])
+        op, _ws = catalog.instantiate(args.id, params)
         doc = dump_operator(op)
         text = json.dumps(doc, indent=2, sort_keys=True)
         if args.action == "export" and args.output:
@@ -354,12 +362,9 @@ def _cmd_catalog(args, policy) -> int:
 
     # verify
     report = Report(args, [])
-    if args.all or not args.id:
-        entries = catalog.list_entries()
-    else:
-        entries = [catalog.get_entry(args.id)]
-    for entry in entries:
-        params = _parse_catalog_params(args, entry)
+    entries = (catalog.list_entries() if args.all or not args.id
+               else [catalog.get_entry(args.id)])
+    for entry, params in zip(entries, _parse_catalog_params(args, entries)):
         v = catalog.verify_entry(entry.id, params, policy)
         summary = (f"{v.report.overall}; degenerate={v.degenerate}; "
                    f"rank {v.rank} (label {v.rank_label})")

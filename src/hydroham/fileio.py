@@ -12,7 +12,7 @@ import json
 
 from . import expr as ex
 from .parser import parse
-from .symbols import InputError, Workspace
+from .symbols import InputError, Symbol, Workspace
 from .zerotest import DEFAULT_POLICY
 
 # type checkers read this name as typing.TYPE_CHECKING, which would cost a
@@ -133,12 +133,21 @@ def load_change(data: dict, src_ws: Workspace,
 
 
 def load_density(data: dict, op: HydroOperator) -> HamiltonianDensity:
+    """h over the operator's workspace and the new functions the file
+    declares; it may repeat the operator's own declarations, no other."""
     from .hamsys import HamiltonianDensity
     text = _require(data, "h", str)
-    ws = op.ws
+    new = []
     for name, args in _functions(data):
-        if ws.lookup(name) is None:
-            ws = ws.derive(functions=[(name, args)])
+        held = op.ws.lookup(name)
+        if held is None:
+            new.append((name, args))
+        elif isinstance(held, Symbol) or [a.name for a in held.args] != args:
+            kind = held.kind if isinstance(held, Symbol) else "function"
+            raise FileFormatError(
+                f"density declares {name}({', '.join(map(str, args))}); "
+                f"the operator declares the {kind} {held!r}")
+    ws = op.ws.derive(functions=new) if new else op.ws
     return HamiltonianDensity(parse(text, ws), ws)
 
 

@@ -50,15 +50,10 @@ class HamiltonianDensity:
     @classmethod
     def abstract(cls, ws: Workspace, n: int, name: str = "h"):
         """A fully generic density h(u^1..u^n) as an abstract atom."""
-        arg_names = [s.name for s in ws.variables[:n]]
-        fresh = name
-        k = 0
-        while ws.lookup(fresh) is not None:
-            k += 1
-            fresh = f"{name}{k}"
-        ws2 = ws.derive(functions=[(fresh, arg_names)])
-        atom = ex.func_atom(ws2.functions[fresh])
-        return cls(atom, ws2)
+        fresh = ws.fresh_name(name)
+        ws2 = ws.derive(
+            functions=[(fresh, [s.name for s in ws.variables[:n]])])
+        return cls(ex.func_atom(ws2.functions[fresh]), ws2)
 
 
 class QuasilinearSystem:

@@ -117,42 +117,6 @@ class _Ring:
         return {m: coeffs.get(m, self.ctx.zero) for m in _multi_indices(order)}
 
 
-def sym_diff(density: LagrangianDensity, order: int) -> dict:
-    """The symmetric differential d^r f as {(i, j, k): coefficient of
-    da^i db^j dc^k}, the coefficient being (r! / i!j!k!) * the matching
-    partial derivative."""
-    if order not in (1, 2, 3, 4):
-        raise IntegrabilityError("symmetric differentials of order 1..4 only")
-    ring = _Ring(density, order)
-    return _exprs(ring.split(ring.D(ring.f, order), order))
-
-
-def hessian_determinant(density: LagrangianDensity) -> ex.Expr:
-    return ratform_to_expr(_Ring(density, 2).hessian())
-
-
-def bordered_matrix(density: LagrangianDensity) -> list:
-    """The 4x4 matrix M = [[0, f_a, f_b, f_c], [f_a, Hessian row], ...]."""
-    return [[ratform_to_expr(x) for x in row] for row in _Ring(density, 2).M]
-
-
-def bordered_matrix_derivatives(density: LagrangianDensity) -> list:
-    """M_a, M_b, M_c: entrywise derivatives of M with the (1,1) corner 0."""
-    ring = _Ring(density, 3)
-    return [[[ratform_to_expr(d(x)) for x in row] for row in ring.M]
-            for d in ring.ctx.deriv]
-
-
-def det_dM(density: LagrangianDensity) -> dict:
-    """det(M_a da + M_b db + M_c dc) as {(i, j, k): coefficient}."""
-    ring = _Ring(density, 3)
-    return _exprs(ring.split(ring.det_dM(), 4))
-
-
-def _exprs(forms: dict) -> dict:
-    return {m: ratform_to_expr(rf) for m, rf in forms.items()}
-
-
 class FktResult:
     def __init__(self, residual: dict, verdicts: dict, hessian: ex.Expr,
                  fluxes: tuple):
@@ -193,15 +157,9 @@ def fkt_residual(density: LagrangianDensity,
     dm = ring.det_dM()
     residual = ring.split(H * ring.D(d3) - d3 * ring.D(H) - (dm + dm + dm), 4)
     verdicts = {m: verdict_for_ratform(c, policy) for m, c in residual.items()}
-    return FktResult(_exprs(residual), verdicts, ratform_to_expr(H),
+    return FktResult({m: ratform_to_expr(c) for m, c in residual.items()},
+                     verdicts, ratform_to_expr(H),
                      tuple(map(ratform_to_expr, ring.M[0][1:])))
-
-
-def euler_lagrange_fluxes(density: LagrangianDensity):
-    """(f_a, f_b, f_c): the fluxes whose x, y, t divergence is the
-    Euler-Lagrange equation of the density."""
-    ring = _Ring(density, 1)
-    return tuple(ratform_to_expr(x) for x in ring.ctx.gradient(ring.f))
 
 
 # -- partial Legendre transform -------------------------------------------------

@@ -13,12 +13,7 @@ from __future__ import annotations
 import copy
 
 from . import expr as ex
-from .operators import (
-    ALPHA_LABELS,
-    HydroOperator,
-    MokhovChecker,
-    check_hamiltonian,
-)
+from .operators import HydroOperator, MokhovChecker, check_hamiltonian
 from .ratform import uses_transcendental
 from .zerotest import DEFAULT_POLICY, ZeroTestPolicy
 
@@ -27,15 +22,6 @@ class Mutation:
     def __init__(self, kind: str, index: tuple):
         self.kind = kind    # 'flip' | 'scale' | 'swap'
         self.index = index  # (alpha, i, j, k), 1-based component indices
-
-    def describe(self) -> str:
-        a, i, j, k = self.index
-        what = f"b^{{{i}{j},{ALPHA_LABELS[a]}}}_{k}"
-        if self.kind == "flip":
-            return f"sign flip of {what}"
-        if self.kind == "scale":
-            return f"{what} scaled by 2"
-        return f"{what} swapped with b^{{{j}{i},{ALPHA_LABELS[a]}}}_{k}"
 
 
 def _mutant(op: HydroOperator, edits) -> HydroOperator:

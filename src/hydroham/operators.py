@@ -122,10 +122,6 @@ def _entries(g, b):
                 yield from b_k
 
 
-def zero_operator(ws: Workspace, d: int, n: int) -> HydroOperator:
-    return operator_from_entries(ws, d, n)
-
-
 def operator_from_entries(ws: Workspace, d: int, n: int, g_entries=None,
                           b_entries=None) -> HydroOperator:
     """Build a dense operator from sparse {(alpha,i,j): Expr} and
@@ -342,14 +338,6 @@ class MokhovChecker:
         self.ctx, self.G, self.B = self.forms.ctx, self.forms.G, self.forms.B
         self._blocks: dict = {}
 
-    @property
-    def DG(self) -> list:
-        return self.forms.DG
-
-    @property
-    def DB(self) -> list:
-        return self.forms.DB
-
     def _by_s(self, entries, pos: int) -> list:
         """Entries (alpha, components, x) listed by alpha and by the
         contracted index s, their pos-th component, without s."""
@@ -384,7 +372,7 @@ class MokhovChecker:
         a nonzero b; C is antisymmetric, so each s < q is subtracted once."""
         out = [[[] for _ in range(self.n)] for _ in range(self.d)]
         for be, j, r in dict.fromkeys(e[:3] for e in self._b_nonzero):
-            D = self.DB[be][j - 1][r - 1]
+            D = self.forms.DB[be][j - 1][r - 1]
             for s, q in itertools.combinations(range(self.n), 2):
                 c = D[s][q] - D[q][s]
                 if not c.is_zero:
@@ -495,8 +483,9 @@ class MokhovChecker:
         with the a6 table S = sum_s g^{si be} d_s b^{jr a}_q
         - b^{ij be}_s b^{sr a}_q - b^{ir be}_s b^{js a}_q."""
         def terms():
+            DB = self.forms.DB
             db = [(a, j, r, q, s, x) for a, j, r, q, _b in self._b_nonzero
-                  for s, x in enumerate(self.DB[a][j - 1][r - 1][q - 1], 1)
+                  for s, x in enumerate(DB[a][j - 1][r - 1][q - 1], 1)
                   if not x.is_zero]
             for (be, i, g), (a, j, r, q, x) in _join(self._g_s,
                                                       self._by_s(db, 3)):

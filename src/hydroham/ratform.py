@@ -63,12 +63,8 @@ class PolyContext:
         self.ws = ws
         symbols = ws.variables + ws.constants
         for base in params:
-            name, k = base, 0
-            while (ws.lookup(name) is not None
-                   or name in (s.name for s in symbols)):
-                k += 1
-                name = f"{base}{k}"
-            symbols.append(Symbol(name, CONSTANT))
+            symbols.append(Symbol(ws.fresh_name(
+                base, [s.name for s in symbols]), CONSTANT))
         self.symbols = tuple(symbols)
         self.params = self.symbols[len(symbols) - len(params):]
         self.var_names = tuple(s.name for s in symbols)

@@ -125,6 +125,15 @@ class Workspace:
     def lookup(self, name: str):
         return self._by_name.get(name)
 
+    def fresh_name(self, base: str, taken=()) -> str:
+        """base, or base with the first numeric suffix (h -> h1) that names
+        no symbol or function of this workspace and is not in taken."""
+        name, k = base, 0
+        while self.lookup(name) is not None or name in taken:
+            k += 1
+            name = f"{base}{k}"
+        return name
+
     def require_symbol(self, name: str) -> Symbol:
         # a name read from a file may be any JSON value
         sym = self._by_name.get(name) if isinstance(name, str) else None

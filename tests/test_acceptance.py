@@ -30,6 +30,7 @@ from hydroham.transform import (
     operator_difference_records,
     pushforward,
 )
+from specializations import random_params
 
 
 def report(n, ok, detail):
@@ -48,7 +49,7 @@ def test_criterion_1_catalog_soundness():
     failures = []
     for entry in entries:
         trials = [catalog.default_params(entry)] + [
-            catalog.random_params(entry, rng) for _ in range(3)
+            random_params(entry, rng) for _ in range(3)
         ]
         for params in trials:
             op, _ws = catalog.instantiate(entry.id, params)
@@ -91,7 +92,8 @@ def test_criterion_3_mutation_sensitivity():
         total += res.total
         caught += res.caught
         survivors.extend(
-            (entry.id, m.describe(), rep.overall) for m, rep in res.survivors
+            (entry.id, f"{m.kind} {m.index}", rep.overall)
+            for m, rep in res.survivors
         )
     rate = caught / total
     for eid, desc, overall in survivors:

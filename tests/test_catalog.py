@@ -11,6 +11,7 @@ from hydroham.operators import (
     pencil_compatibility,
 )
 from hydroham.zerotest import InconclusiveError
+from specializations import random_params
 
 
 def test_entry_count_and_groups():
@@ -202,7 +203,7 @@ def test_concrete_specialization_passes():
     rng = random.Random(4242)
     for eid in ("T2.6/rank1_P_2/1", "APP/rank1_sol1", "T2.7/rank2_P_6"):
         entry = catalog.get_entry(eid)
-        params = catalog.random_params(entry, rng)
+        params = random_params(entry, rng)
         v = catalog.verify_entry(eid, params)
         assert v.report.overall == "proven_pass", (eid, params)
         assert v.degenerate and v.rank == entry.rank_label

@@ -13,7 +13,13 @@ import pytest
 import hydroham
 from hydroham import catalog, cli, transform
 from hydroham.cli import main
-from hydroham.fileio import dump_operator, load_change, load_operator, read_json
+from hydroham.fileio import (
+    dump_operator,
+    load_change,
+    load_density,
+    load_operator,
+    read_json,
+)
 
 
 @pytest.fixture
@@ -69,6 +75,38 @@ def test_catalog_verify_all_row_count(capsys):
     rows = [l for l in out.splitlines() if l.split(":")[0].strip()
             in {e.id for e in catalog.list_entries()}]
     assert len(rows) == 31
+
+
+def test_catalog_verify_all_binds_a_flag_where_its_slot_is(capsys,
+                                                          monkeypatch):
+    """Over every entry --eps and --kappa bind only the entries that hold
+    the slot; a slot that no entry holds exits 3, and so does a flag whose
+    slot a single entry lacks."""
+    bound = {}
+    verify = catalog.verify_entry
+
+    def record(entry_id, params, policy):
+        bound[entry_id] = params
+        return verify(entry_id, params, policy)
+
+    monkeypatch.setattr(catalog, "verify_entry", record)
+    for flag, slot, value in (("--eps", "eps", "0"), ("--kappa", "kappa", "3")):
+        bound.clear()
+        assert main(["catalog", "verify", "--all", flag, value]) == 0
+        assert len(bound) == 31
+        holders = {e.id for e in catalog.list_entries()
+                   if slot in e.const_slots}
+        assert {k for k, params in bound.items()
+                if params.get(slot) == int(value)} == holders
+    capsys.readouterr()
+    for argv, message in (
+            (["--all", "--set", "zz=1"],
+             "unknown parameters ['zz'] for every catalog entry"),
+            (["--all", "--eps", "2"], "eps must be 0 or 1"),
+            (["T2.2/1", "--eps", "0"],
+             "unknown parameters ['eps'] for T2.2/1")):
+        assert main(["catalog", "verify", *argv]) == 3
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_catalog_export_and_check(tmp_path, capsys):
@@ -200,6 +238,55 @@ def test_system_and_dispersion(tmp_path, gas_file, capsys):
     out = capsys.readouterr().out
     assert "euler-lagrange-reducible" in out
     assert main(["dispersion", gas_file, str(density)]) == 0
+
+
+@pytest.mark.parametrize("name, args, message", [
+    ("f", ["u1"],
+     "density declares f(u1); the operator declares the function f(u2, u3)"),
+    ("f", ["u3", "u2"], "density declares f(u3, u2); the operator declares "
+     "the function f(u2, u3)"),
+    ("u1", ["u2"],
+     "density declares u1(u2); the operator declares the variable u1"),
+], ids=["other-arguments", "other-order", "variable"])
+def test_density_redeclaring_an_operator_name_exits_3(tmp_path, capsys, name,
+                                                      args, message):
+    """f is declared over (u2, u3) by T2.6/rank1_P_1/2; a density that
+    declares it over other arguments was once read with the operator's
+    declaration."""
+    op_path, h_path = tmp_path / "op.json", tmp_path / "h.json"
+    assert main(["catalog", "export", "T2.6/rank1_P_1/2",
+                 "-o", str(op_path)]) == 0
+    h_path.write_text(json.dumps(
+        {"h": "f + u1", "functions": [{"name": name, "args": args}]}))
+    capsys.readouterr()
+    assert main(["system", str(op_path), str(h_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
+def test_density_repeating_the_operator_declaration(tmp_path, capsys):
+    """Repeating the operator's declaration of f reads as not declaring it,
+    and the new functions of a density join one derived workspace."""
+    op_path = tmp_path / "op.json"
+    assert main(["catalog", "export", "T2.6/rank1_P_1/2",
+                 "-o", str(op_path)]) == 0
+    outs = []
+    for functions in ([], [("f", ["u2", "u3"])]):
+        h_path = tmp_path / "h.json"
+        h_path.write_text(json.dumps({"h": "f + u1", "functions": [
+            {"name": n, "args": a} for n, a in functions]}))
+        capsys.readouterr()
+        assert main(["--format", "json", "system", str(op_path),
+                     str(h_path)]) == 0
+        outs.append(json.loads(capsys.readouterr().out)["notes"])
+    assert outs[0] == outs[1]
+    op = load_operator(read_json(str(op_path)))
+    density = load_density({"h": "g + k", "functions": [
+        {"name": "g", "args": ["u1"]}, {"name": "f", "args": ["u2", "u3"]},
+        {"name": "k", "args": ["u2", "u1"]}]}, op)
+    assert [repr(fn) for fn in density.ws.functions.values()] == [
+        "f(u2, u3)", "h(u2, u3)", "g(u1)", "k(u2, u1)"]
 
 
 def test_system_classify_1d_operator(tmp_path, capsys):

@@ -287,9 +287,9 @@ def test_checker_tables_and_a7_match_expr_route(entry_id, kind, index):
     assert ctx.atom_sigs == checker.ctx.atom_sigs
     n, d = mutant.n, mutant.d
     for a, i, j, k in itertools.product(range(d), *[range(n)] * 3):
-        assert checker.DG[a][i][j][k] == DG[a][i][j][k]
+        assert checker.forms.DG[a][i][j][k] == DG[a][i][j][k]
         for l in range(n):
-            assert checker.DB[a][i][j][k][l] == DB[a][i][j][k][l]
+            assert checker.forms.DB[a][i][j][k][l] == DB[a][i][j][k][l]
     # the checker yields the nonzero residuals; the oracle's nonzero a7
     # residuals over every index must be those, in the same order
     got = list(checker.residuals(("a5", "a7")))

@@ -17,7 +17,7 @@ from hydroham.hamsys import (
     hodograph_residual,
     reduction_residual,
 )
-from hydroham.operators import operator_from_entries, zero_operator
+from hydroham.operators import operator_from_entries
 from hydroham.ratform import ratform_to_expr
 from hydroham.zerotest import InconclusiveError, verdict_for_ratform
 from sympy_oracle import sympy_value
@@ -111,7 +111,7 @@ def test_dispersion_trivial_and_n1():
     ws = Workspace()
     ws.add_variables("u1", "u2")
     ws.freeze()
-    op = zero_operator(ws, 2, 2)
+    op = operator_from_entries(ws, 2, 2)
     rel = dispersion(generate_system(op, HamiltonianDensity(
         parse("u1*u2", ws), ws)))
     assert rel.coefficients == {(0, 0): ex.ONE}

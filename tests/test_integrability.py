@@ -12,15 +12,11 @@ from hydroham.calculus import differentiate
 from hydroham.integrability import (
     DegenerateLagrangianError,
     LagrangianDensity,
-    bordered_matrix,
-    bordered_matrix_derivatives,
-    det_dM,
-    euler_lagrange_fluxes,
+    _Ring,
     fkt_residual,
-    hessian_determinant,
     legendre,
-    sym_diff,
 )
+from hydroham.ratform import ratform_to_expr
 from sympy_oracle import as_fraction, sympy_value
 
 
@@ -28,28 +24,32 @@ def density(text, functions=()):
     return LagrangianDensity.from_text(text, functions)
 
 
-def all_zero(form, ws):
-    return all(is_zero(c, ws).is_zero_verdict for c in form.values())
+def all_zero(forms, ws):
+    return all(is_zero(ratform_to_expr(c), ws).is_zero_verdict
+               for c in forms.values())
 
 
 def test_sym_diff_quadratic_third_order_vanishes():
-    d3 = sym_diff(density("a^2 + b^2 + c^2"), 3)
-    assert all(c == ex.ZERO for c in d3.values())
+    ring = _Ring(density("a^2 + b^2 + c^2"), 3)
+    d3 = ring.split(ring.D(ring.f, 3), 3)
+    assert all(c.is_zero for c in d3.values())
 
 
 def test_sym_diff_boyer_finley():
-    f = density("a^2 + b^2 - 2*exp(c)")
-    d3 = sym_diff(f, 3)
-    nonzero = {m: c for m, c in d3.items() if c != ex.ZERO}
+    """The symmetric differential d^r f = D^r f, split by multi-index."""
+    ring = _Ring(density("a^2 + b^2 - 2*exp(c)"), 4)
+    d3 = ring.split(ring.D(ring.f, 3), 3)
+    nonzero = {m: c for m, c in d3.items() if not c.is_zero}
     assert set(nonzero) == {(0, 0, 3)}
-    assert print_expr(nonzero[(0, 0, 3)]) == "-2*exp(c)"
-    d4 = sym_diff(f, 4)
-    assert print_expr(d4[(0, 0, 4)]) == "-2*exp(c)"
+    assert print_expr(ratform_to_expr(nonzero[(0, 0, 3)])) == "-2*exp(c)"
+    d4 = ring.split(ring.D(ring.f, 4), 4)
+    assert print_expr(ratform_to_expr(d4[(0, 0, 4)])) == "-2*exp(c)"
 
 
 def test_sym_diff_multinomial_count():
-    d3 = sym_diff(density("a*b*c"), 3)
-    assert d3[(1, 1, 1)] == ex.Rat(6)
+    ring = _Ring(density("a*b*c"), 3)
+    d3 = ring.split(ring.D(ring.f, 3), 3)
+    assert ratform_to_expr(d3[(1, 1, 1)]) == ex.Rat(6)
 
 
 def test_sym_diff_multinomial_identity():
@@ -64,8 +64,9 @@ def test_sym_diff_multinomial_identity():
             f"({coeffs[0]})*a^3 + ({coeffs[1]})*a*b*c + ({coeffs[2]})*b^2*c"
             f" + ({coeffs[3]})*c^3"
         )
+        ring = _Ring(f, 4)
         for order in (3, 4):
-            form = sym_diff(f, order)
+            form = ring.split(ring.D(ring.f, order), order)
             vars_ = f.vars()
             for (i, j, k), coeff in form.items():
                 raw = f.f
@@ -74,15 +75,15 @@ def test_sym_diff_multinomial_identity():
                         raw = differentiate(raw, v)
                 mult = Fraction(factorial(i) * factorial(j) * factorial(k),
                                 factorial(order))
-                assert is_zero(ex.mul(ex.Rat(mult), coeff) - raw,
+                assert is_zero(ex.mul(ex.Rat(mult), ratform_to_expr(coeff))
+                               - raw,
                                f.ws).kind == "proven_zero"
 
 
 def test_hessian_and_bordered_matrix():
-    f = density("a^2 + b^2 - 2*exp(c)")
-    H = hessian_determinant(f)
-    assert print_expr(H) == "-8*exp(c)"
-    M = bordered_matrix(f)
+    ring = _Ring(density("a^2 + b^2 - 2*exp(c)"), 2)
+    assert print_expr(ratform_to_expr(ring.hessian())) == "-8*exp(c)"
+    M = [[ratform_to_expr(x) for x in row] for row in ring.M]
     assert M[0][0] == ex.ZERO
     assert print_expr(M[0][3]) == "-2*exp(c)"
     assert print_expr(M[3][3]) == "-2*exp(c)"
@@ -96,24 +97,23 @@ def test_bordered_derivatives_match_entrywise():
         f"({coeffs[0]})*a^3 + ({coeffs[1]})*a^2*b + ({coeffs[2]})*b^2*c"
         f" + ({coeffs[3]})*a*b*c + ({coeffs[4]})*c^3"
     )
-    M = bordered_matrix(f)
-    mats = bordered_matrix_derivatives(f)
-    for x, v in enumerate(f.vars()):
+    ring = _Ring(f, 3)
+    for v, d in zip(f.vars(), ring.ctx.deriv):
         for i in range(4):
             for j in range(4):
-                expect = differentiate(M[i][j], v)
-                assert is_zero(mats[x][i][j] - expect,
+                expect = differentiate(ratform_to_expr(ring.M[i][j]), v)
+                assert is_zero(ratform_to_expr(d(ring.M[i][j])) - expect,
                                f.ws).kind == "proven_zero"
-        assert mats[x][0][0] == ex.ZERO
+        assert ratform_to_expr(d(ring.M[0][0])) == ex.ZERO
 
 
 def test_det_dM_zero_cases():
-    assert all_zero(det_dM(density("a^2 + b^2 + c^2")),
-                    density("0").ws)
-    bf = density("a^2 + b^2 - 2*exp(c)")
-    assert all_zero(det_dM(bf), bf.ws)
-    quad = density("a^2 + 3*a*b - b*c + c^2")
-    assert all_zero(det_dM(quad), quad.ws)
+    """det(M_a da + M_b db + M_c dc) split by multi-index."""
+    for text in ("a^2 + b^2 + c^2", "a^2 + b^2 - 2*exp(c)",
+                 "a^2 + 3*a*b - b*c + c^2"):
+        f = density(text)
+        ring = _Ring(f, 3)
+        assert all_zero(ring.split(ring.det_dM(), 4), f.ws), text
 
 
 def test_fkt_boyer_finley_integrable():
@@ -140,15 +140,17 @@ def test_fkt_hand_oracle_pieces():
     """H = 48 a^2, H*d4f da^4 = 1152 a^2, d3f*dH da^4 = 2304 a^2,
     det(M_a) = 0."""
     f = density("a^4 + b^2 + c^2")
-    H = hessian_determinant(f)
+    H = fkt_residual(f).hessian
     assert is_zero(H - parse("48*a^2", f.ws), f.ws).kind == "proven_zero"
-    d4 = sym_diff(f, 4)
-    hd4 = ex.mul(H, d4[(4, 0, 0)])
+    ring = _Ring(f, 4)
+    d4 = ring.split(ring.D(ring.f, 4), 4)
+    hd4 = ex.mul(H, ratform_to_expr(d4[(4, 0, 0)]))
     assert is_zero(hd4 - parse("1152*a^2", f.ws), f.ws).kind == "proven_zero"
-    d3 = sym_diff(f, 3)
-    term = ex.mul(d3[(3, 0, 0)], differentiate(H, f.vars()[0]))
+    d3 = ring.split(ring.D(ring.f, 3), 3)
+    term = ex.mul(ratform_to_expr(d3[(3, 0, 0)]),
+                  differentiate(H, f.vars()[0]))
     assert is_zero(term - parse("2304*a^2", f.ws), f.ws).kind == "proven_zero"
-    assert is_zero(det_dM(f)[(4, 0, 0)],
+    assert is_zero(ratform_to_expr(ring.split(ring.det_dM(), 4)[(4, 0, 0)]),
                    f.ws).kind == "proven_zero"
 
 
@@ -181,14 +183,17 @@ def test_fkt_cleared_form_matches_divided_form_numerically():
     pt = {"a": Fraction(2), "b": Fraction(1), "c": Fraction(-1)}
 
     def evaluate(e):
+        if not isinstance(e, ex.Expr):
+            e = ratform_to_expr(e)
         return as_fraction(sympy_value(print_expr(e), pt))
 
     Hval = evaluate(res.hessian)
     assert Hval != 0
-    d4 = sym_diff(f, 4)
-    d3 = sym_diff(f, 3)
+    ring = _Ring(f, 4)
+    d4 = ring.split(ring.D(ring.f, 4), 4)
+    d3 = ring.split(ring.D(ring.f, 3), 3)
     dH = [evaluate(differentiate(res.hessian, v)) for v in f.vars()]
-    ddm = det_dM(f)
+    ddm = ring.split(ring.det_dM(), 4)
     for m in d4:
         # the da^i db^j dc^k coefficient of the product d3f * dH
         d3dH = sum(evaluate(d3[m[:x] + (m[x] - 1,) + m[x + 1:]]) * dH[x]
@@ -199,16 +204,19 @@ def test_fkt_cleared_form_matches_divided_form_numerically():
 
 
 def test_euler_lagrange_fluxes():
+    """The fluxes (f_a, f_b, f_c) of the fourth-order test, and the first
+    row of the bordered matrix of a density with H = 0."""
     bf = density("a^2 + b^2 - 2*exp(c)")
-    fa, fb, fc = euler_lagrange_fluxes(bf)
+    fa, fb, fc = fkt_residual(bf).fluxes
     assert print_expr(fa) == "2*a"
     assert print_expr(fb) == "2*b"
     assert print_expr(fc) == "-2*exp(c)"
     lin = density("1/2*(a^2 + b^2 + c^2)")
-    assert [print_expr(e) for e in euler_lagrange_fluxes(lin)] == \
+    assert [print_expr(e) for e in fkt_residual(lin).fluxes] == \
         ["a", "b", "c"]
     const = density("7")
-    assert all(e == ex.ZERO for e in euler_lagrange_fluxes(const))
+    assert all(ratform_to_expr(x) == ex.ZERO
+               for x in _Ring(const, 1).M[0][1:])
 
 
 def legendre_ws():

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 
 from hydroham import catalog, mutation
 from hydroham import expr as ex
-from hydroham.mutation import Mutation, first_proven_failure, scan
+from hydroham.mutation import first_proven_failure, scan
 from hydroham.operators import HydroOperator, MokhovChecker, check_hamiltonian
 from hydroham.ratform import RationalForm
 from test_properties import sparse_operators
@@ -55,11 +55,6 @@ def test_identity_mutations_skipped():
 def test_first_proven_failure_none_for_valid():
     op, ws = catalog.instantiate("P_gas")
     assert first_proven_failure(op) is None
-
-
-def test_mutation_description():
-    m = Mutation("flip", (0, 1, 2, 2))
-    assert "b^{12,x}_2" in m.describe()
 
 
 def test_failure_at_a2_builds_no_later_table(monkeypatch):

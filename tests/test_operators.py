@@ -9,6 +9,7 @@ from hydroham import Workspace, parse
 from hydroham.calculus import differentiate
 from hydroham import expr as ex
 from hydroham.operators import (
+    ALL_RELATIONS,
     ConditionReport,
     HydroOperator,
     OperatorError,
@@ -19,7 +20,7 @@ from hydroham.operators import (
     operator_from_entries,
     pencil_compatibility,
     pencil_determinant,
-    zero_operator,
+    residual_keys,
 )
 
 
@@ -81,7 +82,8 @@ def test_jacobi_detects_scaled_entry(ws2):
 
 
 def test_zero_operator_hamiltonian(ws2):
-    assert check_hamiltonian(zero_operator(ws2, 1, 2)).overall == "proven_pass"
+    zero = operator_from_entries(ws2, 1, 2)
+    assert check_hamiltonian(zero).overall == "proven_pass"
 
 
 def test_constant_symmetric_metric(ws2):
@@ -140,7 +142,7 @@ def test_zero_metric_degenerate():
     ws = Workspace()
     ws.add_variables("u1", "u2", "u3", "u4")
     ws.freeze()
-    op = zero_operator(ws, 1, 4)
+    op = operator_from_entries(ws, 1, 4)
     assert is_degenerate(op).degenerate
     assert generic_rank(op) == 0
 
@@ -155,7 +157,7 @@ def test_trivial_pair_examples(ws2):
     )
     res = is_trivial_pair(scaled)
     assert res.trivial and res.xi == ex.Rat(3)
-    assert is_trivial_pair(zero_operator(ws2, 2, 2)).trivial
+    assert is_trivial_pair(operator_from_entries(ws2, 2, 2)).trivial
     # function-proportional pairs are non-trivial by the constant-xi rule
     func_prop = operator_from_entries(
         ws2, 2, 2,
@@ -256,3 +258,14 @@ def test_unregistered_symbol_in_a_nonzero_entry_rejected(ws2, where, text):
     with pytest.raises(OperatorError, match=r"unregistered symbols \['v"):
         build(ex.add(parse("u1", ws2), parse(text, other)))
     build(ex.Rat(Fraction(3, 2)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_record_count_in_closed_form(d):
+    """A full check lists every residual of a1..a7 once: a1 the d n(n-1)/2
+    pairs i < j, a2 d n^3, a3 and a4 d^2 n^3 each, a5 and a6 d^2 n^4 each,
+    a7 d^2 n^5 (1,896 for the d = 2, n = 3 export, 89 at d = 1, n = 2)."""
+    for n in range(1, 7):
+        count = sum(1 for _ in residual_keys(d, n, ALL_RELATIONS))
+        assert count == (d * n * (n - 1) // 2 + d * n**3 + 2 * d**2 * n**3
+                         + 2 * d**2 * n**4 + d**2 * n**5), (d, n)

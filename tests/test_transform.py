@@ -15,6 +15,9 @@ from hydroham.operators import (
     HydroOperator,
     _flatten,
     check_hamiltonian,
+    generic_rank,
+    is_degenerate,
+    is_trivial_pair,
     operator_from_entries,
 )
 from hydroham.transform import (
@@ -337,7 +340,8 @@ def changed_operators():
         if drawn < 10 and (pool := list(mutants(op))):
             mutation, mutant = rng.choice(pool)
             drawn += 1
-            yield f"{entry_id} {mutation}", mutant, src
+            yield (f"{entry_id} {mutation.kind} {mutation.index}", mutant,
+                   src)
 
 
 @pytest.mark.parametrize("component", ["last", "first"])
@@ -349,12 +353,17 @@ def test_rational_changes_keep_verdicts(component):
     sampled mutants under u_n = v_n/(1 + v1) and under u1 = v1/(1 + v2).
     The pushed operator is checked on the forms pushforward made; the
     operator read from its printed g and b gives the same records
-    (relation, indices, printed residual, verdict)."""
+    (relation, indices, printed residual, verdict).  The pencil facts of a
+    d = 2 operator (generic rank, degeneracy, triviality) are kept too."""
     def records(report):
         return [(r.relation, r.indices, ex.print_expr(r.residual), r.verdict)
                 for r in report.records]
 
-    verdicts = Counter()
+    def pencil_facts(op):
+        return (generic_rank(op), is_degenerate(op).degenerate,
+                is_trivial_pair(op).trivial)
+
+    verdicts, pencils = Counter(), 0
     for label, op, src in changed_operators():
         c = rational_change(op, src, op.n if component == "last" else 1)
         want = check_hamiltonian(op).overall
@@ -365,5 +374,9 @@ def test_rational_changes_keep_verdicts(component):
         again = HydroOperator(pushed.ws, pushed.d, pushed.n, pushed.g,
                               pushed.b)
         assert records(report) == records(check_hamiltonian(again)), label
+        if op.d == 2:
+            pencils += 1
+            assert pencil_facts(pushed) == pencil_facts(op), label
     assert verdicts == {"proven_pass": 21, "fail": 10}, verdicts
+    assert pencils == 18
 
